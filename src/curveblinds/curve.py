@@ -9,7 +9,7 @@ of f', the domain [a, b], and the monotonicity sense of f'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,8 +43,6 @@ class CurveProfile:
     df_inverse: Optional[Callable[[float], float]] = None
     name: str = "custom"
     supports_arrays: bool = False
-    #: Lipschitz constant of t -> atan(f'(t)) on [a, b]; estimated when absent.
-    theta_lip: float = field(default=0.0)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
@@ -66,11 +64,6 @@ class CurveProfile:
                     raise ValueError(
                         f"df_inverse(df({t!r})) fails the 1e-10 round-trip check"
                     )
-        if self.theta_lip <= 0.0:
-            fine = np.linspace(self.a, self.b, 2049)
-            phi = np.arctan(np.array([self.df(float(t)) for t in fine]))
-            lip = float(np.max(np.abs(np.diff(phi)))) / float(fine[1] - fine[0])
-            object.__setattr__(self, "theta_lip", 1.25 * lip + 1e-12)
 
     # -- derivative range and inversion -----------------------------------
 

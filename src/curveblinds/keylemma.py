@@ -27,8 +27,13 @@ from .blinds import (
 )
 from .curve import CurveProfile, fiber_point
 from .geometry import Point, Segment
-from .measure import AlphaSet, FiberArc, contains, project_fiber_arc, union_of
-from .measure import project_segment as _project_segment
+from .measure import (
+    AlphaSet,
+    FiberArc,
+    contains,
+    project_blinds_grid,
+    project_fiber_arc,
+)
 from .projline import CCW, PI, Arc, Direction, dist, normalize
 from .verify import VerificationReport, check_cover, check_small
 
@@ -230,15 +235,10 @@ def _polygon_ok(
     for v in chain.vertices:
         if _point_to_fiber_distance(curve, chain.source, v) > delta:
             return False
-    for alpha in alphas:
-        alpha = float(alpha)
+    chain_set = BlindSet.from_segments(segs)
+    for alpha, proj in zip(alphas.tolist(), project_blinds_grid(curve, alphas, chain_set)):
         target = project_fiber_arc(curve, alpha, chain.source)
-        if target.is_empty:
-            continue
-        pieces = []
-        for s in segs:
-            pieces.extend(_project_segment(curve, alpha, s).intervals)
-        if not contains(union_of(pieces), target, 1e-9):
+        if not target.is_empty and not contains(proj, target, 1e-9):
             return False
     return True
 
@@ -469,16 +469,17 @@ def key_construction(
     arc = FiberArc(y, a1, b1)
     eps_c = eps
     delta_eff = min(delta, 0.45 * clearance)
-    last_error: Exception | None = None
-    for _attempt in range(max_attempts):
+    failures: list[str] = []  # one line per failed attempt
+    for attempt in range(max_attempts):
         delta_c = min(delta_eff, eps_c)
+        prefix = f"attempt {attempt + 1} (eps_c={eps_c:.3g}): "
         try:
             result = _key_attempt(
                 curve, y, arc, a_small, a_cover, eps, eps_c, delta_c, caps,
                 segment_points, scene_id,
             )
         except (SeparationError, ConstructionError) as exc:
-            last_error = exc
+            failures.append(prefix + str(exc))
             eps_c *= 0.5
             continue
         if result.cover_report.passed and result.small_report.passed:
@@ -489,12 +490,12 @@ def key_construction(
                 + result.cover_report.summary_line(),
                 stage="cover",
             )
+        failures.append(prefix + result.small_report.summary_line())
         overshoot = result.small_report.worst_value / eps
         eps_c *= min(0.5, 0.8 / overshoot)
-        last_error = None
     raise ConstructionError(
-        f"key construction failed after {max_attempts} attempts "
-        f"(final eps_c={eps_c:.3g}); last error: {last_error}",
+        f"key construction failed after {max_attempts} attempts:\n  "
+        + "\n  ".join(failures),
         stage="key",
     )
 

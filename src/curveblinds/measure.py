@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +21,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: Gaps below this merge during canonicalization (suppresses float dust).
 MERGE_TOL = 1e-12
+
+#: Elements per (rows x n) batch in project_blinds_grid: a set of n segments
+#: projects max(1, BUDGET // n) alphas per batch, so small sets share numpy's
+#: per-call cost among many alphas and large ones hold one row at a time.
+BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -103,20 +108,44 @@ def union_from_arrays(
     los: np.ndarray, his: np.ndarray, merge_tol: float = MERGE_TOL
 ) -> IntervalUnion:
     """Vectorized canonicalization for large interval batches."""
-    if los.size == 0:
-        return EMPTY
-    order = np.argsort(los, kind="stable")
-    los = los[order]
-    his = his[order]
-    running = np.maximum.accumulate(his)
+    return _canonical_rows(los[None, :], his[None, :], merge_tol)[0]
+
+
+def _canonical_rows(
+    los: np.ndarray, his: np.ndarray, merge_tol: float = MERGE_TOL
+) -> list[IntervalUnion]:
+    """Canonicalize each row of (rows x n) interval arrays; lo = +inf marks a gap.
+
+    One sort, running max and maximum.reduceat serve every row: a reduceat
+    run is cut at every group start and every row start, and the marked
+    entries sort to the end of their row, each starting a run that is dropped.
+    """
+    rows, n = los.shape
+    if n == 0:
+        return [EMPTY] * rows
+    order = np.argsort(los, axis=1)
+    order += np.arange(0, rows * n, n)[:, None]
+    order = order.ravel()
+    los = los.ravel()[order]
+    his = his.ravel()[order]
+    del order
+    running = np.maximum.accumulate(his.reshape(rows, n), axis=1).ravel()
+    running += merge_tol
     # a new group starts where the interval does not touch the running hull
-    new_group = np.empty(los.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = los[1:] > running[:-1] + merge_tol
-    starts = np.flatnonzero(new_group)
-    group_lo = los[starts]
-    group_hi = np.maximum.reduceat(his, starts)
-    return IntervalUnion(tuple(zip(group_lo.tolist(), group_hi.tolist())))
+    cuts = np.empty(rows * n, dtype=bool)
+    np.greater(los[1:], running[:-1], out=cuts[1:])
+    del running
+    cuts[::n] = True
+    starts = np.flatnonzero(cuts)
+    kept = los[starts] < np.inf
+    group_lo = los[starts[kept]].tolist()
+    group_hi = np.maximum.reduceat(his, starts)[kept].tolist()
+    out = []
+    end = 0
+    for count in np.bincount(starts[kept] // n, minlength=rows).tolist():
+        begin, end = end, end + count
+        out.append(IntervalUnion(tuple(zip(group_lo[begin:end], group_hi[begin:end]))))
+    return out
 
 
 def measure(u: IntervalUnion) -> float:
@@ -282,69 +311,95 @@ def project_fiber_arc(curve: CurveProfile, alpha: float, arc: FiberArc) -> Inter
     return union_of([(min(v0, v1), max(v0, v1))])
 
 
-def _project_coords_fast(
-    curve: CurveProfile, alpha: float, coords: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-segment image intervals for an (n, 4) coordinate array."""
-    ax, ay, bx, by = coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
-    lo, hi = curve.strip(alpha)
-    dx1 = bx - ax
-    dx2 = by - ay
+def project_blinds_grid(
+    curve: CurveProfile, alphas: Sequence[float], blinds: "BlindSet"
+) -> Iterator[IntervalUnion]:
+    """Yield project_blinds(curve, alpha, blinds) for each alpha in turn.
 
+    For array-capable curves the alpha-independent segment terms are computed
+    once, then max(1, BUDGET // n) alphas at a time are projected as
+    (rows x n) arrays.  Every element goes through the same float operations
+    whatever the batch size, so batching changes no bit of the result.
+    Other curves project segment by segment with project_segment.
+    """
+    if not curve.supports_arrays:
+        segs = blinds.segments
+        for alpha in alphas:
+            alpha = float(alpha)
+            yield union_of(
+                iv for seg in segs for iv in project_segment(curve, alpha, seg).intervals
+            )
+        return
+    coords = blinds.coords
+    ax, ay = coords[:, 0], coords[:, 1]
+    dx1 = coords[:, 2] - ax
+    dx2 = coords[:, 3] - ay
     vertical = np.abs(dx1) <= DOMAIN_TOL
     safe_dx1 = np.where(vertical, 1.0, dx1)
-    bounds = np.stack([(lo - ax) / safe_dx1, (hi - ax) / safe_dx1])
-    t0_raw = np.min(bounds, axis=0)
-    t1_raw = np.max(bounds, axis=0)
-    # validity from the unclipped window: the strip-parameter range must meet
-    # [0, 1], otherwise clipping would fabricate a spurious endpoint touch
-    t0 = np.clip(t0_raw, 0.0, 1.0)
-    t1 = np.clip(t1_raw, 0.0, 1.0)
-    # vertical segments: keep full parameter range, validity decided below
-    t0 = np.where(vertical, 0.0, t0)
-    t1 = np.where(vertical, 1.0, t1)
-    valid = np.where(
-        vertical,
-        (ax >= lo - DOMAIN_TOL) & (ax <= hi + DOMAIN_TOL),
-        (t1_raw >= 0.0) & (t0_raw <= 1.0),
-    )
-
-    def value(t: np.ndarray) -> np.ndarray:
-        x1 = ax + t * dx1
-        tt = np.clip(alpha - x1, curve.a, curve.b)
-        return ay + t * dx2 + curve.f(tt)
-
-    v0 = value(t0)
-    v1 = value(t1)
-    los = np.minimum(v0, v1)
-    his = np.maximum(v0, v1)
-
-    # interior critical points where f'(alpha - x1(t)) equals the slope
+    # the interior critical point, where f'(alpha - x1(t)) equals the slope,
+    # has an alpha-independent curve parameter; NaN marks the segments whose
+    # slope f' never takes, and a NaN fails every comparison below
     dlo, dhi = curve.df_range()
     slope = dx2 / safe_dx1
-    has_crit = (~vertical) & valid & (slope >= dlo - 1e-9) & (slope <= dhi + 1e-9)
-    if np.any(has_crit):
-        tc_curve = curve.df_inv_array(slope[has_crit])
-        tc = (alpha - tc_curve - ax[has_crit]) / dx1[has_crit]
-        inside = (tc > t0[has_crit]) & (tc < t1[has_crit])
-        if np.any(inside):
-            idx = np.flatnonzero(has_crit)[inside]
-            t = tc[inside]
-            x1 = ax[idx] + t * dx1[idx]
-            vc = ay[idx] + t * dx2[idx] + curve.f(np.clip(alpha - x1, curve.a, curve.b))
-            los[idx] = np.minimum(los[idx], vc)
-            his[idx] = np.maximum(his[idx], vc)
-    return los[valid], his[valid]
+    has_crit = ~vertical & (slope >= dlo - 1e-9) & (slope <= dhi + 1e-9)
+    tc_curve = np.full(len(coords), np.nan)
+    tc_curve[has_crit] = curve.df_inv_array(slope[has_crit])
+    del slope, has_crit
+
+    def value(al: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # ay + t * dx2 + f(clip(al - (ax + t * dx1))), in one reused buffer
+        v = t * dx1
+        v += ax
+        np.subtract(al, v, out=v)
+        fx = curve.f(np.clip(v, curve.a, curve.b, out=v))
+        np.multiply(t, dx2, out=v)
+        v += ay
+        v += fx
+        return v
+
+    alphas = np.asarray(alphas, dtype=float)
+    rows = max(1, BUDGET // len(coords))
+    # temporaries are reused through out= or deleted once spent: freed numpy
+    # buffers stay in the malloc heap, so this loop's high-water mark shows
+    # in the peak RSS of the whole run
+    for first in range(0, len(alphas), rows):
+        al = alphas[first : first + rows, None]
+        lo, hi = curve.strip(al)
+        bound_lo = (lo - ax) / safe_dx1
+        t1 = (hi - ax) / safe_dx1
+        t0 = np.minimum(bound_lo, t1)
+        np.maximum(bound_lo, t1, out=t1)
+        del bound_lo
+        # validity from the unclipped window: the strip-parameter range must
+        # meet [0, 1], otherwise clipping would fabricate an endpoint touch;
+        # vertical segments keep the full range and are valid inside the strip
+        valid = np.where(
+            vertical,
+            (ax >= lo - DOMAIN_TOL) & (ax <= hi + DOMAIN_TOL),
+            (t1 >= 0.0) & (t0 <= 1.0),
+        )
+        np.clip(t0, 0.0, 1.0, out=t0)
+        np.clip(t1, 0.0, 1.0, out=t1)
+        np.copyto(t0, 0.0, where=vertical)
+        np.copyto(t1, 1.0, where=vertical)
+        v0 = value(al, t0)
+        his = value(al, t1)
+        los = np.minimum(v0, his)
+        np.maximum(v0, his, out=his)
+        del v0
+        tc = (al - tc_curve - ax) / safe_dx1
+        inside = (tc > t0) & (tc < t1)
+        del t0, t1
+        if inside.any():
+            vc = value(al, tc)
+            np.minimum(los, vc, out=los, where=inside)
+            np.maximum(his, vc, out=his, where=inside)
+            del vc
+        del tc, inside
+        np.copyto(los, np.inf, where=~valid)
+        yield from _canonical_rows(los, his)
 
 
 def project_blinds(curve: CurveProfile, alpha: float, blinds: "BlindSet") -> IntervalUnion:
     """Canonical union of project_segment over all members of a blind set."""
-    coords = blinds.coords
-    if curve.supports_arrays:
-        los, his = _project_coords_fast(curve, alpha, coords)
-        return union_from_arrays(los, his)
-    pieces = []
-    for seg in blinds.segments:
-        u = project_segment(curve, alpha, seg)
-        pieces.extend(u.intervals)
-    return union_of(pieces)
+    return next(project_blinds_grid(curve, [alpha], blinds))

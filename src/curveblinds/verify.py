@@ -22,7 +22,7 @@ from .measure import (
     FiberArc,
     IntervalUnion,
     contains,
-    project_blinds,
+    project_blinds_grid,
     project_fiber_arc,
     project_segment,
 )
@@ -110,9 +110,8 @@ def check_cover(
     per_alpha: list[PerAlpha] = []
     worst = (-math.inf, math.nan)
     all_ok = True
-    for alpha in alphas.grid():
-        alpha = float(alpha)
-        proj_e = project_blinds(curve, alpha, blinds)
+    grid = alphas.grid()
+    for alpha, proj_e in zip(grid.tolist(), project_blinds_grid(curve, grid, blinds)):
         proj_t = _project_target(curve, alpha, target)
         if shift > 0.0:
             proj_e = proj_e.erode(shift)
@@ -172,9 +171,8 @@ def check_small(
     per_alpha: list[PerAlpha] = []
     worst = (-math.inf, math.nan)
     n_max = 0
-    for alpha in alphas.grid():
-        alpha = float(alpha)
-        proj = project_blinds(curve, alpha, blinds)
+    grid = alphas.grid()
+    for alpha, proj in zip(grid.tolist(), project_blinds_grid(curve, grid, blinds)):
         if shift > 0.0:
             proj = proj.inflate(shift)
         m = proj.measure

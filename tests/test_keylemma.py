@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from curveblinds.blinds import ConstructionError
 from curveblinds.curve import builtin_curve, fiber_point, tangent_direction
 from curveblinds.geometry import Point, Segment
 from curveblinds.keylemma import (
@@ -171,8 +172,6 @@ def test_local_construction_covers_and_stays_close():
 def test_local_construction_preconditions():
     spec, curve, seg, nbhd = _q1_band_context()
     bands = compute_bands(curve, nbhd, spec.a_small(), spec.a_cover())
-    from curveblinds.blinds import ConstructionError
-
     long_seg = Segment(seg.a, Point(seg.a.x1 + 1.0, seg.a.x2 + 0.5))
     with pytest.raises(ConstructionError):
         local_construction(
@@ -211,3 +210,19 @@ def test_key_construction_rejects_bad_scene_geometry():
             AlphaSet.from_intervals([(0.4, 0.44), (0.46, 0.48)], 50),
             spec.epsilon, spec.delta,
         )
+
+
+def test_key_construction_error_lists_every_attempt():
+    # Q1's first attempt at eps=0.015 builds fine but misses the smallness
+    # bound, so the only attempt ends on a certificate, not an exception
+    spec = load_scene("Q1")
+    with pytest.raises(ConstructionError) as info:
+        key_construction(
+            spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
+            0.015, spec.delta, caps=spec.caps,
+            segment_points=spec.segment_points, max_attempts=1, scene_id="Q1",
+        )
+    message = str(info.value)
+    assert info.value.stage == "key"
+    assert "attempt 1 (eps_c=0.015): FAIL small [Q1]" in message
+    assert "None" not in message

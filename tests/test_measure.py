@@ -1,5 +1,6 @@
 """Interval unions, alpha-sets, and projection measures."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,14 @@ from curveblinds.blinds import BlindSet
 from curveblinds.curve import CurveProfile, builtin_curve, eval_phi
 from curveblinds.geometry import Point, Segment
 from curveblinds.measure import (
+    BUDGET,
     AlphaSet,
     EMPTY,
     FiberArc,
     contains,
     measure,
     project_blinds,
+    project_blinds_grid,
     project_fiber_arc,
     project_segment,
     union_from_arrays,
@@ -197,23 +200,81 @@ def test_fiber_arc_rejects_empty_range():
 
 
 def test_project_blinds_fast_path_matches_slow_path():
-    fast_curve = builtin_curve("parabola")
-    slow_curve = CurveProfile(
+    blinds = _random_blinds(np.random.default_rng(4), 40)
+    # convex and concave curves: interior critical points are minima on the
+    # first and maxima on the second
+    for name in ("parabola", "quarter_circle"):
+        fast_curve = builtin_curve(name)
+        slow_curve = dataclasses.replace(fast_curve, supports_arrays=False)
+        for alpha in np.linspace(-0.5, 2.0, 11).tolist():
+            fast = project_blinds(fast_curve, alpha, blinds)
+            slow = project_blinds(slow_curve, alpha, blinds)
+            assert len(fast.intervals) == len(slow.intervals)
+            for (flo, fhi), (slo, shi) in zip(fast.intervals, slow.intervals):
+                assert abs(flo - slo) < 1e-9
+                assert abs(fhi - shi) < 1e-9
+
+
+def test_project_blinds_drops_segments_outside_the_strip():
+    # the vertical segment at x1=2 misses the strip [-0.5, 0.5] of alpha=0.5;
+    # its unclipped image [-1, 1] would swallow the other segment's
+    curve = builtin_curve("parabola")
+    blinds = BlindSet(np.array([[0.0, 0.0, 0.1, 0.0], [2.0, -1.0, 2.0, 1.0]]))
+    expected = project_segment(curve, 0.5, blinds.segments[0])
+    assert list(project_blinds_grid(curve, [0.5, 0.5], blinds)) == [expected] * 2
+
+
+def _random_blinds(rng, n):
+    """Short segments of every direction, a tenth of them vertical, spread so
+    that the strips of the test alphas meet some, all or none of them."""
+    ax = rng.uniform(-1.5, 1.8, n)
+    ay = rng.uniform(-1.0, 1.0, n)
+    length = rng.uniform(1e-3, 0.3, n)
+    theta = rng.uniform(0.0, math.pi, n)
+    bx = ax + length * np.cos(theta)
+    by = ay + length * np.sin(theta)
+    vertical = rng.random(n) < 0.1
+    bx[vertical] = ax[vertical]
+    return BlindSet(np.column_stack([ax, ay, bx, by]))
+
+
+def _assert_grid_matches_per_alpha(curve, alphas, blinds):
+    batched = list(project_blinds_grid(curve, alphas, blinds))
+    assert len(batched) == len(alphas)
+    for alpha, got in zip(alphas, batched):
+        assert got.intervals == project_blinds(curve, alpha, blinds).intervals
+    return batched
+
+
+@pytest.mark.parametrize("name", ["parabola", "quarter_circle", "exp"])
+def test_project_blinds_grid_equals_per_alpha(name):
+    curve = builtin_curve(name)
+    rng = np.random.default_rng(7)
+    # 97 alphas: not a multiple of the row count of any size below; the far
+    # alphas' strips miss every segment
+    alphas = np.concatenate([np.linspace(-1.0, 2.5, 95), [4.0, 5.0]]).tolist()
+    for n in (1, 5, 120, 1248):
+        batched = _assert_grid_matches_per_alpha(curve, alphas, _random_blinds(rng, n))
+        assert batched[-1].is_empty and not batched[len(alphas) // 2].is_empty
+
+
+@pytest.mark.parametrize(
+    "n", [BUDGET // 2, BUDGET // 2 + 1, BUDGET - 1, BUDGET, BUDGET + 1]
+)
+def test_project_blinds_grid_equals_per_alpha_at_batch_edges(n):
+    curve = builtin_curve("parabola")
+    blinds = _random_blinds(np.random.default_rng(n), n)
+    _assert_grid_matches_per_alpha(curve, np.linspace(-0.5, 2.0, 7).tolist(), blinds)
+
+
+def test_project_blinds_grid_fallback_for_scalar_curves():
+    curve = CurveProfile(
         f=lambda t: t * t,
         df=lambda t: 2.0 * t,
         a=0.0,
         b=1.0,
         monotone="increasing",
         df_bound=2.0,
-        supports_arrays=False,
     )
-    rng = np.random.default_rng(4)
-    coords = rng.uniform(0.5, 2.0, size=(40, 4))
-    blinds = BlindSet(coords)
-    for alpha in (1.2, 1.8, 2.4):
-        fast = project_blinds(fast_curve, alpha, blinds)
-        slow = project_blinds(slow_curve, alpha, blinds)
-        assert len(fast.intervals) == len(slow.intervals)
-        for (flo, fhi), (slo, shi) in zip(fast.intervals, slow.intervals):
-            assert abs(flo - slo) < 1e-9
-            assert abs(fhi - shi) < 1e-9
+    blinds = _random_blinds(np.random.default_rng(3), 30)
+    _assert_grid_matches_per_alpha(curve, np.linspace(-1.0, 3.0, 11).tolist(), blinds)
