@@ -24,7 +24,6 @@ from .curve import (
     builtin_curve,
     builtin_curve_names,
     diff_interval,
-    domain_strip,
     eval_phi,
     fiber_point,
     grad_phi,
@@ -49,7 +48,6 @@ from .measure import (
     FiberArc,
     IntervalUnion,
     contains,
-    measure,
     project_blinds,
     project_fiber_arc,
     project_segment,
@@ -61,7 +59,6 @@ from .projline import (
     Arc,
     Direction,
     angle_schedule,
-    arc_contains,
     as_direction,
     dist,
     normalize,
@@ -104,7 +101,6 @@ __all__ = [
     "SeparationError",
     "VerificationReport",
     "angle_schedule",
-    "arc_contains",
     "as_direction",
     "auto_iter_vb",
     "auto_vb_cover",
@@ -117,7 +113,6 @@ __all__ = [
     "diff_interval",
     "dist",
     "divide",
-    "domain_strip",
     "eval_phi",
     "fiber_point",
     "grad_phi",
@@ -128,7 +123,6 @@ __all__ = [
     "line_slice",
     "load_scene",
     "local_construction",
-    "measure",
     "normalize",
     "parabola_slice",
     "polygon_approx",

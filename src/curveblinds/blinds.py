@@ -158,7 +158,7 @@ class BlindSet:
 
     def to_json_dict(self) -> dict:
         out = {
-            "segments": [[float(v) for v in row] for row in self.coords],
+            "segments": self.coords,
             "meta": _jsonable(self.meta),
         }
         if self.provenance is not None:
@@ -407,8 +407,8 @@ def _hulls_cover_ok(
         return False
     t_lo = amin - x1max
     t_hi = amax - x1min
-    phi_at_tlo = np.arctan(curve.df(np.clip(t_lo, curve.a, curve.b)))
-    phi_at_thi = np.arctan(curve.df(np.clip(t_hi, curve.a, curve.b)))
+    phi_at_tlo = np.arctan(curve.df_array(np.clip(t_lo, curve.a, curve.b)))
+    phi_at_thi = np.arctan(curve.df_array(np.clip(t_hi, curve.a, curve.b)))
     phi_lo = np.minimum(phi_at_tlo, phi_at_thi)
     phi_hi = np.maximum(phi_at_tlo, phi_at_thi)
     arc = Arc(theta_cover, level_dir, chirality)
@@ -530,19 +530,29 @@ def auto_iter_vb(
     schedule = angle_schedule(theta0, theta_small, m, chirality)
 
     if a_small is not None:
+        alphas = a_small.grid()
+        t = alphas - seg.a.x1
+        # outside dom Phi_alpha the hypothesis on theta_alpha(seg.a) is vacuous
+        inside = (curve.a - 1e-12 <= t) & (t <= curve.b + 1e-12)
+        alphas = alphas[inside]
+        slopes = curve.df_array(np.clip(t[inside], curve.a, curve.b))
+        # math.atan, not np.arctan: numpy's SIMD arctan can differ in the last bit
+        phi = np.array([math.atan(v) for v in slopes.tolist()], dtype=float)
+        # Arc.contains(phi, tol=1e-9) per element, with ccw_delta's reduction
         band = Arc(theta0, theta_small, chirality)
-        for alpha in a_small.grid():
-            t = alpha - seg.a.x1
-            if not curve.a - 1e-12 <= t <= curve.b + 1e-12:
-                continue  # base point outside dom Phi_alpha; hypothesis vacuous
-            phi = math.atan(curve.df(curve.clamp_t(t)))
-            if not band.contains(phi, tol=1e-9):
-                raise ConstructionError(
-                    f"theta_alpha(seg.a) = {phi:.6g} outside the schedule arc at "
-                    f"alpha={float(alpha):.6g}",
-                    stage="precondition",
-                    witness=float(alpha),
-                )
+        start = band.start.angle
+        u = np.fmod(phi - start if chirality == CCW else start - phi, PI)
+        u[u < 0.0] += PI
+        u[u >= PI] = 0.0
+        outside = ~((u <= band.length + 1e-9) | (u >= PI - 1e-9))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ConstructionError(
+                f"theta_alpha(seg.a) = {float(phi[i]):.6g} outside the schedule arc at "
+                f"alpha={float(alphas[i]):.6g}",
+                stage="precondition",
+                witness=float(alphas[i]),
+            )
 
     delta0 = min(eps, delta) / 4.0 if delta is not None else eps / 4.0
     # Geometrically decaying neighborhood radii delta_k = delta0 / 2^k: every

@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -31,8 +32,102 @@ from .verify import check_cover, check_small, gradient_check, law_of_sines_check
 CHECK_SUITES = ("rotation", "projection", "duality", "all")
 
 
+#: Rows per %-format call when writing a float matrix or a table.
+_BLOCK_ROWS = 1024
+
+
 def _dump_json(data: dict, path: Path) -> None:
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    """Write ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``, row by row.
+
+    Float matrices (2-D float arrays) and tables (lists of dicts with one key
+    set and float or bool values, like the per-alpha rows of a report) are
+    written with one %-template per row: "%r" is float.__repr__, which is
+    how json writes a finite float.  Every other value goes through
+    json.dumps, re-indented to its depth.  Dict keys must be strings.
+    """
+    with path.open("w") as fh:
+        fh.writelines(_json_chunks(data, ""))
+        fh.write("\n")
+
+
+def _json_chunks(value: object, indent: str) -> Iterator[str]:
+    """The indent=2 JSON text of value, whose first line sits at ``indent``."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        sep = "{\n"
+        for key in sorted(value):
+            yield f"{sep}{inner}{json.dumps(key)}: "
+            yield from _json_chunks(value[key], inner)
+            sep = ",\n"
+        yield f"\n{indent}}}"
+        return
+    if (
+        isinstance(value, np.ndarray)
+        and value.ndim == 2
+        and value.dtype.kind == "f"
+        and value.size
+        and np.isfinite(value).all()
+    ):
+        row = f"{inner}[\n" + ",\n".join([f"{inner}  %r"] * value.shape[1]) + f"\n{inner}]"
+        yield from _row_chunks(
+            row, len(value), lambda lo, hi: value[lo:hi].ravel().tolist(), indent
+        )
+        return
+    columns = _table_columns(value)
+    if columns is not None:
+        fields = (
+            f"{inner}  {json.dumps(key).replace('%', '%%')}: {slot}"
+            for key, slot, _ in columns
+        )
+        row = f"{inner}{{\n" + ",\n".join(fields) + f"\n{inner}}}"
+        flat = [v for cells in zip(*(col for _, _, col in columns)) for v in cells]
+        width = len(columns)
+        yield from _row_chunks(
+            row, len(value), lambda lo, hi: flat[lo * width : hi * width], indent
+        )
+        return
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+def _row_chunks(
+    row: str, n: int, cells: Callable[[int, int], list], indent: str
+) -> Iterator[str]:
+    """A JSON list of n items; item i is ``row % tuple(its cells)``."""
+    yield "[\n"
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(n, lo + _BLOCK_ROWS)
+        block = ",\n".join([row] * (hi - lo)) % tuple(cells(lo, hi))
+        yield block if lo == 0 else ",\n" + block
+    yield f"\n{indent}]"
+
+
+def _table_columns(value: object) -> Optional[list[tuple[str, str, list]]]:
+    """(key, template slot, cells) per sorted key of a table, else None.
+
+    A table is a nonempty list of dicts sharing one key set whose values are
+    floats or bools.  A column of finite floats keeps its floats for "%r";
+    any other column holds its cells' JSON text for "%s".
+    """
+    if not (isinstance(value, list) and value and isinstance(value[0], dict)):
+        return None
+    keys = value[0].keys()
+    if not keys or not all(isinstance(r, dict) and r.keys() == keys for r in value):
+        return None
+    columns = []
+    for key in sorted(keys):
+        col = [r[key] for r in value]
+        if all(type(v) is float for v in col):
+            if math.isfinite(sum(col)):
+                columns.append((key, "%r", col))
+            else:
+                columns.append((key, "%s", [json.dumps(v) for v in col]))
+        elif all(type(v) is bool for v in col):
+            columns.append((key, "%s", ["true" if v else "false" for v in col]))
+        else:
+            return None
+    return columns
 
 
 def _rigorous_pad(spec: SceneSpec, shift: float) -> float:
@@ -135,8 +230,7 @@ def run_construct(
 
 def run_render(spec: SceneSpec, blindset_path: Path, out_path: Path) -> str:
     """Render a constructed blind set (with its fiber arc) to an SVG file."""
-    data = json.loads(blindset_path.read_text())
-    blinds = BlindSet.from_json_dict(data)
+    blinds = BlindSet.from_json_dict(json.loads(blindset_path.read_text()))
     if len(blinds) == 0:
         raise ValueError("blind set is empty; nothing to render")
     curve = spec.curve()

@@ -91,12 +91,24 @@ class CurveProfile:
                 break
         return 0.5 * (ta + tb)
 
+    def f_array(self, t: np.ndarray) -> np.ndarray:
+        """f over an array: one call for array curves, one per element otherwise."""
+        if self.supports_arrays:
+            return self.f(t)
+        return _per_element(self.f, t)
+
+    def df_array(self, t: np.ndarray) -> np.ndarray:
+        """f' over an array: one call for array curves, one per element otherwise."""
+        if self.supports_arrays:
+            return self.df(t)
+        return _per_element(self.df, t)
+
     def df_inv_array(self, u: np.ndarray) -> np.ndarray:
         """Vectorized df_inv for slopes already known to lie in range."""
         if self.supports_arrays and self.df_inverse is not None:
             lo, hi = self.df_range()
             return np.clip(self.df_inverse(np.clip(u, lo, hi)), self.a, self.b)
-        return np.array([self.df_inv(float(v)) for v in np.atleast_1d(u)])
+        return _per_element(self.df_inv, u)
 
     # -- strip helpers ----------------------------------------------------
 
@@ -111,12 +123,15 @@ class CurveProfile:
         return min(self.b, max(self.a, t))
 
 
+def _per_element(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """fn applied to every element of values, one scalar call each."""
+    values = np.asarray(values, dtype=float)
+    return np.array([fn(v) for v in values.ravel().tolist()], dtype=float).reshape(
+        values.shape
+    )
+
+
 # -- operations on Phi_alpha ----------------------------------------------
-
-
-def domain_strip(curve: CurveProfile, alpha: float) -> tuple[float, float]:
-    """The x1-interval [alpha-b, alpha-a] on which Phi_alpha is defined."""
-    return curve.strip(alpha)
 
 
 def _require_in_strip(curve: CurveProfile, alpha: float, x1: float) -> None:

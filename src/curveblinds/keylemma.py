@@ -140,7 +140,7 @@ def _point_to_fiber_distance(
     """Distance from p to the fiber arc via dense sampling + local refinement."""
     ts = np.linspace(arc.lo, arc.hi, samples)
     xs = arc.y.x1 - ts
-    ys = arc.y.x2 - curve.f(np.clip(ts, curve.a, curve.b))
+    ys = arc.y.x2 - curve.f_array(np.clip(ts, curve.a, curve.b))
     d2 = (xs - p.x1) ** 2 + (ys - p.x2) ** 2
     i = int(np.argmin(d2))
     lo = ts[max(i - 1, 0)]

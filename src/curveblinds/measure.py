@@ -148,11 +148,6 @@ def _canonical_rows(
     return out
 
 
-def measure(u: IntervalUnion) -> float:
-    """Total length of the union (1-D Lebesgue measure)."""
-    return u.measure
-
-
 def contains(u: IntervalUnion, target: IntervalUnion, margin: float = 0.0) -> bool:
     """True iff every point of target is within margin of u's covered set."""
     if margin < 0.0:

@@ -122,11 +122,6 @@ class Arc:
         return tol <= u <= self.length - tol
 
 
-def arc_contains(arc: Arc, theta: Direction | float) -> bool:
-    """True iff theta lies on the closed arc (traversed in arc chirality)."""
-    return arc.contains(theta)
-
-
 def angle_schedule(
     theta0: Direction | float,
     theta_small: Direction | float,

@@ -6,22 +6,20 @@ fixed formatting so identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .blinds import BlindSet
-from .curve import CurveProfile, fiber_point
+from .curve import DOMAIN_TOL, CurveProfile
 from .measure import FiberArc
 
 _WIDTH = 800
 _HEIGHT = 600
 _MARGIN = 40
 _STAGE_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd")
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.3f}"
+#: Polylines formatted per block, which bounds the Python floats alive at once.
+_BLOCK_ROWS = 1024
 
 
 class _Frame:
@@ -38,21 +36,43 @@ class _Frame:
         self.y_lo, self.y_hi = cy - span / 2.0, cy + span / 2.0
         self.scale = (_WIDTH - 2 * _MARGIN) / span
 
-    def to_px(self, x: float, y: float) -> tuple[float, float]:
+    def to_px(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         px = _MARGIN + (x - self.x_lo) * self.scale
         py = _HEIGHT - _MARGIN - (y - self.y_lo) * self.scale
         return px, py
 
 
-def _polyline(frame: _Frame, xs, ys, color: str, width: float, dash: str = "") -> str:
-    pts = " ".join(
-        f"{_fmt(px)},{_fmt(py)}" for px, py in (frame.to_px(x, y) for x, y in zip(xs, ys))
-    )
+def _polylines(
+    frame: _Frame,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    colors: Sequence[str],
+    width: float,
+    dash: str = "",
+) -> list[str]:
+    """One polyline per row of the (n, k) model coordinates xs, ys.
+
+    Returns the polylines in blocks of up to _BLOCK_ROWS lines joined by
+    newlines.  "%.3f" formats exactly as f"{v:.3f}", and elementwise numpy
+    arithmetic maps each coordinate with the same bits as the scalar formula.
+    """
+    px, py = frame.to_px(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    n, k = px.shape
+    pts = np.empty((n, 2 * k))
+    pts[:, 0::2] = px
+    pts[:, 1::2] = py
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    return (
-        f'<polyline points="{pts}" fill="none" stroke="{color}" '
-        f'stroke-width="{_fmt(width)}"{dash_attr}/>'
+    row = (
+        '<polyline points="' + " ".join(["%.3f,%.3f"] * k) + '" fill="none" '
+        f'stroke="%s" stroke-width="{width:.3f}"{dash_attr}/>'
     )
+    return [
+        "\n".join(
+            row % (*p, c)
+            for p, c in zip(pts[lo : lo + _BLOCK_ROWS].tolist(), colors[lo : lo + _BLOCK_ROWS])
+        )
+        for lo in range(0, n, _BLOCK_ROWS)
+    ]
 
 
 def render_svg(
@@ -66,12 +86,17 @@ def render_svg(
     coords = blinds.coords
     xs = [coords[:, 0].min(), coords[:, 0].max(), coords[:, 2].min(), coords[:, 2].max()]
     ys = [coords[:, 1].min(), coords[:, 1].max(), coords[:, 3].min(), coords[:, 3].max()]
-    arc_pts = None
     if arc is not None:
         ts = np.linspace(arc.lo, arc.hi, 400)
-        arc_pts = [fiber_point(curve, arc.y, float(t)) for t in ts]
-        xs += [p.x1 for p in arc_pts]
-        ys += [p.x2 for p in arc_pts]
+        if ts[0] < curve.a - DOMAIN_TOL or ts[-1] > curve.b + DOMAIN_TOL:
+            raise ValueError(
+                f"fiber parameters [{arc.lo!r}, {arc.hi!r}] outside [{curve.a}, {curve.b}]"
+            )
+        ts = np.clip(ts, curve.a, curve.b)
+        arc_x = arc.y.x1 - ts
+        arc_y = arc.y.x2 - curve.f_array(ts)
+        xs += [arc_x.min(), arc_x.max()]
+        ys += [arc_y.min(), arc_y.max()]
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))
 
     parts = [
@@ -86,33 +111,15 @@ def render_svg(
         )
     if alpha is not None:
         # strip boundaries of Phi_alpha's domain: x1 = alpha - b and alpha - a
-        for x_edge in (alpha - curve.b, alpha - curve.a):
-            parts.append(
-                _polyline(
-                    frame,
-                    [x_edge, x_edge],
-                    [frame.y_lo, frame.y_hi],
-                    "#999999",
-                    1.0,
-                    dash="6,4",
-                )
-            )
-    if arc_pts is not None:
-        parts.append(
-            _polyline(
-                frame, [p.x1 for p in arc_pts], [p.x2 for p in arc_pts], "#000000", 1.6
-            )
-        )
-    stages = blinds.meta.get("stage_of_piece")
-    for i in range(len(coords)):
-        stage = 0
-        if stages is not None and i < len(stages):
-            stage = int(stages[i]) % len(_STAGE_COLORS)
-        elif blinds.provenance is not None and i < len(blinds.provenance):
-            stage = len(blinds.provenance[i]) % len(_STAGE_COLORS)
-        x1a, x2a, x1b, x2b = (float(v) for v in coords[i])
-        parts.append(
-            _polyline(frame, [x1a, x1b], [x2a, x2b], _STAGE_COLORS[stage], 0.9)
-        )
+        edges = np.array([[alpha - curve.b] * 2, [alpha - curve.a] * 2])
+        heights = np.array([[frame.y_lo, frame.y_hi]] * 2)
+        parts += _polylines(frame, edges, heights, ["#999999"] * 2, 1.0, dash="6,4")
+    if arc is not None:
+        parts += _polylines(frame, arc_x[None, :], arc_y[None, :], ["#000000"], 1.6)
+    if blinds.provenance is None:
+        colors: Sequence[str] = [_STAGE_COLORS[0]] * len(coords)
+    else:
+        colors = [_STAGE_COLORS[len(idx) % len(_STAGE_COLORS)] for idx in blinds.provenance]
+    parts += _polylines(frame, coords[:, 0::2], coords[:, 1::2], colors, 0.9)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

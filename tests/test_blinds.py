@@ -20,7 +20,7 @@ from curveblinds.blinds import (
 from curveblinds.curve import builtin_curve
 from curveblinds.geometry import Point, Segment
 from curveblinds.measure import AlphaSet, contains, project_blinds, project_segment
-from curveblinds.projline import CCW, CW, dist, normalize
+from curveblinds.projline import CCW, CW, Arc, dist, normalize
 
 SEG = Segment(Point(0.0, 0.0), Point(1.0, 0.3))
 
@@ -204,3 +204,62 @@ def test_auto_iter_vb_small_set_precondition():
             curve, seg, normalize(seg.direction.angle + 0.04), 2.5, 0.05,
             a_small=a_small, chirality=CCW,
         )
+
+
+def _small_precondition_reference(curve, seg, theta_small, chirality, a_small):
+    """The A_small precondition as a scalar loop: (message, witness) or None."""
+    band = Arc(seg.direction, theta_small, chirality)
+    for alpha in a_small.grid():
+        t = alpha - seg.a.x1
+        if not curve.a - 1e-12 <= t <= curve.b + 1e-12:
+            continue
+        phi = math.atan(curve.df(curve.clamp_t(t)))
+        if not band.contains(phi, tol=1e-9):
+            return (
+                f"theta_alpha(seg.a) = {phi:.6g} outside the schedule arc at "
+                f"alpha={float(alpha):.6g}",
+                float(alpha),
+            )
+    return None
+
+
+@pytest.mark.parametrize("name", ["parabola", "quarter_circle", "exp"])
+def test_auto_iter_vb_small_precondition_matches_scalar_loop(name):
+    curve = builtin_curve(name)
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for _ in range(60):
+        x1 = float(rng.uniform(-1.0, 1.0))
+        width = curve.b - curve.a
+        components = []
+        lo = x1 + curve.a + float(rng.uniform(-0.3, 0.8)) * width
+        for _ in range(int(rng.integers(1, 3))):
+            hi = lo + float(rng.uniform(0.0, 0.4)) * width
+            components.append((lo, hi))
+            lo = hi + float(rng.uniform(0.05, 0.2)) * width
+        a_small = AlphaSet.from_intervals(components, int(rng.integers(5, 60)))
+        ts = np.clip(a_small.grid() - x1, curve.a, curve.b)
+        phis = [math.atan(curve.df(float(t))) for t in ts]
+        # a band around the attained directions, sometimes a little too short;
+        # margins of +-5e-10 and +-2e-9 straddle the 1e-9 membership tolerance
+        lo_dir, hi_dir = min(phis), max(phis)
+        lo_dir -= float(rng.choice([rng.uniform(-0.03, 0.05), 5e-10, -5e-10, 2e-9, -2e-9]))
+        hi_dir += float(rng.choice([rng.uniform(-0.03, 0.05), 5e-10, -5e-10, 2e-9, -2e-9]))
+        chirality = CCW if rng.random() < 0.5 else CW
+        theta0, theta_small = (lo_dir, hi_dir) if chirality == CCW else (hi_dir, lo_dir)
+        theta_cover = theta0 - (0.4 if chirality == CCW else -0.4)
+        a = Point(x1, float(rng.uniform(-1.0, 1.0)))
+        seg = Segment(a, Point(a.x1 + 0.1 * math.cos(theta0), a.x2 + 0.1 * math.sin(theta0)))
+        expected = _small_precondition_reference(curve, seg, theta_small, chirality, a_small)
+        got = None
+        try:
+            auto_iter_vb(
+                curve, seg, theta_small, theta_cover, 0.3,
+                a_small=a_small, chirality=chirality, caps=Caps(n_max=16),
+            )
+        except ConstructionError as exc:
+            if exc.stage == "precondition":
+                got = (str(exc), exc.witness)
+        assert got == expected
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}

@@ -2,10 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from curveblinds.cli import main, run_checks, run_construct
+from curveblinds.blinds import BranchTree, iter_vb, vb
+from curveblinds.cli import _BLOCK_ROWS, _dump_json, main, run_checks, run_construct
+from curveblinds.curve import builtin_curve
+from curveblinds.geometry import Point, Segment
+from curveblinds.measure import AlphaSet
+from curveblinds.projline import CCW
 from curveblinds.scene import load_scene
+from curveblinds.verify import PerAlpha, VerificationReport, check_cover, check_small
 
 
 def test_construct_writes_outputs(tmp_path):
@@ -113,3 +120,60 @@ def test_seed_override_recorded(tmp_path):
     assert code == 0
     blindset = json.loads((tmp_path / "blindset.json").read_text())
     assert blindset["scene"]["seed"] == 99
+
+
+def _reference_json(data):
+    return json.dumps(data, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+
+
+def _small_report(measures):
+    return VerificationReport(
+        "t", "small", True, 0.05, 0.0, 0.1, 0.02,
+        [PerAlpha(0.1 * i, None, 0.0, m) for i, m in enumerate(measures)],
+    ).to_json_dict()
+
+
+def _writer_documents():
+    seg = Segment(Point(0.3, 0.0), Point(0.5, 0.1))
+    scene = load_scene("Q1").to_json_dict()
+    edge_floats = [-0.0, 0.0, 1e-07, 1e22, -1.5, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+    curve = builtin_curve("parabola")
+    blinds = vb(seg, 1.2, 2.1, 6)
+    alphas = AlphaSet.interval(0.55, 0.7, 15)
+    return {
+        "vb": {**vb(seg, 1.2, 2.1, 6).to_json_dict(), "scene": scene},
+        "iter_vb": {
+            **iter_vb(seg, 1.4, 2.4, BranchTree.per_level([2, 3]), chirality=CCW).to_json_dict(),
+            "scene": scene,
+        },
+        "edge_floats": {"segments": np.array(edge_floats).reshape(2, 4), "x": edge_floats},
+        "non_finite_matrix": {"segments": np.array([[0.5, np.nan], [np.inf, -np.inf]])},
+        "blocks": {"segments": np.random.default_rng(2).normal(size=(2 * _BLOCK_ROWS + 3, 4))},
+        "one_block": {"m": np.ones((_BLOCK_ROWS, 1)), "e": np.zeros((0, 4)), "v": np.arange(3.0)},
+        "report": {
+            "cover": check_cover(curve, blinds, seg, alphas).to_json_dict(),
+            "small": check_small(curve, blinds, alphas, bound=1.0).to_json_dict(),
+            "pass": True,
+            "worst": float("nan"),
+        },
+        "per_alpha_edges": {"small": _small_report(edge_floats)},
+        "per_alpha_non_finite": {"small": _small_report([0.5, float("nan"), float("inf")])},
+        "per_alpha_empty": {"small": _small_report([])},
+        "percent_keys": {"t": [{"5%": 1.0, "%r": True}, {"5%": -0.0, "%r": False}]},
+        "not_tables": {
+            "ints": [{"a": 1, "b": 2.0}],
+            "nested": [{"a": [1.0, 2.0]}],
+            "keys_differ": [{"a": 1.0}, {"b": 1.0}],
+            "numpy_float": [{"a": np.float64(0.5)}],
+            "empty_rows": [{}, {}],
+            "mixed": [{"a": 1.0}, 2],
+        },
+        "plain": {"s": 'line\nbreak "é"', "n": None, "e": {}, "l": [], "d": {"z": {"y": [1, {}]}}},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_writer_documents()))
+def test_dump_json_matches_json_dumps(name, tmp_path):
+    data = _writer_documents()[name]
+    _dump_json(data, tmp_path / "out.json")
+    assert (tmp_path / "out.json").read_text() == _reference_json(data)

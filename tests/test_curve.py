@@ -11,7 +11,6 @@ from curveblinds.curve import (
     builtin_curve,
     builtin_curve_names,
     diff_interval,
-    domain_strip,
     eval_phi,
     fiber_point,
     grad_phi,
@@ -75,9 +74,23 @@ def test_df_inv_bisection_matches_analytic():
         assert abs(analytic.df_inv(float(u)) - bisect.df_inv(float(u))) < 1e-9
 
 
+def test_array_evaluation_with_and_without_array_support():
+    ts = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    scalar_only = CurveProfile(
+        f=math.exp, df=math.exp, a=0.0, b=1.0, monotone="increasing",
+        df_bound=math.exp(1.0),
+    )
+    for curve in ALL_CURVES + [scalar_only]:
+        t = np.clip(ts, curve.a, curve.b)
+        f_vals, df_vals = curve.f_array(t), curve.df_array(t)
+        assert f_vals.shape == df_vals.shape == t.shape
+        for v, fv, dfv in zip(t.ravel().tolist(), f_vals.ravel(), df_vals.ravel()):
+            assert fv == curve.f(v) and dfv == curve.df(v)
+
+
 def test_strip_and_domain_checks():
     curve = builtin_curve("parabola")  # domain [0, 1]
-    assert domain_strip(curve, 2.0) == (1.0, 2.0)
+    assert curve.strip(2.0) == (1.0, 2.0)
     assert curve.in_strip(2.0, 1.5)
     assert not curve.in_strip(2.0, 0.5)
     with pytest.raises(DomainError):

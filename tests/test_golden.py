@@ -1,8 +1,9 @@
 """Byte identity of the bundled scenes' outputs against the benchmark's reference.
 
-perfbench/README.md records the sha256 of every file that `construct` writes
-for the bundled Q1, P1 and E1 scenes.  A change that keeps the output bytes
-keeps these values; a change that alters them on purpose updates that table.
+perfbench/README.md records the sha256 of every file that `construct` and
+then `render` write for the bundled Q1, P1 and E1 scenes.  A change that keeps
+the output bytes keeps these values; a change that alters them on purpose
+updates that table.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import pytest
 from curveblinds.cli import main
 
 README = Path(__file__).resolve().parents[1] / "perfbench" / "README.md"
-FILES = ("blindset.json", "report.json")
+FILES = ("blindset.json", "report.json", "figure.svg")
 
 
 def _reference_hashes() -> dict[str, dict[str, str]]:
@@ -34,6 +35,8 @@ def test_bundled_outputs_match_reference_hashes(scene, tmp_path):
     reference = _reference_hashes()
     assert set(reference) == set(FILES)
     assert main(["construct", "--scene", scene, "--out", str(tmp_path)]) == 0
+    blindset, figure = str(tmp_path / "blindset.json"), str(tmp_path / "figure.svg")
+    assert main(["render", "--scene", scene, "--blindset", blindset, "--out", figure]) == 0
     for name in FILES:
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == reference[name][scene], name

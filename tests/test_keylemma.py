@@ -1,5 +1,6 @@
 """The key-construction pipeline: polygon chains, angle bands, local stages."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from curveblinds.blinds import ConstructionError
-from curveblinds.curve import builtin_curve, fiber_point, tangent_direction
+from curveblinds.curve import CurveProfile, builtin_curve, fiber_point, tangent_direction
 from curveblinds.geometry import Point, Segment
 from curveblinds.keylemma import (
     CompactNbhd,
@@ -226,3 +227,20 @@ def test_key_construction_error_lists_every_attempt():
     assert info.value.stage == "key"
     assert "attempt 1 (eps_c=0.015): FAIL small [Q1]" in message
     assert "None" not in message
+
+
+def test_key_construction_on_scalar_only_curve():
+    # a custom profile without array support gets one f / f' call per element
+    curve = CurveProfile(
+        f=math.exp, df=math.exp, df_inverse=math.log, a=0.0, b=1.0,
+        monotone="increasing", df_bound=math.exp(1.0), name="scalar_exp",
+    )
+    assert not curve.supports_arrays
+    spec = dataclasses.replace(load_scene("E1"), alpha_points=20)
+    result = key_construction(
+        curve, spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
+        spec.epsilon, spec.delta, caps=spec.caps,
+        segment_points=spec.segment_points, scene_id="E1",
+    )
+    assert result.cover_report.passed
+    assert result.small_report.passed

@@ -12,7 +12,6 @@ from curveblinds.projline import (
     Arc,
     Direction,
     angle_schedule,
-    arc_contains,
     as_direction,
     ccw_delta,
     dist,
@@ -103,7 +102,7 @@ def test_arc_contains_closed_and_strict():
     assert not arc.contains(0.1)
     assert arc.contains_strictly(0.6)
     assert not arc.contains_strictly(0.2)
-    assert arc_contains(arc, 0.9999)
+    assert arc.contains(0.9999)
 
 
 def test_arc_contains_wrapping():
