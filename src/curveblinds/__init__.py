@@ -8,12 +8,10 @@ another, and certifies both properties on dense parameter grids.
 
 from .blinds import (
     BlindSet,
-    BranchTree,
     Caps,
     ConstructionError,
     auto_iter_vb,
     auto_vb_cover,
-    divide,
     iter_vb,
     rotate,
     vb,
@@ -81,7 +79,6 @@ __all__ = [
     "AngleBands",
     "Arc",
     "BlindSet",
-    "BranchTree",
     "Caps",
     "CompactNbhd",
     "ConstructionError",
@@ -112,7 +109,6 @@ __all__ = [
     "contains",
     "diff_interval",
     "dist",
-    "divide",
     "eval_phi",
     "fiber_point",
     "grad_phi",

@@ -2,16 +2,19 @@
 
 DIVIDE splits a segment into equal pieces; ROTATE replaces a piece by the
 segment from its start to the intersection of two direction lines; VB does
-both; IterVB iterates VB along an equally spaced angle schedule over a
-finite branching tree.  The auto_* searches realize the paper-style
-"sufficiently large" parameters as predicate-checked doubling with caps.
+both; IterVB iterates VB along an equally spaced angle schedule with one
+branching count per level.  One array kernel, _divide_rotate_level, does the
+dividing and rotating for every entry point.  The auto_* searches realize
+the paper-style "sufficiently large" parameters as predicate-checked
+doubling with caps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,54 +53,6 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
-
-
-@dataclass(frozen=True)
-class BranchTree:
-    """A finite tree of depth m with per-node branching counts N_i >= 1.
-
-    ``branching`` is either a sequence of per-level counts (uniform within
-    each level, the default shape) or a mapping from node index tuples to
-    counts for full generality.
-    """
-
-    depth: int
-    branching: Sequence[int] | Mapping[tuple[int, ...], int]
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError(f"tree depth must be >= 1, got {self.depth}")
-        if isinstance(self.branching, Mapping):
-            for idx, n in self.branching.items():
-                if n < 1:
-                    raise ValueError(f"branching count at {idx!r} must be >= 1")
-        else:
-            if len(self.branching) != self.depth:
-                raise ValueError(
-                    f"need one branching count per level: {len(self.branching)} != {self.depth}"
-                )
-            if any(n < 1 for n in self.branching):
-                raise ValueError("branching counts must be >= 1")
-
-    @classmethod
-    def uniform(cls, depth: int, n: int) -> "BranchTree":
-        return cls(depth, tuple([n] * depth))
-
-    @classmethod
-    def per_level(cls, counts: Sequence[int]) -> "BranchTree":
-        return cls(len(counts), tuple(counts))
-
-    def n_children(self, index: tuple[int, ...]) -> int:
-        """Branching count of the internal node at the given index."""
-        level = len(index)
-        if level >= self.depth:
-            raise ValueError(f"node {index!r} is a leaf of depth-{self.depth} tree")
-        if isinstance(self.branching, Mapping):
-            try:
-                return self.branching[index]
-            except KeyError:
-                raise ValueError(f"no branching count stored for node {index!r}") from None
-        return self.branching[level]
 
 
 @dataclass
@@ -199,15 +154,58 @@ def _points_to_segment_distance(
     return np.hypot(w[:, 0] - closest[:, 0], w[:, 1] - closest[:, 1])
 
 
-# -- the elementary constructions ------------------------------------------
+# -- divide and rotate ------------------------------------------------------
 
 
-def divide(seg: Segment, n: int) -> list[Segment]:
-    """Split a segment into n equal, consecutive, orientation-keeping pieces."""
+def _divide_rotate_level(
+    coords: np.ndarray, target: Direction, cover: Direction, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Divide every segment into n pieces and rotate each to ``target``.
+
+    This is the one implementation of DIVIDE and ROTATE: each piece is
+    replaced by the segment from its start to where the line through its
+    start with direction ``target`` meets the line through its end with
+    direction ``cover``.  Returns (children, hulls): children is the (k*n, 4)
+    coordinate array of the new blades, the n children of each parent
+    consecutive and in order along it; hulls is (k*n, 6) with rows
+    (pax, pay, pbx, pby, cx, cy) holding each piece's triangle hull vertices.
+    """
     if n < 1:
         raise ValueError(f"piece count must be >= 1, got {n}")
-    pts = [seg.point_at(i / n) for i in range(n + 1)]
-    return [Segment(pts[i], pts[i + 1]) for i in range(n)]
+    ax, ay, bx, by = coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
+    fracs = np.arange(n + 1) / n
+    px = ax[:, None] + (bx - ax)[:, None] * fracs
+    py = ay[:, None] + (by - ay)[:, None] * fracs
+    pax, pbx = px[:, :-1], px[:, 1:]
+    pay, pby = py[:, :-1], py[:, 1:]
+    target = as_direction(target)
+    cover = as_direction(cover)
+    if dist(target, cover) <= ANGLE_TOL:
+        raise ValueError(
+            f"degenerate angle configuration (target/cover): {target} vs {cover}"
+        )
+    cs, ss = math.cos(target.angle), math.sin(target.angle)
+    cc, sc = math.cos(cover.angle), math.sin(cover.angle)
+    # a + s*(cs, ss) = b + t*(cc, sc); solve for s by 2x2 cross products
+    det = cs * sc - ss * cc  # sin(cover - target), bounded away from 0
+    wx = pbx - pax
+    wy = pby - pay
+    s = (wx * sc - wy * cc) / det
+    cx = pax + s * cs
+    cy = pay + s * ss
+    children = np.stack(
+        [pax.ravel(), pay.ravel(), cx.ravel(), cy.ravel()], axis=1
+    )
+    hulls = np.stack(
+        [pax.ravel(), pay.ravel(), pbx.ravel(), pby.ravel(), cx.ravel(), cy.ravel()],
+        axis=1,
+    )
+    return children, hulls
+
+
+def _row(seg: Segment) -> np.ndarray:
+    """A segment as the (1, 4) coordinate array the level kernel takes."""
+    return np.array([[seg.a.x1, seg.a.x2, seg.b.x1, seg.b.x2]])
 
 
 def rotate(seg: Segment, theta_small: Direction, theta_cover: Direction) -> Segment:
@@ -220,32 +218,33 @@ def rotate(seg: Segment, theta_small: Direction, theta_cover: Direction) -> Segm
     theta_small = as_direction(theta_small)
     theta_cover = as_direction(theta_cover)
     theta_seg = seg.direction
-    for u, v, labels in (
-        (theta_seg, theta_small, "segment/small"),
-        (theta_seg, theta_cover, "segment/cover"),
-        (theta_small, theta_cover, "small/cover"),
-    ):
-        if dist(u, v) <= ANGLE_TOL:
+    for v, labels in ((theta_small, "segment/small"), (theta_cover, "segment/cover")):
+        if dist(theta_seg, v) <= ANGLE_TOL:
             raise ValueError(
-                f"degenerate angle configuration ({labels}): {u} vs {v}"
+                f"degenerate angle configuration ({labels}): {theta_seg} vs {v}"
             )
-    cs, ss = math.cos(theta_small.angle), math.sin(theta_small.angle)
-    cc, sc = math.cos(theta_cover.angle), math.sin(theta_cover.angle)
-    # a + s*(cs, ss) = b + t*(cc, sc); solve for s by 2x2 cross products
-    det = cs * sc - ss * cc  # sin(theta_cover - theta_small), bounded away from 0
-    wx = seg.b.x1 - seg.a.x1
-    wy = seg.b.x2 - seg.a.x2
-    s = (wx * sc - wy * cc) / det
-    c = Point(seg.a.x1 + s * cs, seg.a.x2 + s * ss)
-    return Segment(seg.a, c)
+    children, _ = _divide_rotate_level(_row(seg), theta_small, theta_cover, 1)
+    ax, ay, cx, cy = children[0].tolist()
+    return Segment(Point(ax, ay), Point(cx, cy))
 
 
 def _infer_chirality(
-    theta_seg: Direction, theta_small: Direction, theta_cover: Direction
+    theta_seg: Direction,
+    theta_small: Direction,
+    theta_cover: Direction,
+    chirality: Optional[str] = None,
 ) -> str:
-    """The chirality whose arc from theta_cover to theta_small contains theta_seg."""
+    """The chirality whose arc from theta_cover to theta_small contains theta_seg.
+
+    A given ``chirality`` must be that one.
+    """
     for chir in CHIRALITIES:
         if Arc(theta_cover, theta_small, chir).contains_strictly(theta_seg):
+            if chirality not in (None, chir):
+                raise ValueError(
+                    f"orientation violation: segment direction {theta_seg} is not "
+                    f"interior to the {chirality} arc from {theta_cover} to {theta_small}"
+                )
             return chir
     raise ValueError(
         f"orientation violation: segment direction {theta_seg} lies on neither "
@@ -267,16 +266,10 @@ def vb(
     """
     theta_small = as_direction(theta_small)
     theta_cover = as_direction(theta_cover)
-    theta_seg = seg.direction
-    inferred = _infer_chirality(theta_seg, theta_small, theta_cover)
-    if chirality is not None and chirality != inferred:
-        raise ValueError(
-            f"orientation violation: segment direction {theta_seg} is not interior "
-            f"to the {chirality} arc from {theta_cover} to {theta_small}"
-        )
-    blades = [rotate(piece, theta_small, theta_cover) for piece in divide(seg, n)]
-    return BlindSet.from_segments(
-        blades,
+    inferred = _infer_chirality(seg.direction, theta_small, theta_cover, chirality)
+    children, _ = _divide_rotate_level(_row(seg), theta_small, theta_cover, n)
+    return BlindSet(
+        children,
         provenance=[(i,) for i in range(n)],
         meta={
             "kind": "vb",
@@ -292,90 +285,47 @@ def iter_vb(
     seg: Segment,
     theta_small: Direction,
     theta_cover: Direction,
-    tree: BranchTree,
+    counts: Sequence[int],
     chirality: str = CCW,
 ) -> BlindSet:
-    """IterVB: recursive blinds along the angle schedule over a finite tree."""
+    """IterVB: VB iterated along the angle schedule, counts[k] pieces per node.
+
+    Level k divides every node into counts[k] pieces and rotates them to the
+    next schedule direction.  All nodes of a level share its direction, so
+    the orientation is checked once per level; a violation names the first
+    node of the level, (0,) * k.  Provenance is each leaf's index tuple, in
+    the parent-major order the level kernel emits.
+    """
     if chirality not in CHIRALITIES:
         raise ValueError(f"unknown chirality {chirality!r}")
+    counts = tuple(counts)
+    if not counts or min(counts) < 1:
+        raise ValueError(f"need one branching count >= 1 per level, got {counts!r}")
     theta_small = as_direction(theta_small)
     theta_cover = as_direction(theta_cover)
-    schedule = angle_schedule(seg.direction, theta_small, tree.depth, chirality)
-    leaves: list[Segment] = []
-    provenance: list[tuple[int, ...]] = []
-
-    def build(node: Segment, index: tuple[int, ...]) -> None:
-        level = len(index)
-        if level == tree.depth:
-            leaves.append(node)
-            provenance.append(index)
-            return
-        n = tree.n_children(index)
+    schedule = angle_schedule(seg.direction, theta_small, len(counts), chirality)
+    coords = _row(seg)
+    for k, n in enumerate(counts):
         try:
-            stage = vb(node, schedule[level + 1], theta_cover, n, chirality)
+            _infer_chirality(schedule[k], schedule[k + 1], theta_cover, chirality)
+            coords, _ = _divide_rotate_level(coords, schedule[k + 1], theta_cover, n)
         except ValueError as exc:
             raise ConstructionError(
-                f"stage {level + 1} blind failed at tree index {index!r}: {exc}",
-                stage=index,
+                f"stage {k + 1} blind failed at tree index {(0,) * k!r}: {exc}",
+                stage=(0,) * k,
             ) from exc
-        for child_i, child in enumerate(stage.segments):
-            build(child, index + (child_i,))
-
-    build(seg, ())
-    return BlindSet.from_segments(
-        leaves,
-        provenance=provenance,
+    return BlindSet(
+        coords,
+        provenance=list(itertools.product(*map(range, counts))),
         meta={
             "kind": "iter_vb",
             "theta_small": theta_small,
             "theta_cover": theta_cover,
             "chirality": chirality,
-            "depth": tree.depth,
+            "depth": len(counts),
             "schedule": [d.angle for d in schedule],
         },
     )
-
-
-# -- vectorized level construction -----------------------------------------
-
-
-def _divide_rotate_level(
-    coords: np.ndarray, target: Direction, cover: Direction, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Divide every segment into n pieces and rotate each to ``target``.
-
-    Returns (children, hulls): children is the (k*n, 4) coordinate array of
-    the new blades; hulls is (k*n, 6) with rows (pax, pay, pbx, pby, cx, cy)
-    holding each piece's triangle hull vertices.
-    """
-    ax, ay, bx, by = coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
-    fracs = np.arange(n + 1) / n
-    px = ax[:, None] + (bx - ax)[:, None] * fracs
-    py = ay[:, None] + (by - ay)[:, None] * fracs
-    pax, pbx = px[:, :-1], px[:, 1:]
-    pay, pby = py[:, :-1], py[:, 1:]
-    target = as_direction(target)
-    cover = as_direction(cover)
-    if dist(target, cover) <= ANGLE_TOL:
-        raise ValueError(
-            f"degenerate angle configuration (target/cover): {target} vs {cover}"
-        )
-    cs, ss = math.cos(target.angle), math.sin(target.angle)
-    cc, sc = math.cos(cover.angle), math.sin(cover.angle)
-    det = cs * sc - ss * cc
-    wx = pbx - pax
-    wy = pby - pay
-    s = (wx * sc - wy * cc) / det
-    cx = pax + s * cs
-    cy = pay + s * ss
-    children = np.stack(
-        [pax.ravel(), pay.ravel(), cx.ravel(), cy.ravel()], axis=1
-    )
-    hulls = np.stack(
-        [pax.ravel(), pay.ravel(), pbx.ravel(), pby.ravel(), cx.ravel(), cy.ravel()],
-        axis=1,
-    )
-    return children, hulls
 
 
 def _hulls_cover_ok(
@@ -446,7 +396,7 @@ def auto_vb_cover(
     theta_cover = as_direction(theta_cover)
     theta_seg = seg.direction
     chirality = _infer_chirality(theta_seg, theta_small, theta_cover)
-    coords = np.array([[seg.a.x1, seg.a.x2, seg.b.x1, seg.b.x2]])
+    coords = _row(seg)
     n = max(1, n0)
     while n <= n_max:
         children, hulls = _divide_rotate_level(coords, theta_small, theta_cover, n)
@@ -561,7 +511,7 @@ def auto_iter_vb(
     # level; the per-level drift allowance is delta_k - delta_{k+1}.
     shrink = 0.5
 
-    coords = np.array([[seg.a.x1, seg.a.x2, seg.b.x1, seg.b.x2]])
+    coords = _row(seg)
     level_counts: list[int] = []
     for k in range(m):
         level_dir = schedule[k]

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .blinds import BlindSet, BranchTree, ConstructionError, iter_vb, vb
+from .blinds import BlindSet, ConstructionError, iter_vb, vb
 from .curve import builtin_curve, diff_interval, project_disk
 from .duality import LineParam, similarity_residual
 from .geometry import Disk, Point, Segment
@@ -263,8 +263,8 @@ def _rotation_suite() -> list[tuple[str, bool, float, float]]:
         theta_small = float(rng.uniform(1.4, 1.8))
         theta_cover = float(rng.uniform(2.4, 2.8))
         m = int(rng.integers(2, 5))
-        tree = BranchTree.uniform(m, int(rng.integers(1, 4)))
-        blinds = iter_vb(seg, theta_small, theta_cover, tree, chirality=CCW)
+        counts = [int(rng.integers(1, 4))] * m
+        blinds = iter_vb(seg, theta_small, theta_cover, counts, chirality=CCW)
         schedule = angle_schedule(seg.direction, theta_small, m, CCW)
         by_level: dict[int, float] = {}
         for piece, idx in zip(blinds.segments, blinds.provenance):

@@ -25,7 +25,7 @@ from .blinds import (
     auto_iter_vb,
     auto_vb_cover,
 )
-from .curve import CurveProfile, fiber_point
+from .curve import CurveProfile, _golden_max, fiber_point
 from .geometry import Point, Segment
 from .measure import (
     AlphaSet,
@@ -145,27 +145,13 @@ def _point_to_fiber_distance(
     i = int(np.argmin(d2))
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, samples - 1)]
-    # golden-section refinement of the squared distance on the bracket
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
 
-    def d2_at(t: float) -> float:
+    def neg_d2_at(t: float) -> float:
         q = fiber_point(curve, arc.y, t)
-        return (q.x1 - p.x1) ** 2 + (q.x2 - p.x2) ** 2
+        return -((q.x1 - p.x1) ** 2 + (q.x2 - p.x2) ** 2)
 
-    a, b = float(lo), float(hi)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = d2_at(c), d2_at(d)
-    while b - a > 1e-13:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = d2_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = d2_at(d)
-    return math.sqrt(min(fc, fd))
+    # golden-section refinement of the squared distance on the bracket
+    return math.sqrt(-_golden_max(neg_d2_at, float(lo), float(hi), 1e-13))
 
 
 def default_alpha_box(curve: CurveProfile, arc: FiberArc, points: int = 100) -> AlphaSet:

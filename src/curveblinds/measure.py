@@ -104,13 +104,6 @@ def union_of(
     return IntervalUnion(tuple(merged))
 
 
-def union_from_arrays(
-    los: np.ndarray, his: np.ndarray, merge_tol: float = MERGE_TOL
-) -> IntervalUnion:
-    """Vectorized canonicalization for large interval batches."""
-    return _canonical_rows(los[None, :], his[None, :], merge_tol)[0]
-
-
 def _canonical_rows(
     los: np.ndarray, his: np.ndarray, merge_tol: float = MERGE_TOL
 ) -> list[IntervalUnion]:

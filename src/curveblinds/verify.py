@@ -122,13 +122,13 @@ def check_cover(
         all_ok &= ok
         if deficit > worst[0]:
             worst = (deficit, alpha)
-    if not all_ok:
-        padding = 0.0
-    elif shift > 0.0:
+    # unshifted, a grid pass certifies nothing between grid points: the margin
+    # is a tolerance on the deficit, not headroom
+    padding = 0.0
+    if all_ok and shift > 0.0:
         half_step = alphas.grid_step / 2.0
-        padding = half_step if shift >= curve.df_bound * half_step else 0.0
-    else:
-        padding = _cover_padding(curve, alphas, margin)
+        if shift >= curve.df_bound * half_step:
+            padding = half_step
     return VerificationReport(
         scene_id=scene_id,
         kind="cover",
@@ -139,14 +139,6 @@ def check_cover(
         worst_value=worst[0] if math.isfinite(worst[0]) else 0.0,
         per_alpha=per_alpha,
     )
-
-
-def _cover_padding(curve: CurveProfile, alphas: AlphaSet, margin: float) -> float:
-    """Alpha-slack certified by endpoint Lipschitz motion, if headroom allows."""
-    half_step = alphas.grid_step / 2.0
-    if half_step * curve.df_bound * 2.0 < margin:
-        return half_step
-    return 0.0
 
 
 def check_small(

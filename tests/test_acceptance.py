@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from curveblinds.blinds import BranchTree, iter_vb, vb
+from curveblinds.blinds import iter_vb, vb
 from curveblinds.curve import (
     builtin_curve,
     builtin_curve_names,
@@ -85,8 +85,8 @@ def test_criterion_03_iterated_level_sums(capsys):
         theta_small = float(rng.uniform(1.3, 1.9))
         theta_cover = float(rng.uniform(2.3, 2.9))
         m = int(rng.integers(2, 7))
-        tree = BranchTree.uniform(m, int(rng.integers(1, 4)))
-        blinds = iter_vb(seg, theta_small, theta_cover, tree, chirality=CCW)
+        counts = [int(rng.integers(1, 4))] * m
+        blinds = iter_vb(seg, theta_small, theta_cover, counts, chirality=CCW)
         schedule = angle_schedule(seg.direction, theta_small, m, CCW)
         by_level: dict[int, float] = {}
         for piece, idx in zip(blinds.segments, blinds.provenance):

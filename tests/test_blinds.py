@@ -1,5 +1,6 @@
-"""The blind construction stack: divide, rotate, vb, iterated blinds."""
+"""The blind construction stack: rotate, vb, iterated blinds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,12 +8,10 @@ import pytest
 
 from curveblinds.blinds import (
     BlindSet,
-    BranchTree,
     Caps,
     ConstructionError,
     auto_iter_vb,
     auto_vb_cover,
-    divide,
     iter_vb,
     rotate,
     vb,
@@ -20,21 +19,31 @@ from curveblinds.blinds import (
 from curveblinds.curve import builtin_curve
 from curveblinds.geometry import Point, Segment
 from curveblinds.measure import AlphaSet, contains, project_blinds, project_segment
-from curveblinds.projline import CCW, CW, Arc, dist, normalize
+from curveblinds.projline import (
+    ANGLE_TOL,
+    CCW,
+    CHIRALITIES,
+    CW,
+    Arc,
+    angle_schedule,
+    as_direction,
+    dist,
+    normalize,
+)
 
 SEG = Segment(Point(0.0, 0.0), Point(1.0, 0.3))
 
 
 def test_divide_pieces_partition_segment():
-    pieces = divide(SEG, 7)
-    assert len(pieces) == 7
-    assert pieces[0].a == SEG.a
-    assert pieces[-1].b == SEG.b
-    for p, q in zip(pieces, pieces[1:]):
-        assert p.b == q.a
-    assert math.isclose(sum(p.length for p in pieces), SEG.length, rel_tol=1e-12)
+    # every blade starts where its piece of the divided segment starts
+    blinds = vb(SEG, 1.2, 2.1, 7)
+    assert len(blinds) == 7
+    starts = blinds.coords[:, 0:2]
+    assert tuple(starts[0]) == SEG.a.as_tuple()
+    steps = np.diff(np.vstack([starts, SEG.b.as_tuple()]), axis=0)
+    assert np.allclose(steps, np.subtract(SEG.b.as_tuple(), SEG.a.as_tuple()) / 7, atol=1e-15)
     with pytest.raises(ValueError):
-        divide(SEG, 0)
+        vb(SEG, 1.2, 2.1, 0)
 
 
 def test_rotate_directions():
@@ -75,28 +84,15 @@ def test_vb_orientation_violation():
 
 
 def test_branch_tree_shapes():
-    t = BranchTree.uniform(3, 2)
-    assert t.n_children(()) == 2
-    assert t.n_children((0, 1)) == 2
-    with pytest.raises(ValueError):
-        t.n_children((0, 0, 0))
-    t2 = BranchTree.per_level([2, 3])
-    assert t2.n_children((1,)) == 3
-    t3 = BranchTree(2, {(): 2, (0,): 1, (1,): 4})
-    assert t3.n_children((1,)) == 4
-    with pytest.raises(ValueError):
-        t3.n_children((0, 0))
-    with pytest.raises(ValueError):
-        BranchTree(0, [])
-    with pytest.raises(ValueError):
-        BranchTree(2, [2])
-    with pytest.raises(ValueError):
-        BranchTree.uniform(2, 0)
+    # the tree is given by one branching count >= 1 per level
+    for counts in ([], [2, 0], [-1]):
+        with pytest.raises(ValueError):
+            iter_vb(SEG, 1.4, 2.4, counts, chirality=CCW)
+    assert len(iter_vb(SEG, 1.4, 2.4, (1, 1, 1), chirality=CCW)) == 1
 
 
 def test_iter_vb_leaves_and_directions():
-    tree = BranchTree.per_level([2, 3])
-    blinds = iter_vb(SEG, 1.4, 2.4, tree, chirality=CCW)
+    blinds = iter_vb(SEG, 1.4, 2.4, [2, 3], chirality=CCW)
     assert len(blinds) == 6
     for leaf in blinds.segments:
         assert dist(leaf.direction, 1.4) < 1e-9
@@ -107,7 +103,119 @@ def test_iter_vb_leaves_and_directions():
 
 def test_iter_vb_rejects_bad_chirality():
     with pytest.raises(ValueError):
-        iter_vb(SEG, 1.4, 2.4, BranchTree.uniform(2, 2), chirality="left")
+        iter_vb(SEG, 1.4, 2.4, [2, 2], chirality="left")
+
+
+# -- reference: the recursive Segment-object construction ------------------
+#
+# An independent implementation that vb and iter_vb are compared against:
+# DIVIDE by Segment.point_at, ROTATE one piece at a time, and IterVB as a
+# depth-first recursion that builds one VB per tree node.
+
+
+def _ref_divide(seg, n):
+    pts = [seg.point_at(i / n) for i in range(n + 1)]
+    return [Segment(pts[i], pts[i + 1]) for i in range(n)]
+
+
+def _ref_rotate(seg, theta_small, theta_cover):
+    theta_seg = seg.direction
+    for u, v in ((theta_seg, theta_small), (theta_seg, theta_cover), (theta_small, theta_cover)):
+        if dist(u, v) <= ANGLE_TOL:
+            raise ValueError("degenerate angle configuration")
+    cs, ss = math.cos(theta_small.angle), math.sin(theta_small.angle)
+    cc, sc = math.cos(theta_cover.angle), math.sin(theta_cover.angle)
+    det = cs * sc - ss * cc
+    wx = seg.b.x1 - seg.a.x1
+    wy = seg.b.x2 - seg.a.x2
+    s = (wx * sc - wy * cc) / det
+    return Segment(seg.a, Point(seg.a.x1 + s * cs, seg.a.x2 + s * ss))
+
+
+def _ref_vb(seg, theta_small, theta_cover, n, chirality=None):
+    theta_small = as_direction(theta_small)
+    theta_cover = as_direction(theta_cover)
+    theta_seg = seg.direction
+    inferred = [
+        chir for chir in CHIRALITIES
+        if Arc(theta_cover, theta_small, chir).contains_strictly(theta_seg)
+    ]
+    if not inferred or chirality not in (None, inferred[0]):
+        raise ValueError("orientation violation")
+    return [_ref_rotate(piece, theta_small, theta_cover) for piece in _ref_divide(seg, n)]
+
+
+def _ref_iter_vb(seg, theta_small, theta_cover, counts, chirality):
+    """(coords, provenance), or the stage of the first failing node."""
+    theta_cover = as_direction(theta_cover)
+    schedule = angle_schedule(seg.direction, theta_small, len(counts), chirality)
+    leaves, provenance = [], []
+
+    def build(node, index):
+        level = len(index)
+        if level == len(counts):
+            leaves.append([node.a.x1, node.a.x2, node.b.x1, node.b.x2])
+            provenance.append(index)
+            return
+        try:
+            stage = _ref_vb(node, schedule[level + 1], theta_cover, counts[level], chirality)
+        except ValueError as exc:
+            raise ConstructionError(str(exc), stage=index) from exc
+        for child_i, child in enumerate(stage):
+            build(child, index + (child_i,))
+
+    build(seg, ())
+    return np.array(leaves), provenance
+
+
+def test_vb_matches_recursive_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        theta_seg = float(rng.uniform(0.0, math.pi))
+        a = Point(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+        length = float(rng.uniform(0.01, 2.0))
+        seg = Segment(a, Point(a.x1 + length * math.cos(theta_seg), a.x2 + length * math.sin(theta_seg)))
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        gap_small = float(rng.uniform(0.05, 1.2))
+        theta_small = normalize(theta_seg + sign * gap_small)
+        theta_cover = normalize(theta_seg - sign * float(rng.uniform(0.05, math.pi - gap_small - 0.05)))
+        n = int(rng.integers(1, 40))
+        expected = _ref_vb(seg, theta_small, theta_cover, n)
+        got = vb(seg, theta_small, theta_cover, n)
+        ref = np.array([[s.a.x1, s.a.x2, s.b.x1, s.b.x2] for s in expected])
+        assert np.max(np.abs(got.coords - ref)) <= 1e-12
+        assert got.provenance == [(i,) for i in range(n)]
+        assert got.meta["chirality"] == (CCW if sign > 0 else CW)
+
+
+def test_iter_vb_matches_recursive_reference():
+    rng = np.random.default_rng(12)
+    seg = Segment(Point(0.2, -0.1), Point(0.9, 0.25))
+    theta0 = seg.direction.angle
+    failures = set()
+    for _ in range(150):
+        chirality = CCW if rng.random() < 0.5 else CW
+        sign = 1.0 if chirality == CCW else -1.0
+        theta_small = normalize(theta0 + sign * float(rng.uniform(0.1, 1.2)))
+        # a cover direction off the far side keeps every level oriented; one
+        # between theta0 and theta_small makes the schedule cross it at some level
+        gap_cover = float(rng.choice([rng.uniform(-1.5, -0.05), rng.uniform(0.05, 1.1)]))
+        theta_cover = normalize(theta0 + sign * gap_cover)
+        counts = [int(c) for c in rng.integers(1, 5, size=int(rng.integers(1, 5)))]
+        try:
+            ref_coords, ref_prov = _ref_iter_vb(seg, theta_small, theta_cover, counts, chirality)
+        except ConstructionError as ref_exc:
+            with pytest.raises(ConstructionError) as exc:
+                iter_vb(seg, theta_small, theta_cover, counts, chirality=chirality)
+            assert exc.value.stage == ref_exc.stage
+            failures.add(len(ref_exc.stage))
+            continue
+        got = iter_vb(seg, theta_small, theta_cover, counts, chirality=chirality)
+        assert np.max(np.abs(got.coords - ref_coords)) <= 1e-12
+        assert got.provenance == ref_prov
+        assert got.provenance == list(itertools.product(*map(range, counts)))
+    # violations are seen both at the root and below it
+    assert 0 in failures and len(failures) > 1
 
 
 def test_blind_set_json_roundtrip():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from curveblinds.blinds import BranchTree, iter_vb, vb
+from curveblinds.blinds import iter_vb, vb
 from curveblinds.cli import _BLOCK_ROWS, _dump_json, main, run_checks, run_construct
 from curveblinds.curve import builtin_curve
 from curveblinds.geometry import Point, Segment
@@ -143,7 +143,7 @@ def _writer_documents():
     return {
         "vb": {**vb(seg, 1.2, 2.1, 6).to_json_dict(), "scene": scene},
         "iter_vb": {
-            **iter_vb(seg, 1.4, 2.4, BranchTree.per_level([2, 3]), chirality=CCW).to_json_dict(),
+            **iter_vb(seg, 1.4, 2.4, [2, 3], chirality=CCW).to_json_dict(),
             "scene": scene,
         },
         "edge_floats": {"segments": np.array(edge_floats).reshape(2, 4), "x": edge_floats},

@@ -14,12 +14,12 @@ from curveblinds.measure import (
     AlphaSet,
     EMPTY,
     FiberArc,
+    _canonical_rows,
     contains,
     project_blinds,
     project_blinds_grid,
     project_fiber_arc,
     project_segment,
-    union_from_arrays,
     union_of,
 )
 
@@ -43,14 +43,18 @@ def test_union_of_rejects_inverted():
 
 
 def test_union_from_arrays_matches_union_of():
+    # each row of a batch canonicalizes as union_of does; lo = +inf marks a gap
     rng = np.random.default_rng(0)
     for _ in range(50):
-        n = int(rng.integers(1, 40))
-        los = rng.uniform(-5, 5, n)
-        his = los + rng.uniform(0.0, 1.0, n)
-        fast = union_from_arrays(los, his)
-        slow = union_of(list(zip(los.tolist(), his.tolist())))
-        assert fast.intervals == slow.intervals
+        rows, n = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+        los = rng.uniform(-5, 5, (rows, n))
+        his = los + rng.uniform(0.0, 1.0, (rows, n))
+        los[rng.random((rows, n)) < 0.2] = np.inf
+        fast = _canonical_rows(los, his)
+        for row, got in enumerate(fast):
+            kept = los[row] < np.inf
+            slow = union_of(list(zip(los[row][kept].tolist(), his[row][kept].tolist())))
+            assert got.intervals == slow.intervals
 
 
 def test_inflate_and_erode():

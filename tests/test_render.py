@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from curveblinds.blinds import BlindSet, BranchTree, iter_vb, vb
+from curveblinds.blinds import BlindSet, iter_vb, vb
 from curveblinds.curve import builtin_curve, fiber_point
 from curveblinds.geometry import Point, Segment
 from curveblinds.measure import FiberArc
@@ -106,7 +106,7 @@ def _reference_svg(curve, blinds, arc=None, alpha=None, title=""):
 
 def _stage_sets():
     seg = Segment(Point(0.3, 0.0), Point(0.5, 0.1))
-    stages = iter_vb(seg, 1.4, 2.4, BranchTree.per_level([2, 3, 2]), chirality=CCW)
+    stages = iter_vb(seg, 1.4, 2.4, [2, 3, 2], chirality=CCW)
     return {"vb": vb(seg, 1.2, 2.1, 6), "iter_vb": stages, "plain": BlindSet(stages.coords)}
 
 

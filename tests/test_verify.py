@@ -48,6 +48,19 @@ def test_check_cover_fails_with_deficit():
     assert "FAIL" in report.summary_line()
 
 
+def test_check_cover_margin_is_not_padding():
+    # the blinds fall 5e-10 short of the target, inside the 1e-9 margin at
+    # every grid point; the margin is a tolerance, not headroom, so even a
+    # tiny grid step certifies nothing between grid points
+    seg, _ = _self_cover_case()
+    short = BlindSet.from_segments([Segment(Point(0.3, 5e-10), Point(0.5, 0.1 + 5e-10))])
+    tiny = AlphaSet(((0.8, 0.8 + 1e-11),), 1e-12)
+    assert 2.0 * CURVE.df_bound * tiny.grid_step < 1e-9
+    report = check_cover(CURVE, short, seg, tiny, margin=1e-9)
+    assert report.passed
+    assert report.padding == 0.0
+
+
 def test_check_cover_shift_mode_requires_interior_slack():
     seg, blinds = _self_cover_case()
     shift = CURVE.df_bound * ALPHAS.grid_step / 2.0
