@@ -48,7 +48,6 @@ from .measure import (
     contains,
     project_blinds,
     project_fiber_arc,
-    project_segment,
     union_of,
 )
 from .projline import (
@@ -125,7 +124,6 @@ __all__ = [
     "project_blinds",
     "project_disk",
     "project_fiber_arc",
-    "project_segment",
     "rotate",
     "similarity_residual",
     "tangent_direction",

@@ -177,7 +177,6 @@ def run_construct(
         spec.epsilon,
         spec.delta,
         caps=spec.caps,
-        segment_points=spec.segment_points,
         scene_id=spec.scene_id,
     )
     elapsed = time.perf_counter() - start

@@ -32,7 +32,12 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CurveProfile:
-    """A curve Gamma = graph(f) on [a, b] with strictly monotone f'."""
+    """A curve Gamma = graph(f) on [a, b] with strictly monotone f'.
+
+    df_bound must be a true bound on |f'| over [a, b]: the padding of the
+    rigorous certificates rests on it, and the constructor checks it at only
+    129 sample points.  A custom curve must supply it; the builtins do.
+    """
 
     f: Callable[[float], float]
     df: Callable[[float], float]

@@ -27,13 +27,7 @@ from .blinds import (
 )
 from .curve import CurveProfile, _golden_max, fiber_point
 from .geometry import Point, Segment
-from .measure import (
-    AlphaSet,
-    FiberArc,
-    contains,
-    project_blinds_grid,
-    project_fiber_arc,
-)
+from .measure import AlphaSet, FiberArc
 from .projline import CCW, PI, Arc, Direction, dist, normalize
 from .verify import VerificationReport, check_cover, check_small
 
@@ -185,7 +179,6 @@ def polygon_approx(
     arc = FiberArc(y, a1, b1)
     if alpha_grid is None:
         alpha_grid = default_alpha_box(curve, arc)
-    alphas = alpha_grid.grid()
 
     n = max(2, n0)
     while n <= n_max:
@@ -200,7 +193,7 @@ def polygon_approx(
             )
         vertices.append(fiber_point(curve, y, b1))
         chain = PolyChain(tuple(vertices), tuple(float(t) for t in ts), arc)
-        if _polygon_ok(curve, chain, eps, delta, alphas):
+        if _polygon_ok(curve, chain, eps, delta, alpha_grid):
             return chain
         n *= 2
     raise ConstructionError(
@@ -213,7 +206,7 @@ def _polygon_ok(
     chain: PolyChain,
     eps: float,
     delta: float,
-    alphas: np.ndarray,
+    alpha_grid: AlphaSet,
 ) -> bool:
     segs = chain.segments()
     if any(s.length >= eps for s in segs):
@@ -222,11 +215,7 @@ def _polygon_ok(
         if _point_to_fiber_distance(curve, chain.source, v) > delta:
             return False
     chain_set = BlindSet.from_segments(segs)
-    for alpha, proj in zip(alphas.tolist(), project_blinds_grid(curve, alphas, chain_set)):
-        target = project_fiber_arc(curve, alpha, chain.source)
-        if not target.is_empty and not contains(proj, target, 1e-9):
-            return False
-    return True
+    return check_cover(curve, chain_set, chain.source, alpha_grid, margin=1e-9).passed
 
 
 # -- angle bands ------------------------------------------------------------
@@ -427,7 +416,6 @@ def key_construction(
     eps: float,
     delta: float,
     caps: Caps = DEFAULT_CAPS,
-    segment_points: int = 33,
     max_attempts: int = 6,
     scene_id: str = "",
 ) -> KeyResult:
@@ -461,8 +449,7 @@ def key_construction(
         prefix = f"attempt {attempt + 1} (eps_c={eps_c:.3g}): "
         try:
             result = _key_attempt(
-                curve, y, arc, a_small, a_cover, eps, eps_c, delta_c, caps,
-                segment_points, scene_id,
+                curve, y, arc, a_small, a_cover, eps, eps_c, delta_c, caps, scene_id
             )
         except (SeparationError, ConstructionError) as exc:
             failures.append(prefix + str(exc))
@@ -496,7 +483,6 @@ def _key_attempt(
     eps_c: float,
     delta_c: float,
     caps: Caps,
-    segment_points: int,
     scene_id: str,
 ) -> KeyResult:
     chain = polygon_approx(
@@ -506,8 +492,7 @@ def _key_attempt(
     for nudge in range(2):
         try:
             coords, units = _build_segments(
-                curve, segs, a_small, a_cover, eps_c, delta_c, caps,
-                segment_points,
+                curve, segs, a_small, a_cover, eps_c, delta_c, caps
             )
             break
         except ConstructionError as exc:
@@ -546,20 +531,14 @@ def _build_segments(
     eps_c: float,
     delta_c: float,
     caps: Caps,
-    segment_points: int,
 ) -> tuple[np.ndarray, list[list[int]]]:
     pieces = []
     units = []  # run-length unit labels: [chain_index, blade_count, leaf_count]
     for ci, cseg in enumerate(segs):
-        ts = np.linspace(0.0, 1.0, segment_points)
-        cloud = np.stack(
-            [
-                cseg.a.x1 + ts * (cseg.b.x1 - cseg.a.x1),
-                cseg.a.x2 + ts * (cseg.b.x2 - cseg.a.x2),
-            ],
-            axis=1,
-        )
-        bands = compute_bands(curve, CompactNbhd(cloud, delta_c), a_small, a_cover)
+        # compute_bands reads only the x1 extremes, which a segment attains
+        # at its endpoints
+        ends = np.array([cseg.a.as_tuple(), cseg.b.as_tuple()])
+        bands = compute_bands(curve, CompactNbhd(ends, delta_c), a_small, a_cover)
         local = local_construction(
             curve, cseg, bands, a_small, a_cover, eps_c, delta_c, caps
         )

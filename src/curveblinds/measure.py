@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from .curve import DOMAIN_TOL, CurveProfile
-from .geometry import Point, Segment
+from .geometry import Point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .blinds import BlindSet
@@ -72,9 +72,6 @@ class IntervalUnion:
             if cur < hi:
                 pieces.append((cur, hi))
         return union_of(pieces)
-
-    def to_json(self) -> list[list[float]]:
-        return [[lo, hi] for lo, hi in self.intervals]
 
 
 EMPTY = IntervalUnion(())
@@ -231,52 +228,6 @@ class FiberArc:
             raise ValueError(f"empty fiber arc parameter range [{self.lo!r}, {self.hi!r}]")
 
 
-def project_segment(curve: CurveProfile, alpha: float, seg: Segment) -> IntervalUnion:
-    """Exact image interval of Phi_alpha over seg cap strip (empty if disjoint).
-
-    Along the segment, Phi_alpha has monotone derivative in the parameter, so
-    extrema sit at the clipped endpoints or at the unique interior critical
-    point where f'(alpha - x1) equals the segment slope.
-    """
-    lo, hi = curve.strip(alpha)
-    x1a, x2a = seg.a.x1, seg.a.x2
-    dx1 = seg.b.x1 - x1a
-    dx2 = seg.b.x2 - x2a
-
-    if abs(dx1) <= DOMAIN_TOL:
-        if not (lo - DOMAIN_TOL <= x1a <= hi + DOMAIN_TOL):
-            return EMPTY
-        base = curve.f(curve.clamp_t(alpha - x1a))
-        v0, v1 = x2a + base, x2a + dx2 + base
-        return union_of([(min(v0, v1), max(v0, v1))])
-
-    # parameter range [t0, t1] in [0, 1] with x1(t) inside the strip
-    if dx1 > 0.0:
-        t0 = (lo - x1a) / dx1
-        t1 = (hi - x1a) / dx1
-    else:
-        t0 = (hi - x1a) / dx1
-        t1 = (lo - x1a) / dx1
-    t0 = max(0.0, t0)
-    t1 = min(1.0, t1)
-    if t0 > t1:
-        return EMPTY
-
-    def value(t: float) -> float:
-        x1 = x1a + t * dx1
-        return x2a + t * dx2 + curve.f(curve.clamp_t(alpha - x1))
-
-    candidates = [value(t0), value(t1)]
-    slope = dx2 / dx1
-    dlo, dhi = curve.df_range()
-    if dlo - 1e-9 <= slope <= dhi + 1e-9:
-        tc_curve = curve.df_inv(slope)
-        tc = (alpha - tc_curve - x1a) / dx1
-        if t0 < tc < t1:
-            candidates.append(value(tc))
-    return union_of([(min(candidates), max(candidates))])
-
-
 def project_fiber_arc(curve: CurveProfile, alpha: float, arc: FiberArc) -> IntervalUnion:
     """Image of Phi_alpha over the fiber arc clipped to the strip.
 
@@ -304,20 +255,15 @@ def project_blinds_grid(
 ) -> Iterator[IntervalUnion]:
     """Yield project_blinds(curve, alpha, blinds) for each alpha in turn.
 
-    For array-capable curves the alpha-independent segment terms are computed
-    once, then max(1, BUDGET // n) alphas at a time are projected as
-    (rows x n) arrays.  Every element goes through the same float operations
-    whatever the batch size, so batching changes no bit of the result.
-    Other curves project segment by segment with project_segment.
+    The one evaluation of Phi_alpha on segments.  Along a segment, Phi_alpha
+    has monotone derivative in the parameter, so each image interval is
+    spanned by the values at the strip-clipped endpoints and at the unique
+    interior critical point where f'(alpha - x1) equals the segment slope.
+    The alpha-independent segment terms are computed once, then
+    max(1, BUDGET // n) alphas at a time are projected as (rows x n) arrays.
+    Every element goes through the same float operations whatever the batch
+    size, so batching changes no bit of the result.
     """
-    if not curve.supports_arrays:
-        segs = blinds.segments
-        for alpha in alphas:
-            alpha = float(alpha)
-            yield union_of(
-                iv for seg in segs for iv in project_segment(curve, alpha, seg).intervals
-            )
-        return
     coords = blinds.coords
     ax, ay = coords[:, 0], coords[:, 1]
     dx1 = coords[:, 2] - ax
@@ -339,7 +285,7 @@ def project_blinds_grid(
         v = t * dx1
         v += ax
         np.subtract(al, v, out=v)
-        fx = curve.f(np.clip(v, curve.a, curve.b, out=v))
+        fx = curve.f_array(np.clip(v, curve.a, curve.b, out=v))
         np.multiply(t, dx2, out=v)
         v += ay
         v += fx
@@ -389,5 +335,5 @@ def project_blinds_grid(
 
 
 def project_blinds(curve: CurveProfile, alpha: float, blinds: "BlindSet") -> IntervalUnion:
-    """Canonical union of project_segment over all members of a blind set."""
+    """Canonical union of the Phi_alpha images of all members of a blind set."""
     return next(project_blinds_grid(curve, [alpha], blinds))

@@ -37,7 +37,7 @@ class SceneSpec:
     epsilon: float
     delta: float
     alpha_points: int = 200
-    segment_points: int = 33
+    segment_points: int = 33  # recorded in blindset.json; the construction ignores it
     caps: Caps = field(default_factory=Caps)
     seed: int = 0
 
@@ -133,10 +133,10 @@ class SceneSpec:
             raise fail("y", f"y.x1={y_lo!r} must lie in some A_small component")
         epsilon = float(need("epsilon"))
         delta = float(need("delta"))
-        if epsilon <= 0.0:
-            raise fail("epsilon", "must be positive")
-        if delta <= 0.0:
-            raise fail("delta", "must be positive")
+        if not (math.isfinite(epsilon) and epsilon > 0.0):
+            raise fail("epsilon", "must be finite and positive")
+        if not (math.isfinite(delta) and delta > 0.0):
+            raise fail("delta", "must be finite and positive")
         grids = data.get("grids", {})
         caps_node = data.get("caps", {})
         return cls(

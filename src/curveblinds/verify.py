@@ -20,11 +20,9 @@ from .geometry import Point, Segment
 from .measure import (
     AlphaSet,
     FiberArc,
-    IntervalUnion,
     contains,
     project_blinds_grid,
     project_fiber_arc,
-    project_segment,
 )
 from .projline import dist, normalize
 
@@ -81,12 +79,6 @@ class VerificationReport:
         }
 
 
-def _project_target(curve: CurveProfile, alpha: float, target: Target) -> IntervalUnion:
-    if isinstance(target, Segment):
-        return project_segment(curve, alpha, target)
-    return project_fiber_arc(curve, alpha, target)
-
-
 def check_cover(
     curve: CurveProfile,
     blinds: BlindSet,
@@ -111,8 +103,12 @@ def check_cover(
     worst = (-math.inf, math.nan)
     all_ok = True
     grid = alphas.grid()
-    for alpha, proj_e in zip(grid.tolist(), project_blinds_grid(curve, grid, blinds)):
-        proj_t = _project_target(curve, alpha, target)
+    if isinstance(target, Segment):
+        targets = project_blinds_grid(curve, grid, BlindSet.from_segments([target]))
+    else:
+        targets = (project_fiber_arc(curve, alpha, target) for alpha in grid.tolist())
+    blind_rows = project_blinds_grid(curve, grid, blinds)
+    for alpha, proj_e, proj_t in zip(grid.tolist(), blind_rows, targets):
         if shift > 0.0:
             proj_e = proj_e.erode(shift)
             proj_t = proj_t.inflate(shift)

@@ -32,13 +32,12 @@ from curveblinds.measure import (
     contains,
     project_blinds,
     project_fiber_arc,
-    project_segment,
-    union_of,
 )
 from curveblinds.projline import CCW, angle_schedule, dist
 from curveblinds.scene import BUNDLED_SCENES, load_scene
 from curveblinds.verify import gradient_check, law_of_sines_check
 from curveblinds.cli import run_construct
+from scalar_projection import project_segments
 
 
 def _verdict(capsys, ok: bool, label: str, detail: str) -> None:
@@ -114,7 +113,7 @@ def test_criterion_04_scene_covering(capsys):
         result = key_construction(
             spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
             spec.epsilon, spec.delta, caps=spec.caps,
-            segment_points=spec.segment_points, scene_id=name,
+            scene_id=name,
         )
         elapsed = time.perf_counter() - start
         good = (
@@ -196,10 +195,7 @@ def test_criterion_06_polygon_approximation(capsys):
         target = project_fiber_arc(curve, alpha, arc)
         if target.is_empty:
             continue
-        pieces = []
-        for s in segs:
-            pieces.extend(project_segment(curve, alpha, s).intervals)
-        covered &= contains(union_of(pieces), target, 1e-9)
+        covered &= contains(project_segments(curve, alpha, segs), target, 1e-9)
 
     ok = worst_tan < 1e-9 and worst_dist <= delta + 1e-6 and covered
     _verdict(
@@ -216,7 +212,7 @@ def test_criterion_07_key_construction(capsys):
     start = time.perf_counter()
     result = key_construction(
         curve, spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
-        0.05, spec.delta, caps=spec.caps, segment_points=spec.segment_points,
+        0.05, spec.delta, caps=spec.caps,
     )
     elapsed = time.perf_counter() - start
     base_ok = (
@@ -229,7 +225,7 @@ def test_criterion_07_key_construction(capsys):
     for eps in (0.2, 0.1, 0.05):
         r = key_construction(
             curve, spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
-            eps, eps / 5.0, caps=spec.caps, segment_points=spec.segment_points,
+            eps, eps / 5.0, caps=spec.caps,
         )
         sweep.append(r.small_report.worst_value)
     monotone = all(a > b for a, b in zip(sweep, sweep[1:]))

@@ -18,7 +18,7 @@ from curveblinds.blinds import (
 )
 from curveblinds.curve import builtin_curve
 from curveblinds.geometry import Point, Segment
-from curveblinds.measure import AlphaSet, contains, project_blinds, project_segment
+from curveblinds.measure import AlphaSet, contains, project_blinds
 from curveblinds.projline import (
     ANGLE_TOL,
     CCW,
@@ -30,6 +30,7 @@ from curveblinds.projline import (
     dist,
     normalize,
 )
+from scalar_projection import project_segment
 
 SEG = Segment(Point(0.0, 0.0), Point(1.0, 0.3))
 

@@ -1,15 +1,22 @@
 """Command-line interface: construct, render, checks, duality, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from curveblinds.blinds import iter_vb, vb
+from curveblinds.blinds import BlindSet, iter_vb, vb
 from curveblinds.cli import _BLOCK_ROWS, _dump_json, main, run_checks, run_construct
 from curveblinds.curve import builtin_curve
 from curveblinds.geometry import Point, Segment
-from curveblinds.measure import AlphaSet
+from curveblinds.measure import (
+    AlphaSet,
+    FiberArc,
+    contains,
+    project_blinds_grid,
+    project_fiber_arc,
+)
 from curveblinds.projline import CCW
 from curveblinds.scene import load_scene
 from curveblinds.verify import PerAlpha, VerificationReport, check_cover, check_small
@@ -37,11 +44,51 @@ def test_construct_rigorous_reports_padding(tmp_path):
     assert report["small"]["padding"] > 0.0
 
 
+def _off_grid(alphas, rng):
+    """Midpoints and seeded random points strictly between grid neighbours."""
+    grid = alphas.grid()
+    starts, steps = np.tile(grid[:-1], 2), np.tile(np.diff(grid), 2)
+    fractions = np.concatenate(
+        [np.full(len(grid) - 1, 0.5), rng.uniform(0.01, 0.99, len(grid) - 1)]
+    )
+    points = (starts + fractions * steps).tolist()
+    # a pair of neighbours across a gap between components brackets no alpha of the set
+    return [a for a in points if alphas.contains_alpha(a)]
+
+
+@pytest.mark.parametrize("scene", ["Q1", "P1", "E1"])
+def test_rigorous_certificates_hold_between_grid_points(scene, tmp_path):
+    spec = load_scene(scene)
+    blindset, report = run_construct(spec, tmp_path, rigorous=True)
+    assert report["pass"]
+    curve = spec.curve()
+    blinds = BlindSet(blindset["segments"])
+    arc = FiberArc(spec.y, *spec.subrange)  # the unpadded arc
+    rng = np.random.default_rng(11)
+    cover_alphas = _off_grid(spec.a_cover(), rng)
+    for alpha, proj in zip(cover_alphas, project_blinds_grid(curve, cover_alphas, blinds)):
+        assert contains(proj, project_fiber_arc(curve, alpha, arc), 1e-9), alpha
+    small_alphas = _off_grid(spec.a_small(), rng)
+    assert len(small_alphas) >= 2 * 199
+    worst = max(p.measure for p in project_blinds_grid(curve, small_alphas, blinds))
+    assert worst < spec.epsilon
+
+
+@pytest.mark.parametrize("points", [0, 1])
+def test_segment_points_is_recorded_only(points, tmp_path):
+    spec = load_scene("P1")
+    reference, _ = run_construct(spec, tmp_path / "reference")
+    blindset, report = run_construct(
+        dataclasses.replace(spec, segment_points=points), tmp_path / "out"
+    )
+    assert report["pass"]
+    assert np.array_equal(blindset["segments"], reference["segments"])
+    assert blindset["scene"]["grids"]["segment_points"] == points
+
+
 def test_construct_grid_alpha_override(tmp_path):
     spec = load_scene("Q1")
     _, report = run_construct(spec, tmp_path / "a")
-    import dataclasses
-
     coarse = dataclasses.replace(spec, alpha_points=50)
     _, report2 = run_construct(coarse, tmp_path / "b")
     assert len(report["cover"]["per_alpha"]) > len(report2["cover"]["per_alpha"])

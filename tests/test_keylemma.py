@@ -24,10 +24,9 @@ from curveblinds.measure import (
     contains,
     project_blinds,
     project_fiber_arc,
-    project_segment,
-    union_of,
 )
 from curveblinds.scene import load_scene
+from scalar_projection import project_segment, project_segments
 
 
 def _fiber_distance_oracle(curve, arc, p):
@@ -76,10 +75,7 @@ def test_polygon_approx_tangency_distance_and_covering():
         target = project_fiber_arc(curve, alpha, arc)
         if target.is_empty:
             continue
-        pieces = []
-        for s in segs:
-            pieces.extend(project_segment(curve, alpha, s).intervals)
-        assert contains(union_of(pieces), target, 1e-9)
+        assert contains(project_segments(curve, alpha, segs), target, 1e-9)
 
 
 def test_polygon_approx_rejects_bad_input():
@@ -186,7 +182,6 @@ def test_key_construction_q1_end_to_end():
     result = key_construction(
         spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
         spec.epsilon, spec.delta, caps=spec.caps,
-        segment_points=spec.segment_points,
     )
     assert result.cover_report.passed
     assert result.small_report.passed
@@ -221,7 +216,7 @@ def test_key_construction_error_lists_every_attempt():
         key_construction(
             spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
             0.015, spec.delta, caps=spec.caps,
-            segment_points=spec.segment_points, max_attempts=1, scene_id="Q1",
+            max_attempts=1, scene_id="Q1",
         )
     message = str(info.value)
     assert info.value.stage == "key"
@@ -240,7 +235,7 @@ def test_key_construction_on_scalar_only_curve():
     result = key_construction(
         curve, spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
         spec.epsilon, spec.delta, caps=spec.caps,
-        segment_points=spec.segment_points, scene_id="E1",
+        scene_id="E1",
     )
     assert result.cover_report.passed
     assert result.small_report.passed

@@ -19,9 +19,9 @@ from curveblinds.measure import (
     project_blinds,
     project_blinds_grid,
     project_fiber_arc,
-    project_segment,
     union_of,
 )
+from scalar_projection import project_segment, project_segments
 
 
 def test_union_of_canonicalizes():
@@ -144,7 +144,8 @@ def test_project_segment_matches_sampling_oracle():
             if a == b:
                 continue
             seg = Segment(a, b)
-            u = project_segment(curve, alpha, seg)
+            u = project_blinds(curve, alpha, BlindSet.from_segments([seg]))
+            assert u == project_segment(curve, alpha, seg)
             oracle = _segment_oracle(curve, alpha, seg)
             if oracle is None:
                 assert u.is_empty
@@ -164,11 +165,11 @@ def test_project_segment_matches_sampling_oracle():
 
 def test_project_segment_vertical():
     curve = builtin_curve("parabola")
-    seg = Segment(Point(1.5, 0.0), Point(1.5, 2.0))
-    u = project_segment(curve, 2.0, seg)
+    blinds = BlindSet.from_segments([Segment(Point(1.5, 0.0), Point(1.5, 2.0))])
+    u = project_blinds(curve, 2.0, blinds)
     base = curve.f(0.5)
     assert u.intervals == ((base, 2.0 + base),)
-    assert project_segment(curve, 5.0, seg).is_empty
+    assert project_blinds(curve, 5.0, blinds).is_empty
 
 
 def test_project_fiber_arc_matches_sampling():
@@ -202,19 +203,21 @@ def test_fiber_arc_rejects_empty_range():
 
 
 def test_project_blinds_fast_path_matches_slow_path():
+    # the kernel, with and without array support, against the scalar
+    # reference; convex and concave curves: interior critical points are
+    # minima on the first and maxima on the second
     blinds = _random_blinds(np.random.default_rng(4), 40)
-    # convex and concave curves: interior critical points are minima on the
-    # first and maxima on the second
     for name in ("parabola", "quarter_circle"):
         fast_curve = builtin_curve(name)
         slow_curve = dataclasses.replace(fast_curve, supports_arrays=False)
         for alpha in np.linspace(-0.5, 2.0, 11).tolist():
-            fast = project_blinds(fast_curve, alpha, blinds)
-            slow = project_blinds(slow_curve, alpha, blinds)
-            assert len(fast.intervals) == len(slow.intervals)
-            for (flo, fhi), (slo, shi) in zip(fast.intervals, slow.intervals):
-                assert abs(flo - slo) < 1e-9
-                assert abs(fhi - shi) < 1e-9
+            slow = project_segments(fast_curve, alpha, blinds.segments)
+            for curve in (fast_curve, slow_curve):
+                fast = project_blinds(curve, alpha, blinds)
+                assert len(fast.intervals) == len(slow.intervals)
+                for (flo, fhi), (slo, shi) in zip(fast.intervals, slow.intervals):
+                    assert abs(flo - slo) < 1e-9
+                    assert abs(fhi - shi) < 1e-9
 
 
 def test_project_blinds_drops_segments_outside_the_strip():
@@ -270,6 +273,7 @@ def test_project_blinds_grid_equals_per_alpha_at_batch_edges(n):
 
 
 def test_project_blinds_grid_fallback_for_scalar_curves():
+    # a curve without array support runs the same kernel, one f call per element
     curve = CurveProfile(
         f=lambda t: t * t,
         df=lambda t: 2.0 * t,
@@ -279,4 +283,7 @@ def test_project_blinds_grid_fallback_for_scalar_curves():
         df_bound=2.0,
     )
     blinds = _random_blinds(np.random.default_rng(3), 30)
-    _assert_grid_matches_per_alpha(curve, np.linspace(-1.0, 3.0, 11).tolist(), blinds)
+    alphas = np.linspace(-1.0, 3.0, 11).tolist()
+    batched = _assert_grid_matches_per_alpha(curve, alphas, blinds)
+    for alpha, got in zip(alphas, batched):
+        assert got == project_segments(curve, alpha, blinds.segments)

@@ -82,6 +82,20 @@ def test_validation_failures_carry_field_path(mutate, path_hint):
     assert path_hint in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("name", ["epsilon", "delta"])
+def test_scales_must_be_finite(name, value, tmp_path):
+    # json reads these tokens as floats; NaN fails every comparison
+    text = json.dumps(_valid_scene_dict()).replace(
+        f'"{name}": {_valid_scene_dict()[name]}', f'"{name}": {value}'
+    )
+    assert value in text
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    with pytest.raises(SceneError, match=f"^{name}: must be finite and positive"):
+        load_scene(path)
+
+
 def test_defaults_fill_in():
     data = _valid_scene_dict()
     del data["grids"], data["caps"], data["seed"], data["scene_id"]
