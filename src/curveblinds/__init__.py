@@ -41,15 +41,7 @@ from .keylemma import (
     local_construction,
     polygon_approx,
 )
-from .measure import (
-    AlphaSet,
-    FiberArc,
-    IntervalUnion,
-    contains,
-    project_blinds,
-    project_fiber_arc,
-    union_of,
-)
+from .measure import AlphaSet, FiberArc, IntervalUnion, project_blinds, project_fiber_arc
 from .projline import (
     CCW,
     CW,
@@ -105,7 +97,6 @@ __all__ = [
     "check_cover",
     "check_small",
     "compute_bands",
-    "contains",
     "diff_interval",
     "dist",
     "eval_phi",
@@ -127,6 +118,5 @@ __all__ = [
     "rotate",
     "similarity_residual",
     "tangent_direction",
-    "union_of",
     "vb",
 ]

@@ -1,13 +1,17 @@
-"""1-D Lebesgue measure engine: interval unions and Phi_alpha projections.
+"""1-D Lebesgue measure engine: batches of canonical interval unions.
 
-Projections of segments, blind sets, and fiber arcs all land on a vertical
-line {alpha} x R; their images are finite unions of closed intervals, which
-this module represents canonically (sorted, disjoint) and measures.
+Projections of segments, blind sets and fiber arcs land on the vertical
+lines {alpha} x R, each image a finite union of closed intervals.  An
+IntervalUnion holds the images of a batch of alphas, one row per alpha, as
+flat arrays of canonical groups with each group's row; _canonical_rows is
+the one canonicalizer.  Measures, inflation, erosion, difference and
+containment act on whole batches.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -28,82 +32,106 @@ MERGE_TOL = 1e-12
 BUDGET = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalUnion:
-    """A canonical finite union of disjoint closed intervals [lo, hi]."""
+    """Canonical unions of closed intervals, one per row of a batch.
 
-    intervals: tuple[tuple[float, float], ...]
+    Group g is [lo[g], hi[g]] in row row[g]; groups are sorted by row, then
+    by lo, and within a row they are disjoint with gaps wider than
+    MERGE_TOL.  A row without groups is empty.
+    """
 
-    @property
-    def measure(self) -> float:
-        return float(sum(hi - lo for lo, hi in self.intervals))
+    lo: np.ndarray
+    hi: np.ndarray
+    row: np.ndarray
+    rows: int
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
+    def measures(self) -> np.ndarray:
+        """Each row's measure, summed left to right as Python's sum does."""
+        widths = _layout(self.row, self.rows, self.hi - self.lo, 0.0)
+        return np.cumsum(widths, axis=1)[:, -1]
 
     def inflate(self, r: float) -> "IntervalUnion":
         """Thicken every interval by r on both sides (then re-canonicalize)."""
         if r < 0.0:
             raise ValueError(f"inflation radius must be >= 0, got {r!r}")
-        return union_of([(lo - r, hi + r) for lo, hi in self.intervals])
+        return _from_groups(self.lo - r, self.hi + r, self.row, self.rows)
 
     def erode(self, r: float) -> "IntervalUnion":
         """Shrink every interval by r on both sides, dropping emptied ones."""
         if r < 0.0:
             raise ValueError(f"erosion radius must be >= 0, got {r!r}")
-        return union_of(
-            [(lo + r, hi - r) for lo, hi in self.intervals if hi - lo > 2.0 * r]
-        )
+        keep = self.hi - self.lo > 2.0 * r
+        return _from_groups(self.lo[keep] + r, self.hi[keep] - r, self.row[keep], self.rows)
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
-        """The closure of self minus other, as a canonical union."""
-        pieces: list[tuple[float, float]] = []
-        for lo, hi in self.intervals:
-            cur = lo
-            for olo, ohi in other.intervals:
-                if ohi <= cur or olo >= hi:
-                    continue
-                if olo > cur:
-                    pieces.append((cur, olo))
-                cur = max(cur, ohi)
-                if cur >= hi:
-                    break
-            if cur < hi:
-                pieces.append((cur, hi))
-        return union_of(pieces)
+        """Row by row, the closure of self minus other, as canonical unions.
+
+        The groups of other that meet self's group t are a[t] .. b[t] - 1;
+        t splits into the k + 1 pieces between them, each kept if nonempty.
+        """
+        a = np.searchsorted(_keys(other.row, other.hi), _keys(self.row, self.lo), "right")
+        b = np.searchsorted(_keys(other.row, other.lo), _keys(self.row, self.hi), "left")
+        k = np.maximum(b - a, 0)
+        owner = np.repeat(np.arange(len(k)), k + 1)
+        piece = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        # index -1 and len(other) both land on the appended sentinel
+        right_of = a[owner] + piece
+        lo = np.where(piece == 0, self.lo[owner], np.append(other.hi, np.nan)[right_of - 1])
+        hi = np.where(piece == k[owner], self.hi[owner], np.append(other.lo, np.nan)[right_of])
+        keep = lo < hi
+        return _from_groups(lo[keep], hi[keep], self.row[owner][keep], self.rows)
+
+    def covers(self, target: "IntervalUnion") -> np.ndarray:
+        """Per row: every interval of target lies inside one interval of self."""
+        # the only candidate is the last group of self starting at or before
+        # the target interval; index -1 lands on the appended sentinel
+        last = np.searchsorted(_keys(self.row, self.lo), _keys(target.row, target.lo), "right") - 1
+        inside = np.append(self.row, -1)[last] == target.row
+        inside &= target.hi <= np.append(self.hi, -np.inf)[last]
+        return np.bincount(target.row[~inside], minlength=self.rows) == 0
+
+    @classmethod
+    def stack(cls, batches: Iterable["IntervalUnion"]) -> "IntervalUnion":
+        """The rows of batches, in order, as one batch."""
+        batches = list(batches)
+        offsets = np.cumsum([0] + [b.rows for b in batches]).tolist()
+        return cls(
+            np.concatenate([b.lo for b in batches]),
+            np.concatenate([b.hi for b in batches]),
+            np.concatenate([b.row + offset for b, offset in zip(batches, offsets)]),
+            offsets[-1],
+        )
+
+    def row_slice(self, start: int, stop: int) -> "IntervalUnion":
+        """Rows start .. stop - 1 as a batch of their own."""
+        part = slice(*np.searchsorted(self.row, (start, stop)))
+        return IntervalUnion(self.lo[part], self.hi[part], self.row[part] - start, stop - start)
 
 
-EMPTY = IntervalUnion(())
+def _keys(row: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(row, value) search keys: numpy orders complex numbers lexicographically,
+    so one searchsorted searches every row at once."""
+    keys = np.empty(len(row), dtype=complex)
+    keys.real = row
+    keys.imag = values
+    return keys
 
 
-def union_of(
-    intervals: Iterable[Sequence[float]], merge_tol: float = MERGE_TOL
-) -> IntervalUnion:
-    """Canonicalize a collection of closed intervals (merge overlaps/dust)."""
-    items = []
-    for iv in intervals:
-        lo, hi = float(iv[0]), float(iv[1])
-        if hi < lo:
-            raise ValueError(f"inverted interval [{lo!r}, {hi!r}]")
-        items.append((lo, hi))
-    if not items:
-        return EMPTY
-    items.sort()
-    merged = [items[0]]
-    for lo, hi in items[1:]:
-        mlo, mhi = merged[-1]
-        if lo <= mhi + merge_tol:
-            if hi > mhi:
-                merged[-1] = (mlo, hi)
-        else:
-            merged.append((lo, hi))
-    return IntervalUnion(tuple(merged))
+def _layout(row: np.ndarray, rows: int, values: np.ndarray, fill: float) -> np.ndarray:
+    """values as a (rows x width) array: each row's groups in order, then fill."""
+    col = np.arange(len(row)) - np.searchsorted(row, row)
+    out = np.full((rows, int(col.max(initial=0)) + 1), fill)
+    out[row, col] = values
+    return out
 
 
-def _canonical_rows(
-    los: np.ndarray, his: np.ndarray, merge_tol: float = MERGE_TOL
-) -> list[IntervalUnion]:
+def _from_groups(lo: np.ndarray, hi: np.ndarray, row: np.ndarray, rows: int) -> IntervalUnion:
+    """Canonicalize intervals given in row order."""
+    return _canonical_rows(_layout(row, rows, lo, np.inf), _layout(row, rows, hi, 0.0))
+
+
+def _canonical_rows(los: np.ndarray, his: np.ndarray) -> IntervalUnion:
     """Canonicalize each row of (rows x n) interval arrays; lo = +inf marks a gap.
 
     One sort, running max and maximum.reduceat serve every row: a reduceat
@@ -111,8 +139,6 @@ def _canonical_rows(
     entries sort to the end of their row, each starting a run that is dropped.
     """
     rows, n = los.shape
-    if n == 0:
-        return [EMPTY] * rows
     order = np.argsort(los, axis=1)
     order += np.arange(0, rows * n, n)[:, None]
     order = order.ravel()
@@ -120,7 +146,7 @@ def _canonical_rows(
     his = his.ravel()[order]
     del order
     running = np.maximum.accumulate(his.reshape(rows, n), axis=1).ravel()
-    running += merge_tol
+    running += MERGE_TOL
     # a new group starts where the interval does not touch the running hull
     cuts = np.empty(rows * n, dtype=bool)
     np.greater(los[1:], running[:-1], out=cuts[1:])
@@ -128,32 +154,8 @@ def _canonical_rows(
     cuts[::n] = True
     starts = np.flatnonzero(cuts)
     kept = los[starts] < np.inf
-    group_lo = los[starts[kept]].tolist()
-    group_hi = np.maximum.reduceat(his, starts)[kept].tolist()
-    out = []
-    end = 0
-    for count in np.bincount(starts[kept] // n, minlength=rows).tolist():
-        begin, end = end, end + count
-        out.append(IntervalUnion(tuple(zip(group_lo[begin:end], group_hi[begin:end]))))
-    return out
-
-
-def contains(u: IntervalUnion, target: IntervalUnion, margin: float = 0.0) -> bool:
-    """True iff every point of target is within margin of u's covered set."""
-    if margin < 0.0:
-        raise ValueError(f"margin must be >= 0, got {margin!r}")
-    inflated = u.inflate(margin) if margin > 0.0 else u
-    for lo, hi in target.intervals:
-        ok = False
-        for ulo, uhi in inflated.intervals:
-            if ulo <= lo and hi <= uhi:
-                ok = True
-                break
-            if ulo > lo:
-                break
-        if not ok:
-            return False
-    return True
+    group_hi = np.maximum.reduceat(his, starts)[kept]
+    return IntervalUnion(los[starts[kept]], group_hi, starts[kept] // n, rows)
 
 
 # -- alpha parameter sets ---------------------------------------------------
@@ -183,9 +185,11 @@ class AlphaSet:
     def from_intervals(
         cls, components: Iterable[Sequence[float]], points_per_component: int = 200
     ) -> "AlphaSet":
+        n = points_per_component
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+            raise ValueError(f"points per component must be an integer >= 2, got {n!r}")
         comps = tuple(sorted((float(c[0]), float(c[1])) for c in components))
         width = max((hi - lo for lo, hi in comps), default=0.0)
-        n = max(2, points_per_component)
         step = width / (n - 1) if width > 0.0 else 1.0
         return cls(comps, step)
 
@@ -202,14 +206,8 @@ class AlphaSet:
 
     def grid(self) -> np.ndarray:
         """All certification grid points, sorted; spacing <= grid_step."""
-        pieces = []
-        for lo, hi in self.components:
-            if hi <= lo:
-                pieces.append(np.array([lo]))
-            else:
-                n = int(math.ceil((hi - lo) / self.grid_step)) + 1
-                pieces.append(np.linspace(lo, hi, n))
-        return np.concatenate(pieces)
+        counts = (int(math.ceil((hi - lo) / self.grid_step)) + 1 for lo, hi in self.components)
+        return np.concatenate([np.linspace(*c, n) for c, n in zip(self.components, counts)])
 
 
 # -- projections ------------------------------------------------------------
@@ -228,41 +226,48 @@ class FiberArc:
             raise ValueError(f"empty fiber arc parameter range [{self.lo!r}, {self.hi!r}]")
 
 
-def project_fiber_arc(curve: CurveProfile, alpha: float, arc: FiberArc) -> IntervalUnion:
-    """Image of Phi_alpha over the fiber arc clipped to the strip.
+def project_fiber_arc(
+    curve: CurveProfile, alphas: float | Sequence[float], arc: FiberArc
+) -> IntervalUnion:
+    """Image of Phi_alpha over the fiber arc clipped to the strip, one row per alpha.
 
     Along the fiber, Phi_alpha(t) = y2 - f(t) + f(t + (alpha - y1)); its
     derivative f'(t + s) - f'(t) has a fixed sign (f' strictly monotone), so
-    the image endpoints sit at the extreme admissible parameters.
+    each image is the one interval spanned by the values at the extreme
+    admissible parameters.
     """
-    s = alpha - arc.y.x1
+    s = np.atleast_1d(np.asarray(alphas, dtype=float)) - arc.y.x1
     # strip constraint: x1 = y1 - t in [alpha - b, alpha - a]  <=>  t in [a - s, b - s]
-    t0 = max(arc.lo, curve.a - s, curve.a)
-    t1 = min(arc.hi, curve.b - s, curve.b)
-    if t0 > t1 + DOMAIN_TOL:
-        return EMPTY
-    t1 = max(t0, t1)
-
-    def value(t: float) -> float:
-        return arc.y.x2 - curve.f(curve.clamp_t(t)) + curve.f(curve.clamp_t(t + s))
-
-    v0, v1 = value(t0), value(t1)
-    return union_of([(min(v0, v1), max(v0, v1))])
+    t0 = np.maximum(np.maximum(arc.lo, curve.a - s), curve.a)
+    t1 = np.minimum(np.minimum(arc.hi, curve.b - s), curve.b)
+    row = np.flatnonzero(t0 <= t1 + DOMAIN_TOL)
+    s, t0 = s[row], t0[row]
+    t1 = np.maximum(t0, t1[row])
+    v0, v1 = (
+        arc.y.x2 - curve.f_array(np.clip(t, curve.a, curve.b))
+        + curve.f_array(np.clip(t + s, curve.a, curve.b))
+        for t in (t0, t1)
+    )
+    return IntervalUnion(np.minimum(v0, v1), np.maximum(v0, v1), row, np.size(alphas))
 
 
 def project_blinds_grid(
     curve: CurveProfile, alphas: Sequence[float], blinds: "BlindSet"
 ) -> Iterator[IntervalUnion]:
-    """Yield project_blinds(curve, alpha, blinds) for each alpha in turn.
+    """Project a blind set on every alpha, yielding one batch of rows at a time.
 
-    The one evaluation of Phi_alpha on segments.  Along a segment, Phi_alpha
-    has monotone derivative in the parameter, so each image interval is
-    spanned by the values at the strip-clipped endpoints and at the unique
-    interior critical point where f'(alpha - x1) equals the segment slope.
-    The alpha-independent segment terms are computed once, then
-    max(1, BUDGET // n) alphas at a time are projected as (rows x n) arrays.
-    Every element goes through the same float operations whatever the batch
-    size, so batching changes no bit of the result.
+    The one evaluation of Phi_alpha on segments.  Row i of a batch is the
+    union of the images of all segments at the batch's i-th alpha; the
+    batches follow the alphas in order.  Along a segment, Phi_alpha has
+    monotone derivative in the parameter, so each image interval is spanned
+    by the values at the strip-clipped endpoints and at the unique interior
+    critical point where f'(alpha - x1) equals the segment slope.  The
+    alpha-independent segment terms are computed once, then
+    max(1, BUDGET // n) alphas at a time are projected as (rows x n) arrays;
+    their canonical rows are stacked into one batch while rows x widest row
+    stays within BUDGET, so that consumers spend each numpy call on many
+    alphas.  Every element goes through the same float operations whatever
+    the batch size, so batching changes no bit of the result.
     """
     coords = blinds.coords
     ax, ay = coords[:, 0], coords[:, 1]
@@ -296,6 +301,7 @@ def project_blinds_grid(
     # temporaries are reused through out= or deleted once spent: freed numpy
     # buffers stay in the malloc heap, so this loop's high-water mark shows
     # in the peak RSS of the whole run
+    pending, widest = [], 0
     for first in range(0, len(alphas), rows):
         al = alphas[first : first + rows, None]
         lo, hi = curve.strip(al)
@@ -331,9 +337,18 @@ def project_blinds_grid(
             del vc
         del tc, inside
         np.copyto(los, np.inf, where=~valid)
-        yield from _canonical_rows(los, his)
+        batch = _canonical_rows(los, his)
+        del los, his
+        count = int(np.bincount(batch.row, minlength=1).max())
+        if pending and sum(b.rows for b in pending + [batch]) * max(widest, count) > BUDGET:
+            yield IntervalUnion.stack(pending)
+            pending, widest = [], 0
+        pending.append(batch)
+        widest = max(widest, count)
+    if pending:
+        yield IntervalUnion.stack(pending)
 
 
 def project_blinds(curve: CurveProfile, alpha: float, blinds: "BlindSet") -> IntervalUnion:
-    """Canonical union of the Phi_alpha images of all members of a blind set."""
+    """Canonical union of the Phi_alpha images of all members of a blind set, as one row."""
     return next(project_blinds_grid(curve, [alpha], blinds))

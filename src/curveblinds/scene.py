@@ -85,16 +85,25 @@ class SceneSpec:
                 node = node[key]
             return node
 
-        def pair(path: str) -> tuple[float, float]:
-            v = need(path)
+        def number(path: str, v) -> float:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise fail(path, f"expected a number, got {v!r}")
+            return float(v)
+
+        def integer(path: str, v, minimum: int) -> int:
+            if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
+                raise fail(path, f"expected an integer >= {minimum}, got {v!r}")
+            return v
+
+        def pair(path: str, v) -> tuple[float, float]:
             if not (isinstance(v, (list, tuple)) and len(v) == 2):
                 raise fail(path, "expected a [lo, hi] pair")
-            lo, hi = float(v[0]), float(v[1])
+            lo, hi = number(path, v[0]), number(path, v[1])
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise fail(path, "entries must be finite")
             return lo, hi
 
-        version = int(need("schema_version"))
+        version = integer("schema_version", need("schema_version"), 1)
         if version != 1:
             raise fail("schema_version", f"unsupported version {version}")
         curve_node = need("curve")
@@ -103,12 +112,11 @@ class SceneSpec:
             raise fail("curve.name", f"unknown curve {name!r}")
         bounds = None
         if "bounds" in curve_node:
-            b = curve_node["bounds"]
-            if not (isinstance(b, (list, tuple)) and len(b) == 2 and b[0] < b[1]):
+            bounds = pair("curve.bounds", curve_node["bounds"])
+            if not bounds[0] < bounds[1]:
                 raise fail("curve.bounds", "expected [a, b] with a < b")
-            bounds = (float(b[0]), float(b[1]))
-        y_lo, y_hi = pair("y")
-        sub = pair("subrange")
+        y_lo, y_hi = pair("y", need("y"))
+        sub = pair("subrange", need("subrange"))
         if not sub[0] < sub[1]:
             raise fail("subrange", "expected a' < b'")
         small_raw = need("A_small")
@@ -116,11 +124,12 @@ class SceneSpec:
             raise fail("A_small", "expected a nonempty list of intervals")
         small = []
         for i, comp in enumerate(small_raw):
-            if not (isinstance(comp, (list, tuple)) and len(comp) == 2 and comp[0] <= comp[1]):
+            lo, hi = pair(f"A_small[{i}]", comp)
+            if not lo <= hi:
                 raise fail(f"A_small[{i}]", "expected [lo, hi] with lo <= hi")
-            small.append((float(comp[0]), float(comp[1])))
+            small.append((lo, hi))
         small.sort()
-        cover = pair("A_cover")
+        cover = pair("A_cover", need("A_cover"))
         if cover[0] > cover[1]:
             raise fail("A_cover", "expected lo <= hi")
         for i, (slo, shi) in enumerate(small):
@@ -131,12 +140,10 @@ class SceneSpec:
                 raise fail("A_small", "components overlap")
         if not any(lo <= y_lo <= hi for lo, hi in small):
             raise fail("y", f"y.x1={y_lo!r} must lie in some A_small component")
-        epsilon = float(need("epsilon"))
-        delta = float(need("delta"))
-        if not (math.isfinite(epsilon) and epsilon > 0.0):
-            raise fail("epsilon", "must be finite and positive")
-        if not (math.isfinite(delta) and delta > 0.0):
-            raise fail("delta", "must be finite and positive")
+        epsilon, delta = (number(key, need(key)) for key in ("epsilon", "delta"))
+        for key, value in (("epsilon", epsilon), ("delta", delta)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise fail(key, "must be finite and positive")
         grids = data.get("grids", {})
         caps_node = data.get("caps", {})
         return cls(
@@ -150,13 +157,13 @@ class SceneSpec:
             a_cover_component=cover,
             epsilon=epsilon,
             delta=delta,
-            alpha_points=int(grids.get("alpha_points", 200)),
-            segment_points=int(grids.get("segment_points", 33)),
+            alpha_points=integer("grids.alpha_points", grids.get("alpha_points", 200), 2),
+            segment_points=integer("grids.segment_points", grids.get("segment_points", 33), 0),
             caps=Caps(
-                n_max=int(caps_node.get("N_max", Caps.n_max)),
-                m_max=int(caps_node.get("m_max", Caps.m_max)),
+                n_max=integer("caps.N_max", caps_node.get("N_max", Caps.n_max), 1),
+                m_max=integer("caps.m_max", caps_node.get("m_max", Caps.m_max), 1),
             ),
-            seed=int(data.get("seed", 0)),
+            seed=integer("seed", data.get("seed", 0), 0),
         )
 
 

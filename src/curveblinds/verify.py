@@ -17,13 +17,7 @@ import numpy as np
 from .blinds import BlindSet, rotate
 from .curve import CurveProfile, eval_phi, grad_phi
 from .geometry import Point, Segment
-from .measure import (
-    AlphaSet,
-    FiberArc,
-    contains,
-    project_blinds_grid,
-    project_fiber_arc,
-)
+from .measure import AlphaSet, FiberArc, IntervalUnion, project_blinds_grid, project_fiber_arc
 from .projline import dist, normalize
 
 Target = Union[Segment, FiberArc]
@@ -37,14 +31,7 @@ class PerAlpha:
     projected_measure: float
 
     def to_json_dict(self) -> dict:
-        out = {
-            "alpha": self.alpha,
-            "deficit": self.deficit,
-            "projected_measure": self.projected_measure,
-        }
-        if self.covered is not None:
-            out["covered"] = self.covered
-        return out
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 @dataclass
@@ -67,16 +54,10 @@ class VerificationReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "scene_id": self.scene_id,
-            "kind": self.kind,
-            "pass": self.passed,
-            "bound": self.bound,
-            "padding": self.padding,
-            "worst_alpha": self.worst_alpha,
-            "worst_value": self.worst_value,
-            "per_alpha": [pa.to_json_dict() for pa in self.per_alpha],
-        }
+        out = {key: value for key, value in vars(self).items() if key != "passed"}
+        out["pass"] = self.passed
+        out["per_alpha"] = [pa.to_json_dict() for pa in self.per_alpha]
+        return out
 
 
 def check_cover(
@@ -99,40 +80,43 @@ def check_cover(
         raise ValueError(f"margin must be >= 0, got {margin!r}")
     if shift < 0.0:
         raise ValueError(f"shift must be >= 0, got {shift!r}")
-    per_alpha: list[PerAlpha] = []
-    worst = (-math.inf, math.nan)
-    all_ok = True
     grid = alphas.grid()
     if isinstance(target, Segment):
-        targets = project_blinds_grid(curve, grid, BlindSet.from_segments([target]))
+        segment = BlindSet.from_segments([target])
+        targets = IntervalUnion.stack(project_blinds_grid(curve, grid, segment))
     else:
-        targets = (project_fiber_arc(curve, alpha, target) for alpha in grid.tolist())
-    blind_rows = project_blinds_grid(curve, grid, blinds)
-    for alpha, proj_e, proj_t in zip(grid.tolist(), blind_rows, targets):
+        targets = project_fiber_arc(curve, grid, target)
+    targets = targets.inflate(shift)
+    covered, deficits, measures, start = [], [], [], 0
+    for proj_e in project_blinds_grid(curve, grid, blinds):
+        proj_t = targets.row_slice(start, start + proj_e.rows)
+        start += proj_e.rows
         if shift > 0.0:
             proj_e = proj_e.erode(shift)
-            proj_t = proj_t.inflate(shift)
-        ok = contains(proj_e, proj_t, margin)
-        deficit = proj_t.difference(proj_e.inflate(margin)).measure if not ok else 0.0
-        per_alpha.append(PerAlpha(alpha, ok, deficit, proj_e.measure))
-        all_ok &= ok
-        if deficit > worst[0]:
-            worst = (deficit, alpha)
+        ok = proj_e.covers(proj_t)
+        deficit = np.zeros(len(ok))
+        if not ok.all():
+            # the margin only widens proj_e, so rows covered without it stay covered
+            grown = proj_e.inflate(margin)
+            ok = grown.covers(proj_t)
+            deficit = proj_t.difference(grown).measures()
+        deficits.append(deficit)
+        covered.append(ok)
+        measures.append(proj_e.measures())
+    covered, deficit, measure = map(np.concatenate, (covered, deficits, measures))
+    per_alpha = list(map(PerAlpha, *(x.tolist() for x in (grid, covered, deficit, measure))))
+    worst = per_alpha[int(np.argmax(deficit))]
+    all_ok = bool(covered.all())
     # unshifted, a grid pass certifies nothing between grid points: the margin
     # is a tolerance on the deficit, not headroom
-    padding = 0.0
-    if all_ok and shift > 0.0:
-        half_step = alphas.grid_step / 2.0
-        if shift >= curve.df_bound * half_step:
-            padding = half_step
     return VerificationReport(
         scene_id=scene_id,
         kind="cover",
         passed=all_ok,
         bound=margin,
-        padding=padding,
-        worst_alpha=worst[1],
-        worst_value=worst[0] if math.isfinite(worst[0]) else 0.0,
+        padding=_shift_padding(curve, alphas, shift) if all_ok else 0.0,
+        worst_alpha=worst.alpha,
+        worst_value=worst.deficit,
         per_alpha=per_alpha,
     )
 
@@ -156,28 +140,24 @@ def check_small(
         raise ValueError(f"bound must be positive, got {bound!r}")
     if shift < 0.0:
         raise ValueError(f"shift must be >= 0, got {shift!r}")
-    per_alpha: list[PerAlpha] = []
-    worst = (-math.inf, math.nan)
-    n_max = 0
     grid = alphas.grid()
-    for alpha, proj in zip(grid.tolist(), project_blinds_grid(curve, grid, blinds)):
+    measures, n_max = [], 0
+    for proj in project_blinds_grid(curve, grid, blinds):
         if shift > 0.0:
             proj = proj.inflate(shift)
-        m = proj.measure
-        per_alpha.append(PerAlpha(alpha, None, 0.0, m))
-        n_max = max(n_max, len(proj.intervals))
-        if m > worst[0]:
-            worst = (m, alpha)
-    passed = worst[0] < bound
+        measures.append(proj.measures())
+        n_max = max(n_max, int(np.bincount(proj.row, minlength=1).max()))
+    measure = np.concatenate(measures)
+    per_alpha = [PerAlpha(a, None, 0.0, m) for a, m in zip(grid.tolist(), measure.tolist())]
+    worst = per_alpha[int(np.argmax(measure))]
+    passed = worst.projected_measure < bound
     padding = 0.0
     if passed and shift > 0.0:
-        half_step = alphas.grid_step / 2.0
-        if shift >= curve.df_bound * half_step:
-            padding = half_step
+        padding = _shift_padding(curve, alphas, shift)
     elif passed and n_max > 0:
         # measure of an n-interval union moves by <= 2 n df_bound dalpha
         half_step = alphas.grid_step / 2.0
-        if worst[0] + 2.0 * n_max * curve.df_bound * half_step < bound:
+        if worst.projected_measure + 2.0 * n_max * curve.df_bound * half_step < bound:
             padding = half_step
     return VerificationReport(
         scene_id=scene_id,
@@ -185,10 +165,16 @@ def check_small(
         passed=passed,
         bound=bound,
         padding=padding,
-        worst_alpha=worst[1],
-        worst_value=worst[0],
+        worst_alpha=worst.alpha,
+        worst_value=worst.projected_measure,
         per_alpha=per_alpha,
     )
+
+
+def _shift_padding(curve: CurveProfile, alphas: AlphaSet, shift: float) -> float:
+    """Half the grid step if shift covers the endpoint motion over it, else 0."""
+    half_step = alphas.grid_step / 2.0
+    return half_step if shift > 0.0 and shift >= curve.df_bound * half_step else 0.0
 
 
 def gradient_check(

@@ -1,13 +1,139 @@
-"""Scalar reference for the segment projection, one segment and one alpha at a time.
+"""Scalar references: tuple interval unions and projections, one alpha at a time.
 
+``measure`` keeps interval unions as arrays, a batch of rows at a time, and
 ``measure.project_blinds_grid`` is the only projection of segments in the
-package; the kernel-equivalence tests compare it against this independent
-per-segment evaluation.
+package; the equivalence tests compare both against these independent
+per-alpha, per-interval evaluations.  ``rows_of``, ``to_scalar`` and
+``batch_of`` convert between the two representations.
 """
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from curveblinds.curve import DOMAIN_TOL, CurveProfile
 from curveblinds.geometry import Segment
-from curveblinds.measure import EMPTY, IntervalUnion, union_of
+from curveblinds.measure import MERGE_TOL, FiberArc, _canonical_rows
+
+
+@dataclass(frozen=True)
+class IntervalUnion:
+    """A canonical finite union of disjoint closed intervals [lo, hi]."""
+
+    intervals: tuple[tuple[float, float], ...]
+
+    @property
+    def measure(self) -> float:
+        return float(sum(hi - lo for lo, hi in self.intervals))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.intervals
+
+    def inflate(self, r: float) -> "IntervalUnion":
+        """Thicken every interval by r on both sides (then re-canonicalize)."""
+        if r < 0.0:
+            raise ValueError(f"inflation radius must be >= 0, got {r!r}")
+        return union_of([(lo - r, hi + r) for lo, hi in self.intervals])
+
+    def erode(self, r: float) -> "IntervalUnion":
+        """Shrink every interval by r on both sides, dropping emptied ones."""
+        if r < 0.0:
+            raise ValueError(f"erosion radius must be >= 0, got {r!r}")
+        return union_of(
+            [(lo + r, hi - r) for lo, hi in self.intervals if hi - lo > 2.0 * r]
+        )
+
+    def difference(self, other: "IntervalUnion") -> "IntervalUnion":
+        """The closure of self minus other, as a canonical union."""
+        pieces: list[tuple[float, float]] = []
+        for lo, hi in self.intervals:
+            cur = lo
+            for olo, ohi in other.intervals:
+                if ohi <= cur or olo >= hi:
+                    continue
+                if olo > cur:
+                    pieces.append((cur, olo))
+                cur = max(cur, ohi)
+                if cur >= hi:
+                    break
+            if cur < hi:
+                pieces.append((cur, hi))
+        return union_of(pieces)
+
+
+EMPTY = IntervalUnion(())
+
+
+def union_of(
+    intervals: Iterable[Sequence[float]], merge_tol: float = MERGE_TOL
+) -> IntervalUnion:
+    """Canonicalize a collection of closed intervals (merge overlaps/dust)."""
+    items = []
+    for iv in intervals:
+        lo, hi = float(iv[0]), float(iv[1])
+        if hi < lo:
+            raise ValueError(f"inverted interval [{lo!r}, {hi!r}]")
+        items.append((lo, hi))
+    if not items:
+        return EMPTY
+    items.sort()
+    merged = [items[0]]
+    for lo, hi in items[1:]:
+        mlo, mhi = merged[-1]
+        if lo <= mhi + merge_tol:
+            if hi > mhi:
+                merged[-1] = (mlo, hi)
+        else:
+            merged.append((lo, hi))
+    return IntervalUnion(tuple(merged))
+
+
+def contains(u: IntervalUnion, target: IntervalUnion, margin: float = 0.0) -> bool:
+    """True iff every point of target is within margin of u's covered set."""
+    if margin < 0.0:
+        raise ValueError(f"margin must be >= 0, got {margin!r}")
+    inflated = u.inflate(margin) if margin > 0.0 else u
+    for lo, hi in target.intervals:
+        ok = False
+        for ulo, uhi in inflated.intervals:
+            if ulo <= lo and hi <= uhi:
+                ok = True
+                break
+            if ulo > lo:
+                break
+        if not ok:
+            return False
+    return True
+
+
+def rows_of(batch) -> list[tuple[tuple[float, float], ...]]:
+    """The rows of an array union as tuples of (lo, hi) pairs, comparable
+    with ``==`` to the reference's ``intervals``."""
+    rows: list[list[tuple[float, float]]] = [[] for _ in range(batch.rows)]
+    for row, lo, hi in zip(batch.row.tolist(), batch.lo.tolist(), batch.hi.tolist()):
+        rows[row].append((lo, hi))
+    return [tuple(row) for row in rows]
+
+
+def to_scalar(one_row) -> IntervalUnion:
+    """A one-row array union as a reference union."""
+    (intervals,) = rows_of(one_row)
+    return IntervalUnion(intervals)
+
+
+def batch_of(rows: Sequence[Sequence[Sequence[float]]]):
+    """An array union with one row per list of intervals (canonicalized)."""
+    width = max([1] + [len(row) for row in rows])
+    los = np.full((len(rows), width), np.inf)
+    his = np.zeros((len(rows), width))
+    for r, row in enumerate(rows):
+        for c, (lo, hi) in enumerate(row):
+            los[r, c], his[r, c] = lo, hi
+    return _canonical_rows(los, his)
 
 
 def project_segment(curve: CurveProfile, alpha: float, seg: Segment) -> IntervalUnion:
@@ -59,3 +185,25 @@ def project_segment(curve: CurveProfile, alpha: float, seg: Segment) -> Interval
 def project_segments(curve: CurveProfile, alpha: float, segs) -> IntervalUnion:
     """Canonical union of project_segment over segs."""
     return union_of(iv for s in segs for iv in project_segment(curve, alpha, s).intervals)
+
+
+def project_fiber_arc(curve: CurveProfile, alpha: float, arc: FiberArc) -> IntervalUnion:
+    """Image of Phi_alpha over the fiber arc clipped to the strip.
+
+    Along the fiber, Phi_alpha(t) = y2 - f(t) + f(t + (alpha - y1)); its
+    derivative f'(t + s) - f'(t) has a fixed sign (f' strictly monotone), so
+    the image endpoints sit at the extreme admissible parameters.
+    """
+    s = alpha - arc.y.x1
+    # strip constraint: x1 = y1 - t in [alpha - b, alpha - a]  <=>  t in [a - s, b - s]
+    t0 = max(arc.lo, curve.a - s, curve.a)
+    t1 = min(arc.hi, curve.b - s, curve.b)
+    if t0 > t1 + DOMAIN_TOL:
+        return EMPTY
+    t1 = max(t0, t1)
+
+    def value(t: float) -> float:
+        return arc.y.x2 - curve.f(curve.clamp_t(t)) + curve.f(curve.clamp_t(t + s))
+
+    v0, v1 = value(t0), value(t1)
+    return union_of([(min(v0, v1), max(v0, v1))])

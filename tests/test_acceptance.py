@@ -28,16 +28,12 @@ from curveblinds.keylemma import (
     local_construction,
     polygon_approx,
 )
-from curveblinds.measure import (
-    contains,
-    project_blinds,
-    project_fiber_arc,
-)
+from curveblinds.measure import project_blinds
 from curveblinds.projline import CCW, angle_schedule, dist
 from curveblinds.scene import BUNDLED_SCENES, load_scene
 from curveblinds.verify import gradient_check, law_of_sines_check
 from curveblinds.cli import run_construct
-from scalar_projection import project_segments
+from scalar_projection import contains, project_fiber_arc, project_segments
 
 
 def _verdict(capsys, ok: bool, label: str, detail: str) -> None:
@@ -151,7 +147,7 @@ def test_criterion_05_smallness_scaling(capsys):
             curve, seg, bands, a_small, a_cover, eps, delta, caps=spec.caps
         )
         worst = max(
-            project_blinds(curve, float(a), blinds).measure
+            project_blinds(curve, float(a), blinds).measures()[0]
             for a in a_small.grid()
         )
         ratios.append(worst / (eps * seg.length))

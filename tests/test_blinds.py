@@ -18,7 +18,7 @@ from curveblinds.blinds import (
 )
 from curveblinds.curve import builtin_curve
 from curveblinds.geometry import Point, Segment
-from curveblinds.measure import AlphaSet, contains, project_blinds
+from curveblinds.measure import AlphaSet, project_blinds
 from curveblinds.projline import (
     ANGLE_TOL,
     CCW,
@@ -30,7 +30,7 @@ from curveblinds.projline import (
     dist,
     normalize,
 )
-from scalar_projection import project_segment
+from scalar_projection import contains, project_segment, to_scalar
 
 SEG = Segment(Point(0.0, 0.0), Point(1.0, 0.3))
 
@@ -258,7 +258,7 @@ def test_auto_vb_cover_certifies_projection_containment():
     # independent oracle: the blind projections must cover the segment's
     for alpha in a_cover.grid():
         target = project_segment(curve, float(alpha), seg)
-        got = project_blinds(curve, float(alpha), blinds)
+        got = to_scalar(project_blinds(curve, float(alpha), blinds))
         assert contains(got, target, 1e-9)
 
 

@@ -10,13 +10,7 @@ from curveblinds.blinds import BlindSet, iter_vb, vb
 from curveblinds.cli import _BLOCK_ROWS, _dump_json, main, run_checks, run_construct
 from curveblinds.curve import builtin_curve
 from curveblinds.geometry import Point, Segment
-from curveblinds.measure import (
-    AlphaSet,
-    FiberArc,
-    contains,
-    project_blinds_grid,
-    project_fiber_arc,
-)
+from curveblinds.measure import AlphaSet, FiberArc, project_blinds_grid, project_fiber_arc
 from curveblinds.projline import CCW
 from curveblinds.scene import load_scene
 from curveblinds.verify import PerAlpha, VerificationReport, check_cover, check_small
@@ -66,11 +60,15 @@ def test_rigorous_certificates_hold_between_grid_points(scene, tmp_path):
     arc = FiberArc(spec.y, *spec.subrange)  # the unpadded arc
     rng = np.random.default_rng(11)
     cover_alphas = _off_grid(spec.a_cover(), rng)
-    for alpha, proj in zip(cover_alphas, project_blinds_grid(curve, cover_alphas, blinds)):
-        assert contains(proj, project_fiber_arc(curve, alpha, arc), 1e-9), alpha
+    targets = project_fiber_arc(curve, cover_alphas, arc)
+    start = 0
+    for proj in project_blinds_grid(curve, cover_alphas, blinds):
+        covered = proj.inflate(1e-9).covers(targets.row_slice(start, start + proj.rows))
+        assert covered.all(), cover_alphas[start + int(np.argmin(covered))]
+        start += proj.rows
     small_alphas = _off_grid(spec.a_small(), rng)
     assert len(small_alphas) >= 2 * 199
-    worst = max(p.measure for p in project_blinds_grid(curve, small_alphas, blinds))
+    worst = max(p.measures().max() for p in project_blinds_grid(curve, small_alphas, blinds))
     assert worst < spec.epsilon
 
 
@@ -92,6 +90,14 @@ def test_construct_grid_alpha_override(tmp_path):
     coarse = dataclasses.replace(spec, alpha_points=50)
     _, report2 = run_construct(coarse, tmp_path / "b")
     assert len(report["cover"]["per_alpha"]) > len(report2["cover"]["per_alpha"])
+
+
+@pytest.mark.parametrize("points", ["1", "0", "-5"])
+def test_construct_rejects_too_small_alpha_grid(points, tmp_path, capsys):
+    code = main(["construct", "--scene", "Q1", "--grid-alpha", points, "--out", str(tmp_path)])
+    assert code == 2
+    assert "points per component must be an integer >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_construct_unknown_scene_exit_2(tmp_path, capsys):

@@ -19,14 +19,15 @@ from curveblinds.keylemma import (
     local_construction,
     polygon_approx,
 )
-from curveblinds.measure import (
-    AlphaSet,
-    contains,
-    project_blinds,
-    project_fiber_arc,
-)
+from curveblinds.measure import AlphaSet, project_blinds
 from curveblinds.scene import load_scene
-from scalar_projection import project_segment, project_segments
+from scalar_projection import (
+    contains,
+    project_fiber_arc,
+    project_segment,
+    project_segments,
+    to_scalar,
+)
 
 
 def _fiber_distance_oracle(curve, arc, p):
@@ -157,11 +158,11 @@ def test_local_construction_covers_and_stays_close():
     # covering oracle: projections contain the segment's projections
     for alpha in a_cover.grid():
         target = project_segment(curve, float(alpha), seg)
-        got = project_blinds(curve, float(alpha), blinds)
+        got = to_scalar(project_blinds(curve, float(alpha), blinds))
         assert contains(got, target, 1e-9)
     # smallness sanity: projected measure over A_small shrinks below eps
     worst = max(
-        project_blinds(curve, float(a), blinds).measure for a in a_small.grid()
+        project_blinds(curve, float(a), blinds).measures()[0] for a in a_small.grid()
     )
     assert worst < spec.epsilon
 

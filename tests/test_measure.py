@@ -5,41 +5,44 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveblinds.blinds import BlindSet
 from curveblinds.curve import CurveProfile, builtin_curve, eval_phi
 from curveblinds.geometry import Point, Segment
 from curveblinds.measure import (
     BUDGET,
+    MERGE_TOL,
     AlphaSet,
-    EMPTY,
     FiberArc,
     _canonical_rows,
-    contains,
     project_blinds,
     project_blinds_grid,
     project_fiber_arc,
+)
+from scalar_projection import (
+    batch_of,
+    contains,
+    project_segment,
+    project_segments,
+    rows_of,
     union_of,
 )
-from scalar_projection import project_segment, project_segments
+from scalar_projection import project_fiber_arc as scalar_fiber_arc
 
 
-def test_union_of_canonicalizes():
-    u = union_of([(3.0, 4.0), (0.0, 1.0), (0.5, 2.0)])
-    assert u.intervals == ((0.0, 2.0), (3.0, 4.0))
-    assert math.isclose(u.measure, 3.0)
-    assert union_of([]).is_empty
-    assert EMPTY.measure == 0.0
+def test_canonical_rows_canonicalizes():
+    u = batch_of([[(3.0, 4.0), (0.0, 1.0), (0.5, 2.0)], []])
+    assert rows_of(u) == [((0.0, 2.0), (3.0, 4.0)), ()]
+    assert u.measures().tolist() == [3.0, 0.0]
+    assert rows_of(batch_of([[]])) == [()]
+    assert batch_of([[], []]).measures().tolist() == [0.0, 0.0]
 
 
-def test_union_of_merges_dust_gaps():
-    u = union_of([(0.0, 1.0), (1.0 + 1e-15, 2.0)])
-    assert len(u.intervals) == 1
-
-
-def test_union_of_rejects_inverted():
-    with pytest.raises(ValueError):
-        union_of([(1.0, 0.0)])
+def test_canonical_rows_merges_dust_gaps():
+    u = batch_of([[(0.0, 1.0), (1.0 + 1e-15, 2.0)]])
+    assert rows_of(u) == [((0.0, 2.0),)]
 
 
 def test_union_from_arrays_matches_union_of():
@@ -50,22 +53,22 @@ def test_union_from_arrays_matches_union_of():
         los = rng.uniform(-5, 5, (rows, n))
         his = los + rng.uniform(0.0, 1.0, (rows, n))
         los[rng.random((rows, n)) < 0.2] = np.inf
-        fast = _canonical_rows(los, his)
-        for row, got in enumerate(fast):
-            kept = los[row] < np.inf
-            slow = union_of(list(zip(los[row][kept].tolist(), his[row][kept].tolist())))
-            assert got.intervals == slow.intervals
+        expected = [
+            union_of(zip(lo[lo < np.inf].tolist(), hi[lo < np.inf].tolist())).intervals
+            for lo, hi in zip(los, his)
+        ]
+        assert rows_of(_canonical_rows(los, his)) == expected
 
 
 def test_inflate_and_erode():
-    u = union_of([(0.0, 1.0), (2.0, 2.1)])
+    u = batch_of([[(0.0, 1.0), (2.0, 2.1)], []])
     inflated = u.inflate(0.2)
-    assert math.isclose(inflated.measure, 1.4 + 0.5)
+    assert math.isclose(inflated.measures()[0], 1.4 + 0.5)
     eroded = u.erode(0.1)
-    assert eroded.intervals == ((0.1, 0.9),)  # the short interval vanishes
+    assert rows_of(eroded) == [((0.1, 0.9),), ()]  # the short interval vanishes
     # erosion then inflation is a contraction
     back = eroded.inflate(0.1)
-    assert contains(u, back)
+    assert u.covers(back).all()
     with pytest.raises(ValueError):
         u.inflate(-0.1)
     with pytest.raises(ValueError):
@@ -73,27 +76,87 @@ def test_inflate_and_erode():
 
 
 def test_difference():
-    u = union_of([(0.0, 4.0)])
-    v = union_of([(1.0, 2.0), (3.0, 5.0)])
-    d = u.difference(v)
-    assert d.intervals == ((0.0, 1.0), (2.0, 3.0))
-    assert u.difference(u).is_empty
+    u = batch_of([[(0.0, 4.0)], [(0.0, 1.0)], []])
+    v = batch_of([[(1.0, 2.0), (3.0, 5.0)], [], [(0.0, 1.0)]])
+    assert rows_of(u.difference(v)) == [((0.0, 1.0), (2.0, 3.0)), ((0.0, 1.0),), ()]
+    assert rows_of(u.difference(u)) == [(), (), ()]
 
 
 def test_contains_with_margin():
-    u = union_of([(0.0, 1.0)])
-    t = union_of([(0.1, 0.9)])
-    assert contains(u, t)
-    assert not contains(t, u)
-    assert contains(t, u, margin=0.2)
-    with pytest.raises(ValueError):
-        contains(u, t, margin=-1.0)
+    # containment with a margin is containment in the inflated union
+    u = batch_of([[(0.0, 1.0)]])
+    t = batch_of([[(0.1, 0.9)]])
+    assert u.covers(t).all()
+    assert not t.covers(u).any()
+    assert t.inflate(0.2).covers(u).all()
 
 
 def test_contains_requires_single_component_cover():
-    u = union_of([(0.0, 0.4), (0.6, 1.0)])
-    t = union_of([(0.1, 0.9)])  # spans the gap
-    assert not contains(u, t)
+    u = batch_of([[(0.0, 0.4), (0.6, 1.0)], [(0.0, 0.4), (0.4 + 1e-15, 1.0)]])
+    t = batch_of([[(0.1, 0.9)], [(0.1, 0.9)]])  # spans the gap; dust merges
+    assert u.covers(t).tolist() == [False, True]
+
+
+# interval rows with dust gaps of 1e-15 and exactly MERGE_TOL, overlaps,
+# degenerate [x, x] intervals and empty rows, listed in any order
+_GAPS = st.sampled_from([-0.3, 0.0, 1e-15, MERGE_TOL, 2e-12, 1e-9, 0.25])
+_WIDTHS = st.sampled_from([0.0, 1e-15, MERGE_TOL, 1e-9, 0.05]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _interval_rows(draw, rows):
+    out = []
+    for _ in range(rows):
+        x = draw(st.floats(-2.0, 2.0))
+        row = []
+        for _ in range(draw(st.integers(0, 6))):
+            x += draw(_GAPS)
+            width = draw(_WIDTHS)
+            row.append((x, x + width))
+            x += width
+        out.append(draw(st.permutations(row)))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 4).flatmap(lambda rows: st.tuples(_interval_rows(rows), _interval_rows(rows))),
+    st.sampled_from([0.0, 1e-9]),
+    st.sampled_from([1e-15, MERGE_TOL, 1e-9, 0.01, 0.2]) | st.floats(0.0, 0.5),
+)
+def test_array_operations_match_scalar_reference(rows, margin, shift):
+    a_rows, b_rows = rows
+    a, b = batch_of(a_rows), batch_of(b_rows)
+    ra = [union_of(row) for row in a_rows]
+    rb = [union_of(row) for row in b_rows]
+    assert rows_of(a) == [u.intervals for u in ra]
+    assert a.measures().tolist() == [u.measure for u in ra]
+    inflated, eroded = a.inflate(shift), a.erode(shift)
+    assert rows_of(inflated) == [u.inflate(shift).intervals for u in ra]
+    assert rows_of(eroded) == [u.erode(shift).intervals for u in ra]
+    assert eroded.measures().tolist() == [u.erode(shift).measure for u in ra]
+    grown = a.inflate(margin)
+    assert grown.covers(b).tolist() == [contains(u, v, margin) for u, v in zip(ra, rb)]
+    # the certificate skips the margin for rows covered without it
+    assert not (a.covers(b) & ~grown.covers(b)).any()
+    for target, scalar in ((b, rb), (b.inflate(shift), [v.inflate(shift) for v in rb])):
+        expected = [v.difference(u.inflate(margin)) for u, v in zip(ra, scalar)]
+        deficit = target.difference(grown)
+        assert rows_of(deficit) == [d.intervals for d in expected]
+        assert deficit.measures().tolist() == [d.measure for d in expected]
+
+
+def test_measures_sum_left_to_right():
+    # disjoint intervals over thirty binades: pairwise summation (np.sum,
+    # np.add.reduceat) differs from Python's left-to-right sum on some rows
+    rng = np.random.default_rng(5)
+    rows = [
+        np.sort(np.exp(rng.uniform(-30.0, 0.0, 2 * k))).reshape(k, 2).tolist()
+        for k in rng.integers(0, 300, 40).tolist()
+    ]
+    widths = [[hi - lo for lo, hi in row] for row in rows]
+    assert any(sum(w) != float(np.sum(w)) for w in widths)
+    assert batch_of(rows).measures().tolist() == [union_of(row).measure for row in rows]
 
 
 def test_alpha_set_grid_and_membership():
@@ -145,15 +208,15 @@ def test_project_segment_matches_sampling_oracle():
                 continue
             seg = Segment(a, b)
             u = project_blinds(curve, alpha, BlindSet.from_segments([seg]))
-            assert u == project_segment(curve, alpha, seg)
+            assert rows_of(u) == [project_segment(curve, alpha, seg).intervals]
             oracle = _segment_oracle(curve, alpha, seg)
             if oracle is None:
-                assert u.is_empty
+                assert rows_of(u) == [()]
                 continue
-            if u.is_empty:
+            if rows_of(u) == [()]:
                 # clipped sliver below sampling resolution
                 continue
-            (lo, hi), (olo, ohi) = u.intervals[0], oracle
+            (lo, hi), (olo, ohi) = (u.lo[0], u.hi[0]), oracle
             # exact interval contains the sampled values ...
             assert lo <= olo + 1e-9
             assert hi >= ohi - 1e-9
@@ -168,8 +231,8 @@ def test_project_segment_vertical():
     blinds = BlindSet.from_segments([Segment(Point(1.5, 0.0), Point(1.5, 2.0))])
     u = project_blinds(curve, 2.0, blinds)
     base = curve.f(0.5)
-    assert u.intervals == ((base, 2.0 + base),)
-    assert project_blinds(curve, 5.0, blinds).is_empty
+    assert rows_of(u) == [((base, 2.0 + base),)]
+    assert rows_of(project_blinds(curve, 5.0, blinds)) == [()]
 
 
 def test_project_fiber_arc_matches_sampling():
@@ -181,20 +244,36 @@ def test_project_fiber_arc_matches_sampling():
         for _ in range(10):
             alpha = float(rng.uniform(curve.a + 0.7, curve.b + 0.5))
             u = project_fiber_arc(curve, alpha, arc)
+            assert rows_of(u) == [scalar_fiber_arc(curve, alpha, arc).intervals]
             s = alpha - y.x1
             t0 = max(arc.lo, curve.a - s, curve.a)
             t1 = min(arc.hi, curve.b - s, curve.b)
             if t0 > t1:
-                assert u.is_empty
+                assert rows_of(u) == [()]
                 continue
             ts = np.linspace(t0, t1, 5001)
             vals = [
                 y.x2 - curve.f(curve.clamp_t(t)) + curve.f(curve.clamp_t(t + s))
                 for t in ts
             ]
-            lo, hi = u.intervals[0]
+            lo, hi = u.lo[0], u.hi[0]
             assert abs(lo - min(vals)) < 1e-9
             assert abs(hi - max(vals)) < 1e-9
+
+
+def test_project_fiber_arc_batch_matches_scalar_reference():
+    # a grid across the whole strip range, plus alphas whose admissible
+    # parameter range is empty by less and by more than DOMAIN_TOL at either end
+    for name in ("parabola", "quarter_circle", "exp"):
+        curve = builtin_curve(name)
+        y = Point(0.5, 1.0)
+        arc = FiberArc(y, curve.a + 0.2 * (curve.b - curve.a), curve.b - 0.1 * (curve.b - curve.a))
+        edges = [y.x1 + curve.b - arc.lo, y.x1 + curve.a - arc.hi]
+        alphas = np.linspace(edges[1] - 0.1, edges[0] + 0.1, 41).tolist()
+        alphas += [e + sign * d for e in edges for sign in (1, -1) for d in (5e-13, 3e-12)]
+        expected = [scalar_fiber_arc(curve, alpha, arc).intervals for alpha in alphas]
+        assert rows_of(project_fiber_arc(curve, alphas, arc)) == expected
+        assert sum(len(row) == 1 and row[0][0] == row[0][1] for row in expected) >= 2
 
 
 def test_fiber_arc_rejects_empty_range():
@@ -213,9 +292,9 @@ def test_project_blinds_fast_path_matches_slow_path():
         for alpha in np.linspace(-0.5, 2.0, 11).tolist():
             slow = project_segments(fast_curve, alpha, blinds.segments)
             for curve in (fast_curve, slow_curve):
-                fast = project_blinds(curve, alpha, blinds)
-                assert len(fast.intervals) == len(slow.intervals)
-                for (flo, fhi), (slo, shi) in zip(fast.intervals, slow.intervals):
+                (fast,) = rows_of(project_blinds(curve, alpha, blinds))
+                assert len(fast) == len(slow.intervals)
+                for (flo, fhi), (slo, shi) in zip(fast, slow.intervals):
                     assert abs(flo - slo) < 1e-9
                     assert abs(fhi - shi) < 1e-9
 
@@ -226,7 +305,8 @@ def test_project_blinds_drops_segments_outside_the_strip():
     curve = builtin_curve("parabola")
     blinds = BlindSet(np.array([[0.0, 0.0, 0.1, 0.0], [2.0, -1.0, 2.0, 1.0]]))
     expected = project_segment(curve, 0.5, blinds.segments[0])
-    assert list(project_blinds_grid(curve, [0.5, 0.5], blinds)) == [expected] * 2
+    (batch,) = project_blinds_grid(curve, [0.5, 0.5], blinds)
+    assert rows_of(batch) == [expected.intervals] * 2
 
 
 def _random_blinds(rng, n):
@@ -244,10 +324,17 @@ def _random_blinds(rng, n):
 
 
 def _assert_grid_matches_per_alpha(curve, alphas, blinds):
-    batched = list(project_blinds_grid(curve, alphas, blinds))
+    batches = list(project_blinds_grid(curve, alphas, blinds))
+    step = max(1, BUDGET // len(blinds))
+    assert sum(b.rows for b in batches) == len(alphas)
+    for b in batches:
+        # whole kernel steps, stacked while rows x widest row stays within BUDGET
+        assert b.rows % step == 0 or b is batches[-1]
+        assert b.rows <= step or b.rows * np.bincount(b.row).max() <= BUDGET
+    batched = [row for b in batches for row in rows_of(b)]
     assert len(batched) == len(alphas)
     for alpha, got in zip(alphas, batched):
-        assert got.intervals == project_blinds(curve, alpha, blinds).intervals
+        assert [got] == rows_of(project_blinds(curve, alpha, blinds))
     return batched
 
 
@@ -260,7 +347,7 @@ def test_project_blinds_grid_equals_per_alpha(name):
     alphas = np.concatenate([np.linspace(-1.0, 2.5, 95), [4.0, 5.0]]).tolist()
     for n in (1, 5, 120, 1248):
         batched = _assert_grid_matches_per_alpha(curve, alphas, _random_blinds(rng, n))
-        assert batched[-1].is_empty and not batched[len(alphas) // 2].is_empty
+        assert batched[-1] == () and batched[len(alphas) // 2] != ()
 
 
 @pytest.mark.parametrize(
@@ -270,6 +357,22 @@ def test_project_blinds_grid_equals_per_alpha_at_batch_edges(n):
     curve = builtin_curve("parabola")
     blinds = _random_blinds(np.random.default_rng(n), n)
     _assert_grid_matches_per_alpha(curve, np.linspace(-0.5, 2.0, 7).tolist(), blinds)
+
+
+def test_project_blinds_grid_stacks_steps_up_to_budget():
+    # one alpha per kernel step; narrow rows stack, a row as wide as the
+    # budget allows stands alone
+    curve = builtin_curve("parabola")
+    blinds = _random_blinds(np.random.default_rng(9), BUDGET)
+    alphas = np.linspace(-0.5, 2.0, 7).tolist()
+    batches = _assert_grid_matches_per_alpha(curve, alphas, blinds)
+    assert len(list(project_blinds_grid(curve, alphas, blinds))) < len(alphas)
+    # short horizontal segments 1e-3 apart project to BUDGET disjoint intervals
+    heights = np.arange(BUDGET) * 1e-3
+    wide = BlindSet(np.column_stack([np.full(BUDGET, 0.2), heights, np.full(BUDGET, 0.2001), heights]))
+    rows = list(project_blinds_grid(curve, [0.5, 0.5, 0.5], wide))
+    assert [(b.rows, len(b.row)) for b in rows] == [(1, BUDGET)] * 3
+    assert batches[len(alphas) // 2] != ()
 
 
 def test_project_blinds_grid_fallback_for_scalar_curves():
@@ -286,4 +389,11 @@ def test_project_blinds_grid_fallback_for_scalar_curves():
     alphas = np.linspace(-1.0, 3.0, 11).tolist()
     batched = _assert_grid_matches_per_alpha(curve, alphas, blinds)
     for alpha, got in zip(alphas, batched):
-        assert got == project_segments(curve, alpha, blinds.segments)
+        assert got == project_segments(curve, alpha, blinds.segments).intervals
+
+
+@pytest.mark.parametrize("points", [-5, 0, 1, 1.7, 2.0, True, "200"])
+def test_alpha_set_rejects_too_few_or_non_integer_points(points):
+    with pytest.raises(ValueError, match="points per component"):
+        AlphaSet.from_intervals([(0.0, 1.0)], points_per_component=points)
+    assert len(AlphaSet.interval(0.0, 1.0, 2).grid()) == 2

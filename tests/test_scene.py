@@ -104,3 +104,40 @@ def test_defaults_fill_in():
     assert spec.segment_points == 33
     assert spec.seed == 0
     assert spec.scene_id == "scene"
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        ("epsilon", "abc"),
+        ("delta", "abc"),
+        ("epsilon", True),
+        ("grids.alpha_points", "x"),
+        ("grids.alpha_points", 1.7),
+        ("grids.alpha_points", -5),
+        ("grids.alpha_points", 1),
+        ("grids.segment_points", "x"),
+        ("grids.segment_points", -1),
+        ("caps.N_max", 0),
+        ("caps.N_max", "big"),
+        ("caps.m_max", 0),
+        ("caps.m_max", 2.5),
+        ("seed", "s"),
+        ("seed", 1.5),
+        ("schema_version", "1"),
+        ("y", [0.5, "abc"]),
+        ("A_small", [["a", 0.54]]),
+    ],
+)
+def test_numeric_fields_fail_with_their_name(path, value):
+    # the error names the field; A_small names the offending component
+    data = _valid_scene_dict()
+    *parents, key = path.split(".")
+    node = data
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    with pytest.raises(SceneError) as err:
+        SceneSpec.from_json_dict(data)
+    named = "A_small[0]" if path == "A_small" else path
+    assert str(err.value).startswith(f"{named}: ")

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from curveblinds.blinds import BlindSet
 from curveblinds.curve import builtin_curve
 from curveblinds.geometry import Point, Segment
+from curveblinds.keylemma import default_alpha_box, polygon_approx
 from curveblinds.measure import AlphaSet, FiberArc
 from curveblinds.verify import (
     check_cover,
@@ -14,6 +16,7 @@ from curveblinds.verify import (
     gradient_check,
     law_of_sines_check,
 )
+from scalar_projection import contains, project_fiber_arc, project_segment, project_segments
 
 CURVE = builtin_curve("parabola")
 ALPHAS = AlphaSet.interval(0.7, 0.9, 20)  # strips contain all test segments
@@ -135,3 +138,59 @@ def test_law_of_sines_check_small():
     assert law_of_sines_check(trials=200, seed=1) < 1e-10
     with pytest.raises(ValueError):
         law_of_sines_check(trials=0)
+
+
+def _failing_cover_cases():
+    """Blinds that leave parts of their target uncovered at many alphas: a
+    tangent chain of the fiber arc with every segment shrunk to 90% about
+    its midpoint, and short random segments against one long segment."""
+    curve = builtin_curve("parabola")
+    chain = polygon_approx(curve, Point(0.5, 0.1), (0.3, 0.6), 0.05, 0.01)
+    ends = BlindSet.from_segments(chain.segments()).coords.reshape(-1, 2, 2)
+    mid = ends.mean(axis=1, keepdims=True)
+    shrunk = BlindSet((mid + 0.9 * (ends - mid)).reshape(-1, 4))
+    yield curve, shrunk, chain.source, default_alpha_box(curve, chain.source, 80)
+    rng = np.random.default_rng(8)
+    ax, ay = rng.uniform(-0.2, 0.6, 20), rng.uniform(-0.3, 0.3, 20)
+    theta, length = rng.uniform(0.0, math.pi, 20), rng.uniform(0.01, 0.2, 20)
+    coords = np.column_stack([ax, ay, ax + length * np.cos(theta), ay + length * np.sin(theta)])
+    target = Segment(Point(-0.1, -0.2), Point(0.5, 0.25))
+    yield curve, BlindSet(coords), target, AlphaSet.from_intervals([(0.3, 0.7), (0.9, 1.2)], 45)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.004])
+def test_check_reports_match_scalar_per_alpha_loop(shift):
+    # every per_alpha row equals the scalar per-alpha loop of the reference
+    # interval operations, bit for bit, including rows with a nonzero deficit
+    for curve, blinds, target, alphas in _failing_cover_cases():
+        cover_rows, small_rows = [], []
+        for alpha in alphas.grid().tolist():
+            proj_e = project_segments(curve, alpha, blinds.segments)
+            if isinstance(target, Segment):
+                proj_t = project_segment(curve, alpha, target)
+            else:
+                proj_t = project_fiber_arc(curve, alpha, target)
+            small_rows.append(
+                {"alpha": alpha, "deficit": 0.0, "projected_measure": proj_e.inflate(shift).measure}
+            )
+            if shift > 0.0:
+                proj_e = proj_e.erode(shift)
+                proj_t = proj_t.inflate(shift)
+            ok = contains(proj_e, proj_t, 1e-9)
+            deficit = proj_t.difference(proj_e.inflate(1e-9)).measure if not ok else 0.0
+            cover_rows.append(
+                {"alpha": alpha, "covered": ok, "deficit": deficit, "projected_measure": proj_e.measure}
+            )
+        cover = check_cover(curve, blinds, target, alphas, margin=1e-9, shift=shift).to_json_dict()
+        small = check_small(curve, blinds, alphas, bound=1.0, shift=shift).to_json_dict()
+        assert cover["per_alpha"] == cover_rows
+        assert small["per_alpha"] == small_rows
+        assert sum(not row["covered"] for row in cover_rows) > 5
+        assert sum(row["deficit"] > 1e-6 for row in cover_rows) > 5
+        worst = max(cover_rows, key=lambda row: row["deficit"])
+        assert (cover["worst_alpha"], cover["worst_value"]) == (worst["alpha"], worst["deficit"])
+        worst = max(small_rows, key=lambda row: row["projected_measure"])
+        assert (small["worst_alpha"], small["worst_value"]) == (
+            worst["alpha"],
+            worst["projected_measure"],
+        )
