@@ -5,8 +5,10 @@ segment from its start to the intersection of two direction lines; VB does
 both; IterVB iterates VB along an equally spaced angle schedule with one
 branching count per level.  One array kernel, _divide_rotate_level, does the
 dividing and rotating for every entry point.  The auto_* searches realize
-the paper-style "sufficiently large" parameters as predicate-checked
-doubling with caps.
+the paper-style "sufficiently large" piece counts: stage 1 (auto_vb_cover)
+and every stage-2 level (auto_iter_vb) run one level search, _level_search,
+which doubles the count under one cap until the blade tips stay within budget
+and the hulls satisfy the covering hypotheses.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ from .projline import (
     ANGLE_TOL,
     CCW,
     CHIRALITIES,
-    PI,
     Arc,
     Direction,
     angle_schedule,
     as_direction,
-    ccw_delta,
     dist,
 )
 
@@ -106,10 +106,8 @@ class BlindSet:
 
     def max_distance_to(self, seg: Segment) -> float:
         """Largest endpoint distance from this set to the given segment."""
-        pts = np.concatenate([self.coords[:, 0:2], self.coords[:, 2:4]])
-        return float(
-            max(_points_to_segment_distance(pts, seg.a.as_tuple(), seg.b.as_tuple()))
-        )
+        endpoints = self.coords.reshape(1, -1, 2)
+        return float(np.max(_distances_to_parents(_row(seg), endpoints)))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -144,14 +142,18 @@ def _jsonable(value):
     return value
 
 
-def _points_to_segment_distance(
-    pts: np.ndarray, a: tuple[float, float], b: tuple[float, float]
-) -> np.ndarray:
-    v = np.array(b) - np.array(a)
-    w = pts - np.array(a)
-    t = np.clip((w @ v) / float(v @ v), 0.0, 1.0)
-    closest = np.outer(t, v)
-    return np.hypot(w[:, 0] - closest[:, 0], w[:, 1] - closest[:, 1])
+def _distances_to_parents(parents: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance from every point to its own parent segment.
+
+    ``parents`` is a (k, 4) coordinate array and ``points`` is (k, n, 2), the
+    n points of each parent row; returns the (k, n) distances.
+    """
+    a = parents[:, None, 0:2]
+    v = parents[:, None, 2:4] - a
+    w = points - a
+    t = np.clip(np.sum(w * v, axis=2) / np.sum(v * v, axis=2), 0.0, 1.0)
+    d = w - t[:, :, None] * v
+    return np.hypot(d[:, :, 0], d[:, :, 1])
 
 
 # -- divide and rotate ------------------------------------------------------
@@ -361,20 +363,48 @@ def _hulls_cover_ok(
     phi_at_thi = np.arctan(curve.df_array(np.clip(t_hi, curve.a, curve.b)))
     phi_lo = np.minimum(phi_at_tlo, phi_at_thi)
     phi_hi = np.maximum(phi_at_tlo, phi_at_thi)
+    # the phi-interval [phi_lo, phi_hi] sits inside the arc iff traversal meets
+    # its first end no later than its second, and the second within the arc;
+    # as in Arc.contains, both arc ends carry the tolerance
     arc = Arc(theta_cover, level_dir, chirality)
-    length = arc.length
-    start = theta_cover.angle
-    if chirality == CCW:
-        u_first = np.mod(phi_lo - start, PI)
-        u_second = np.mod(phi_hi - start, PI)
-    else:
-        u_first = np.mod(start - phi_hi, PI)
-        u_second = np.mod(start - phi_lo, PI)
-    # the phi-interval [phi_lo, phi_hi] sits inside the arc iff both endpoint
-    # offsets are within the length and ordered consistently with traversal
+    first, second = (phi_lo, phi_hi) if chirality == CCW else (phi_hi, phi_lo)
     tol = 1e-12
-    ok = (u_first <= u_second + tol) & (u_second <= length + tol)
-    return bool(np.all(ok))
+    u_first = arc.offsets(first, tol)
+    u_second = arc.offsets(second, tol)
+    return bool(np.all((u_first <= u_second + tol) & (u_second <= arc.length + tol)))
+
+
+def _level_search(
+    curve: CurveProfile,
+    parents: np.ndarray,
+    level_dir: Direction,
+    target: Direction,
+    theta_cover: Direction,
+    chirality: str,
+    a_cover: Optional[AlphaSet],
+    budget: float,
+    n: int,
+    n_max: int,
+) -> Optional[tuple[int, np.ndarray]]:
+    """The piece count of one level of blinds, by doubling from n.
+
+    Divides and rotates each of the k ``parents`` into n pieces aimed at
+    ``target`` and accepts when every blade tip lies within ``budget`` of its
+    own parent and, with ``a_cover`` given, every hull satisfies the covering
+    hypotheses over the arc from theta_cover to ``level_dir``.  Otherwise n
+    doubles while n * k <= n_max.  Returns (n, children), or None past the cap.
+    """
+    k = parents.shape[0]
+    while n * k <= n_max:
+        children, hulls = _divide_rotate_level(parents, target, theta_cover, n)
+        tips = children[:, 2:4].reshape(k, n, 2)
+        if np.max(_distances_to_parents(parents, tips)) <= budget and (
+            a_cover is None
+            or _hulls_cover_ok(curve, hulls, level_dir, theta_cover, chirality, a_cover)
+        ):
+            return n, children
+        n *= 2
+    return None
 
 
 def auto_vb_cover(
@@ -396,31 +426,24 @@ def auto_vb_cover(
     theta_cover = as_direction(theta_cover)
     theta_seg = seg.direction
     chirality = _infer_chirality(theta_seg, theta_small, theta_cover)
-    coords = _row(seg)
-    n = max(1, n0)
-    while n <= n_max:
-        children, hulls = _divide_rotate_level(coords, theta_small, theta_cover, n)
-        ok = _hulls_cover_ok(curve, hulls, theta_seg, theta_cover, chirality, a_cover)
-        if ok and max_offset is not None:
-            d = _points_to_segment_distance(
-                np.concatenate([children[:, 0:2], children[:, 2:4]]),
-                seg.a.as_tuple(),
-                seg.b.as_tuple(),
-            )
-            ok = float(np.max(d)) <= max_offset
-        if ok:
-            return n, BlindSet(
-                children,
-                provenance=[(i,) for i in range(n)],
-                meta={
-                    "kind": "auto_vb_cover",
-                    "theta_small": theta_small,
-                    "theta_cover": theta_cover,
-                    "chirality": chirality,
-                    "n": n,
-                },
-            )
-        n *= 2
+    # one parent: the blade starts lie on it, so the tips carry the offset
+    found = _level_search(
+        curve, _row(seg), theta_seg, theta_small, theta_cover, chirality, a_cover,
+        math.inf if max_offset is None else max_offset, max(1, n0), n_max,
+    )
+    if found is not None:
+        n, children = found
+        return n, BlindSet(
+            children,
+            provenance=[(i,) for i in range(n)],
+            meta={
+                "kind": "auto_vb_cover",
+                "theta_small": theta_small,
+                "theta_cover": theta_cover,
+                "chirality": chirality,
+                "n": n,
+            },
+        )
     raise ConstructionError(
         f"auto_vb_cover exceeded N_max={n_max} for segment of length {seg.length:.3g} "
         f"(theta_seg={theta_seg}, theta_small={theta_small}, theta_cover={theta_cover})",
@@ -461,20 +484,16 @@ def auto_iter_vb(
             stage="precondition",
         )
     theta0 = seg.direction
-    total_arc = (
-        ccw_delta(theta0, theta_small)
-        if chirality == CCW
-        else ccw_delta(theta_small, theta0)
-    )
-    if total_arc <= ANGLE_TOL:
+    band = Arc(theta0, theta_small, chirality) if theta0 != theta_small else None
+    if band is None or band.length <= ANGLE_TOL:
         raise ConstructionError(
             "segment already points in the small direction", stage="precondition"
         )
-    m = max(1, math.ceil(total_arc / eps - 1e-12))
+    m = max(1, math.ceil(band.length / eps - 1e-12))
     if m > caps.m_max:
         raise ConstructionError(
             f"required depth m={m} exceeds cap {caps.m_max} "
-            f"(arc {total_arc:.3g}, eps {eps:.3g})",
+            f"(arc {band.length:.3g}, eps {eps:.3g})",
             stage="depth",
         )
     schedule = angle_schedule(theta0, theta_small, m, chirality)
@@ -488,13 +507,7 @@ def auto_iter_vb(
         slopes = curve.df_array(np.clip(t[inside], curve.a, curve.b))
         # math.atan, not np.arctan: numpy's SIMD arctan can differ in the last bit
         phi = np.array([math.atan(v) for v in slopes.tolist()], dtype=float)
-        # Arc.contains(phi, tol=1e-9) per element, with ccw_delta's reduction
-        band = Arc(theta0, theta_small, chirality)
-        start = band.start.angle
-        u = np.fmod(phi - start if chirality == CCW else start - phi, PI)
-        u[u < 0.0] += PI
-        u[u >= PI] = 0.0
-        outside = ~((u <= band.length + 1e-9) | (u >= PI - 1e-9))
+        outside = band.offsets(phi, 1e-9) > band.length + 1e-9
         if outside.any():
             i = int(np.argmax(outside))
             raise ConstructionError(
@@ -514,29 +527,18 @@ def auto_iter_vb(
     coords = _row(seg)
     level_counts: list[int] = []
     for k in range(m):
-        level_dir = schedule[k]
-        target = schedule[k + 1]
         allowance = delta0 * shrink**k * (1.0 - shrink)
-        n = 1
-        while True:
-            children, hulls = _divide_rotate_level(coords, target, theta_cover, n)
-            # blade tips' distance to their own parent segment
-            disp = _max_child_offset(coords, children, n)
-            ok = disp <= allowance
-            if ok and a_cover is not None:
-                ok = _hulls_cover_ok(
-                    curve, hulls, level_dir, theta_cover, chirality, a_cover
-                )
-            if ok:
-                break
-            n *= 2
-            if n * coords.shape[0] > caps.n_max:
-                raise ConstructionError(
-                    f"branching cap {caps.n_max} exceeded at level {k + 1}/{m} "
-                    f"(deepest satisfied stage: {k})",
-                    stage=k,
-                )
-        coords = children
+        found = _level_search(
+            curve, coords, schedule[k], schedule[k + 1], theta_cover, chirality,
+            a_cover, allowance, 1, caps.n_max,
+        )
+        if found is None:
+            raise ConstructionError(
+                f"branching cap {caps.n_max} exceeded at level {k + 1}/{m} "
+                f"(deepest satisfied stage: {k})",
+                stage=k,
+            )
+        n, coords = found
         level_counts.append(n)
 
     return BlindSet(
@@ -554,16 +556,3 @@ def auto_iter_vb(
             "schedule": [d.angle for d in schedule],
         },
     )
-
-
-def _max_child_offset(parents: np.ndarray, children: np.ndarray, n: int) -> float:
-    """Largest distance from a blade tip to the parent segment it came from."""
-    k = parents.shape[0]
-    tips = children[:, 2:4].reshape(k, n, 2)
-    a = parents[:, 0:2][:, None, :]
-    v = (parents[:, 2:4] - parents[:, 0:2])[:, None, :]
-    w = tips - a
-    vv = np.sum(v * v, axis=2)
-    t = np.clip(np.sum(w * v, axis=2) / vv, 0.0, 1.0)
-    d = w - t[:, :, None] * v
-    return float(np.max(np.hypot(d[:, :, 0], d[:, :, 1])))

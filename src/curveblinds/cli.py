@@ -230,8 +230,6 @@ def run_construct(
 def run_render(spec: SceneSpec, blindset_path: Path, out_path: Path) -> str:
     """Render a constructed blind set (with its fiber arc) to an SVG file."""
     blinds = BlindSet.from_json_dict(json.loads(blindset_path.read_text()))
-    if len(blinds) == 0:
-        raise ValueError("blind set is empty; nothing to render")
     curve = spec.curve()
     arc = FiberArc(spec.y, spec.subrange[0], spec.subrange[1])
     alpha = sum(spec.a_cover_component) / 2.0

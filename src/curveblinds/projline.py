@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 PI = math.pi
 
 #: Below this angular distance two directions are treated as degenerate.
@@ -101,15 +103,28 @@ class Arc:
     @property
     def length(self) -> float:
         """Arc length traversed along the arc's chirality, in (0, pi)."""
-        if self.chirality == CCW:
-            return ccw_delta(self.start, self.end)
-        return ccw_delta(self.end, self.start)
+        return self.offset(self.end)
 
     def offset(self, theta: Direction | float) -> float:
         """Position of theta along the arc's traversal direction, in [0, pi)."""
         if self.chirality == CCW:
             return ccw_delta(self.start, theta)
         return ccw_delta(theta, self.start)
+
+    def offsets(self, thetas: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        """Arc.offset of every angle in an array, bit for bit.
+
+        With tol > 0, an offset within tol of pi becomes its (negative)
+        position just before the start, so that ``contains(theta, tol)``
+        holds exactly when the offset is at most length + tol.
+        """
+        start = self.start.angle
+        u = np.fmod(thetas - start if self.chirality == CCW else start - thetas, PI)
+        u[u < 0.0] += PI
+        u[u >= PI] = 0.0
+        if tol > 0.0:
+            u[u >= PI - tol] -= PI
+        return u
 
     def contains(self, theta: Direction | float, tol: float = 1e-12) -> bool:
         """Membership in the closed arc, with tolerance at both endpoints."""
@@ -135,20 +150,7 @@ def angle_schedule(
     """
     if m < 1:
         raise ValueError(f"schedule depth must be >= 1, got {m}")
-    if chirality not in CHIRALITIES:
-        raise ValueError(f"unknown chirality {chirality!r}")
-    theta0 = as_direction(theta0)
-    theta_small = as_direction(theta_small)
-    total = (
-        ccw_delta(theta0, theta_small)
-        if chirality == CCW
-        else ccw_delta(theta_small, theta0)
-    )
-    if total <= 0.0:
-        raise ValueError("schedule endpoints coincide (theta0 == theta_small)")
+    arc = Arc(theta0, theta_small, chirality)
     sign = 1.0 if chirality == CCW else -1.0
-    schedule = [theta0]
-    for k in range(1, m):
-        schedule.append(normalize(theta0.angle + sign * total * k / m))
-    schedule.append(Direction(theta_small.angle))
-    return schedule
+    steps = (normalize(arc.start.angle + sign * arc.length * k / m) for k in range(1, m))
+    return [arc.start, *steps, arc.end]

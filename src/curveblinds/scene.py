@@ -95,6 +95,11 @@ class SceneSpec:
                 raise fail(path, f"expected an integer >= {minimum}, got {v!r}")
             return v
 
+        def obj(path: str, v) -> dict:
+            if not isinstance(v, dict):
+                raise fail(path, f"expected a JSON object, got {v!r}")
+            return v
+
         def pair(path: str, v) -> tuple[float, float]:
             if not (isinstance(v, (list, tuple)) and len(v) == 2):
                 raise fail(path, "expected a [lo, hi] pair")
@@ -106,7 +111,7 @@ class SceneSpec:
         version = integer("schema_version", need("schema_version"), 1)
         if version != 1:
             raise fail("schema_version", f"unsupported version {version}")
-        curve_node = need("curve")
+        curve_node = obj("curve", need("curve"))
         name = curve_node.get("name")
         if name not in builtin_curve_names():
             raise fail("curve.name", f"unknown curve {name!r}")
@@ -144,8 +149,8 @@ class SceneSpec:
         for key, value in (("epsilon", epsilon), ("delta", delta)):
             if not (math.isfinite(value) and value > 0.0):
                 raise fail(key, "must be finite and positive")
-        grids = data.get("grids", {})
-        caps_node = data.get("caps", {})
+        grids = obj("grids", data.get("grids", {}))
+        caps_node = obj("caps", data.get("caps", {}))
         return cls(
             schema_version=version,
             scene_id=str(data.get("scene_id", "scene")),

@@ -10,6 +10,7 @@ from curveblinds.blinds import (
     BlindSet,
     Caps,
     ConstructionError,
+    _hulls_cover_ok,
     auto_iter_vb,
     auto_vb_cover,
     iter_vb,
@@ -24,6 +25,7 @@ from curveblinds.projline import (
     CCW,
     CHIRALITIES,
     CW,
+    PI,
     Arc,
     angle_schedule,
     as_direction,
@@ -272,9 +274,15 @@ def test_auto_vb_cover_respects_max_offset():
 
 def test_auto_vb_cover_cap_error():
     curve, a_cover, seg = _q1_context()
-    with pytest.raises(ConstructionError):
+    for kwargs in (
         # an unattainable blade-offset bound forces the doubling past the cap
-        auto_vb_cover(curve, seg, 0.6, 2.5, a_cover, n_max=64, max_offset=1e-12)
+        dict(n_max=64, max_offset=1e-12),
+        # a starting count above the cap is never tried
+        dict(n0=128, n_max=64),
+    ):
+        with pytest.raises(ConstructionError) as err:
+            auto_vb_cover(curve, seg, 0.6, 2.5, a_cover, **kwargs)
+        assert err.value.stage == "vb_cover"
 
 
 def test_auto_iter_vb_stays_within_budget_and_reaches_small_direction():
@@ -289,6 +297,92 @@ def test_auto_iter_vb_stays_within_budget_and_reaches_small_direction():
     # every leaf stays within the seed radius delta0 of the base segment
     assert blinds.max_distance_to(seg) <= blinds.meta["delta0"] + 1e-12
     assert blinds.meta["depth"] == len(blinds.meta["level_counts"])
+
+
+def test_auto_iter_vb_cap_names_the_failing_level():
+    curve, a_cover, seg = _q1_context()
+    kwargs = dict(a_cover=a_cover, chirality=CCW, delta=0.01)
+    counts = auto_iter_vb(
+        curve, seg, 0.75, 2.5, 0.05, caps=Caps(n_max=2**20, m_max=128), **kwargs
+    ).meta["level_counts"]
+    failing = [k for k, n in enumerate(counts) if n >= 2]
+    assert failing
+    for k in failing:
+        # one piece fewer than level k needs: the levels before it still fit
+        n_max = math.prod(counts[: k + 1]) - 1
+        with pytest.raises(ConstructionError) as err:
+            auto_iter_vb(
+                curve, seg, 0.75, 2.5, 0.05, caps=Caps(n_max=n_max, m_max=128), **kwargs
+            )
+        assert type(err.value.stage) is int and err.value.stage == k
+        assert f"at level {k + 1}/{len(counts)}" in str(err.value)
+
+
+def _hulls_cover_reference(curve, hulls, level_dir, theta_cover, chirality, a_cover):
+    """The covering hypotheses' arc test as a scalar loop over the hulls.
+
+    Each hull's theta range [phi_lo, phi_hi] must have both ends in the closed
+    arc (Arc.contains) and meet them in traversal order; an offset within the
+    tolerance of pi lies just before the start.
+    """
+    tol = 1e-12
+    arc = Arc(theta_cover, level_dir, chirality)
+
+    def position(theta):
+        u = arc.offset(theta)
+        return u - PI if u >= PI - tol else u
+
+    amin, amax = a_cover.bounds
+    for row in hulls:
+        x1s = row[[0, 2, 4]]
+        ts = np.clip([amin - x1s.max(), amax - x1s.min()], curve.a, curve.b)
+        phis = np.arctan(curve.df_array(ts)).tolist()
+        lo, hi = min(phis), max(phis)
+        first, second = (lo, hi) if chirality == CCW else (hi, lo)
+        if not (arc.contains(first, tol) and arc.contains(second, tol)):
+            return False
+        if position(first) > position(second) + tol:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["quarter_circle", "parabola"])
+def test_hulls_cover_ok_matches_scalar_arc_test(name):
+    curve = builtin_curve(name)
+    rng = np.random.default_rng(11)
+    a_cover = AlphaSet.interval(0.4, 0.48, 20)
+    amin, amax = a_cover.bounds
+    # the strip interior for every alpha in A_cover
+    x_lo, x_hi = amax - curve.b + 1e-6, amin - curve.a - 1e-6
+    margins = [5e-13, -5e-13, 2e-12, -2e-12]
+    verdicts = set()
+    for trial in range(400):
+        hulls = np.empty((3, 6))
+        hulls[:, 0::2] = rng.uniform(x_lo, x_hi, size=(3, 3))
+        hulls[:, 1::2] = rng.uniform(-1.0, 1.0, size=(3, 3))
+        chirality = CCW if trial % 2 == 0 else CW
+        if trial % 4 < 2:
+            # an arc through the hulls' own theta range, ends straddling the tolerance
+            x1s = hulls[:, 0::2]
+            ts = np.concatenate([amin - x1s.max(axis=1), amax - x1s.min(axis=1)])
+            phis = np.arctan(curve.df_array(np.clip(ts, curve.a, curve.b)))
+            before, after = (float(m) for m in rng.choice(margins, size=2))
+            if chirality == CCW:
+                theta_cover = normalize(float(phis.min()) - before)
+                level_dir = normalize(float(phis.max()) + after)
+            else:
+                theta_cover = normalize(float(phis.max()) + before)
+                level_dir = normalize(float(phis.min()) - after)
+        else:
+            theta_cover = normalize(float(rng.uniform(0.0, PI)))
+            level_dir = normalize(theta_cover.angle + float(rng.uniform(0.1, 3.0)))
+        expected = _hulls_cover_reference(
+            curve, hulls, level_dir, theta_cover, chirality, a_cover
+        )
+        got = _hulls_cover_ok(curve, hulls, level_dir, theta_cover, chirality, a_cover)
+        assert got == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_auto_iter_vb_preconditions():

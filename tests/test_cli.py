@@ -142,6 +142,27 @@ def test_render_missing_blindset_exit_2(tmp_path):
     assert code == 2
 
 
+def test_construct_rejects_non_object_scene_field(tmp_path, capsys):
+    scene = load_scene("Q1").to_json_dict()
+    scene["grids"] = []
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code = main(["construct", "--scene", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: grids: expected a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_render_empty_blindset_exit_2(tmp_path, capsys):
+    path = tmp_path / "blindset.json"
+    path.write_text(json.dumps({"segments": [], "meta": {}}))
+    out = tmp_path / "f.svg"
+    code = main(["render", "--scene", "Q1", "--blindset", str(path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_checks_suites_pass(capsys):
     for suite in ("rotation", "projection", "duality"):
         assert main(["checks", suite]) == 0

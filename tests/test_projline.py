@@ -137,3 +137,42 @@ def test_angle_schedule_rejects_bad_input():
         angle_schedule(0.3, 0.3, 3, CCW)
     with pytest.raises(ValueError):
         angle_schedule(0.3, 1.5, 3, "spinwise")
+
+
+def _offset_cases(rng):
+    """Arcs with angles near their start, at 0 and pi, and at random."""
+    below_pi = math.nextafter(PI, 0.0)
+    starts = [0.0, 1e-17, below_pi, PI / 2, *rng.uniform(0.0, PI, size=6)]
+    for start in starts:
+        for chirality in (CCW, CW):
+            arc = Arc(start, normalize(start + 0.7), chirality)
+            near = [start + d for d in (-1e-17, 0.0, 1e-17, -PI, PI, -PI - 1e-17, PI + 1e-17)]
+            raw = [-1e-17, 0.0, 1e-17, PI - 1e-17, below_pi, PI + 1e-17, -PI / 2, PI / 2]
+            thetas = np.array(near + raw + list(rng.uniform(-PI / 2, PI / 2, size=20)))
+            yield arc, thetas
+
+
+def test_arc_offsets_match_scalar_offset_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for arc, thetas in _offset_cases(rng):
+        got = arc.offsets(thetas)
+        want = [arc.offset(float(t)) for t in thetas]
+        assert [float(u).hex() for u in got] == [u.hex() for u in want]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9])
+def test_arc_offsets_with_tolerance_decide_contains(tol):
+    # an offset within tol of pi is a position just before the start
+    rng = np.random.default_rng(4)
+    at_tol = (PI - tol) - PI  # exact: from start 0, an offset of exactly pi - tol
+    for arc, thetas in _offset_cases(rng):
+        edges = [arc.start.angle, arc.end.angle]
+        thetas = np.concatenate(
+            [
+                thetas,
+                [e + s * d for e in edges for s in (-1, 1) for d in (tol / 2, 2 * tol)],
+                [at_tol, -at_tol],
+            ]
+        )
+        got = arc.offsets(thetas, tol) <= arc.length + tol
+        assert got.tolist() == [arc.contains(float(t), tol) for t in thetas]

@@ -72,6 +72,13 @@ def test_load_scene_missing():
         (lambda d: d.update(epsilon=-1.0), "epsilon"),
         (lambda d: d.update(delta=0.0), "delta"),
         (lambda d: d["curve"].update(bounds=[1.0, 0.0]), "curve.bounds"),
+        # fields that must be JSON objects
+        (lambda d: d.update(curve="parabola"), "curve: expected a JSON object"),
+        (lambda d: d.update(curve=["parabola"]), "curve: expected a JSON object"),
+        (lambda d: d.update(grids=[]), "grids: expected a JSON object"),
+        (lambda d: d.update(grids="fine"), "grids: expected a JSON object"),
+        (lambda d: d.update(caps=5), "caps: expected a JSON object"),
+        (lambda d: d.update(caps=None), "caps: expected a JSON object"),
     ],
 )
 def test_validation_failures_carry_field_path(mutate, path_hint):
