@@ -8,7 +8,6 @@ float formatting so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -368,13 +367,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "construct":
             spec = load_scene(args.scene)
-            overrides = {}
-            if args.grid_alpha is not None:
-                overrides["alpha_points"] = args.grid_alpha
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if overrides:
-                spec = dataclasses.replace(spec, **overrides)
+            if args.grid_alpha is not None or args.seed is not None:
+                # overrides go through the scene parser, like every scene field
+                data = spec.to_json_dict()
+                if args.grid_alpha is not None:
+                    data["grids"]["alpha_points"] = args.grid_alpha
+                if args.seed is not None:
+                    data["seed"] = args.seed
+                spec = SceneSpec.from_json_dict(data)
             _, report = run_construct(spec, Path(args.out), rigorous=args.rigorous)
             print(
                 f"{'PASS' if report['pass'] else 'FAIL'} construct [{spec.scene_id}]: "

@@ -1,19 +1,22 @@
 """The key-construction pipeline.
 
 Given a fiber point y and a parameter subrange, the fiber arc gamma is
-approximated by a tangent-line polygon chain; per chain segment, disjoint
+approximated by a tangent-line polygon chain, every vertex computed in one
+array expression over the partition points; per chain segment, disjoint
 direction bands for the cover and small alpha-sets are computed from a
-compact neighborhood; a two-stage blind construction (one clockwise stage
-toward the lower small band edge, then counterclockwise iterated blinds
-toward the upper edge) produces a segment family that covers gamma's
-projections over A_cover while projecting with small measure over A_small.
+compact neighborhood, the small band by one circular-order rule (the small
+directions' positions along ``Arc.offsets`` of the gap after the cover
+band); a two-stage blind construction (one clockwise stage toward the lower
+small band edge, then counterclockwise iterated blinds toward the upper
+edge) produces a segment family that covers gamma's projections over
+A_cover while projecting with small measure over A_small.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .blinds import (
 from .curve import CurveProfile, _golden_max, fiber_point
 from .geometry import Point, Segment
 from .measure import AlphaSet, FiberArc
-from .projline import CCW, PI, Arc, Direction, dist, normalize
+from .projline import CCW, Arc, Direction, dist, normalize
 from .verify import VerificationReport, check_cover, check_small
 
 
@@ -111,41 +114,8 @@ class CompactNbhd:
 
 # -- polygon approximation --------------------------------------------------
 
-
-def _tangent_intersection(
-    curve: CurveProfile, y: Point, t1: float, t2: float
-) -> Point:
-    """Intersection of the fiber tangent lines at parameters t1 and t2.
-
-    The fiber is the graph x2 = y2 - f(y1 - x1) over x1, with slope
-    f'(y1 - x1) = f'(t); tangent slopes differ since f' is injective.
-    """
-    q1 = fiber_point(curve, y, t1)
-    q2 = fiber_point(curve, y, t2)
-    s1 = curve.df(curve.clamp_t(t1))
-    s2 = curve.df(curve.clamp_t(t2))
-    x1 = (q2.x2 - q1.x2 + s1 * q1.x1 - s2 * q2.x1) / (s1 - s2)
-    return Point(x1, q1.x2 + s1 * (x1 - q1.x1))
-
-
-def _point_to_fiber_distance(
-    curve: CurveProfile, arc: FiberArc, p: Point, samples: int = 512
-) -> float:
-    """Distance from p to the fiber arc via dense sampling + local refinement."""
-    ts = np.linspace(arc.lo, arc.hi, samples)
-    xs = arc.y.x1 - ts
-    ys = arc.y.x2 - curve.f_array(np.clip(ts, curve.a, curve.b))
-    d2 = (xs - p.x1) ** 2 + (ys - p.x2) ** 2
-    i = int(np.argmin(d2))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, samples - 1)]
-
-    def neg_d2_at(t: float) -> float:
-        q = fiber_point(curve, arc.y, t)
-        return -((q.x1 - p.x1) ** 2 + (q.x2 - p.x2) ** 2)
-
-    # golden-section refinement of the squared distance on the bracket
-    return math.sqrt(-_golden_max(neg_d2_at, float(lo), float(hi), 1e-13))
+#: Largest partition count polygon_approx tries before giving up.
+_PARTITION_CAP = 2**20
 
 
 def default_alpha_box(curve: CurveProfile, arc: FiberArc, points: int = 100) -> AlphaSet:
@@ -162,8 +132,6 @@ def polygon_approx(
     eps: float,
     delta: float,
     alpha_grid: Optional[AlphaSet] = None,
-    n0: int = 2,
-    n_max: int = 2**20,
 ) -> PolyChain:
     """Tangent-line polygon chain P with Phi_alpha(P) containing Phi_alpha(gamma).
 
@@ -180,25 +148,52 @@ def polygon_approx(
     if alpha_grid is None:
         alpha_grid = default_alpha_box(curve, arc)
 
-    n = max(2, n0)
-    while n <= n_max:
-        # n partition points t_1 .. t_n; interior vertices are tangent-line
-        # intersections at consecutive partition points, so segment i is
-        # tangent to the arc at t_i and the chain has n segments
-        ts = np.linspace(a1, b1, n)
-        vertices = [fiber_point(curve, y, a1)]
-        for i in range(n - 1):
-            vertices.append(
-                _tangent_intersection(curve, y, float(ts[i]), float(ts[i + 1]))
-            )
-        vertices.append(fiber_point(curve, y, b1))
-        chain = PolyChain(tuple(vertices), tuple(float(t) for t in ts), arc)
+    n = 2
+    while n <= _PARTITION_CAP:
+        chain = _tangent_chain(curve, arc, n)
         if _polygon_ok(curve, chain, eps, delta, alpha_grid):
             return chain
         n *= 2
     raise ConstructionError(
-        f"polygon approximation exceeded partition cap {n_max}", stage="polygon"
+        f"polygon approximation exceeded partition cap {_PARTITION_CAP}", stage="polygon"
     )
+
+
+def _tangent_chain(curve: CurveProfile, arc: FiberArc, n: int) -> PolyChain:
+    """The tangent chain over n equally spaced partition points t_1 .. t_n.
+
+    Interior vertices are tangent-line intersections at consecutive
+    partition points, so segment i is tangent to the arc at t_i and the chain
+    has n segments.  The fiber is the graph x2 = y2 - f(y1 - x1), with slope
+    f'(t) at parameter t; tangent slopes differ since f' is injective.
+    """
+    y = arc.y
+    ts = np.linspace(arc.lo, arc.hi, n)
+    tc = np.clip(ts, curve.a, curve.b)
+    qx, qy, s = y.x1 - tc, y.x2 - curve.f_array(tc), curve.df_array(tc)
+    vx = (qy[1:] - qy[:-1] + s[:-1] * qx[:-1] - s[1:] * qx[1:]) / (s[:-1] - s[1:])
+    vy = qy[:-1] + s[:-1] * (vx - qx[:-1])
+    xs = np.concatenate(([qx[0]], vx, [qx[-1]])).tolist()
+    ys = np.concatenate(([qy[0]], vy, [qy[-1]])).tolist()
+    vertices = tuple(Point(p, q) for p, q in zip(xs, ys))
+    return PolyChain(vertices, tuple(ts.tolist()), arc)
+
+
+def _vertex_distances(curve: CurveProfile, chain: PolyChain) -> Iterator[float]:
+    """Upper bounds on the distance from each interior vertex to the fiber arc.
+
+    Interior vertex i meets the tangents at t_{i-1} and t_i; one golden-section
+    search over that sub-arc finds its nearest arc point.  Every evaluated
+    point lies on the arc, so each value bounds the true distance from above.
+    """
+    y, ts = chain.source.y, chain.tangency_params
+    for p, lo, hi in zip(chain.vertices[1:-1], ts[:-1], ts[1:]):
+
+        def neg_d2_at(t: float, p: Point = p) -> float:
+            q = fiber_point(curve, y, t)
+            return -((q.x1 - p.x1) ** 2 + (q.x2 - p.x2) ** 2)
+
+        yield math.sqrt(-_golden_max(neg_d2_at, lo, hi, 1e-13))
 
 
 def _polygon_ok(
@@ -211,14 +206,17 @@ def _polygon_ok(
     segs = chain.segments()
     if any(s.length >= eps for s in segs):
         return False
-    for v in chain.vertices:
-        if _point_to_fiber_distance(curve, chain.source, v) > delta:
-            return False
+    # the end vertices lie on the arc
+    if any(d > delta for d in _vertex_distances(curve, chain)):
+        return False
     chain_set = BlindSet.from_segments(segs)
     return check_cover(curve, chain_set, chain.source, alpha_grid, margin=1e-9).passed
 
 
 # -- angle bands ------------------------------------------------------------
+
+#: Safety margin added around the exact direction ranges of both bands.
+_BAND_SLACK = 1e-7
 
 
 def compute_bands(
@@ -226,7 +224,6 @@ def compute_bands(
     nbhd: CompactNbhd,
     a_small: AlphaSet,
     a_cover: AlphaSet,
-    slack: float = 1e-7,
 ) -> AngleBands:
     """Disjoint direction bands for a compact region over A_small / A_cover.
 
@@ -234,8 +231,9 @@ def compute_bands(
     depend only on t = alpha - x1, and f' is monotone, so the exact direction
     range over (alpha-component) x (region) is attained at the endpoints of
     the corresponding t-window; the bands are those exact ranges plus a tiny
-    safety slack.  The small band may wrap through the vertical direction
-    when the small set straddles the cover set.
+    safety slack.  The small band is the shortest arc enclosing the small
+    directions inside the gap that runs counterclockwise from the cover band
+    back to it; it may wrap through the vertical direction.
     """
     if len(a_cover.components) != 1:
         raise ValueError("A_cover must be a single interval")
@@ -268,31 +266,17 @@ def compute_bands(
         raise SeparationError("no admissible directions over A_small")
     small_phis = np.array(small_vals)
 
-    c_lo = float(np.min(cover_phis)) - slack
-    c_hi = float(np.max(cover_phis)) + slack
-    c_mid = 0.5 * (c_lo + c_hi)
-    below = small_phis[small_phis < c_mid]
-    above = small_phis[small_phis >= c_mid]
-
-    if below.size and above.size:
-        # small set straddles the cover band: enclose it the other way round,
-        # through the vertical direction (the small arc wraps)
-        s_lo = float(np.min(above)) - slack
-        s_hi = float(np.max(below)) + slack
-        gap_after_cover = s_lo - c_hi
-        gap_after_small = c_lo - s_hi
-    elif below.size:
-        # small band entirely counterclockwise-before the cover band
-        s_lo = float(np.min(below)) - slack
-        s_hi = float(np.max(below)) + slack
-        gap_after_small = c_lo - s_hi
-        gap_after_cover = PI - (c_hi - s_lo)  # through the vertical direction
-    else:
-        s_lo = float(np.min(above)) - slack
-        s_hi = float(np.max(above)) + slack
-        gap_after_cover = s_lo - c_hi
-        gap_after_small = PI - (s_hi - c_lo)
-    eps0 = min(gap_after_cover, gap_after_small)
+    c_lo = float(np.min(cover_phis)) - _BAND_SLACK
+    c_hi = float(np.max(cover_phis)) + _BAND_SLACK
+    # positions of the small directions along the gap from the cover band's
+    # upper edge counterclockwise to its lower edge; a direction inside the
+    # cover band lands past the gap's end
+    gap = Arc(normalize(c_hi), normalize(c_lo), CCW)
+    u = gap.offsets(small_phis)
+    first, last = int(np.argmin(u)), int(np.argmax(u))
+    s_lo = float(small_phis[first]) - _BAND_SLACK
+    s_hi = float(small_phis[last]) + _BAND_SLACK
+    eps0 = min(float(u[first]), gap.length - float(u[last])) - _BAND_SLACK
     if eps0 <= 0.0:
         raise SeparationError(
             f"inflated direction sets overlap (separation {eps0:.3g}); "
@@ -400,7 +384,6 @@ class KeyResult:
     """Output of key_construction: the blinds plus their certificates."""
 
     blinds: BlindSet
-    chain: PolyChain
     cover_report: VerificationReport
     small_report: VerificationReport
     eps_used: float
@@ -488,53 +471,9 @@ def _key_attempt(
     chain = polygon_approx(
         curve, y, (arc.lo, arc.hi), eps_c, delta_c / 2.0, alpha_grid=a_cover
     )
-    segs = chain.segments()
-    for nudge in range(2):
-        try:
-            coords, units = _build_segments(
-                curve, segs, a_small, a_cover, eps_c, delta_c, caps
-            )
-            break
-        except ConstructionError as exc:
-            if exc.stage != "band membership" or nudge == 1:
-                raise
-            # nudge: reseed the partition with one extra point and retry once
-            chain = polygon_approx(
-                curve, y, (arc.lo, arc.hi), eps_c, delta_c / 2.0,
-                alpha_grid=a_cover, n0=len(chain.tangency_params) + 1,
-            )
-            segs = chain.segments()
-    blinds = BlindSet(
-        coords,
-        provenance=None,
-        meta={
-            "kind": "key_construction",
-            "eps": eps,
-            "eps_c": eps_c,
-            "delta": delta_c,
-            "units": units,
-            "chain_segments": len(segs),
-        },
-    )
-    cover_report = check_cover(
-        curve, blinds, arc, a_cover, margin=1e-9, scene_id=scene_id
-    )
-    small_report = check_small(curve, blinds, a_small, bound=eps, scene_id=scene_id)
-    return KeyResult(blinds, chain, cover_report, small_report, eps_c, delta_c)
-
-
-def _build_segments(
-    curve: CurveProfile,
-    segs: list[Segment],
-    a_small: AlphaSet,
-    a_cover: AlphaSet,
-    eps_c: float,
-    delta_c: float,
-    caps: Caps,
-) -> tuple[np.ndarray, list[list[int]]]:
     pieces = []
     units = []  # run-length unit labels: [chain_index, blade_count, leaf_count]
-    for ci, cseg in enumerate(segs):
+    for ci, cseg in enumerate(chain.segments()):
         # compute_bands reads only the x1 extremes, which a segment attains
         # at its endpoints
         ends = np.array([cseg.a.as_tuple(), cseg.b.as_tuple()])
@@ -544,4 +483,20 @@ def _build_segments(
         )
         pieces.append(local.coords)
         units.append([ci, int(local.meta["stage1_n"]), int(len(local))])
-    return np.concatenate(pieces), units
+    blinds = BlindSet(
+        np.concatenate(pieces),
+        provenance=None,
+        meta={
+            "kind": "key_construction",
+            "eps": eps,
+            "eps_c": eps_c,
+            "delta": delta_c,
+            "units": units,
+            "chain_segments": len(units),
+        },
+    )
+    cover_report = check_cover(
+        curve, blinds, arc, a_cover, margin=1e-9, scene_id=scene_id
+    )
+    small_report = check_small(curve, blinds, a_small, bound=eps, scene_id=scene_id)
+    return KeyResult(blinds, cover_report, small_report, eps_c, delta_c)

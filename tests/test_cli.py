@@ -96,7 +96,14 @@ def test_construct_grid_alpha_override(tmp_path):
 def test_construct_rejects_too_small_alpha_grid(points, tmp_path, capsys):
     code = main(["construct", "--scene", "Q1", "--grid-alpha", points, "--out", str(tmp_path)])
     assert code == 2
-    assert "points per component must be an integer >= 2" in capsys.readouterr().err
+    assert "grids.alpha_points: expected an integer >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_construct_rejects_negative_seed(tmp_path, capsys):
+    code = main(["construct", "--scene", "Q1", "--seed", "-3", "--out", str(tmp_path)])
+    assert code == 2
+    assert "seed:" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

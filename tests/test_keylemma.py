@@ -13,14 +13,18 @@ from curveblinds.geometry import Point, Segment
 from curveblinds.keylemma import (
     CompactNbhd,
     SeparationError,
+    _tangent_chain,
+    _vertex_distances,
     compute_bands,
     default_alpha_box,
     key_construction,
     local_construction,
     polygon_approx,
 )
-from curveblinds.measure import AlphaSet, project_blinds
+from curveblinds.measure import AlphaSet, FiberArc, project_blinds
+from curveblinds.projline import normalize
 from curveblinds.scene import load_scene
+import keylemma_reference as reference
 from scalar_projection import (
     contains,
     project_fiber_arc,
@@ -31,18 +35,25 @@ from scalar_projection import (
 
 
 def _fiber_distance_oracle(curve, arc, p):
-    """Independent point-to-fiber distance via bounded scalar minimization."""
+    """Independent point-to-fiber distance via bounded scalar minimization.
+
+    A second search in the offset from the first minimizer gets below the
+    first search's step tolerance, which is relative to the parameter.
+    """
 
     def d2(t):
         q = fiber_point(curve, arc.y, float(t))
         return (q.x1 - p.x1) ** 2 + (q.x2 - p.x2) ** 2
 
-    best = min(
-        minimize_scalar(d2, bounds=(arc.lo, arc.hi), method="bounded").fun,
-        d2(arc.lo),
-        d2(arc.hi),
+    t0 = minimize_scalar(d2, bounds=(arc.lo, arc.hi), method="bounded").x
+    h = 1e-3 * (arc.hi - arc.lo)
+    refined = minimize_scalar(
+        lambda s: d2(t0 + s),
+        bounds=(max(arc.lo, t0 - h) - t0, min(arc.hi, t0 + h) - t0),
+        method="bounded",
+        options={"xatol": 1e-14},
     )
-    return math.sqrt(best)
+    return math.sqrt(min(refined.fun, d2(arc.lo), d2(arc.hi)))
 
 
 def test_polygon_approx_tangency_distance_and_covering():
@@ -79,6 +90,39 @@ def test_polygon_approx_tangency_distance_and_covering():
         assert contains(project_segments(curve, alpha, segs), target, 1e-9)
 
 
+def _scalar_exp():
+    """exp as a scalar-only profile: math.exp, one call per element."""
+    return CurveProfile(
+        f=math.exp, df=math.exp, df_inverse=math.log, a=0.0, b=1.0,
+        monotone="increasing", df_bound=math.exp(1.0), name="scalar_exp",
+    )
+
+
+@pytest.mark.parametrize("scene", ["Q1", "P1", "E1", "scalar_exp"])
+@pytest.mark.parametrize("n", [2, 3, 16, 1024])
+def test_tangent_chain_matches_scalar_reference(scene, n):
+    spec = load_scene("E1" if scene == "scalar_exp" else scene)
+    curve = _scalar_exp() if scene == "scalar_exp" else spec.curve()
+    chain = _tangent_chain(curve, FiberArc(spec.y, *spec.subrange), n)
+    want = reference.chain_vertices(curve, spec.y, spec.subrange, n)
+    assert chain.vertices == tuple(want)
+    assert all(type(v.x1) is float and type(v.x2) is float for v in chain.vertices)
+    assert chain.tangency_params == tuple(np.linspace(*spec.subrange, n).tolist())
+
+
+@pytest.mark.parametrize("scene", ["Q1", "P1", "E1"])
+def test_vertex_distances_match_oracle(scene):
+    spec = load_scene(scene)
+    curve = spec.curve()
+    for eps in (0.05, 0.01, 0.002):
+        chain = polygon_approx(curve, spec.y, spec.subrange, eps, spec.delta)
+        got = list(_vertex_distances(curve, chain))
+        assert len(got) == len(chain.vertices) - 2
+        for d, v in zip(got, chain.vertices[1:-1]):
+            oracle = _fiber_distance_oracle(curve, chain.source, v)
+            assert oracle - 1e-12 <= d <= oracle + 1e-9
+
+
 def test_polygon_approx_rejects_bad_input():
     curve = builtin_curve("parabola")
     with pytest.raises(ValueError):
@@ -103,12 +147,24 @@ def _q1_band_context():
     return spec, curve, seg, CompactNbhd(cloud, spec.delta)
 
 
+VERTICAL = normalize(math.pi / 2)
+
+
 def test_compute_bands_encloses_sampled_directions():
     spec, curve, seg, nbhd = _q1_band_context()
-    a_small, a_cover = spec.a_small(), spec.a_cover()
-    bands = compute_bands(curve, nbhd, a_small, a_cover)
-    assert bands.eps0 > 0.0
+    a_cover = spec.a_cover()
+    # the shipped A_small lies below A_cover; a second component above it puts
+    # small directions on both sides of the cover band, so the small band
+    # wraps through the vertical direction
+    straddling = AlphaSet.from_intervals([*spec.a_small_components, (0.6, 0.7)], 50)
+    for a_small, straddle in ((spec.a_small(), False), (straddling, True)):
+        bands = compute_bands(curve, nbhd, a_small, a_cover)
+        assert bands.eps0 > 0.0
+        assert bands.small_arc.contains(VERTICAL) == straddle
+        _assert_bands_enclose_and_separate(curve, nbhd, bands, a_small, a_cover)
 
+
+def _assert_bands_enclose_and_separate(curve, nbhd, bands, a_small, a_cover):
     rng = np.random.default_rng(0)
     # oracle: tangent directions at random (alpha, region point) samples must
     # land in the matching band, and the bands must stay disjoint
@@ -129,6 +185,62 @@ def test_compute_bands_encloses_sampled_directions():
             bands.cover_arc.contains(float(probe))
             and bands.small_arc.contains(float(probe))
         )
+
+
+def _random_band_scene(rng, curve):
+    """A two-point region, A_cover inside its strip window, 1-3 A_small parts.
+
+    The small components lie below A_cover, above it, or on both sides, and
+    may run past the strip; about one scene in ten puts A_cover outside the
+    strip window.
+    """
+    width = curve.b - curve.a
+    c = float(rng.uniform(-1.0, 1.0))
+    w = float(rng.uniform(0.0, 0.05 * width))
+    r = float(rng.uniform(0.0, 0.05 * width))
+    nbhd = CompactNbhd(np.array([[c - w / 2, 0.0], [c + w / 2, 1.0]]), r)
+    x1_lo, x1_hi = c - w / 2 - r, c + w / 2 + r
+    room_lo, room_hi = curve.a + x1_hi, curve.b + x1_lo
+    if rng.random() < 0.1:
+        room_lo, room_hi = room_lo - 0.2 * width, room_hi + 0.2 * width
+    clo, chi = np.sort(rng.uniform(room_lo, room_hi, 2))
+    below = (curve.a + x1_lo - 0.2 * width, clo - 1e-9)
+    above = (chi + 1e-9, curve.b + x1_hi + 0.2 * width)
+    k = int(rng.integers(1, 4))
+    sides = [(below, above)[int(rng.integers(2))]] * k
+    if k > 1 and rng.random() < 0.5:
+        sides[0] = below
+        sides[-1] = above
+    comps = []
+    for lo, hi in (below, above):
+        ends = np.sort(rng.uniform(lo, hi, 2 * sides.count((lo, hi))))
+        comps += [(float(p), float(q)) for p, q in zip(ends[::2], ends[1::2])]
+    return nbhd, AlphaSet.from_intervals(comps, 2), AlphaSet.interval(clo, chi, 2)
+
+
+def test_compute_bands_matches_three_branch_reference():
+    rng = np.random.default_rng(20)
+    separated = straddling = failed = 0
+    for name in ("parabola", "quarter_circle", "exp"):
+        curve = builtin_curve(name)
+        for _ in range(800):
+            nbhd, a_small, a_cover = _random_band_scene(rng, curve)
+            try:
+                want = reference.compute_bands(curve, nbhd, a_small, a_cover)
+            except (ValueError, SeparationError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    compute_bands(curve, nbhd, a_small, a_cover)
+                assert type(info.value) is type(exc)
+                failed += 1
+                continue
+            got = compute_bands(curve, nbhd, a_small, a_cover)
+            for side in ("cover_lo", "cover_hi", "small_lo", "small_hi"):
+                assert getattr(got, side) == getattr(want, side)
+            assert abs(got.eps0 - want.eps0) <= 1e-15
+            separated += 1
+            straddling += got.small_arc.contains(VERTICAL)
+    # every case of the reference is exercised
+    assert separated > 500 and straddling > 100 and failed > 500
 
 
 def test_compute_bands_rejects_overlapping_sets():
@@ -227,10 +339,7 @@ def test_key_construction_error_lists_every_attempt():
 
 def test_key_construction_on_scalar_only_curve():
     # a custom profile without array support gets one f / f' call per element
-    curve = CurveProfile(
-        f=math.exp, df=math.exp, df_inverse=math.log, a=0.0, b=1.0,
-        monotone="increasing", df_bound=math.exp(1.0), name="scalar_exp",
-    )
+    curve = _scalar_exp()
     assert not curve.supports_arrays
     spec = dataclasses.replace(load_scene("E1"), alpha_points=20)
     result = key_construction(
