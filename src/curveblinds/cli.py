@@ -26,7 +26,7 @@ from .measure import FiberArc
 from .projline import CCW, angle_schedule, dist
 from .render import render_svg
 from .scene import SceneError, SceneSpec, load_scene
-from .verify import check_cover, check_small, gradient_check, law_of_sines_check
+from .verify import gradient_check, law_of_sines_check
 
 CHECK_SUITES = ("rotation", "projection", "duality", "all")
 
@@ -129,81 +129,27 @@ def _table_columns(value: object) -> Optional[list[tuple[str, str, list]]]:
     return columns
 
 
-def _rigorous_pad(spec: SceneSpec, shift: float) -> float:
-    """Subrange extension creating covering slack of at least 2*shift.
-
-    The projected fiber-arc endpoint at parameter t moves under d(t) at rate
-    |f'(alpha - y1 + t) - f'(t)|; padding by 2*shift over the slowest rate
-    observed on the alpha-grid leaves room to erode the covering later.
-    """
-    curve = spec.curve()
-    y1 = spec.y.x1
-    slowest = math.inf
-    for alpha in spec.a_cover().grid():
-        for t in spec.subrange:
-            rate = abs(
-                curve.df(curve.clamp_t(float(alpha) - y1 + t))
-                - curve.df(curve.clamp_t(t))
-            )
-            slowest = min(slowest, rate)
-    if not math.isfinite(slowest) or slowest <= 0.0:
-        raise ValueError("cannot pad subrange: projected endpoints are stationary")
-    return 3.0 * shift / slowest
-
-
 def run_construct(
     spec: SceneSpec, out_dir: Path, rigorous: bool = False
 ) -> tuple[dict, dict]:
     """Run the key construction for a scene; write blindset.json, report.json."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    curve = spec.curve()
-    subrange = spec.subrange
-    shift = 0.0
-    if rigorous:
-        shift = curve.df_bound * spec.a_cover().grid_step / 2.0
-        pad = _rigorous_pad(spec, shift)
-        subrange = (
-            max(curve.a, subrange[0] - pad),
-            min(curve.b, subrange[1] + pad),
-        )
     start = time.perf_counter()
     result = key_construction(
-        curve,
+        spec.curve(),
         spec.y,
-        subrange,
+        spec.subrange,
         spec.a_small(),
         spec.a_cover(),
         spec.epsilon,
         spec.delta,
         caps=spec.caps,
         scene_id=spec.scene_id,
+        rigorous=rigorous,
     )
     elapsed = time.perf_counter() - start
     cover_report = result.cover_report
     small_report = result.small_report
-    if rigorous:
-        # re-certify covering of the original (unpadded) arc between grid
-        # points: erode the blinds' projection and inflate the target by the
-        # worst endpoint motion over half a grid step
-        arc = FiberArc(spec.y, spec.subrange[0], spec.subrange[1])
-        cover_report = check_cover(
-            curve,
-            result.blinds,
-            arc,
-            spec.a_cover(),
-            margin=1e-9,
-            scene_id=spec.scene_id,
-            shift=shift,
-        )
-        a_small = spec.a_small()
-        small_report = check_small(
-            curve,
-            result.blinds,
-            a_small,
-            bound=spec.epsilon,
-            scene_id=spec.scene_id,
-            shift=curve.df_bound * a_small.grid_step / 2.0,
-        )
     passed = cover_report.passed and small_report.passed
     if rigorous:
         passed = passed and cover_report.padding > 0.0 and small_report.padding > 0.0
@@ -228,7 +174,7 @@ def run_construct(
 
 def run_render(spec: SceneSpec, blindset_path: Path, out_path: Path) -> str:
     """Render a constructed blind set (with its fiber arc) to an SVG file."""
-    blinds = BlindSet.from_json_dict(json.loads(blindset_path.read_text()))
+    blinds = _read_blindset(spec, blindset_path)
     curve = spec.curve()
     arc = FiberArc(spec.y, spec.subrange[0], spec.subrange[1])
     alpha = sum(spec.a_cover_component) / 2.0
@@ -236,6 +182,33 @@ def run_render(spec: SceneSpec, blindset_path: Path, out_path: Path) -> str:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(svg)
     return svg
+
+
+#: The scene fields the figure draws; a blind set's scene block must match them.
+_DRAWN_FIELDS = ("scene_id", "curve", "y", "subrange", "A_cover")
+
+
+def _read_blindset(spec: SceneSpec, path: Path) -> BlindSet:
+    """The blind set written at path, if it was built for spec.
+
+    A scene block that differs from spec in a field the figure draws is
+    rejected with a SceneError naming the field; a blind set without one is
+    accepted.  The parsed JSON tree is dropped on return, before rendering.
+    """
+    data = json.loads(path.read_text())
+    if not isinstance(data, dict):
+        raise SceneError(f"{path}: expected a JSON object")
+    built_for = data.get("scene")
+    if built_for is not None:
+        expected = spec.to_json_dict()
+        for key in _DRAWN_FIELDS:
+            got = built_for.get(key) if isinstance(built_for, dict) else None
+            if got != expected[key]:
+                raise SceneError(
+                    f"{path}: scene.{key} is {got!r}, "
+                    f"but the scene to render has {expected[key]!r}"
+                )
+    return BlindSet.from_json_dict(data)
 
 
 def _rotation_suite() -> list[tuple[str, bool, float, float]]:

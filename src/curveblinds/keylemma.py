@@ -32,7 +32,7 @@ from .curve import CurveProfile, _golden_max, fiber_point
 from .geometry import Point, Segment
 from .measure import AlphaSet, FiberArc
 from .projline import CCW, Arc, Direction, dist, normalize
-from .verify import VerificationReport, check_cover, check_small
+from .verify import VerificationReport, check_cover, cover_views, small_views
 
 
 class SeparationError(RuntimeError):
@@ -401,6 +401,7 @@ def key_construction(
     caps: Caps = DEFAULT_CAPS,
     max_attempts: int = 6,
     scene_id: str = "",
+    rigorous: bool = False,
 ) -> KeyResult:
     """A finite segment family covering gamma over A_cover, small over A_small.
 
@@ -409,8 +410,24 @@ def key_construction(
     per-segment angle bands separate and the smallness certificate meets the
     user bound; delta shrinks alongside and so the closed neighborhood of
     gamma stays inside the strip interior over A_cover.
+
+    With rigorous set, the blinds are built for a padded subrange (see
+    _rigorous_pad) and the retry loop still steers by the unshifted
+    certificates on the padded arc.  The reported certificates are shifted
+    by df_bound times half a grid step and taken on the unpadded arc, so that
+    a pass holds for every alpha; they come from the same projection pass
+    over each grid as the steering ones.
     """
     a1, b1 = float(subrange[0]), float(subrange[1])
+    # rigorous: each grid's pass gets a second view, shifted, on the unpadded arc
+    shifted_cover: list[tuple[FiberArc, float]] = []
+    shifted_small: list[float] = []
+    if rigorous:
+        shift = curve.df_bound * a_cover.grid_step / 2.0
+        pad = _rigorous_pad(curve, y, (a1, b1), a_cover, shift)
+        shifted_cover.append((FiberArc(y, a1, b1), shift))
+        shifted_small.append(curve.df_bound * a_small.grid_step / 2.0)
+        a1, b1 = max(curve.a, a1 - pad), min(curve.b, b1 + pad)
     alpha0 = y.x1
     if not a_small.contains_alpha(alpha0, tol=1e-12):
         raise ValueError(f"alpha0={alpha0!r} must lie in A_small")
@@ -431,29 +448,59 @@ def key_construction(
         delta_c = min(delta_eff, eps_c)
         prefix = f"attempt {attempt + 1} (eps_c={eps_c:.3g}): "
         try:
-            result = _key_attempt(
-                curve, y, arc, a_small, a_cover, eps, eps_c, delta_c, caps, scene_id
-            )
+            blinds = _key_attempt(curve, y, arc, a_small, a_cover, eps, eps_c, delta_c, caps)
         except (SeparationError, ConstructionError) as exc:
             failures.append(prefix + str(exc))
             eps_c *= 0.5
             continue
-        if result.cover_report.passed and result.small_report.passed:
-            return result
-        if result.small_report.passed:
+        # view 0 of each grid steers the retry loop; the last one is reported
+        covers = cover_views(
+            curve, blinds, [(arc, 0.0)] + shifted_cover, a_cover, margin=1e-9, scene_id=scene_id
+        )
+        smalls = small_views(curve, blinds, a_small, eps, [0.0] + shifted_small, scene_id=scene_id)
+        cover_report, small_report = covers[0], smalls[0]
+        if cover_report.passed and small_report.passed:
+            return KeyResult(blinds, covers[-1], smalls[-1], eps_c, delta_c)
+        if small_report.passed:
             raise ConstructionError(
                 "covering certificate failed despite per-stage hypotheses: "
-                + result.cover_report.summary_line(),
+                + cover_report.summary_line(),
                 stage="cover",
             )
-        failures.append(prefix + result.small_report.summary_line())
-        overshoot = result.small_report.worst_value / eps
+        failures.append(prefix + small_report.summary_line())
+        overshoot = small_report.worst_value / eps
         eps_c *= min(0.5, 0.8 / overshoot)
     raise ConstructionError(
         f"key construction failed after {max_attempts} attempts:\n  "
         + "\n  ".join(failures),
         stage="key",
     )
+
+
+def _rigorous_pad(
+    curve: CurveProfile,
+    y: Point,
+    subrange: tuple[float, float],
+    a_cover: AlphaSet,
+    shift: float,
+) -> float:
+    """Subrange extension creating covering slack of at least 2*shift.
+
+    The projected fiber-arc endpoint at parameter t moves under d(t) at rate
+    |f'(alpha - y1 + t) - f'(t)|; padding by 2*shift over the slowest rate
+    observed on the alpha-grid leaves room to erode the covering later.
+    """
+    slowest = math.inf
+    for alpha in a_cover.grid():
+        for t in subrange:
+            rate = abs(
+                curve.df(curve.clamp_t(float(alpha) - y.x1 + t))
+                - curve.df(curve.clamp_t(t))
+            )
+            slowest = min(slowest, rate)
+    if not math.isfinite(slowest) or slowest <= 0.0:
+        raise ValueError("cannot pad subrange: projected endpoints are stationary")
+    return 3.0 * shift / slowest
 
 
 def _key_attempt(
@@ -466,8 +513,7 @@ def _key_attempt(
     eps_c: float,
     delta_c: float,
     caps: Caps,
-    scene_id: str,
-) -> KeyResult:
+) -> BlindSet:
     chain = polygon_approx(
         curve, y, (arc.lo, arc.hi), eps_c, delta_c / 2.0, alpha_grid=a_cover
     )
@@ -483,7 +529,7 @@ def _key_attempt(
         )
         pieces.append(local.coords)
         units.append([ci, int(local.meta["stage1_n"]), int(len(local))])
-    blinds = BlindSet(
+    return BlindSet(
         np.concatenate(pieces),
         provenance=None,
         meta={
@@ -495,8 +541,3 @@ def _key_attempt(
             "chain_segments": len(units),
         },
     )
-    cover_report = check_cover(
-        curve, blinds, arc, a_cover, margin=1e-9, scene_id=scene_id
-    )
-    small_report = check_small(curve, blinds, a_small, bound=eps, scene_id=scene_id)
-    return KeyResult(blinds, cover_report, small_report, eps_c, delta_c)

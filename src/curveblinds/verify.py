@@ -3,14 +3,17 @@
 Grid certificates come with a Lipschitz-in-alpha padding: since
 d(Phi_alpha)/d(alpha) = f'(alpha - x1) is bounded by df_bound, endpoint
 motion between grid points is controlled, which extends per-grid-point
-passes to closed-interval certificates when enough headroom is left.
+passes to closed-interval certificates when enough headroom is left and no
+segment meets a strip edge.  cover_views and small_views evaluate several
+views (covering targets and shifts, or smallness shifts) of one projection
+pass; check_cover and check_small are their one-view case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,50 +78,81 @@ def check_cover(
     inflates the target by shift, so a pass certifies covering on the whole
     closed interval when shift >= df_bound * (half the grid spacing): moving
     alpha by dalpha moves every projected point by at most df_bound * dalpha.
+    That rate holds only away from the strip edges, so no padding is granted
+    where a blind or the target meets one (see _clear_of_strip_edges).
+    """
+    return cover_views(curve, blinds, [(target, shift)], alphas, margin, scene_id)[0]
+
+
+def cover_views(
+    curve: CurveProfile,
+    blinds: BlindSet,
+    views: Sequence[tuple[Target, float]],
+    alphas: AlphaSet,
+    margin: float = 1e-9,
+    scene_id: str = "",
+) -> list[VerificationReport]:
+    """check_cover's report for each (target, shift) view, from one projection pass.
+
+    The blinds are projected over the grid once; every batch of rows goes
+    through each view's erosion, containment and deficit in turn, so each
+    report is the one check_cover(target, shift=shift) returns.
     """
     if margin < 0.0:
         raise ValueError(f"margin must be >= 0, got {margin!r}")
-    if shift < 0.0:
-        raise ValueError(f"shift must be >= 0, got {shift!r}")
+    for _, shift in views:
+        if shift < 0.0:
+            raise ValueError(f"shift must be >= 0, got {shift!r}")
     grid = alphas.grid()
-    if isinstance(target, Segment):
-        segment = BlindSet.from_segments([target])
-        targets = IntervalUnion.stack(project_blinds_grid(curve, grid, segment))
-    else:
-        targets = project_fiber_arc(curve, grid, target)
-    targets = targets.inflate(shift)
-    covered, deficits, measures, start = [], [], [], 0
-    for proj_e in project_blinds_grid(curve, grid, blinds):
-        proj_t = targets.row_slice(start, start + proj_e.rows)
-        start += proj_e.rows
-        if shift > 0.0:
-            proj_e = proj_e.erode(shift)
-        ok = proj_e.covers(proj_t)
-        deficit = np.zeros(len(ok))
-        if not ok.all():
-            # the margin only widens proj_e, so rows covered without it stay covered
-            grown = proj_e.inflate(margin)
-            ok = grown.covers(proj_t)
-            deficit = proj_t.difference(grown).measures()
-        deficits.append(deficit)
-        covered.append(ok)
-        measures.append(proj_e.measures())
-    covered, deficit, measure = map(np.concatenate, (covered, deficits, measures))
-    per_alpha = list(map(PerAlpha, *(x.tolist() for x in (grid, covered, deficit, measure))))
-    worst = per_alpha[int(np.argmax(deficit))]
-    all_ok = bool(covered.all())
-    # unshifted, a grid pass certifies nothing between grid points: the margin
-    # is a tolerance on the deficit, not headroom
-    return VerificationReport(
-        scene_id=scene_id,
-        kind="cover",
-        passed=all_ok,
-        bound=margin,
-        padding=_shift_padding(curve, alphas, shift) if all_ok else 0.0,
-        worst_alpha=worst.alpha,
-        worst_value=worst.deficit,
-        per_alpha=per_alpha,
-    )
+    targets = []
+    for target, shift in views:
+        if isinstance(target, Segment):
+            segment = BlindSet.from_segments([target])
+            rows = IntervalUnion.stack(project_blinds_grid(curve, grid, segment))
+        else:
+            rows = project_fiber_arc(curve, grid, target)
+        targets.append(rows.inflate(shift))
+    columns = [([], [], []) for _ in views]  # covered, deficit, measure batches
+    start = 0
+    for proj in project_blinds_grid(curve, grid, blinds):
+        stop = start + proj.rows
+        for (_, shift), rows, (covered, deficits, measures) in zip(views, targets, columns):
+            proj_t = rows.row_slice(start, stop)
+            proj_e = proj.erode(shift) if shift > 0.0 else proj
+            ok = proj_e.covers(proj_t)
+            deficit = np.zeros(len(ok))
+            if not ok.all():
+                # the margin only widens proj_e, so rows covered without it stay covered
+                grown = proj_e.inflate(margin)
+                ok = grown.covers(proj_t)
+                deficit = proj_t.difference(grown).measures()
+            deficits.append(deficit)
+            covered.append(ok)
+            measures.append(proj_e.measures())
+        start = stop
+    clear = _clear_of_strip_edges(curve, alphas, blinds)
+    reports = []
+    for (target, shift), batches in zip(views, columns):
+        covered, deficit, measure = map(np.concatenate, batches)
+        per_alpha = list(map(PerAlpha, *(x.tolist() for x in (grid, covered, deficit, measure))))
+        worst = per_alpha[int(np.argmax(deficit))]
+        all_ok = bool(covered.all())
+        # unshifted, a grid pass certifies nothing between grid points: the
+        # margin is a tolerance on the deficit, not headroom
+        padded = all_ok and clear and _clear_of_strip_edges(curve, alphas, target)
+        reports.append(
+            VerificationReport(
+                scene_id=scene_id,
+                kind="cover",
+                passed=all_ok,
+                bound=margin,
+                padding=_shift_padding(curve, alphas, shift) if padded else 0.0,
+                worst_alpha=worst.alpha,
+                worst_value=worst.deficit,
+                per_alpha=per_alpha,
+            )
+        )
+    return reports
 
 
 def check_small(
@@ -134,47 +168,96 @@ def check_small(
     With shift > 0 the per-grid-point measure is taken on the projection
     inflated by shift; since every projected point moves by at most
     df_bound * dalpha, a pass with shift >= df_bound * (half the grid
-    spacing) bounds the measure on the whole closed interval.
+    spacing) bounds the measure on the whole closed interval.  That rate
+    holds only away from the strip edges, so no padding is granted where a
+    blind meets one (see _clear_of_strip_edges).
     """
+    return small_views(curve, blinds, alphas, bound, [shift], scene_id)[0]
+
+
+def small_views(
+    curve: CurveProfile,
+    blinds: BlindSet,
+    alphas: AlphaSet,
+    bound: float,
+    shifts: Sequence[float],
+    scene_id: str = "",
+) -> list[VerificationReport]:
+    """check_small's report for each shift, from one projection pass."""
     if bound <= 0.0:
         raise ValueError(f"bound must be positive, got {bound!r}")
-    if shift < 0.0:
-        raise ValueError(f"shift must be >= 0, got {shift!r}")
+    for shift in shifts:
+        if shift < 0.0:
+            raise ValueError(f"shift must be >= 0, got {shift!r}")
     grid = alphas.grid()
-    measures, n_max = [], 0
+    columns = [[] for _ in shifts]  # measure batches
+    n_max = [0] * len(shifts)
     for proj in project_blinds_grid(curve, grid, blinds):
-        if shift > 0.0:
-            proj = proj.inflate(shift)
-        measures.append(proj.measures())
-        n_max = max(n_max, int(np.bincount(proj.row, minlength=1).max()))
-    measure = np.concatenate(measures)
-    per_alpha = [PerAlpha(a, None, 0.0, m) for a, m in zip(grid.tolist(), measure.tolist())]
-    worst = per_alpha[int(np.argmax(measure))]
-    passed = worst.projected_measure < bound
-    padding = 0.0
-    if passed and shift > 0.0:
-        padding = _shift_padding(curve, alphas, shift)
-    elif passed and n_max > 0:
-        # measure of an n-interval union moves by <= 2 n df_bound dalpha
-        half_step = alphas.grid_step / 2.0
-        if worst.projected_measure + 2.0 * n_max * curve.df_bound * half_step < bound:
-            padding = half_step
-    return VerificationReport(
-        scene_id=scene_id,
-        kind="small",
-        passed=passed,
-        bound=bound,
-        padding=padding,
-        worst_alpha=worst.alpha,
-        worst_value=worst.projected_measure,
-        per_alpha=per_alpha,
-    )
+        for v, shift in enumerate(shifts):
+            proj_v = proj.inflate(shift) if shift > 0.0 else proj
+            columns[v].append(proj_v.measures())
+            n_max[v] = max(n_max[v], int(np.bincount(proj_v.row, minlength=1).max()))
+    clear = _clear_of_strip_edges(curve, alphas, blinds)
+    reports = []
+    for shift, batches, n in zip(shifts, columns, n_max):
+        measure = np.concatenate(batches)
+        per_alpha = [PerAlpha(a, None, 0.0, m) for a, m in zip(grid.tolist(), measure.tolist())]
+        worst = per_alpha[int(np.argmax(measure))]
+        passed = worst.projected_measure < bound
+        padding = 0.0
+        if passed and clear and shift > 0.0:
+            padding = _shift_padding(curve, alphas, shift)
+        elif passed and clear and n > 0:
+            # measure of an n-interval union moves by <= 2 n df_bound dalpha
+            half_step = alphas.grid_step / 2.0
+            if worst.projected_measure + 2.0 * n * curve.df_bound * half_step < bound:
+                padding = half_step
+        reports.append(
+            VerificationReport(
+                scene_id=scene_id,
+                kind="small",
+                passed=passed,
+                bound=bound,
+                padding=padding,
+                worst_alpha=worst.alpha,
+                worst_value=worst.projected_measure,
+                per_alpha=per_alpha,
+            )
+        )
+    return reports
 
 
 def _shift_padding(curve: CurveProfile, alphas: AlphaSet, shift: float) -> float:
     """Half the grid step if shift covers the endpoint motion over it, else 0."""
     half_step = alphas.grid_step / 2.0
     return half_step if shift > 0.0 and shift >= curve.df_bound * half_step else 0.0
+
+
+def _clear_of_strip_edges(
+    curve: CurveProfile, alphas: AlphaSet, item: Union[BlindSet, Target]
+) -> bool:
+    """No segment of item, nor its arc, meets a strip edge of a certified alpha.
+
+    Padding certifies the alphas within half a grid step of a grid point,
+    which make up each component widened by half a step.  A segment that the
+    edge alpha - b or alpha - a crosses inside that range is clipped there:
+    its clipped endpoint slides along it at a rate set by its slope, which
+    df_bound does not bound.
+    """
+    if isinstance(item, FiberArc):
+        # the fiber point at parameter t has x1 = y1 - t
+        x1_lo, x1_hi = item.y.x1 - item.hi, item.y.x1 - item.lo
+    else:
+        coords = BlindSet.from_segments([item]).coords if isinstance(item, Segment) else item.coords
+        x1_lo = np.minimum(coords[:, 0], coords[:, 2])
+        x1_hi = np.maximum(coords[:, 0], coords[:, 2])
+    half_step = alphas.grid_step / 2.0
+    for lo, hi in alphas.components:
+        for end in (curve.b, curve.a):
+            edge_lo, edge_hi = lo - half_step - end, hi + half_step - end
+            if np.any((x1_lo <= edge_hi) & (x1_hi >= edge_lo)):
+                return False
+    return True
 
 
 def gradient_check(

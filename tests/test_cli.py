@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from curveblinds import verify
 from curveblinds.blinds import BlindSet, iter_vb, vb
 from curveblinds.cli import _BLOCK_ROWS, _dump_json, main, run_checks, run_construct
 from curveblinds.curve import builtin_curve
@@ -158,6 +159,68 @@ def test_construct_rejects_non_object_scene_field(tmp_path, capsys):
     assert code == 2
     assert "error: grids: expected a JSON object" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _render(scene: str, blindset, out) -> int:
+    return main(["render", "--scene", scene, "--blindset", str(blindset), "--out", str(out)])
+
+
+def test_render_rejects_a_blindset_built_for_another_scene(tmp_path, capsys):
+    assert main(["construct", "--scene", "P1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    blindset, out = tmp_path / "blindset.json", tmp_path / "f.svg"
+    assert _render("Q1", blindset, out) == 2
+    assert "scene.scene_id" in capsys.readouterr().err
+    assert not out.exists()
+    # every drawn field is compared, each named in the error
+    data = json.loads(blindset.read_text())
+    drawn = {
+        "curve": {"name": "exp"}, "y": [0.0, 0.0], "subrange": [0.2, 0.3], "A_cover": [1.0, 1.1]
+    }
+    for key, value in drawn.items():
+        edited = json.loads(json.dumps(data))
+        edited["scene"][key] = value
+        path = tmp_path / f"edited-{key}.json"
+        path.write_text(json.dumps(edited))
+        assert _render("P1", path, out) == 2
+        assert f"scene.{key} is " in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_render_accepts_overrides_and_a_blindset_without_scene(tmp_path):
+    out = tmp_path / "f.svg"
+    assert main(["construct", "--scene", "Q1", "--seed", "5", "--grid-alpha", "50",
+                 "--out", str(tmp_path)]) == 0
+    assert _render("Q1", tmp_path / "blindset.json", out) == 0
+    data = json.loads((tmp_path / "blindset.json").read_text())
+    del data["scene"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(data))
+    assert _render("P1", bare, out) == 0
+
+
+def test_render_rejects_a_blindset_that_is_not_an_object(tmp_path, capsys):
+    path, out = tmp_path / "list.json", tmp_path / "f.svg"
+    path.write_text("[1, 2]")
+    assert _render("Q1", path, out) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rigorous", [False, True])
+def test_construct_projects_the_final_blinds_once_per_grid(monkeypatch, tmp_path, rigorous):
+    projected = []  # blind sets of the key construction, once per projection pass
+    original = verify.project_blinds_grid
+
+    def counting(curve, alphas, blinds):
+        if blinds.meta.get("kind") == "key_construction":
+            projected.append(blinds)
+        return original(curve, alphas, blinds)
+
+    monkeypatch.setattr(verify, "project_blinds_grid", counting)
+    _, report = run_construct(load_scene("E1"), tmp_path, rigorous=rigorous)
+    assert report["pass"] is True
+    assert len(projected) == 2 and projected[0] is projected[1]
 
 
 def test_render_empty_blindset_exit_2(tmp_path, capsys):

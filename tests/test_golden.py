@@ -125,3 +125,20 @@ def test_job_outputs_match_reference_hashes(job, tmp_path):
     out = tmp_path / "out"
     got = _output_hashes(source, rigorous, out)
     assert got == dict(zip(FILES, expected))
+
+
+def test_rigorous_failure_keeps_its_exit_code_and_bytes(tmp_path):
+    # E1 at eps=0.02 certifies unshifted but not shifted: the run exits 1
+    # after one attempt and still writes both files
+    data = json.loads((SCENES / "e1.json").read_text())
+    data["epsilon"] = 0.02
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data, indent=2) + "\n")
+    out = tmp_path / "out"
+    assert main(["construct", "--scene", str(path), "--out", str(out), "--rigorous"]) == 1
+    assert json.loads((out / "report.json").read_text())["pass"] is False
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES[:2]}
+    assert got == {
+        "blindset.json": "431f0e87bced9d00b8c401bec0d700a1dab706b7cd5b7bb0b759d19a26a774c7",
+        "report.json": "2186d3a3ac373ad7b6ae81031a974b45dd7d1a7e520ae84a06c34c422e4d12e9",
+    }

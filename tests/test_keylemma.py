@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from curveblinds import verify
 from curveblinds.blinds import ConstructionError
 from curveblinds.curve import CurveProfile, builtin_curve, fiber_point, tangent_direction
 from curveblinds.geometry import Point, Segment
@@ -24,6 +25,7 @@ from curveblinds.keylemma import (
 from curveblinds.measure import AlphaSet, FiberArc, project_blinds
 from curveblinds.projline import normalize
 from curveblinds.scene import load_scene
+from curveblinds.verify import check_cover, check_small
 import keylemma_reference as reference
 from scalar_projection import (
     contains,
@@ -349,3 +351,60 @@ def test_key_construction_on_scalar_only_curve():
     )
     assert result.cover_report.passed
     assert result.small_report.passed
+
+
+@pytest.mark.parametrize("scene", ["Q1", "P1", "E1"])
+def test_rigorous_reports_are_the_shifted_checks_on_the_unpadded_arc(scene):
+    spec = load_scene(scene)
+    curve, a_small, a_cover = spec.curve(), spec.a_small(), spec.a_cover()
+    result = key_construction(
+        curve, spec.y, spec.subrange, a_small, a_cover, spec.epsilon, spec.delta,
+        caps=spec.caps, scene_id=scene, rigorous=True,
+    )
+    arc = FiberArc(spec.y, *spec.subrange)
+    cover = check_cover(
+        curve, result.blinds, arc, a_cover, margin=1e-9, scene_id=scene,
+        shift=curve.df_bound * a_cover.grid_step / 2.0,
+    )
+    small = check_small(
+        curve, result.blinds, a_small, bound=spec.epsilon, scene_id=scene,
+        shift=curve.df_bound * a_small.grid_step / 2.0,
+    )
+    assert result.cover_report.to_json_dict() == cover.to_json_dict()
+    assert result.small_report.to_json_dict() == small.to_json_dict()
+    assert cover.padding > 0.0 and small.padding > 0.0
+
+
+@pytest.mark.parametrize("rigorous", [False, True])
+@pytest.mark.parametrize("eps, points, attempts", [(None, 200, 1), (0.018, 30, 2)])
+def test_each_attempt_projects_its_blinds_once_per_grid(
+    monkeypatch, rigorous, eps, points, attempts
+):
+    # Q1 as shipped certifies on its first attempt; at eps=0.018 both of two
+    # attempts miss the smallness bound
+    spec = dataclasses.replace(load_scene("Q1"), alpha_points=points)
+    a_small, a_cover = spec.a_small(), spec.a_cover()
+    projected = []  # (blind set, grid) of every projection of a key-construction set
+    original = verify.project_blinds_grid
+
+    def counting(curve, alphas, blinds):
+        if blinds.meta.get("kind") == "key_construction":
+            projected.append((blinds, np.asarray(alphas)))
+        return original(curve, alphas, blinds)
+
+    monkeypatch.setattr(verify, "project_blinds_grid", counting)
+    args = (spec.curve(), spec.y, spec.subrange, a_small, a_cover)
+    kwargs = dict(caps=spec.caps, max_attempts=attempts, rigorous=rigorous)
+    if eps is None:
+        result = key_construction(*args, spec.epsilon, spec.delta, **kwargs)
+        assert projected[-1][0] is result.blinds
+    else:
+        with pytest.raises(ConstructionError):
+            key_construction(*args, eps, spec.delta, **kwargs)
+    assert len(projected) == 2 * attempts
+    for i in range(attempts):
+        (first, cover_grid), (second, small_grid) = projected[2 * i : 2 * i + 2]
+        assert first is second
+        assert np.array_equal(cover_grid, a_cover.grid())
+        assert np.array_equal(small_grid, a_small.grid())
+    assert len({id(blinds) for blinds, _ in projected}) == attempts

@@ -9,12 +9,14 @@ from curveblinds.blinds import BlindSet
 from curveblinds.curve import builtin_curve
 from curveblinds.geometry import Point, Segment
 from curveblinds.keylemma import default_alpha_box, polygon_approx
-from curveblinds.measure import AlphaSet, FiberArc
+from curveblinds.measure import AlphaSet, FiberArc, IntervalUnion, project_blinds_grid
 from curveblinds.verify import (
     check_cover,
     check_small,
+    cover_views,
     gradient_check,
     law_of_sines_check,
+    small_views,
 )
 from scalar_projection import contains, project_fiber_arc, project_segment, project_segments
 
@@ -113,6 +115,63 @@ def test_check_small_shift_mode_padding():
     plain = check_small(CURVE, blinds, ALPHAS, bound=1.0)
     # inflation can only increase the certified worst measure
     assert report.worst_value >= plain.worst_value
+
+
+def _edge_case_segment(dx: float = 0.0) -> Segment:
+    # for dx = 0 the strip edge alpha - b = alpha - 1 crosses the segment for
+    # every alpha in [0.75, 0.85], inside ALPHAS; its slope 6 exceeds df_bound
+    return Segment(Point(-0.25 + dx, 0.0), Point(-0.15 + dx, 0.6))
+
+
+def test_strip_edge_inside_the_grid_grants_no_padding():
+    blinds = BlindSet.from_segments([_edge_case_segment()])
+    shift = CURVE.df_bound * ALPHAS.grid_step / 2.0
+    shifted = check_small(CURVE, blinds, ALPHAS, bound=10.0, shift=shift)
+    plain = check_small(CURVE, blinds, ALPHAS, bound=10.0)
+    assert shifted.passed and plain.passed
+    assert shifted.padding == 0.0 and plain.padding == 0.0
+    # padding would certify a bound that fails: the clipped endpoint slides
+    # faster than df_bound, so some alpha within half a step of a grid point
+    # projects to more than that grid point's inflated measure
+    grid, half = ALPHAS.grid(), ALPHAS.grid_step / 2.0
+    fine = np.linspace(grid[0] - half, grid[-1] + half, 2001)
+    fine_measure = IntervalUnion.stack(project_blinds_grid(CURVE, fine, blinds)).measures()
+    nearest = np.abs(fine[:, None] - grid[None, :]).argmin(axis=1)
+    grid_measure = np.array([row.projected_measure for row in shifted.per_alpha])
+    assert np.max(fine_measure - grid_measure[nearest]) > 1e-4
+    # the same segment inside the strip for every such alpha keeps its padding
+    inside = BlindSet.from_segments([_edge_case_segment(dx=0.5)])
+    assert check_small(CURVE, inside, ALPHAS, bound=10.0, shift=shift).padding == half
+    assert check_small(CURVE, inside, ALPHAS, bound=10.0).padding == half
+
+
+def test_strip_edge_voids_cover_padding_for_blinds_and_target():
+    seg = Segment(Point(0.3, 0.0), Point(0.5, 0.1))
+    tall = Segment(Point(0.4, -3.0), Point(0.4, 3.0))
+    shift = CURVE.df_bound * ALPHAS.grid_step / 2.0
+    roomy = check_cover(CURVE, BlindSet.from_segments([tall]), seg, ALPHAS, shift=shift)
+    assert roomy.passed and roomy.padding > 0.0
+    blinds = BlindSet.from_segments([tall, _edge_case_segment()])
+    report = check_cover(CURVE, blinds, seg, ALPHAS, shift=shift)
+    assert report.passed and report.padding == 0.0
+    target = _edge_case_segment()
+    report = check_cover(CURVE, BlindSet.from_segments([tall]), target, ALPHAS, shift=shift)
+    assert report.passed and report.padding == 0.0
+
+
+def test_views_of_one_pass_match_one_view_checks():
+    for curve, blinds, target, alphas in _failing_cover_cases():
+        shifts = [0.0, 0.004, 0.001]
+        views = [(target, shift) for shift in shifts]
+        views.append((Segment(Point(0.0, 0.0), Point(0.3, 0.1)), 0.002))
+        reports = cover_views(curve, blinds, views, alphas, margin=1e-9, scene_id="v")
+        for (view_target, shift), report in zip(views, reports):
+            single = check_cover(curve, blinds, view_target, alphas, 1e-9, "v", shift)
+            assert report.to_json_dict() == single.to_json_dict()
+        reports = small_views(curve, blinds, alphas, 0.5, shifts, scene_id="v")
+        for shift, report in zip(shifts, reports):
+            single = check_small(curve, blinds, alphas, 0.5, "v", shift)
+            assert report.to_json_dict() == single.to_json_dict()
 
 
 def test_report_json_shape():
