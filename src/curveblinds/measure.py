@@ -134,28 +134,24 @@ def _from_groups(lo: np.ndarray, hi: np.ndarray, row: np.ndarray, rows: int) -> 
 def _canonical_rows(los: np.ndarray, his: np.ndarray) -> IntervalUnion:
     """Canonicalize each row of (rows x n) interval arrays; lo = +inf marks a gap.
 
-    One sort, running max and maximum.reduceat serve every row: a reduceat
-    run is cut at every group start and every row start, and the marked
-    entries sort to the end of their row, each starting a run that is dropped.
+    lo and hi are sorted each on their own.  As lo <= hi, where the i-th
+    smallest lo exceeds the i-th smallest hi by over MERGE_TOL, the i intervals
+    of smallest hi are those of smallest lo and that hi is their running max:
+    group starts and maxima equal those of a pass in lo order, bit for bit.  A
+    gap's hi counts as +inf, so gaps sort last in their row and are dropped.
     """
     rows, n = los.shape
-    order = np.argsort(los, axis=1)
-    order += np.arange(0, rows * n, n)[:, None]
-    order = order.ravel()
-    los = los.ravel()[order]
-    his = his.ravel()[order]
-    del order
-    running = np.maximum.accumulate(his.reshape(rows, n), axis=1).ravel()
-    running += MERGE_TOL
-    # a new group starts where the interval does not touch the running hull
+    his = np.where(los == np.inf, np.inf, his)  # a copy: the inputs stay as given
+    his.sort(axis=1)
+    his, los = his.ravel(), np.sort(los, axis=1).ravel()
     cuts = np.empty(rows * n, dtype=bool)
-    np.greater(los[1:], running[:-1], out=cuts[1:])
-    del running
+    np.greater(los[1:], his[:-1] + MERGE_TOL, out=cuts[1:])
     cuts[::n] = True
     starts = np.flatnonzero(cuts)
     kept = los[starts] < np.inf
-    group_hi = np.maximum.reduceat(his, starts)[kept]
-    return IntervalUnion(los[starts[kept]], group_hi, starts[kept] // n, rows)
+    # a group ends just before the next group or row starts
+    ends = np.append(starts, rows * n)[1:][kept] - 1
+    return IntervalUnion(los[starts[kept]], his[ends], starts[kept] // n, rows)
 
 
 # -- alpha parameter sets ---------------------------------------------------

@@ -107,7 +107,8 @@ def render_svg(
     if title:
         parts.append(
             f'<text x="{_MARGIN}" y="24" font-family="monospace" font-size="16">'
-            f"{title}</text>"
+            + title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            + "</text>"
         )
     if alpha is not None:
         # strip boundaries of Phi_alpha's domain: x1 = alpha - b and alpha - a

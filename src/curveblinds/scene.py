@@ -149,11 +149,14 @@ class SceneSpec:
         for key, value in (("epsilon", epsilon), ("delta", delta)):
             if not (math.isfinite(value) and value > 0.0):
                 raise fail(key, "must be finite and positive")
+        scene_id = data.get("scene_id", "scene")
+        if not isinstance(scene_id, str):
+            raise fail("scene_id", f"expected a string, got {scene_id!r}")
         grids = obj("grids", data.get("grids", {}))
         caps_node = obj("caps", data.get("caps", {}))
         return cls(
             schema_version=version,
-            scene_id=str(data.get("scene_id", "scene")),
+            scene_id=scene_id,
             curve_name=name,
             curve_bounds=bounds,
             y=Point(y_lo, y_hi),

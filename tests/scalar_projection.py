@@ -4,7 +4,9 @@
 ``measure.project_blinds_grid`` is the only projection of segments in the
 package; the equivalence tests compare both against these independent
 per-alpha, per-interval evaluations.  ``rows_of``, ``to_scalar`` and
-``batch_of`` convert between the two representations.
+``batch_of`` convert between the two representations, and
+``argsort_canonical_rows`` canonicalizes by sorting whole intervals, the
+reference for ``measure._canonical_rows``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from curveblinds import measure
 from curveblinds.curve import DOMAIN_TOL, CurveProfile
 from curveblinds.geometry import Segment
 from curveblinds.measure import MERGE_TOL, FiberArc, _canonical_rows
@@ -134,6 +137,32 @@ def batch_of(rows: Sequence[Sequence[Sequence[float]]]):
         for c, (lo, hi) in enumerate(row):
             los[r, c], his[r, c] = lo, hi
     return _canonical_rows(los, his)
+
+
+def argsort_canonical_rows(los: np.ndarray, his: np.ndarray):
+    """Canonicalize each row of (rows x n) interval arrays; lo = +inf marks a gap.
+
+    The intervals of each row are sorted by lo, and a running maximum of
+    their hi decides where a group starts: where an interval does not touch
+    the hull of those before it.  maximum.reduceat takes each group's hi over
+    runs cut at every group start and every row start; the gaps sort to the
+    end of their row, each starting a run that is dropped.
+    """
+    rows, n = los.shape
+    order = np.argsort(los, axis=1)
+    order += np.arange(0, rows * n, n)[:, None]
+    order = order.ravel()
+    los = los.ravel()[order]
+    his = his.ravel()[order]
+    running = np.maximum.accumulate(his.reshape(rows, n), axis=1).ravel()
+    running += MERGE_TOL
+    cuts = np.empty(rows * n, dtype=bool)
+    np.greater(los[1:], running[:-1], out=cuts[1:])
+    cuts[::n] = True
+    starts = np.flatnonzero(cuts)
+    kept = los[starts] < np.inf
+    group_hi = np.maximum.reduceat(his, starts)[kept]
+    return measure.IntervalUnion(los[starts[kept]], group_hi, starts[kept] // n, rows)
 
 
 def project_segment(curve: CurveProfile, alpha: float, seg: Segment) -> IntervalUnion:

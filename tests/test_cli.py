@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -133,6 +134,21 @@ def test_render_produces_svg(tmp_path):
     assert svg.startswith("<svg")
     assert "</svg>" in svg
     assert "<polyline" in svg
+
+
+def test_render_escapes_the_scene_id_in_the_title(tmp_path):
+    # the title is the scene's scene_id, written into the SVG as text
+    data = load_scene("Q1").to_json_dict()
+    data["scene_id"] = "Q1 <a&b>"
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(data))
+    assert main(["construct", "--scene", str(scene), "--out", str(tmp_path)]) == 0
+    out = tmp_path / "figure.svg"
+    args = ["--scene", str(scene), "--blindset", str(tmp_path / "blindset.json")]
+    assert main(["render", *args, "--out", str(out)]) == 0
+    root = ET.parse(out).getroot()
+    (title,) = root.iter("{http://www.w3.org/2000/svg}text")
+    assert title.text == "Q1 <a&b>"
 
 
 def test_render_missing_blindset_exit_2(tmp_path):

@@ -22,6 +22,7 @@ from curveblinds.measure import (
     project_fiber_arc,
 )
 from scalar_projection import (
+    argsort_canonical_rows,
     batch_of,
     contains,
     project_segment,
@@ -58,6 +59,76 @@ def test_union_from_arrays_matches_union_of():
             for lo, hi in zip(los, his)
         ]
         assert rows_of(_canonical_rows(los, his)) == expected
+
+
+def _blade_rows(rng, rows=2, runs=96):
+    # the kernel's row shape: each blade projects to an ascending run of
+    # 64-256 intervals, and the runs come in shuffled order
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(runs):
+            k = int(rng.integers(64, 257))
+            lo = rng.uniform(-3.0, 3.0) + np.cumsum(rng.exponential(0.002, k))
+            row.append((lo, lo + rng.exponential(0.002, k)))
+        order = rng.permutation(runs)
+        out.append([np.concatenate([row[i][j] for i in order]) for j in (0, 1)])
+    n = min(len(lo) for lo, _ in out)
+    assert n >= 10_000
+    return np.array([lo[:n] for lo, _ in out]), np.array([hi[:n] for _, hi in out])
+
+
+def _random_rows(rng):
+    los = rng.uniform(-5.0, 5.0, (3, 4000))
+    return los, los + rng.exponential(0.003, los.shape)
+
+
+def _gap_rows(rng):
+    # gaps carry finite hi values: in rows 0-1 above every interval of their
+    # row, in rows 2-3 below every one (as _layout's fill and the kernel's
+    # out-of-strip segments may be); a canonicalizer that sorts hi without
+    # masking the gaps fails on the latter
+    los = rng.uniform(-1.0, 1.0, (6, 300))
+    his = los + rng.exponential(0.01, los.shape)
+    gaps = rng.random(los.shape) < 0.3
+    gaps[4] = True  # an empty row
+    gaps[5, 1:] = True  # a row of one interval
+    los[gaps] = np.inf
+    his[gaps] = rng.uniform(5.0, 50.0, int(gaps.sum()))
+    his[2:4][gaps[2:4]] *= -1.0
+    return los, his
+
+
+def _tie_and_touch_rows(rng):
+    # repeated lo values, and neighbours that touch within MERGE_TOL or
+    # just beyond it
+    base = np.round(rng.uniform(0.0, 1.0, (4, 2000)), 2)
+    his = base + rng.choice([0.0, 0.001, 0.005], base.shape)
+    los = base.copy()
+    los[:, 1::2] = his[:, 0::2] + rng.choice([0.0, 0.5, 1.0, 2.0], (4, 1000)) * MERGE_TOL
+    his[:, 1::2] = np.maximum(his[:, 1::2], los[:, 1::2])
+    return los, his
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_blade_rows, _random_rows, _gap_rows, _tie_and_touch_rows],
+    ids=lambda f: f.__name__[1:],
+)
+def test_canonical_rows_equal_the_argsort_reference(make):
+    los, his = make(np.random.default_rng(7))
+    assert (his >= los)[los < np.inf].all()
+    los_in, his_in = los.copy(), his.copy()
+    got = _canonical_rows(los, his)
+    want = argsort_canonical_rows(los, his)
+    # inputs are untouched: callers pass views of the arrays they keep
+    assert np.array_equal(los, los_in) and np.array_equal(his, his_in)
+    assert got.rows == want.rows
+    for name in ("lo", "hi", "row"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.row.dtype == want.row.dtype
+    # the inputs produce both merged groups and separate ones
+    assert len(np.unique(want.row)) < len(want.lo) < los.size
 
 
 def test_inflate_and_erode():

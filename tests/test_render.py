@@ -1,5 +1,7 @@
 """SVG rendering: structure, determinism, stage coloring."""
 
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,14 @@ def test_render_svg_structure():
     assert "demo" in svg
     # one drawn polyline per blind segment (plus the fiber curve)
     assert svg.count("<polyline") >= len(blinds)
+
+
+@pytest.mark.parametrize("title", ["Q1 <a&b>", "x & y", "</text>", "a > b"])
+def test_render_svg_title_is_escaped(title):
+    curve, blinds, arc = _sample()
+    root = ET.fromstring(render_svg(curve, blinds, arc=arc, alpha=0.8, title=title))
+    (text,) = root.iter("{http://www.w3.org/2000/svg}text")
+    assert text.text == title
 
 
 def test_render_svg_deterministic():

@@ -113,6 +113,14 @@ def test_defaults_fill_in():
     assert spec.scene_id == "scene"
 
 
+@pytest.mark.parametrize("value", [123, None, 1.5, True, ["Q1"], {"id": "Q1"}])
+def test_non_string_scene_id_is_rejected(value):
+    data = _valid_scene_dict()
+    data["scene_id"] = value
+    with pytest.raises(SceneError, match=r"^scene_id: expected a string"):
+        SceneSpec.from_json_dict(data)
+
+
 @pytest.mark.parametrize(
     "path,value",
     [
