@@ -32,10 +32,8 @@ from .duality import LineParam, line_slice, parabola_slice, similarity_residual
 from .geometry import Disk, Point, Segment
 from .keylemma import (
     AngleBands,
-    CompactNbhd,
     KeyResult,
     PolyChain,
-    SeparationError,
     compute_bands,
     key_construction,
     local_construction,
@@ -71,7 +69,6 @@ __all__ = [
     "Arc",
     "BlindSet",
     "Caps",
-    "CompactNbhd",
     "ConstructionError",
     "CurveProfile",
     "Direction",
@@ -86,7 +83,6 @@ __all__ = [
     "SceneError",
     "SceneSpec",
     "Segment",
-    "SeparationError",
     "VerificationReport",
     "angle_schedule",
     "as_direction",

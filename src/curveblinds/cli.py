@@ -133,7 +133,6 @@ def run_construct(
     spec: SceneSpec, out_dir: Path, rigorous: bool = False
 ) -> tuple[dict, dict]:
     """Run the key construction for a scene; write blindset.json, report.json."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     result = key_construction(
         spec.curve(),
@@ -161,11 +160,13 @@ def run_construct(
         "rigorous": rigorous,
         "pieces": len(result.blinds),
         "total_length": result.blinds.total_length,
-        "eps_used": result.eps_used,
-        "delta_used": result.delta_used,
+        # eps_used and delta_used stay for the pinned output bytes
+        "eps_used": spec.epsilon,
+        "delta_used": result.blinds.meta["delta"],
         "cover": cover_report.to_json_dict(),
         "small": small_report.to_json_dict(),
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(blind_json, out_dir / "blindset.json")
     _dump_json(report, out_dir / "report.json")
     report["elapsed_seconds"] = round(elapsed, 3)
@@ -191,13 +192,24 @@ _DRAWN_FIELDS = ("scene_id", "curve", "y", "subrange", "A_cover")
 def _read_blindset(spec: SceneSpec, path: Path) -> BlindSet:
     """The blind set written at path, if it was built for spec.
 
-    A scene block that differs from spec in a field the figure draws is
-    rejected with a SceneError naming the field; a blind set without one is
-    accepted.  The parsed JSON tree is dropped on return, before rendering.
+    A missing segments field, a non-object meta, a provenance that is not a
+    list of lists, or a scene block that differs from spec in a field the
+    figure draws is rejected with a SceneError naming the field; a blind set
+    without a scene block is accepted.  The parsed JSON tree is dropped on
+    return, before rendering.
     """
     data = json.loads(path.read_text())
     if not isinstance(data, dict):
         raise SceneError(f"{path}: expected a JSON object")
+    if "segments" not in data:
+        raise SceneError(f"{path}: segments: missing field")
+    if not isinstance(data.get("meta", {}), dict):
+        raise SceneError(f"{path}: meta: expected a JSON object")
+    prov = data.get("provenance")
+    if prov is not None and not (
+        isinstance(prov, list) and all(isinstance(idx, list) for idx in prov)
+    ):
+        raise SceneError(f"{path}: provenance: expected a list of lists")
     built_for = data.get("scene")
     if built_for is not None:
         expected = spec.to_json_dict()
@@ -369,7 +381,10 @@ def main(argv: list[str] | None = None) -> int:
             ok, lines = run_checks("duality")
             print("\n".join(lines))
             return 0 if ok else 1
-    except (SceneError, ConstructionError, ValueError, OSError) as exc:
+    except ConstructionError as exc:
+        print(f"error (stage {exc.stage}): {exc}", file=sys.stderr)
+        return 2
+    except (SceneError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

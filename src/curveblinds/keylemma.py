@@ -3,13 +3,18 @@
 Given a fiber point y and a parameter subrange, the fiber arc gamma is
 approximated by a tangent-line polygon chain, every vertex computed in one
 array expression over the partition points; per chain segment, disjoint
-direction bands for the cover and small alpha-sets are computed from a
-compact neighborhood, the small band by one circular-order rule (the small
-directions' positions along ``Arc.offsets`` of the gap after the cover
-band); a two-stage blind construction (one clockwise stage toward the lower
-small band edge, then counterclockwise iterated blinds toward the upper
-edge) produces a segment family that covers gamma's projections over
-A_cover while projecting with small measure over A_small.
+direction bands for the cover and small alpha-sets are computed from the
+x1 window of the segment's delta-neighborhood, the small band by one
+circular-order rule (the small directions' positions along ``Arc.offsets``
+of the gap after the cover band); a two-stage blind construction (one
+clockwise stage toward the lower small band edge, then counterclockwise
+iterated blinds toward the upper edge) produces a segment family that
+covers gamma's projections over A_cover while projecting with small
+measure over A_small.
+
+Each piece count is chosen once for the requested eps, as in the
+Venetian-blind lemma: the family is built and certified in one pass, and a
+stage that cannot be met raises ConstructionError naming it.
 """
 
 from __future__ import annotations
@@ -33,14 +38,6 @@ from .geometry import Point, Segment
 from .measure import AlphaSet, FiberArc
 from .projline import CCW, Arc, Direction, dist, normalize
 from .verify import VerificationReport, check_cover, cover_views, small_views
-
-
-class SeparationError(RuntimeError):
-    """Cover and small direction sets could not be separated into bands."""
-
-    def __init__(self, message: str, closest_pair: object = None):
-        super().__init__(message)
-        self.closest_pair = closest_pair
 
 
 @dataclass(frozen=True)
@@ -94,22 +91,6 @@ class PolyChain:
             Segment(self.vertices[i], self.vertices[i + 1])
             for i in range(len(self.vertices) - 1)
         ]
-
-
-@dataclass(frozen=True)
-class CompactNbhd:
-    """A compact region: a point cloud thickened by a radius."""
-
-    points: np.ndarray  # (n, 2)
-    radius: float
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-            raise ValueError("point cloud must be a nonempty (n, 2) array")
-        object.__setattr__(self, "points", pts)
-        if self.radius < 0.0:
-            raise ValueError(f"radius must be >= 0, got {self.radius!r}")
 
 
 # -- polygon approximation --------------------------------------------------
@@ -221,16 +202,18 @@ _BAND_SLACK = 1e-7
 
 def compute_bands(
     curve: CurveProfile,
-    nbhd: CompactNbhd,
+    x1_lo: float,
+    x1_hi: float,
     a_small: AlphaSet,
     a_cover: AlphaSet,
 ) -> AngleBands:
-    """Disjoint direction bands for a compact region over A_small / A_cover.
+    """Disjoint direction bands over A_small / A_cover for a compact region.
 
-    Tangent directions theta_alpha(x) = atan(f'(alpha - x1)) over the region
-    depend only on t = alpha - x1, and f' is monotone, so the exact direction
-    range over (alpha-component) x (region) is attained at the endpoints of
-    the corresponding t-window; the bands are those exact ranges plus a tiny
+    The region enters only through its x1 window [x1_lo, x1_hi]: tangent
+    directions theta_alpha(x) = atan(f'(alpha - x1)) depend only on
+    t = alpha - x1, and f' is monotone, so the exact direction range over
+    (alpha-component) x (region) is attained at the endpoints of the
+    corresponding t-window; the bands are those exact ranges plus a tiny
     safety slack.  The small band is the shortest arc enclosing the small
     directions inside the gap that runs counterclockwise from the cover band
     back to it; it may wrap through the vertical direction.
@@ -242,15 +225,13 @@ def compute_bands(
             if not (shi < clo or chi_ < slo):
                 raise ValueError("A_small and A_cover must be disjoint")
 
-    x1_lo = float(np.min(nbhd.points[:, 0])) - nbhd.radius
-    x1_hi = float(np.max(nbhd.points[:, 0])) + nbhd.radius
-
     clo, chi_ = a_cover.bounds
     t_lo, t_hi = clo - x1_hi, chi_ - x1_lo
     if t_lo < curve.a or t_hi > curve.b:
-        raise SeparationError(
+        raise ConstructionError(
             f"compact region leaves the strip over A_cover "
-            f"(t-window [{t_lo:.3g}, {t_hi:.3g}] vs [{curve.a}, {curve.b}])"
+            f"(t-window [{t_lo:.3g}, {t_hi:.3g}] vs [{curve.a}, {curve.b}])",
+            stage="bands",
         )
     cover_phis = np.array(
         [math.atan(curve.df(t_lo)), math.atan(curve.df(t_hi))]
@@ -263,7 +244,7 @@ def compute_bands(
             small_vals.append(math.atan(curve.df(w_lo)))
             small_vals.append(math.atan(curve.df(w_hi)))
     if not small_vals:
-        raise SeparationError("no admissible directions over A_small")
+        raise ConstructionError("no admissible directions over A_small", stage="bands")
     small_phis = np.array(small_vals)
 
     c_lo = float(np.min(cover_phis)) - _BAND_SLACK
@@ -278,10 +259,11 @@ def compute_bands(
     s_hi = float(small_phis[last]) + _BAND_SLACK
     eps0 = min(float(u[first]), gap.length - float(u[last])) - _BAND_SLACK
     if eps0 <= 0.0:
-        raise SeparationError(
+        raise ConstructionError(
             f"inflated direction sets overlap (separation {eps0:.3g}); "
             "delta or grids too coarse",
-            closest_pair=((c_lo, c_hi), (s_lo, s_hi)),
+            stage="bands",
+            witness=((c_lo, c_hi), (s_lo, s_hi)),
         )
     return AngleBands(
         cover_lo=normalize(c_lo),
@@ -386,8 +368,6 @@ class KeyResult:
     blinds: BlindSet
     cover_report: VerificationReport
     small_report: VerificationReport
-    eps_used: float
-    delta_used: float
 
 
 def key_construction(
@@ -399,24 +379,24 @@ def key_construction(
     eps: float,
     delta: float,
     caps: Caps = DEFAULT_CAPS,
-    max_attempts: int = 6,
     scene_id: str = "",
     rigorous: bool = False,
 ) -> KeyResult:
     """A finite segment family covering gamma over A_cover, small over A_small.
 
-    The internal working scale eps_c starts at the requested eps and is
-    reduced (ratio estimated from the measured smallness overshoot) until the
-    per-segment angle bands separate and the smallness certificate meets the
-    user bound; delta shrinks alongside and so the closed neighborhood of
-    gamma stays inside the strip interior over A_cover.
+    Builds and certifies once, at the requested eps, with the working delta
+    min(delta, 0.45 * clearance, eps) so that the closed delta-neighborhood
+    of gamma stays inside the strip interior over A_cover.  A stage that
+    cannot be met raises ConstructionError naming it: "polygon", "bands",
+    a blind stage, or "cover" / "small" when a certificate fails, with that
+    certificate's summary line as the message.
 
     With rigorous set, the blinds are built for a padded subrange (see
-    _rigorous_pad) and the retry loop still steers by the unshifted
-    certificates on the padded arc.  The reported certificates are shifted
-    by df_bound times half a grid step and taken on the unpadded arc, so that
-    a pass holds for every alpha; they come from the same projection pass
-    over each grid as the steering ones.
+    _rigorous_pad) and the unshifted certificates on the padded arc decide
+    pass or fail.  The reported certificates are shifted by df_bound times
+    half a grid step and taken on the unpadded arc, so that a pass holds for
+    every alpha; they come from the same projection pass over each grid as
+    the deciding ones.
     """
     a1, b1 = float(subrange[0]), float(subrange[1])
     # rigorous: each grid's pass gets a second view, shifted, on the unpadded arc
@@ -441,40 +421,39 @@ def key_construction(
             f"fiber arc leaves the strip over A_cover (clearance {clearance:.3g})"
         )
     arc = FiberArc(y, a1, b1)
-    eps_c = eps
-    delta_eff = min(delta, 0.45 * clearance)
-    failures: list[str] = []  # one line per failed attempt
-    for attempt in range(max_attempts):
-        delta_c = min(delta_eff, eps_c)
-        prefix = f"attempt {attempt + 1} (eps_c={eps_c:.3g}): "
-        try:
-            blinds = _key_attempt(curve, y, arc, a_small, a_cover, eps, eps_c, delta_c, caps)
-        except (SeparationError, ConstructionError) as exc:
-            failures.append(prefix + str(exc))
-            eps_c *= 0.5
-            continue
-        # view 0 of each grid steers the retry loop; the last one is reported
-        covers = cover_views(
-            curve, blinds, [(arc, 0.0)] + shifted_cover, a_cover, margin=1e-9, scene_id=scene_id
-        )
-        smalls = small_views(curve, blinds, a_small, eps, [0.0] + shifted_small, scene_id=scene_id)
-        cover_report, small_report = covers[0], smalls[0]
-        if cover_report.passed and small_report.passed:
-            return KeyResult(blinds, covers[-1], smalls[-1], eps_c, delta_c)
-        if small_report.passed:
-            raise ConstructionError(
-                "covering certificate failed despite per-stage hypotheses: "
-                + cover_report.summary_line(),
-                stage="cover",
-            )
-        failures.append(prefix + small_report.summary_line())
-        overshoot = small_report.worst_value / eps
-        eps_c *= min(0.5, 0.8 / overshoot)
-    raise ConstructionError(
-        f"key construction failed after {max_attempts} attempts:\n  "
-        + "\n  ".join(failures),
-        stage="key",
+    delta_c = min(delta, 0.45 * clearance, eps)
+    chain = polygon_approx(curve, y, (arc.lo, arc.hi), eps, delta_c / 2.0, alpha_grid=a_cover)
+    pieces = []
+    units = []  # run-length unit labels: [chain_index, blade_count, leaf_count]
+    for ci, cseg in enumerate(chain.segments()):
+        # a segment's delta_c-neighborhood spans its endpoints' x1 range, widened
+        lo, hi = min(cseg.a.x1, cseg.b.x1), max(cseg.a.x1, cseg.b.x1)
+        bands = compute_bands(curve, lo - delta_c, hi + delta_c, a_small, a_cover)
+        local = local_construction(curve, cseg, bands, a_small, a_cover, eps, delta_c, caps)
+        pieces.append(local.coords)
+        units.append([ci, int(local.meta["stage1_n"]), int(len(local))])
+    blinds = BlindSet(
+        np.concatenate(pieces),
+        provenance=None,
+        meta={
+            "kind": "key_construction",
+            "eps": eps,
+            # the working scale is eps; the key stays for the pinned output bytes
+            "eps_c": eps,
+            "delta": delta_c,
+            "units": units,
+            "chain_segments": len(units),
+        },
     )
+    # view 0 of each grid decides; the last one is reported
+    covers = cover_views(
+        curve, blinds, [(arc, 0.0)] + shifted_cover, a_cover, margin=1e-9, scene_id=scene_id
+    )
+    smalls = small_views(curve, blinds, a_small, eps, [0.0] + shifted_small, scene_id=scene_id)
+    for stage, views in (("cover", covers), ("small", smalls)):
+        if not views[0].passed:
+            raise ConstructionError(views[0].summary_line(), stage=stage)
+    return KeyResult(blinds, covers[-1], smalls[-1])
 
 
 def _rigorous_pad(
@@ -501,43 +480,3 @@ def _rigorous_pad(
     if not math.isfinite(slowest) or slowest <= 0.0:
         raise ValueError("cannot pad subrange: projected endpoints are stationary")
     return 3.0 * shift / slowest
-
-
-def _key_attempt(
-    curve: CurveProfile,
-    y: Point,
-    arc: FiberArc,
-    a_small: AlphaSet,
-    a_cover: AlphaSet,
-    eps: float,
-    eps_c: float,
-    delta_c: float,
-    caps: Caps,
-) -> BlindSet:
-    chain = polygon_approx(
-        curve, y, (arc.lo, arc.hi), eps_c, delta_c / 2.0, alpha_grid=a_cover
-    )
-    pieces = []
-    units = []  # run-length unit labels: [chain_index, blade_count, leaf_count]
-    for ci, cseg in enumerate(chain.segments()):
-        # compute_bands reads only the x1 extremes, which a segment attains
-        # at its endpoints
-        ends = np.array([cseg.a.as_tuple(), cseg.b.as_tuple()])
-        bands = compute_bands(curve, CompactNbhd(ends, delta_c), a_small, a_cover)
-        local = local_construction(
-            curve, cseg, bands, a_small, a_cover, eps_c, delta_c, caps
-        )
-        pieces.append(local.coords)
-        units.append([ci, int(local.meta["stage1_n"]), int(len(local))])
-    return BlindSet(
-        np.concatenate(pieces),
-        provenance=None,
-        meta={
-            "kind": "key_construction",
-            "eps": eps,
-            "eps_c": eps_c,
-            "delta": delta_c,
-            "units": units,
-            "chain_segments": len(units),
-        },
-    )

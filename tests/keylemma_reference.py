@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 
+from curveblinds.blinds import ConstructionError
 from curveblinds.curve import CurveProfile, fiber_point
 from curveblinds.geometry import Point
-from curveblinds.keylemma import AngleBands, CompactNbhd, SeparationError
+from curveblinds.keylemma import AngleBands
 from curveblinds.measure import AlphaSet
 from curveblinds.projline import PI, normalize
 
@@ -48,7 +49,8 @@ def chain_vertices(
 
 def compute_bands(
     curve: CurveProfile,
-    nbhd: CompactNbhd,
+    x1_lo: float,
+    x1_hi: float,
     a_small: AlphaSet,
     a_cover: AlphaSet,
     slack: float = 1e-7,
@@ -66,13 +68,10 @@ def compute_bands(
             if not (shi < clo or chi_ < slo):
                 raise ValueError("A_small and A_cover must be disjoint")
 
-    x1_lo = float(np.min(nbhd.points[:, 0])) - nbhd.radius
-    x1_hi = float(np.max(nbhd.points[:, 0])) + nbhd.radius
-
     clo, chi_ = a_cover.bounds
     t_lo, t_hi = clo - x1_hi, chi_ - x1_lo
     if t_lo < curve.a or t_hi > curve.b:
-        raise SeparationError("compact region leaves the strip over A_cover")
+        raise ConstructionError("compact region leaves the strip over A_cover", stage="bands")
     cover_phis = np.array([math.atan(curve.df(t_lo)), math.atan(curve.df(t_hi))])
     small_vals = []
     for slo, shi in a_small.components:
@@ -82,7 +81,7 @@ def compute_bands(
             small_vals.append(math.atan(curve.df(w_lo)))
             small_vals.append(math.atan(curve.df(w_hi)))
     if not small_vals:
-        raise SeparationError("no admissible directions over A_small")
+        raise ConstructionError("no admissible directions over A_small", stage="bands")
     small_phis = np.array(small_vals)
 
     c_lo = float(np.min(cover_phis)) - slack
@@ -108,7 +107,9 @@ def compute_bands(
         gap_after_small = PI - (s_hi - c_lo)
     eps0 = min(gap_after_cover, gap_after_small)
     if eps0 <= 0.0:
-        raise SeparationError(f"inflated direction sets overlap (separation {eps0:.3g})")
+        raise ConstructionError(
+            f"inflated direction sets overlap (separation {eps0:.3g})", stage="bands"
+        )
     return AngleBands(
         cover_lo=normalize(c_lo),
         cover_hi=normalize(c_hi),

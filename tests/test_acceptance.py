@@ -21,7 +21,6 @@ from curveblinds.curve import (
 from curveblinds.duality import LineParam, line_slice, parabola_slice, similarity_residual
 from curveblinds.geometry import Disk, Point, Segment
 from curveblinds.keylemma import (
-    CompactNbhd,
     compute_bands,
     default_alpha_box,
     key_construction,
@@ -131,18 +130,11 @@ def test_criterion_05_smallness_scaling(capsys):
     a_small, a_cover = spec.a_small(), spec.a_cover()
     chain = polygon_approx(curve, spec.y, spec.subrange, 0.04, spec.delta)
     seg = chain.segments()[len(chain.segments()) // 2]
-    ts = np.linspace(0.0, 1.0, 33)
-    cloud = np.stack(
-        [
-            seg.a.x1 + ts * (seg.b.x1 - seg.a.x1),
-            seg.a.x2 + ts * (seg.b.x2 - seg.a.x2),
-        ],
-        axis=1,
-    )
+    x1_lo, x1_hi = min(seg.a.x1, seg.b.x1), max(seg.a.x1, seg.b.x1)
     ratios = []
     for eps in (0.2, 0.1, 0.05):
         delta = eps / 5.0
-        bands = compute_bands(curve, CompactNbhd(cloud, delta), a_small, a_cover)
+        bands = compute_bands(curve, x1_lo - delta, x1_hi + delta, a_small, a_cover)
         blinds = local_construction(
             curve, seg, bands, a_small, a_cover, eps, delta, caps=spec.caps
         )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -221,6 +222,37 @@ def test_render_rejects_a_blindset_that_is_not_an_object(tmp_path, capsys):
     assert _render("Q1", path, out) == 2
     assert "expected a JSON object" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({}, "segments: missing field"),
+        ({"segments": [[0, 0, 1, 1]], "meta": [1]}, "meta: expected a JSON object"),
+        ({"segments": [[0, 0, 1, 1]], "provenance": [1]}, "provenance: expected a list"),
+    ],
+    ids=["no_segments", "meta_list", "provenance_ints"],
+)
+def test_render_rejects_a_malformed_blindset(data, field, tmp_path, capsys):
+    path, out = tmp_path / "blindset.json", tmp_path / "f.svg"
+    path.write_text(json.dumps(data))
+    assert _render("Q1", path, out) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_construct_names_the_failing_stage(tmp_path, capsys):
+    # Q1 misses eps=0.015 on the smallness certificate; one attempt fails fast
+    data = load_scene("Q1").to_json_dict()
+    data["epsilon"] = 0.015
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code = main(["construct", "--scene", str(scene), "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 10.0
+    assert code == 2
+    assert "error (stage small): FAIL small [Q1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("rigorous", [False, True])

@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from curveblinds import verify
@@ -12,8 +15,6 @@ from curveblinds.blinds import ConstructionError
 from curveblinds.curve import CurveProfile, builtin_curve, fiber_point, tangent_direction
 from curveblinds.geometry import Point, Segment
 from curveblinds.keylemma import (
-    CompactNbhd,
-    SeparationError,
     _tangent_chain,
     _vertex_distances,
     compute_bands,
@@ -138,44 +139,37 @@ def _q1_band_context():
     curve = spec.curve()
     chain = polygon_approx(curve, spec.y, spec.subrange, spec.epsilon, spec.delta)
     seg = chain.segments()[len(chain.segments()) // 2]
-    ts = np.linspace(0.0, 1.0, 33)
-    cloud = np.stack(
-        [
-            seg.a.x1 + ts * (seg.b.x1 - seg.a.x1),
-            seg.a.x2 + ts * (seg.b.x2 - seg.a.x2),
-        ],
-        axis=1,
-    )
-    return spec, curve, seg, CompactNbhd(cloud, spec.delta)
+    # the x1 window of the segment's delta-neighborhood
+    window = (min(seg.a.x1, seg.b.x1) - spec.delta, max(seg.a.x1, seg.b.x1) + spec.delta)
+    return spec, curve, seg, window
 
 
 VERTICAL = normalize(math.pi / 2)
 
 
 def test_compute_bands_encloses_sampled_directions():
-    spec, curve, seg, nbhd = _q1_band_context()
+    spec, curve, seg, window = _q1_band_context()
     a_cover = spec.a_cover()
     # the shipped A_small lies below A_cover; a second component above it puts
     # small directions on both sides of the cover band, so the small band
     # wraps through the vertical direction
     straddling = AlphaSet.from_intervals([*spec.a_small_components, (0.6, 0.7)], 50)
     for a_small, straddle in ((spec.a_small(), False), (straddling, True)):
-        bands = compute_bands(curve, nbhd, a_small, a_cover)
+        bands = compute_bands(curve, *window, a_small, a_cover)
         assert bands.eps0 > 0.0
         assert bands.small_arc.contains(VERTICAL) == straddle
-        _assert_bands_enclose_and_separate(curve, nbhd, bands, a_small, a_cover)
+        _assert_bands_enclose_and_separate(curve, window, bands, a_small, a_cover)
 
 
-def _assert_bands_enclose_and_separate(curve, nbhd, bands, a_small, a_cover):
+def _assert_bands_enclose_and_separate(curve, window, bands, a_small, a_cover):
     rng = np.random.default_rng(0)
-    # oracle: tangent directions at random (alpha, region point) samples must
+    # oracle: tangent directions at random (alpha, region x1) samples must
     # land in the matching band, and the bands must stay disjoint
     for aset, band in ((a_cover, bands.cover_arc), (a_small, bands.small_arc)):
         for _ in range(300):
             lo, hi = aset.components[int(rng.integers(len(aset.components)))]
             alpha = float(rng.uniform(lo, hi))
-            base = nbhd.points[int(rng.integers(len(nbhd.points)))]
-            x1 = float(base[0] + rng.uniform(-nbhd.radius, nbhd.radius))
+            x1 = float(rng.uniform(*window))
             t = alpha - x1
             if not curve.a <= t <= curve.b:
                 continue
@@ -190,7 +184,7 @@ def _assert_bands_enclose_and_separate(curve, nbhd, bands, a_small, a_cover):
 
 
 def _random_band_scene(rng, curve):
-    """A two-point region, A_cover inside its strip window, 1-3 A_small parts.
+    """A region's x1 window, A_cover inside its strip window, 1-3 A_small parts.
 
     The small components lie below A_cover, above it, or on both sides, and
     may run past the strip; about one scene in ten puts A_cover outside the
@@ -200,7 +194,6 @@ def _random_band_scene(rng, curve):
     c = float(rng.uniform(-1.0, 1.0))
     w = float(rng.uniform(0.0, 0.05 * width))
     r = float(rng.uniform(0.0, 0.05 * width))
-    nbhd = CompactNbhd(np.array([[c - w / 2, 0.0], [c + w / 2, 1.0]]), r)
     x1_lo, x1_hi = c - w / 2 - r, c + w / 2 + r
     room_lo, room_hi = curve.a + x1_hi, curve.b + x1_lo
     if rng.random() < 0.1:
@@ -217,7 +210,7 @@ def _random_band_scene(rng, curve):
     for lo, hi in (below, above):
         ends = np.sort(rng.uniform(lo, hi, 2 * sides.count((lo, hi))))
         comps += [(float(p), float(q)) for p, q in zip(ends[::2], ends[1::2])]
-    return nbhd, AlphaSet.from_intervals(comps, 2), AlphaSet.interval(clo, chi, 2)
+    return (x1_lo, x1_hi), AlphaSet.from_intervals(comps, 2), AlphaSet.interval(clo, chi, 2)
 
 
 def test_compute_bands_matches_three_branch_reference():
@@ -226,16 +219,17 @@ def test_compute_bands_matches_three_branch_reference():
     for name in ("parabola", "quarter_circle", "exp"):
         curve = builtin_curve(name)
         for _ in range(800):
-            nbhd, a_small, a_cover = _random_band_scene(rng, curve)
+            window, a_small, a_cover = _random_band_scene(rng, curve)
             try:
-                want = reference.compute_bands(curve, nbhd, a_small, a_cover)
-            except (ValueError, SeparationError) as exc:
+                want = reference.compute_bands(curve, *window, a_small, a_cover)
+            except (ValueError, ConstructionError) as exc:
                 with pytest.raises(type(exc)) as info:
-                    compute_bands(curve, nbhd, a_small, a_cover)
+                    compute_bands(curve, *window, a_small, a_cover)
                 assert type(info.value) is type(exc)
+                assert getattr(info.value, "stage", None) == getattr(exc, "stage", None)
                 failed += 1
                 continue
-            got = compute_bands(curve, nbhd, a_small, a_cover)
+            got = compute_bands(curve, *window, a_small, a_cover)
             for side in ("cover_lo", "cover_hi", "small_lo", "small_hi"):
                 assert getattr(got, side) == getattr(want, side)
             assert abs(got.eps0 - want.eps0) <= 1e-15
@@ -246,23 +240,24 @@ def test_compute_bands_matches_three_branch_reference():
 
 
 def test_compute_bands_rejects_overlapping_sets():
-    spec, curve, seg, nbhd = _q1_band_context()
+    spec, curve, seg, window = _q1_band_context()
     overlapping = AlphaSet.from_intervals([(0.41, 0.45)], 20)  # inside A_cover
     with pytest.raises(ValueError):
-        compute_bands(curve, nbhd, overlapping, spec.a_cover())
+        compute_bands(curve, *window, overlapping, spec.a_cover())
 
 
 def test_compute_bands_rejects_region_leaving_strip():
-    spec, curve, seg, nbhd = _q1_band_context()
+    spec, curve, seg, window = _q1_band_context()
     far = AlphaSet.from_intervals([(5.0, 5.1)], 10)
-    with pytest.raises(SeparationError):
-        compute_bands(curve, nbhd, spec.a_small(), far)
+    with pytest.raises(ConstructionError) as info:
+        compute_bands(curve, *window, spec.a_small(), far)
+    assert info.value.stage == "bands"
 
 
 def test_local_construction_covers_and_stays_close():
-    spec, curve, seg, nbhd = _q1_band_context()
+    spec, curve, seg, window = _q1_band_context()
     a_small, a_cover = spec.a_small(), spec.a_cover()
-    bands = compute_bands(curve, nbhd, a_small, a_cover)
+    bands = compute_bands(curve, *window, a_small, a_cover)
     blinds = local_construction(
         curve, seg, bands, a_small, a_cover, spec.epsilon, spec.delta,
         caps=spec.caps,
@@ -282,8 +277,8 @@ def test_local_construction_covers_and_stays_close():
 
 
 def test_local_construction_preconditions():
-    spec, curve, seg, nbhd = _q1_band_context()
-    bands = compute_bands(curve, nbhd, spec.a_small(), spec.a_cover())
+    spec, curve, seg, window = _q1_band_context()
+    bands = compute_bands(curve, *window, spec.a_small(), spec.a_cover())
     long_seg = Segment(seg.a, Point(seg.a.x1 + 1.0, seg.a.x2 + 0.5))
     with pytest.raises(ConstructionError):
         local_construction(
@@ -301,7 +296,6 @@ def test_key_construction_q1_end_to_end():
     assert result.cover_report.passed
     assert result.small_report.passed
     assert result.small_report.worst_value < spec.epsilon
-    assert result.eps_used <= spec.epsilon
     assert len(result.blinds) > 0
 
 
@@ -323,20 +317,46 @@ def test_key_construction_rejects_bad_scene_geometry():
         )
 
 
-def test_key_construction_error_lists_every_attempt():
-    # Q1's first attempt at eps=0.015 builds fine but misses the smallness
-    # bound, so the only attempt ends on a certificate, not an exception
+def test_key_construction_error_names_the_failing_stage():
+    # Q1 at eps=0.015 builds fine but misses the smallness bound, so the
+    # construction ends on the smallness certificate, not an exception
     spec = load_scene("Q1")
     with pytest.raises(ConstructionError) as info:
         key_construction(
             spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
-            0.015, spec.delta, caps=spec.caps,
-            max_attempts=1, scene_id="Q1",
+            0.015, spec.delta, caps=spec.caps, scene_id="Q1",
         )
     message = str(info.value)
-    assert info.value.stage == "key"
-    assert "attempt 1 (eps_c=0.015): FAIL small [Q1]" in message
-    assert "None" not in message
+    assert info.value.stage == "small"
+    assert message.startswith("FAIL small [Q1]: worst ")
+    assert "(bound 0.015, " in message
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["Q1", "P1", "E1"]),
+    st.floats(0.015, 0.1),
+    st.floats(0.25, 0.5),
+    st.integers(30, 200),
+)
+def test_key_construction_certifies_or_fails_fast_with_a_stage(scene, eps, share, points):
+    # one attempt: a scene either certifies at the requested eps or raises a
+    # ConstructionError naming its stage, within seconds
+    spec = dataclasses.replace(
+        load_scene(scene), epsilon=eps, delta=share * eps, alpha_points=points
+    )
+    start = time.perf_counter()
+    try:
+        result = key_construction(
+            spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
+            eps, spec.delta, caps=spec.caps, scene_id=scene,
+        )
+    except ConstructionError as exc:
+        assert exc.stage is not None
+    else:
+        assert result.cover_report.passed and result.small_report.passed
+        assert result.small_report.worst_value < eps
+    assert time.perf_counter() - start < 10.0
 
 
 def test_key_construction_on_scalar_only_curve():
@@ -376,12 +396,11 @@ def test_rigorous_reports_are_the_shifted_checks_on_the_unpadded_arc(scene):
 
 
 @pytest.mark.parametrize("rigorous", [False, True])
-@pytest.mark.parametrize("eps, points, attempts", [(None, 200, 1), (0.018, 30, 2)])
-def test_each_attempt_projects_its_blinds_once_per_grid(
-    monkeypatch, rigorous, eps, points, attempts
+@pytest.mark.parametrize("eps, points", [(None, 200), (0.018, 30)])
+def test_key_construction_projects_its_blinds_once_per_grid(
+    monkeypatch, rigorous, eps, points
 ):
-    # Q1 as shipped certifies on its first attempt; at eps=0.018 both of two
-    # attempts miss the smallness bound
+    # Q1 as shipped certifies; at eps=0.018 it misses the smallness bound
     spec = dataclasses.replace(load_scene("Q1"), alpha_points=points)
     a_small, a_cover = spec.a_small(), spec.a_cover()
     projected = []  # (blind set, grid) of every projection of a key-construction set
@@ -394,17 +413,16 @@ def test_each_attempt_projects_its_blinds_once_per_grid(
 
     monkeypatch.setattr(verify, "project_blinds_grid", counting)
     args = (spec.curve(), spec.y, spec.subrange, a_small, a_cover)
-    kwargs = dict(caps=spec.caps, max_attempts=attempts, rigorous=rigorous)
+    kwargs = dict(caps=spec.caps, rigorous=rigorous)
     if eps is None:
         result = key_construction(*args, spec.epsilon, spec.delta, **kwargs)
         assert projected[-1][0] is result.blinds
     else:
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError) as info:
             key_construction(*args, eps, spec.delta, **kwargs)
-    assert len(projected) == 2 * attempts
-    for i in range(attempts):
-        (first, cover_grid), (second, small_grid) = projected[2 * i : 2 * i + 2]
-        assert first is second
-        assert np.array_equal(cover_grid, a_cover.grid())
-        assert np.array_equal(small_grid, a_small.grid())
-    assert len({id(blinds) for blinds, _ in projected}) == attempts
+        assert info.value.stage == "small"
+    assert len(projected) == 2
+    (first, cover_grid), (second, small_grid) = projected
+    assert first is second
+    assert np.array_equal(cover_grid, a_cover.grid())
+    assert np.array_equal(small_grid, a_small.grid())
