@@ -5,10 +5,11 @@ segment from its start to the intersection of two direction lines; VB does
 both; IterVB iterates VB along an equally spaced angle schedule with one
 branching count per level.  One array kernel, _divide_rotate_level, does the
 dividing and rotating for every entry point.  The auto_* searches realize
-the paper-style "sufficiently large" piece counts: stage 1 (auto_vb_cover)
-and every stage-2 level (auto_iter_vb) run one level search, _level_search,
-which doubles the count under one cap until the blade tips stay within budget
-and the hulls satisfy the covering hypotheses.
+the paper-style "sufficiently large" piece counts: stage 1 and every
+stage-2 level run one level search, _level_search, over groups of parents
+(many chain units or blades at once), which doubles each group's count under
+one cap until its blade tips stay within budget and its hulls satisfy the
+covering hypotheses.  auto_vb_cover and auto_iter_vb are one-group calls.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from .projline import (
     CHIRALITIES,
     Arc,
     Direction,
+    _arc_offsets,
     angle_schedule,
     as_direction,
     dist,
+    normalize,
 )
 
 
@@ -67,7 +70,6 @@ class BlindSet:
     coords: np.ndarray
     provenance: Optional[list[tuple[int, ...]]] = None
     meta: dict = field(default_factory=dict)
-    _segments: Optional[list[Segment]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.coords = np.asarray(self.coords, dtype=float)
@@ -90,11 +92,7 @@ class BlindSet:
 
     @property
     def segments(self) -> list[Segment]:
-        if self._segments is None:
-            self._segments = [
-                Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in self.coords
-            ]
-        return self._segments
+        return [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in self.coords]
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -106,7 +104,7 @@ class BlindSet:
 
     def max_distance_to(self, seg: Segment) -> float:
         """Largest endpoint distance from this set to the given segment."""
-        endpoints = self.coords.reshape(1, -1, 2)
+        endpoints = self.coords.reshape(-1, 2)
         return float(np.max(_distances_to_parents(_row(seg), endpoints)))
 
     def to_json_dict(self) -> dict:
@@ -145,63 +143,75 @@ def _jsonable(value):
 def _distances_to_parents(parents: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Distance from every point to its own parent segment.
 
-    ``parents`` is a (k, 4) coordinate array and ``points`` is (k, n, 2), the
-    n points of each parent row; returns the (k, n) distances.
+    ``parents`` holds (ax, ay, bx, by) rows and ``points`` (x, y) rows; the
+    two broadcast against each other, one parent per point.
     """
-    a = parents[:, None, 0:2]
-    v = parents[:, None, 2:4] - a
+    a = parents[..., 0:2]
+    v = parents[..., 2:4] - a
     w = points - a
-    t = np.clip(np.sum(w * v, axis=2) / np.sum(v * v, axis=2), 0.0, 1.0)
-    d = w - t[:, :, None] * v
-    return np.hypot(d[:, :, 0], d[:, :, 1])
+    t = np.clip(np.sum(w * v, axis=-1) / np.sum(v * v, axis=-1), 0.0, 1.0)
+    d = w - t[..., None] * v
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def _lengths(coords: np.ndarray) -> np.ndarray:
+    """Segment.length of every row, by math.hypot as the property."""
+    return np.array([math.hypot(bx - ax, by - ay) for ax, ay, bx, by in coords.tolist()])
+
+
+def _directions(coords: np.ndarray) -> np.ndarray:
+    """The angle of Segment.direction of every row, by math.atan2 as the property."""
+    return np.array(
+        [normalize(math.atan2(by - ay, bx - ax)).angle for ax, ay, bx, by in coords.tolist()]
+    )
 
 
 # -- divide and rotate ------------------------------------------------------
 
 
 def _divide_rotate_level(
-    coords: np.ndarray, target: Direction, cover: Direction, n: int
+    coords: np.ndarray, target, cover, n
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Divide every segment into n pieces and rotate each to ``target``.
+    """Divide every segment into its n pieces and rotate each to its target.
 
     This is the one implementation of DIVIDE and ROTATE: each piece is
     replaced by the segment from its start to where the line through its
     start with direction ``target`` meets the line through its end with
-    direction ``cover``.  Returns (children, hulls): children is the (k*n, 4)
-    coordinate array of the new blades, the n children of each parent
-    consecutive and in order along it; hulls is (k*n, 6) with rows
-    (pax, pay, pbx, pby, cx, cy) holding each piece's triangle hull vertices.
+    direction ``cover``.  The angles ``target`` and ``cover`` and the piece
+    count ``n`` are given per row of ``coords`` or once for all rows.
+    Returns (children, hulls): children holds the new blades as rows
+    (ax, ay, bx, by), the n children of each parent consecutive and in order
+    along it; hulls holds each piece's triangle hull (pax, pay, pbx, pby, cx, cy).
     """
-    if n < 1:
-        raise ValueError(f"piece count must be >= 1, got {n}")
-    ax, ay, bx, by = coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
-    fracs = np.arange(n + 1) / n
-    px = ax[:, None] + (bx - ax)[:, None] * fracs
-    py = ay[:, None] + (by - ay)[:, None] * fracs
-    pax, pbx = px[:, :-1], px[:, 1:]
-    pay, pby = py[:, :-1], py[:, 1:]
-    target = as_direction(target)
-    cover = as_direction(cover)
-    if dist(target, cover) <= ANGLE_TOL:
-        raise ValueError(
-            f"degenerate angle configuration (target/cover): {target} vs {cover}"
-        )
-    cs, ss = math.cos(target.angle), math.sin(target.angle)
-    cc, sc = math.cos(cover.angle), math.sin(cover.angle)
+    k = coords.shape[0]
+    n = np.broadcast_to(np.asarray(n, dtype=np.int64), (k,))
+    if n.min() < 1:
+        raise ValueError(f"piece count must be >= 1, got {int(n.min())}")
+    target, cover = (np.broadcast_to(np.asarray(v, dtype=float), (k,)) for v in (target, cover))
+    for t, c in zip(target.tolist(), cover.tolist()):
+        if dist(t, c) <= ANGLE_TOL:
+            raise ValueError(
+                f"degenerate angle configuration (target/cover): {Direction(t)} vs {Direction(c)}"
+            )
+    # piece j of a row with n pieces spans the fractions j/n .. (j+1)/n of it
+    row = np.repeat(np.arange(k), n)
+    j = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)
+    ax, ay, bx, by = coords[row].T
+    lo, hi = j / n[row], (j + 1) / n[row]
+    pax, pbx = ax + (bx - ax) * lo, ax + (bx - ax) * hi
+    pay, pby = ay + (by - ay) * lo, ay + (by - ay) * hi
+    # math.cos/sin per row: numpy's SIMD ones can differ in the last bit
+    cs, ss, cc, sc = (
+        np.array([f(x) for x in v.tolist()])[row]
+        for f, v in ((math.cos, target), (math.sin, target), (math.cos, cover), (math.sin, cover))
+    )
     # a + s*(cs, ss) = b + t*(cc, sc); solve for s by 2x2 cross products
     det = cs * sc - ss * cc  # sin(cover - target), bounded away from 0
-    wx = pbx - pax
-    wy = pby - pay
-    s = (wx * sc - wy * cc) / det
+    s = ((pbx - pax) * sc - (pby - pay) * cc) / det
     cx = pax + s * cs
     cy = pay + s * ss
-    children = np.stack(
-        [pax.ravel(), pay.ravel(), cx.ravel(), cy.ravel()], axis=1
-    )
-    hulls = np.stack(
-        [pax.ravel(), pay.ravel(), pbx.ravel(), pby.ravel(), cx.ravel(), cy.ravel()],
-        axis=1,
-    )
+    children = np.stack([pax, pay, cx, cy], axis=1)
+    hulls = np.stack([pax, pay, pbx, pby, cx, cy], axis=1)
     return children, hulls
 
 
@@ -225,7 +235,7 @@ def rotate(seg: Segment, theta_small: Direction, theta_cover: Direction) -> Segm
             raise ValueError(
                 f"degenerate angle configuration ({labels}): {theta_seg} vs {v}"
             )
-    children, _ = _divide_rotate_level(_row(seg), theta_small, theta_cover, 1)
+    children, _ = _divide_rotate_level(_row(seg), theta_small.angle, theta_cover.angle, 1)
     ax, ay, cx, cy = children[0].tolist()
     return Segment(Point(ax, ay), Point(cx, cy))
 
@@ -269,7 +279,7 @@ def vb(
     theta_small = as_direction(theta_small)
     theta_cover = as_direction(theta_cover)
     inferred = _infer_chirality(seg.direction, theta_small, theta_cover, chirality)
-    children, _ = _divide_rotate_level(_row(seg), theta_small, theta_cover, n)
+    children, _ = _divide_rotate_level(_row(seg), theta_small.angle, theta_cover.angle, n)
     return BlindSet(
         children,
         provenance=[(i,) for i in range(n)],
@@ -310,7 +320,7 @@ def iter_vb(
     for k, n in enumerate(counts):
         try:
             _infer_chirality(schedule[k], schedule[k + 1], theta_cover, chirality)
-            coords, _ = _divide_rotate_level(coords, schedule[k + 1], theta_cover, n)
+            coords, _ = _divide_rotate_level(coords, schedule[k + 1].angle, theta_cover.angle, n)
         except ValueError as exc:
             raise ConstructionError(
                 f"stage {k + 1} blind failed at tree index {(0,) * k!r}: {exc}",
@@ -333,32 +343,39 @@ def iter_vb(
 def _hulls_cover_ok(
     curve: CurveProfile,
     hulls: np.ndarray,
-    level_dir: Direction,
-    theta_cover: Direction,
+    sizes: np.ndarray,
+    level_dir: np.ndarray,
+    theta_cover: np.ndarray,
     chirality: str,
     a_cover: AlphaSet,
     interior_tol: float = 1e-9,
-) -> bool:
-    """Covering hypotheses for every piece's triangle hull over A_cover.
+) -> np.ndarray:
+    """Covering hypotheses for every piece's triangle hull, one verdict per group.
 
-    Checks that each hull lies in the strip interior for every alpha in the
-    cover set and that theta_alpha over the hull stays inside the closed arc
-    from theta_cover to the current level direction (traversed in the
-    construction chirality).  theta_alpha depends only on x1 and is monotone
-    in it, so hull x1-extremes suffice; the alpha-interval hull [amin, amax]
-    dominates every grid point.
+    The hulls come sorted by group, sizes[g] of them in group g.  Checks that
+    each hull lies in the strip interior for every alpha in the cover set and
+    that theta_alpha over the hull stays inside the closed arc of its group,
+    from theta_cover[g] to level_dir[g] (traversed in the construction
+    chirality).  theta_alpha depends only on x1 and is monotone in it, so hull
+    x1-extremes suffice; the alpha-interval hull [amin, amax] dominates every
+    grid point.
     """
+    ccw = chirality == CCW
+    length = _arc_offsets(level_dir, theta_cover, ccw)
+    if np.any(length <= 0.0):
+        g = int(np.argmax(length <= 0.0))
+        start, end = Direction(float(theta_cover[g])), Direction(float(level_dir[g]))
+        raise ValueError(f"degenerate arc: start {start} equals end {end}")
     x1 = hulls[:, (0, 2, 4)]
     x1min = np.min(x1, axis=1)
     x1max = np.max(x1, axis=1)
     amin, amax = a_cover.bounds
-    # strip interior for all alpha in [amin, amax]
-    if np.min(x1min) <= amax - curve.b + interior_tol:
-        return False
-    if np.max(x1max) >= amin - curve.a - interior_tol:
-        return False
-    t_lo = amin - x1max
-    t_hi = amax - x1min
+    # strip interior for all alpha in [amin, amax]; directions only over hulls inside it
+    ok = (x1min > amax - curve.b + interior_tol) & (x1max < amin - curve.a - interior_tol)
+    i = np.flatnonzero(ok)
+    g = np.repeat(np.arange(len(sizes)), sizes)[i]
+    t_lo = amin - x1max[i]
+    t_hi = amax - x1min[i]
     phi_at_tlo = np.arctan(curve.df_array(np.clip(t_lo, curve.a, curve.b)))
     phi_at_thi = np.arctan(curve.df_array(np.clip(t_hi, curve.a, curve.b)))
     phi_lo = np.minimum(phi_at_tlo, phi_at_thi)
@@ -366,45 +383,84 @@ def _hulls_cover_ok(
     # the phi-interval [phi_lo, phi_hi] sits inside the arc iff traversal meets
     # its first end no later than its second, and the second within the arc;
     # as in Arc.contains, both arc ends carry the tolerance
-    arc = Arc(theta_cover, level_dir, chirality)
-    first, second = (phi_lo, phi_hi) if chirality == CCW else (phi_hi, phi_lo)
+    first, second = (phi_lo, phi_hi) if ccw else (phi_hi, phi_lo)
     tol = 1e-12
-    u_first = arc.offsets(first, tol)
-    u_second = arc.offsets(second, tol)
-    return bool(np.all((u_first <= u_second + tol) & (u_second <= arc.length + tol)))
+    u_first = _arc_offsets(first, theta_cover[g], ccw, tol)
+    u_second = _arc_offsets(second, theta_cover[g], ccw, tol)
+    ok[i] = (u_first <= u_second + tol) & (u_second <= length[g] + tol)
+    return np.logical_and.reduceat(ok, np.cumsum(sizes) - sizes)
 
 
 def _level_search(
     curve: CurveProfile,
     parents: np.ndarray,
-    level_dir: Direction,
-    target: Direction,
-    theta_cover: Direction,
+    sizes: np.ndarray,
+    level_dir: np.ndarray | float,
+    target: np.ndarray | float,
+    theta_cover: np.ndarray | float,
     chirality: str,
     a_cover: Optional[AlphaSet],
-    budget: float,
-    n: int,
+    budget: np.ndarray | float,
+    n: np.ndarray | int,
     n_max: int,
-) -> Optional[tuple[int, np.ndarray]]:
-    """The piece count of one level of blinds, by doubling from n.
+) -> tuple[np.ndarray, np.ndarray] | int:
+    """The piece count of one level of blinds for each group, by doubling from n.
 
-    Divides and rotates each of the k ``parents`` into n pieces aimed at
-    ``target`` and accepts when every blade tip lies within ``budget`` of its
-    own parent and, with ``a_cover`` given, every hull satisfies the covering
-    hypotheses over the arc from theta_cover to ``level_dir``.  Otherwise n
-    doubles while n * k <= n_max.  Returns (n, children), or None past the cap.
+    The parents come sorted by group, sizes[g] of them in group g; the
+    angles, budget and n are per group or one for all.  A group divides and
+    rotates its parents into n pieces aimed at its target and is accepted
+    when every blade tip lies within its budget of its own parent and, with
+    ``a_cover`` given, every hull satisfies the covering hypotheses over its
+    arc from theta_cover to ``level_dir``.  The others double n while
+    n * sizes[g] <= n_max.  Returns (counts, children sorted by group), or
+    the index of the first group past the cap.
     """
-    k = parents.shape[0]
-    while n * k <= n_max:
-        children, hulls = _divide_rotate_level(parents, target, theta_cover, n)
-        tips = children[:, 2:4].reshape(k, n, 2)
-        if np.max(_distances_to_parents(parents, tips)) <= budget and (
-            a_cover is None
-            or _hulls_cover_ok(curve, hulls, level_dir, theta_cover, chirality, a_cover)
-        ):
-            return n, children
-        n *= 2
-    return None
+    groups = len(sizes)
+    level_dir, target, theta_cover, budget = (
+        np.broadcast_to(v, (groups,)) for v in (level_dir, target, theta_cover, budget)
+    )
+    counts = np.array(np.broadcast_to(n, (groups,)), dtype=np.int64)
+    row_group = np.repeat(np.arange(groups), sizes)
+    pending = np.ones(groups, dtype=bool)
+    found, found_group = [], []
+    while pending.any():
+        over = pending & (counts * sizes > n_max)
+        if over.any():
+            return int(np.argmax(over))
+        live = np.flatnonzero(pending)
+        rows = np.flatnonzero(pending[row_group])
+        g = row_group[rows]
+        children, hulls = _divide_rotate_level(parents[rows], target[g], theta_cover[g], counts[g])
+        parent = np.repeat(rows, counts[g])
+        child_group = row_group[parent]
+        far = _distances_to_parents(parents[parent], children[:, 2:4])
+        ok = np.maximum.reduceat(far, np.searchsorted(child_group, live)) <= budget[live]
+        if a_cover is not None:
+            ok &= _hulls_cover_ok(
+                curve, hulls, counts[live] * sizes[live], level_dir[live], theta_cover[live],
+                chirality, a_cover,
+            )
+        pending[live[ok]] = False
+        counts[live[~ok]] *= 2
+        accepted = ~pending[child_group]
+        found.append(children[accepted])
+        found_group.append(child_group[accepted])
+    order = np.argsort(np.concatenate(found_group), kind="stable")
+    return counts, np.concatenate(found)[order]
+
+
+def _vb_cover_cap(
+    n_max: int, row: np.ndarray, theta_small: float, theta_cover: float, a_cover: AlphaSet
+) -> ConstructionError:
+    """The stage-1 error for the segment (ax, ay, bx, by) whose search passed n_max."""
+    seg = Segment(Point(float(row[0]), float(row[1])), Point(float(row[2]), float(row[3])))
+    return ConstructionError(
+        f"auto_vb_cover exceeded N_max={n_max} for segment of length {seg.length:.3g} "
+        f"(theta_seg={seg.direction}, theta_small={Direction(theta_small)}, "
+        f"theta_cover={Direction(theta_cover)})",
+        stage="vb_cover",
+        witness=(a_cover.bounds, seg),
+    )
 
 
 def auto_vb_cover(
@@ -428,28 +484,122 @@ def auto_vb_cover(
     chirality = _infer_chirality(theta_seg, theta_small, theta_cover)
     # one parent: the blade starts lie on it, so the tips carry the offset
     found = _level_search(
-        curve, _row(seg), theta_seg, theta_small, theta_cover, chirality, a_cover,
-        math.inf if max_offset is None else max_offset, max(1, n0), n_max,
+        curve, _row(seg), np.ones(1, dtype=np.int64), theta_seg.angle, theta_small.angle,
+        theta_cover.angle, chirality, a_cover, math.inf if max_offset is None else max_offset,
+        max(1, n0), n_max,
     )
-    if found is not None:
-        n, children = found
-        return n, BlindSet(
-            children,
-            provenance=[(i,) for i in range(n)],
-            meta={
-                "kind": "auto_vb_cover",
-                "theta_small": theta_small,
-                "theta_cover": theta_cover,
-                "chirality": chirality,
-                "n": n,
-            },
+    if isinstance(found, int):
+        raise _vb_cover_cap(n_max, _row(seg)[0], theta_small.angle, theta_cover.angle, a_cover)
+    (n,), children = found
+    n = int(n)
+    return n, BlindSet(
+        children,
+        provenance=[(i,) for i in range(n)],
+        meta={
+            "kind": "auto_vb_cover",
+            "theta_small": theta_small,
+            "theta_cover": theta_cover,
+            "chirality": chirality,
+            "n": n,
+        },
+    )
+
+
+def _iter_vb_stage(
+    curve: CurveProfile,
+    coords: np.ndarray,
+    theta_small: np.ndarray,
+    theta_cover: np.ndarray,
+    eps: float,
+    a_small: Optional[AlphaSet],
+    a_cover: Optional[AlphaSet],
+    chirality: str,
+    caps: Caps,
+    delta: Optional[float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]], float]:
+    """auto_iter_vb's searches on every row, one group per blade.
+
+    Each blade has its own depth and schedule; level k runs one level search
+    over the blades deeper than k.  Returns (leaves sorted by blade, leaves
+    per blade, level counts (blades x deepest depth), schedules, delta0).
+    """
+    theta0 = _directions(coords)
+    schedules, reach = [], []
+    for length, start, end in zip(_lengths(coords).tolist(), theta0.tolist(), theta_small.tolist()):
+        if length >= eps:
+            raise ConstructionError(
+                f"segment length {length:.3g} must be below eps={eps:.3g}", stage="precondition"
+            )
+        band = Arc(start, end, chirality) if start != end else None
+        if band is None or band.length <= ANGLE_TOL:
+            raise ConstructionError(
+                "segment already points in the small direction", stage="precondition"
+            )
+        m = max(1, math.ceil(band.length / eps - 1e-12))
+        if m > caps.m_max:
+            raise ConstructionError(
+                f"required depth m={m} exceeds cap {caps.m_max} "
+                f"(arc {band.length:.3g}, eps {eps:.3g})",
+                stage="depth",
+            )
+        schedules.append([d.angle for d in angle_schedule(start, end, m, chirality)])
+        reach.append(band.length)
+
+    if a_small is not None:
+        alphas = a_small.grid()
+        t = alphas - coords[:, 0:1]
+        # outside dom Phi_alpha the hypothesis on theta_alpha(seg.a) is vacuous
+        blade, col = np.nonzero((curve.a - 1e-12 <= t) & (t <= curve.b + 1e-12))
+        slopes = curve.df_array(np.clip(t[blade, col], curve.a, curve.b))
+        # math.atan, not np.arctan: numpy's SIMD arctan can differ in the last bit
+        phi = np.array([math.atan(v) for v in slopes.tolist()], dtype=float)
+        u = _arc_offsets(phi, theta0[blade], chirality == CCW, 1e-9)
+        outside = u > np.array(reach)[blade] + 1e-9
+        if outside.any():
+            i = int(np.argmax(outside))
+            alpha = float(alphas[col[i]])
+            raise ConstructionError(
+                f"theta_alpha(seg.a) = {float(phi[i]):.6g} outside the schedule arc at "
+                f"alpha={alpha:.6g}",
+                stage="precondition",
+                witness=alpha,
+            )
+
+    delta0 = min(eps, delta) / 4.0 if delta is not None else eps / 4.0
+    # Geometrically decaying neighborhood radii delta_k = delta0 / 2^k: every
+    # descendant of a level-k piece stays within delta_k of it, so at any
+    # alpha the leaves squeeze onto the pieces of the direction-matching
+    # level; the per-level drift allowance is delta_k - delta_{k+1}.
+    shrink = 0.5
+
+    depth = np.array([len(s) - 1 for s in schedules])
+    angles = np.array([s + [math.nan] * (depth.max() + 1 - len(s)) for s in schedules])
+    counts = np.zeros((len(coords), depth.max()), dtype=np.int64)
+    sizes = np.ones(len(coords), dtype=np.int64)
+    leaves, leaf_blade = [], []
+    for k in range(depth.max()):
+        live = np.flatnonzero(depth > k)
+        allowance = delta0 * shrink**k * (1.0 - shrink)
+        found = _level_search(
+            curve, coords, sizes[live], angles[live, k], angles[live, k + 1], theta_cover[live],
+            chirality, a_cover, allowance, 1, caps.n_max,
         )
-    raise ConstructionError(
-        f"auto_vb_cover exceeded N_max={n_max} for segment of length {seg.length:.3g} "
-        f"(theta_seg={theta_seg}, theta_small={theta_small}, theta_cover={theta_cover})",
-        stage="vb_cover",
-        witness=(a_cover.bounds, seg),
-    )
+        if isinstance(found, int):
+            raise ConstructionError(
+                f"branching cap {caps.n_max} exceeded at level {k + 1}/{depth[live[found]]} "
+                f"(deepest satisfied stage: {k})",
+                stage=k,
+            )
+        counts[live, k], coords = found
+        sizes[live] *= counts[live, k]
+        # the blades whose last level this was leave with their leaves
+        row_blade = np.repeat(live, sizes[live])
+        last = depth[row_blade] == k + 1
+        leaves.append(coords[last])
+        leaf_blade.append(row_blade[last])
+        coords = coords[~last]
+    order = np.argsort(np.concatenate(leaf_blade), kind="stable")
+    return np.concatenate(leaves)[order], sizes, counts, schedules, delta0
 
 
 def auto_iter_vb(
@@ -478,69 +628,10 @@ def auto_iter_vb(
     theta_cover = as_direction(theta_cover)
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    if seg.length >= eps:
-        raise ConstructionError(
-            f"segment length {seg.length:.3g} must be below eps={eps:.3g}",
-            stage="precondition",
-        )
-    theta0 = seg.direction
-    band = Arc(theta0, theta_small, chirality) if theta0 != theta_small else None
-    if band is None or band.length <= ANGLE_TOL:
-        raise ConstructionError(
-            "segment already points in the small direction", stage="precondition"
-        )
-    m = max(1, math.ceil(band.length / eps - 1e-12))
-    if m > caps.m_max:
-        raise ConstructionError(
-            f"required depth m={m} exceeds cap {caps.m_max} "
-            f"(arc {band.length:.3g}, eps {eps:.3g})",
-            stage="depth",
-        )
-    schedule = angle_schedule(theta0, theta_small, m, chirality)
-
-    if a_small is not None:
-        alphas = a_small.grid()
-        t = alphas - seg.a.x1
-        # outside dom Phi_alpha the hypothesis on theta_alpha(seg.a) is vacuous
-        inside = (curve.a - 1e-12 <= t) & (t <= curve.b + 1e-12)
-        alphas = alphas[inside]
-        slopes = curve.df_array(np.clip(t[inside], curve.a, curve.b))
-        # math.atan, not np.arctan: numpy's SIMD arctan can differ in the last bit
-        phi = np.array([math.atan(v) for v in slopes.tolist()], dtype=float)
-        outside = band.offsets(phi, 1e-9) > band.length + 1e-9
-        if outside.any():
-            i = int(np.argmax(outside))
-            raise ConstructionError(
-                f"theta_alpha(seg.a) = {float(phi[i]):.6g} outside the schedule arc at "
-                f"alpha={float(alphas[i]):.6g}",
-                stage="precondition",
-                witness=float(alphas[i]),
-            )
-
-    delta0 = min(eps, delta) / 4.0 if delta is not None else eps / 4.0
-    # Geometrically decaying neighborhood radii delta_k = delta0 / 2^k: every
-    # descendant of a level-k piece stays within delta_k of it, so at any
-    # alpha the leaves squeeze onto the pieces of the direction-matching
-    # level; the per-level drift allowance is delta_k - delta_{k+1}.
-    shrink = 0.5
-
-    coords = _row(seg)
-    level_counts: list[int] = []
-    for k in range(m):
-        allowance = delta0 * shrink**k * (1.0 - shrink)
-        found = _level_search(
-            curve, coords, schedule[k], schedule[k + 1], theta_cover, chirality,
-            a_cover, allowance, 1, caps.n_max,
-        )
-        if found is None:
-            raise ConstructionError(
-                f"branching cap {caps.n_max} exceeded at level {k + 1}/{m} "
-                f"(deepest satisfied stage: {k})",
-                stage=k,
-            )
-        n, coords = found
-        level_counts.append(n)
-
+    coords, _, counts, (schedule,), delta0 = _iter_vb_stage(
+        curve, _row(seg), np.array([theta_small.angle]), np.array([theta_cover.angle]), eps,
+        a_small, a_cover, chirality, caps, delta,
+    )
     return BlindSet(
         coords,
         provenance=None,
@@ -549,10 +640,10 @@ def auto_iter_vb(
             "theta_small": theta_small,
             "theta_cover": theta_cover,
             "chirality": chirality,
-            "depth": m,
-            "level_counts": level_counts,
+            "depth": len(schedule) - 1,
+            "level_counts": counts[0].tolist(),
             "eps": eps,
             "delta0": delta0,
-            "schedule": [d.angle for d in schedule],
+            "schedule": schedule,
         },
     )

@@ -19,9 +19,6 @@ class Point:
         if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
             raise ValueError(f"point coordinates must be finite: ({self.x1!r}, {self.x2!r})")
 
-    def translated(self, dx1: float, dx2: float) -> "Point":
-        return Point(self.x1 + dx1, self.x2 + dx2)
-
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x1 - other.x1, self.x2 - other.x2)
 

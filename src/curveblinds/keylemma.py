@@ -8,9 +8,9 @@ x1 window of the segment's delta-neighborhood, the small band by one
 circular-order rule (the small directions' positions along ``Arc.offsets``
 of the gap after the cover band); a two-stage blind construction (one
 clockwise stage toward the lower small band edge, then counterclockwise
-iterated blinds toward the upper edge) produces a segment family that
-covers gamma's projections over A_cover while projecting with small
-measure over A_small.
+iterated blinds toward the upper edge), run on all chain segments at once,
+produces a segment family that covers gamma's projections over A_cover
+while projecting with small measure over A_small.
 
 Each piece count is chosen once for the requested eps, as in the
 Venetian-blind lemma: the family is built and certified in one pass, and a
@@ -30,13 +30,17 @@ from .blinds import (
     Caps,
     ConstructionError,
     DEFAULT_CAPS,
-    auto_iter_vb,
-    auto_vb_cover,
+    _directions,
+    _iter_vb_stage,
+    _lengths,
+    _level_search,
+    _row,
+    _vb_cover_cap,
 )
 from .curve import CurveProfile, _golden_max, fiber_point
 from .geometry import Point, Segment
 from .measure import AlphaSet, FiberArc
-from .projline import CCW, Arc, Direction, dist, normalize
+from .projline import CCW, CW, Arc, Direction, dist, normalize
 from .verify import VerificationReport, check_cover, cover_views, small_views
 
 
@@ -91,6 +95,11 @@ class PolyChain:
             Segment(self.vertices[i], self.vertices[i + 1])
             for i in range(len(self.vertices) - 1)
         ]
+
+    def coords(self) -> np.ndarray:
+        """The chain segments as (ax, ay, bx, by) rows."""
+        v = np.array([p.as_tuple() for p in self.vertices])
+        return np.concatenate([v[:-1], v[1:]], axis=1)
 
 
 # -- polygon approximation --------------------------------------------------
@@ -184,14 +193,13 @@ def _polygon_ok(
     delta: float,
     alpha_grid: AlphaSet,
 ) -> bool:
-    segs = chain.segments()
-    if any(s.length >= eps for s in segs):
+    coords = chain.coords()
+    if np.any(_lengths(coords) >= eps):
         return False
     # the end vertices lie on the arc
     if any(d > delta for d in _vertex_distances(curve, chain)):
         return False
-    chain_set = BlindSet.from_segments(segs)
-    return check_cover(curve, chain_set, chain.source, alpha_grid, margin=1e-9).passed
+    return check_cover(curve, BlindSet(coords), chain.source, alpha_grid, margin=1e-9).passed
 
 
 # -- angle bands ------------------------------------------------------------
@@ -295,57 +303,16 @@ def local_construction(
     direction cover_lo), staying within delta of the original segment.  The
     two stages' covering arcs intersect to the cover band.
     """
-    if seg.length >= eps:
-        raise ConstructionError(
-            f"segment length {seg.length:.3g} must be below eps={eps:.3g}",
-            stage="precondition",
-        )
-    if not bands.small_arc.contains_strictly(seg.direction, tol=1e-9):
-        raise ConstructionError(
-            f"segment direction {seg.direction} is not strictly inside the "
-            f"small band [{bands.small_lo}, {bands.small_hi}]",
-            stage="band membership",
-        )
-    # keep stage-1 blades below the stage-2 length precondition
-    ratio = math.sin(dist(seg.direction, bands.cover_hi)) / math.sin(
-        dist(bands.small_lo, bands.cover_hi)
+    coords, stage1_n, leaves = _local_blinds(
+        curve, _row(seg), [bands], a_small, a_cover, eps, delta, caps
     )
-    n0 = max(1, math.ceil(seg.length * ratio / (0.9 * eps)))
-    n1, stage1 = auto_vb_cover(
-        curve,
-        seg,
-        bands.small_lo,
-        bands.cover_hi,
-        a_cover,
-        n0=n0,
-        n_max=caps.n_max,
-        max_offset=delta / 2.0,
-    )
-    pieces = []
-    counts = []
-    for blade in stage1.segments:
-        bs = auto_iter_vb(
-            curve,
-            blade,
-            bands.small_hi,
-            bands.cover_lo,
-            eps,
-            a_small=a_small,
-            a_cover=a_cover,
-            chirality=CCW,
-            caps=caps,
-            delta=delta / 2.0,
-        )
-        pieces.append(bs.coords)
-        counts.append(len(bs))
-    coords = np.concatenate(pieces)
-    result = BlindSet(
+    return BlindSet(
         coords,
         provenance=None,
         meta={
             "kind": "local_construction",
-            "stage1_n": n1,
-            "stage2_counts": counts,
+            "stage1_n": int(stage1_n[0]),
+            "stage2_counts": leaves.tolist(),
             "bands": {
                 "cover_lo": bands.cover_lo.angle,
                 "cover_hi": bands.cover_hi.angle,
@@ -355,7 +322,58 @@ def local_construction(
             },
         },
     )
-    return result
+
+
+def _local_blinds(
+    curve: CurveProfile,
+    segs: np.ndarray,
+    bands: list[AngleBands],
+    a_small: AlphaSet,
+    a_cover: AlphaSet,
+    eps: float,
+    delta: float,
+    caps: Caps,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """local_construction on every row of ``segs`` at once, each with its bands.
+
+    Returns (the leaves row by row and blade by blade, stage-1 blades per
+    row, leaves per blade).
+    """
+    lengths, theta = _lengths(segs), _directions(segs)
+    for length, t, b in zip(lengths.tolist(), theta.tolist(), bands):
+        if length >= eps:
+            raise ConstructionError(
+                f"segment length {length:.3g} must be below eps={eps:.3g}", stage="precondition"
+            )
+        if not b.small_arc.contains_strictly(t, tol=1e-9):
+            raise ConstructionError(
+                f"segment direction {Direction(t)} is not strictly inside the "
+                f"small band [{b.small_lo}, {b.small_hi}]",
+                stage="band membership",
+            )
+    cover_lo, cover_hi, small_lo, small_hi = (
+        [getattr(b, side).angle for b in bands]
+        for side in ("cover_lo", "cover_hi", "small_lo", "small_hi")
+    )
+    # keep stage-1 blades below the stage-2 length precondition
+    ratio = [
+        math.sin(dist(t, c)) / math.sin(dist(s, c)) for t, s, c in zip(theta, small_lo, cover_hi)
+    ]
+    n0 = np.maximum(1, np.ceil(lengths * np.array(ratio) / (0.9 * eps))).astype(np.int64)
+    # one parent per group, as in auto_vb_cover; band membership puts every
+    # segment on the clockwise arc from cover_hi to small_lo
+    found = _level_search(
+        curve, segs, np.ones(len(segs), dtype=np.int64), theta, small_lo, cover_hi, CW,
+        a_cover, delta / 2.0, n0, caps.n_max,
+    )
+    if isinstance(found, int):
+        raise _vb_cover_cap(caps.n_max, segs[found], small_lo[found], cover_hi[found], a_cover)
+    stage1_n, blades = found
+    leaves, sizes, *_ = _iter_vb_stage(
+        curve, blades, np.repeat(small_hi, stage1_n), np.repeat(cover_lo, stage1_n),
+        eps, a_small, a_cover, CCW, caps, delta / 2.0,
+    )
+    return leaves, stage1_n, sizes
 
 
 # -- end-to-end key construction -------------------------------------------
@@ -423,17 +441,18 @@ def key_construction(
     arc = FiberArc(y, a1, b1)
     delta_c = min(delta, 0.45 * clearance, eps)
     chain = polygon_approx(curve, y, (arc.lo, arc.hi), eps, delta_c / 2.0, alpha_grid=a_cover)
-    pieces = []
-    units = []  # run-length unit labels: [chain_index, blade_count, leaf_count]
-    for ci, cseg in enumerate(chain.segments()):
-        # a segment's delta_c-neighborhood spans its endpoints' x1 range, widened
-        lo, hi = min(cseg.a.x1, cseg.b.x1), max(cseg.a.x1, cseg.b.x1)
-        bands = compute_bands(curve, lo - delta_c, hi + delta_c, a_small, a_cover)
-        local = local_construction(curve, cseg, bands, a_small, a_cover, eps, delta_c, caps)
-        pieces.append(local.coords)
-        units.append([ci, int(local.meta["stage1_n"]), int(len(local))])
+    segs = chain.coords()
+    # a segment's delta_c-neighborhood spans its endpoints' x1 range, widened
+    x1 = np.sort(segs[:, 0::2], axis=1).tolist()
+    bands = [compute_bands(curve, lo - delta_c, hi + delta_c, a_small, a_cover) for lo, hi in x1]
+    coords, stage1_n, leaves = _local_blinds(
+        curve, segs, bands, a_small, a_cover, eps, delta_c, caps
+    )
+    # run-length unit labels: [chain_index, blade_count, leaf_count]
+    per_unit = np.add.reduceat(leaves, np.cumsum(stage1_n) - stage1_n)
+    units = np.stack([np.arange(len(segs)), stage1_n, per_unit], axis=1).tolist()
     blinds = BlindSet(
-        np.concatenate(pieces),
+        coords,
         provenance=None,
         meta={
             "kind": "key_construction",

@@ -118,13 +118,7 @@ class Arc:
         position just before the start, so that ``contains(theta, tol)``
         holds exactly when the offset is at most length + tol.
         """
-        start = self.start.angle
-        u = np.fmod(thetas - start if self.chirality == CCW else start - thetas, PI)
-        u[u < 0.0] += PI
-        u[u >= PI] = 0.0
-        if tol > 0.0:
-            u[u >= PI - tol] -= PI
-        return u
+        return _arc_offsets(thetas, self.start.angle, self.chirality == CCW, tol)
 
     def contains(self, theta: Direction | float, tol: float = 1e-12) -> bool:
         """Membership in the closed arc, with tolerance at both endpoints."""
@@ -135,6 +129,16 @@ class Arc:
         """Membership in the open arc, at least tol away from both endpoints."""
         u = self.offset(theta)
         return tol <= u <= self.length - tol
+
+
+def _arc_offsets(thetas, start, ccw: bool, tol: float = 0.0) -> np.ndarray:
+    """Arc.offsets of arcs whose start (broadcast against ``thetas``) varies by row."""
+    u = np.fmod(thetas - start if ccw else start - thetas, PI)
+    u[u < 0.0] += PI
+    u[u >= PI] = 0.0
+    if tol > 0.0:
+        u[u >= PI - tol] -= PI
+    return u
 
 
 def angle_schedule(

@@ -3,7 +3,9 @@
 ``keylemma.polygon_approx`` builds every chain vertex in one array
 expression and ``keylemma.compute_bands`` encloses the small directions with
 one circular-order rule on ``Arc.offsets``; the equivalence tests compare
-them against these per-vertex and per-case evaluations.
+them against these per-vertex and per-case evaluations.  ``key_construction``
+builds the blinds of every chain unit in one batched pass; ``unit_by_unit``
+is the composition it replaces, one ``local_construction`` per unit.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import math
 
 import numpy as np
 
-from curveblinds.blinds import ConstructionError
+from curveblinds import keylemma
+from curveblinds.blinds import Caps, ConstructionError
 from curveblinds.curve import CurveProfile, fiber_point
 from curveblinds.geometry import Point
 from curveblinds.keylemma import AngleBands
@@ -117,3 +120,31 @@ def compute_bands(
         small_hi=normalize(s_hi),
         eps0=eps0,
     )
+
+
+def unit_by_unit(
+    curve: CurveProfile,
+    y: Point,
+    subrange: tuple[float, float],
+    a_small: AlphaSet,
+    a_cover: AlphaSet,
+    eps: float,
+    delta: float,
+    caps: Caps,
+) -> tuple[np.ndarray, list[list[int]]]:
+    """key_construction's blinds and unit labels, built one chain unit at a time.
+
+    ``delta`` is the working delta (``meta["delta"]`` of the key
+    construction).  Each unit gets its bands and then one local_construction;
+    the result is the concatenation of the units' blinds and the
+    [chain_index, blade_count, leaf_count] label of each unit.
+    """
+    chain = keylemma.polygon_approx(curve, y, subrange, eps, delta / 2.0, alpha_grid=a_cover)
+    pieces, units = [], []
+    for ci, seg in enumerate(chain.segments()):
+        lo, hi = min(seg.a.x1, seg.b.x1), max(seg.a.x1, seg.b.x1)
+        bands = keylemma.compute_bands(curve, lo - delta, hi + delta, a_small, a_cover)
+        local = keylemma.local_construction(curve, seg, bands, a_small, a_cover, eps, delta, caps)
+        pieces.append(local.coords)
+        units.append([ci, local.meta["stage1_n"], len(local)])
+    return np.concatenate(pieces), units

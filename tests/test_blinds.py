@@ -6,11 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from curveblinds import blinds as blinds_module
 from curveblinds.blinds import (
     BlindSet,
     Caps,
     ConstructionError,
+    _distances_to_parents,
+    _divide_rotate_level,
     _hulls_cover_ok,
+    _level_search,
     auto_iter_vb,
     auto_vb_cover,
     iter_vb,
@@ -356,6 +360,7 @@ def test_hulls_cover_ok_matches_scalar_arc_test(name):
     x_lo, x_hi = amax - curve.b + 1e-6, amin - curve.a - 1e-6
     margins = [5e-13, -5e-13, 2e-12, -2e-12]
     verdicts = set()
+    trials = {CCW: [], CW: []}
     for trial in range(400):
         hulls = np.empty((3, 6))
         hulls[:, 0::2] = rng.uniform(x_lo, x_hi, size=(3, 3))
@@ -379,10 +384,22 @@ def test_hulls_cover_ok_matches_scalar_arc_test(name):
         expected = _hulls_cover_reference(
             curve, hulls, level_dir, theta_cover, chirality, a_cover
         )
-        got = _hulls_cover_ok(curve, hulls, level_dir, theta_cover, chirality, a_cover)
-        assert got == expected
+        got = _hulls_cover_ok(
+            curve, hulls, [len(hulls)], np.array([level_dir.angle]),
+            np.array([theta_cover.angle]), chirality, a_cover,
+        )
+        assert got.tolist() == [expected]
         verdicts.add(expected)
+        trials[chirality].append((hulls, level_dir.angle, theta_cover.angle, expected))
     assert verdicts == {True, False}
+    # one call over every trial of a chirality gives each group its own verdict
+    for chirality, groups in trials.items():
+        hulls, level_dirs, covers, expected = zip(*groups)
+        got = _hulls_cover_ok(
+            curve, np.concatenate(hulls), np.full(len(groups), 3), np.array(level_dirs),
+            np.array(covers), chirality, a_cover,
+        )
+        assert got.tolist() == list(expected)
 
 
 def test_auto_iter_vb_preconditions():
@@ -466,3 +483,73 @@ def test_auto_iter_vb_small_precondition_matches_scalar_loop(name):
         assert got == expected
         verdicts.add(expected is None)
     assert verdicts == {True, False}
+
+
+def test_divide_rotate_level_rows_match_one_row_calls():
+    # per-row directions and ragged piece counts: each row's children and hulls
+    # are bit for bit those of a call on that row alone
+    rng = np.random.default_rng(3)
+    coords = rng.uniform(-1.0, 1.0, size=(6, 4))
+    target = rng.uniform(0.0, PI, size=6)
+    cover = np.fmod(target + rng.uniform(0.3, 2.8, size=6), PI)
+    n = np.array([1, 3, 1, 7, 2, 5])
+    children, hulls = _divide_rotate_level(coords, target, cover, n)
+    one_row = [
+        _divide_rotate_level(coords[i : i + 1], float(target[i]), float(cover[i]), int(n[i]))
+        for i in range(6)
+    ]
+    assert np.array_equal(children, np.concatenate([c for c, _ in one_row]))
+    assert np.array_equal(hulls, np.concatenate([h for _, h in one_row]))
+    with pytest.raises(ValueError):
+        _divide_rotate_level(coords, target, cover, np.array([1, 1, 0, 1, 1, 1]))
+    with pytest.raises(ValueError):
+        _divide_rotate_level(coords, target, np.where(np.arange(6) == 4, target, cover), n)
+
+
+def test_level_search_groups_are_independent(monkeypatch):
+    # group "one" passes at n=1, group "eight" (two parents) needs n=8 and
+    # group "never" has a budget no blade meets, so it passes the cap
+    one = np.array([[0.0, 0.0, 1.0, 0.3]])
+    eight = np.array([[1.0, 0.3, 2.0, 0.5], [2.0, 0.5, 2.5, 1.0]])
+    never = np.array([[3.0, 0.0, 3.4, 0.2]])
+    target, cover, n_max = 1.2, 2.1, 64
+
+    def offset(parents, n):
+        children, _ = _divide_rotate_level(parents, target, cover, n)
+        tips = children[:, 2:4]
+        return float(np.max(_distances_to_parents(np.repeat(parents, n, axis=0), tips)))
+
+    budget = {
+        "one": math.inf,
+        "eight": math.sqrt(offset(eight, 4) * offset(eight, 8)),
+        "never": 0.0,
+    }
+    parents = {"one": one, "eight": eight, "never": never}
+
+    def search(names):
+        return _level_search(
+            None, np.concatenate([parents[g] for g in names]),
+            np.array([len(parents[g]) for g in names]), 0.5, target, cover, CCW, None,
+            np.array([budget[g] for g in names]), 1, n_max,
+        )
+
+    alone = {g: search([g]) for g in ("one", "eight")}
+    assert alone["one"][0].tolist() == [1] and alone["eight"][0].tolist() == [8]
+    counts, children = search(["one", "eight"])
+    assert counts.tolist() == [1, 8]
+    assert np.array_equal(children, np.concatenate([alone["one"][1], alone["eight"][1]]))
+
+    # an accepted group is not divided again, and the overflow names its group
+    calls = []
+
+    def spy(coords, *args):
+        calls.append(coords.copy())
+        return _divide_rotate_level(coords, *args)
+
+    monkeypatch.setattr(blinds_module, "_divide_rotate_level", spy)
+    assert search(["one", "eight", "never"]) == 2
+    rows = [np.concatenate([one, eight, never])] + [np.concatenate([eight, never])] * 3
+    rows += [never] * 3  # n = 16, 32, 64 for "never"; 128 passes the cap
+    assert len(calls) == len(rows)
+    assert all(np.array_equal(got, want) for got, want in zip(calls, rows))
+    assert search(["never", "one"]) == 0

@@ -7,10 +7,9 @@ import pytest
 from curveblinds.geometry import Disk, Point, Segment
 
 
-def test_point_translation_and_distance():
+def test_point_distance_and_tuple():
     p = Point(1.0, 2.0)
-    q = p.translated(3.0, -4.0)
-    assert q == Point(4.0, -2.0)
+    q = Point(4.0, -2.0)
     assert math.isclose(p.distance_to(q), 5.0)
     assert p.as_tuple() == (1.0, 2.0)
 

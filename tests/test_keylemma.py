@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from curveblinds import blinds as blinds_module
+from curveblinds import keylemma as keylemma_module
 from curveblinds import verify
 from curveblinds.blinds import ConstructionError
 from curveblinds.curve import CurveProfile, builtin_curve, fiber_point, tangent_direction
@@ -330,6 +332,56 @@ def test_key_construction_error_names_the_failing_stage():
     assert info.value.stage == "small"
     assert message.startswith("FAIL small [Q1]: worst ")
     assert "(bound 0.015, " in message
+
+
+@pytest.mark.parametrize("scene, eps", [("Q1", None), ("P1", None), ("E1", None), ("Q1", 0.02)])
+def test_key_construction_matches_unit_by_unit(scene, eps):
+    # the batched construction equals one local_construction per chain unit;
+    # Q1 at eps=0.02 has units with two stage-1 blades
+    spec = load_scene(scene)
+    eps = spec.epsilon if eps is None else eps
+    args = (spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(), eps)
+    blinds = key_construction(*args, spec.delta, caps=spec.caps).blinds
+    coords, units = reference.unit_by_unit(*args, blinds.meta["delta"], spec.caps)
+    assert np.array_equal(blinds.coords, coords)
+    assert np.array_equal(blinds.meta["units"], units)
+    assert (max(u[1] for u in units) > 1) == (scene == "Q1" and eps == 0.02)
+
+
+@pytest.mark.parametrize("scene", ["Q1", "P1", "E1"])
+def test_key_construction_tiny_cap_fails_fast_with_a_stage(scene):
+    spec = load_scene(scene)
+    start = time.perf_counter()
+    with pytest.raises(ConstructionError) as info:
+        key_construction(
+            spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
+            spec.epsilon, spec.delta, caps=dataclasses.replace(spec.caps, n_max=4),
+        )
+    assert time.perf_counter() - start < 1.0
+    stage = info.value.stage
+    assert stage == "vb_cover" or type(stage) is int
+
+
+def test_key_construction_batches_every_level_search(monkeypatch):
+    # bundled P1: one stage-1 search plus one per stage-2 level (depth 4), and
+    # one divide-and-rotate call per doubling round
+    calls = {"_level_search": 0, "_divide_rotate_level": 0}
+    for name in calls:
+        original = getattr(blinds_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (blinds_module, keylemma_module):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    spec = load_scene("P1")
+    key_construction(
+        spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
+        spec.epsilon, spec.delta, caps=spec.caps,
+    )
+    assert calls == {"_level_search": 5, "_divide_rotate_level": 13}
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
