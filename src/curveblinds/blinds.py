@@ -187,12 +187,21 @@ def _divide_rotate_level(
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), (k,))
     if n.min() < 1:
         raise ValueError(f"piece count must be >= 1, got {int(n.min())}")
-    target, cover = (np.broadcast_to(np.asarray(v, dtype=float), (k,)) for v in (target, cover))
-    for t, c in zip(target.tolist(), cover.tolist()):
-        if dist(t, c) <= ANGLE_TOL:
-            raise ValueError(
-                f"degenerate angle configuration (target/cover): {Direction(t)} vs {Direction(c)}"
-            )
+    pairs = np.stack(
+        [np.broadcast_to(np.asarray(v, dtype=float), (k,)) for v in (target, cover)], axis=1
+    )
+    # each distinct (target, cover) pair is checked and evaluated once; pairs
+    # are told apart by their bits, as sin keeps the sign of a zero
+    keys, inverse = np.unique(pairs.view(np.int64), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    target, cover = keys.view(float).T.tolist()
+    bad = np.array([dist(t, c) <= ANGLE_TOL for t, c in zip(target, cover)])
+    if bad.any():
+        # name the first offending row
+        t, c = pairs[np.argmax(bad[inverse])].tolist()
+        raise ValueError(
+            f"degenerate angle configuration (target/cover): {Direction(t)} vs {Direction(c)}"
+        )
     # piece j of a row with n pieces spans the fractions j/n .. (j+1)/n of it
     row = np.repeat(np.arange(k), n)
     j = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)
@@ -200,9 +209,10 @@ def _divide_rotate_level(
     lo, hi = j / n[row], (j + 1) / n[row]
     pax, pbx = ax + (bx - ax) * lo, ax + (bx - ax) * hi
     pay, pby = ay + (by - ay) * lo, ay + (by - ay) * hi
-    # math.cos/sin per row: numpy's SIMD ones can differ in the last bit
+    # math.cos/sin per pair: numpy's SIMD ones can differ in the last bit
+    pick = inverse[row]
     cs, ss, cc, sc = (
-        np.array([f(x) for x in v.tolist()])[row]
+        np.array([f(x) for x in v], dtype=float)[pick]
         for f, v in ((math.cos, target), (math.sin, target), (math.cos, cover), (math.sin, cover))
     )
     # a + s*(cs, ss) = b + t*(cc, sc); solve for s by 2x2 cross products

@@ -257,29 +257,150 @@ def project_blinds_grid(
     batches follow the alphas in order.  Along a segment, Phi_alpha has
     monotone derivative in the parameter, so each image interval is spanned
     by the values at the strip-clipped endpoints and at the unique interior
-    critical point where f'(alpha - x1) equals the segment slope.  The
-    alpha-independent segment terms are computed once, then
-    max(1, BUDGET // n) alphas at a time are projected as (rows x n) arrays;
-    their canonical rows are stacked into one batch while rows x widest row
-    stays within BUDGET, so that consumers spend each numpy call on many
-    alphas.  Every element goes through the same float operations whatever
-    the batch size, so batching changes no bit of the result.
+    critical point where f'(alpha - x1) equals the segment slope.
+
+    Each segment takes one of two evaluations, chosen once per call from the
+    alphas' range [min, max] (see _endpoint_only).  A segment that no strip
+    edge clips and whose critical point stays off it over that whole range,
+    both by _ENDPOINT_MARGIN, takes the endpoint-only evaluation: the min and
+    max of its values at t = 0.0 and 1.0.  Every other segment takes the
+    general one: strip window, validity, clipping and the critical-point
+    test.  Both apply the same float operations to an endpoint-only segment,
+    so the choice changes no bit of the result.  The alpha-independent
+    segment terms are computed once, then max(1, BUDGET // n) alphas at a
+    time are projected as (rows x n) arrays; their canonical rows are
+    stacked into one batch while rows x widest row stays within BUDGET, so
+    that consumers spend each numpy call on many alphas.  Every element goes
+    through the same float operations whatever the batch size, so batching
+    changes no bit of the result either.
     """
     coords = blinds.coords
+    alphas = np.asarray(alphas, dtype=float)
+    rows = max(1, BUDGET // len(coords))
+    if not alphas.size:
+        return
+    endpoint_only = _endpoint_only(curve, alphas, coords)
+    parts = []
+    if endpoint_only.any():
+        parts.append(_endpoint_images(curve, coords[endpoint_only]))
+    if not endpoint_only.all():
+        parts.append(_general_images(curve, coords[~endpoint_only]))
+    # temporaries are reused through out= or deleted once spent: freed numpy
+    # buffers stay in the malloc heap, so this loop's high-water mark shows
+    # in the peak RSS of the whole run
+    pending, widest = [], 0
+    for first in range(0, len(alphas), rows):
+        al = alphas[first : first + rows, None]
+        if len(parts) == 1:
+            los, his = parts[0](al)
+        else:
+            # _canonical_rows sorts lo and hi on their own, so the column order
+            # does not matter (up to which of -0.0 and 0.0 sorts first)
+            (lo_e, hi_e), (lo_g, hi_g) = (part(al) for part in parts)
+            los = np.concatenate([lo_e, lo_g], axis=1)
+            his = np.concatenate([hi_e, hi_g], axis=1)
+            del lo_e, hi_e, lo_g, hi_g
+        batch = _canonical_rows(los, his)
+        del los, his
+        count = int(np.bincount(batch.row, minlength=1).max())
+        if pending and sum(b.rows for b in pending + [batch]) * max(widest, count) > BUDGET:
+            yield IntervalUnion.stack(pending)
+            pending, widest = [], 0
+        pending.append(batch)
+        widest = max(widest, count)
+    if pending:
+        yield IntervalUnion.stack(pending)
+
+
+#: Clearance, in x1 units per unit of coordinate magnitude, that an
+#: endpoint-only segment keeps from every strip edge and from its critical
+#: x1 position; far above the rounding of the general evaluation.
+_ENDPOINT_MARGIN = 1e-9
+
+
+def _segment_terms(curve: CurveProfile, coords: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(ax, ay, dx1, dx2, vertical, tc_curve), one entry per segment.
+
+    tc_curve is the curve parameter of the interior critical point, where
+    f'(alpha - x1(t)) equals the slope; it does not depend on alpha.  NaN
+    marks the segments whose slope f' never takes, and a NaN fails every
+    comparison.
+    """
     ax, ay = coords[:, 0], coords[:, 1]
     dx1 = coords[:, 2] - ax
     dx2 = coords[:, 3] - ay
     vertical = np.abs(dx1) <= DOMAIN_TOL
-    safe_dx1 = np.where(vertical, 1.0, dx1)
-    # the interior critical point, where f'(alpha - x1(t)) equals the slope,
-    # has an alpha-independent curve parameter; NaN marks the segments whose
-    # slope f' never takes, and a NaN fails every comparison below
     dlo, dhi = curve.df_range()
-    slope = dx2 / safe_dx1
+    slope = dx2 / np.where(vertical, 1.0, dx1)
     has_crit = ~vertical & (slope >= dlo - 1e-9) & (slope <= dhi + 1e-9)
     tc_curve = np.full(len(coords), np.nan)
     tc_curve[has_crit] = curve.df_inv_array(slope[has_crit])
-    del slope, has_crit
+    return ax, ay, dx1, dx2, vertical, tc_curve
+
+
+def _endpoint_only(curve: CurveProfile, alphas: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Which segments take the endpoint-only evaluation over the alphas' range.
+
+    Such a segment is not vertical; its x1 range lies inside every strip
+    [alpha - b, alpha - a] with alpha in [min, max] of the alphas; and its
+    critical x1 position alpha - tc_curve, affine in alpha, stays on one
+    side of that x1 range over the whole alpha range.  Both clearances are
+    at least _ENDPOINT_MARGIN times the largest magnitude involved (at least
+    1).  For such a segment the general evaluation finds it valid, clips its
+    parameter window to exactly [0.0, 1.0] and finds no critical point
+    inside, so its image is spanned by the two endpoint values.
+    """
+    ax, _, dx1, _, vertical, tc_curve = _segment_terms(curve, coords)
+    x0, x1 = 0.0 * dx1 + ax, 1.0 * dx1 + ax
+    x_lo, x_hi = np.minimum(x0, x1), np.maximum(x0, x1)
+    a_lo, a_hi = float(alphas.min()), float(alphas.max())
+    scale = max(1.0, float(np.abs(coords).max()), abs(a_lo), abs(a_hi), abs(curve.a), abs(curve.b))
+    margin = _ENDPOINT_MARGIN * scale
+    return (
+        ~vertical
+        & (x_lo >= a_hi - curve.b + margin)
+        & (x_hi <= a_lo - curve.a - margin)
+        & (np.isnan(tc_curve) | (a_hi - tc_curve < x_lo - margin) | (a_lo - tc_curve > x_hi + margin))
+    )
+
+
+def _endpoint_images(curve: CurveProfile, coords: np.ndarray):
+    """The endpoint-only evaluation: al -> (los, his) of each segment's image.
+
+    The ends x = t * dx1 + ax, y = t * dx2 + ay at t = 0.0 and 1.0 are the
+    general evaluation's own terms at those parameters, computed once.
+    """
+    ax, ay = coords[:, 0], coords[:, 1]
+    dx1 = coords[:, 2] - ax
+    dx2 = coords[:, 3] - ay
+    ends = [(t * dx1 + ax, t * dx2 + ay) for t in (0.0, 1.0)]
+
+    def value(al: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # y + f(clip(al - x)), in one buffer
+        v = np.subtract(al, x)
+        fx = curve.f_array(np.clip(v, curve.a, curve.b, out=v))
+        return np.add(y, fx, out=v)
+
+    def images(al: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v0 = value(al, *ends[0])
+        his = value(al, *ends[1])
+        los = np.minimum(v0, his)
+        np.maximum(v0, his, out=his)
+        return los, his
+
+    return images
+
+
+def _general_images(curve: CurveProfile, coords: np.ndarray):
+    """The general evaluation: al -> (los, his) of each segment's image.
+
+    The strip window in the segment parameter decides validity and is
+    clipped to [0, 1] (vertical segments keep the whole segment), then the
+    values at the clipped ends and at an interior critical point span the
+    image; an invalid segment's lo is +inf, a gap.
+    """
+    ax, ay, dx1, dx2, vertical, tc_curve = _segment_terms(curve, coords)
+    safe_dx1 = np.where(vertical, 1.0, dx1)
 
     def value(al: np.ndarray, t: np.ndarray) -> np.ndarray:
         # ay + t * dx2 + f(clip(al - (ax + t * dx1))), in one reused buffer
@@ -292,14 +413,7 @@ def project_blinds_grid(
         v += fx
         return v
 
-    alphas = np.asarray(alphas, dtype=float)
-    rows = max(1, BUDGET // len(coords))
-    # temporaries are reused through out= or deleted once spent: freed numpy
-    # buffers stay in the malloc heap, so this loop's high-water mark shows
-    # in the peak RSS of the whole run
-    pending, widest = [], 0
-    for first in range(0, len(alphas), rows):
-        al = alphas[first : first + rows, None]
+    def images(al: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = curve.strip(al)
         bound_lo = (lo - ax) / safe_dx1
         t1 = (hi - ax) / safe_dx1
@@ -333,16 +447,9 @@ def project_blinds_grid(
             del vc
         del tc, inside
         np.copyto(los, np.inf, where=~valid)
-        batch = _canonical_rows(los, his)
-        del los, his
-        count = int(np.bincount(batch.row, minlength=1).max())
-        if pending and sum(b.rows for b in pending + [batch]) * max(widest, count) > BUDGET:
-            yield IntervalUnion.stack(pending)
-            pending, widest = [], 0
-        pending.append(batch)
-        widest = max(widest, count)
-    if pending:
-        yield IntervalUnion.stack(pending)
+        return los, his
+
+    return images
 
 
 def project_blinds(curve: CurveProfile, alpha: float, blinds: "BlindSet") -> IntervalUnion:

@@ -6,7 +6,9 @@ package; the equivalence tests compare both against these independent
 per-alpha, per-interval evaluations.  ``rows_of``, ``to_scalar`` and
 ``batch_of`` convert between the two representations, and
 ``argsort_canonical_rows`` canonicalizes by sorting whole intervals, the
-reference for ``measure._canonical_rows``.
+reference for ``measure._canonical_rows``.  ``general_projection_grid`` runs
+the kernel's general evaluation on every segment, the bit-exact reference
+for its endpoint-only one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from curveblinds import measure
 from curveblinds.curve import DOMAIN_TOL, CurveProfile
 from curveblinds.geometry import Segment
-from curveblinds.measure import MERGE_TOL, FiberArc, _canonical_rows
+from curveblinds.measure import BUDGET, MERGE_TOL, FiberArc, _canonical_rows
 
 
 @dataclass(frozen=True)
@@ -163,6 +165,76 @@ def argsort_canonical_rows(los: np.ndarray, his: np.ndarray):
     kept = los[starts] < np.inf
     group_hi = np.maximum.reduceat(his, starts)[kept]
     return measure.IntervalUnion(los[starts[kept]], group_hi, starts[kept] // n, rows)
+
+
+def general_projection_grid(curve: CurveProfile, alphas: Sequence[float], blinds):
+    """measure.project_blinds_grid with the general evaluation on every segment.
+
+    Strip window, validity, clipping and the critical-point test run on every
+    segment at every alpha, batched and stacked as the kernel does, with the
+    same float operations in the same order.
+    """
+    coords = blinds.coords
+    ax, ay = coords[:, 0], coords[:, 1]
+    dx1 = coords[:, 2] - ax
+    dx2 = coords[:, 3] - ay
+    vertical = np.abs(dx1) <= DOMAIN_TOL
+    safe_dx1 = np.where(vertical, 1.0, dx1)
+    dlo, dhi = curve.df_range()
+    slope = dx2 / safe_dx1
+    has_crit = ~vertical & (slope >= dlo - 1e-9) & (slope <= dhi + 1e-9)
+    tc_curve = np.full(len(coords), np.nan)
+    tc_curve[has_crit] = curve.df_inv_array(slope[has_crit])
+
+    def value(al: np.ndarray, t: np.ndarray) -> np.ndarray:
+        v = t * dx1
+        v += ax
+        np.subtract(al, v, out=v)
+        fx = curve.f_array(np.clip(v, curve.a, curve.b, out=v))
+        np.multiply(t, dx2, out=v)
+        v += ay
+        v += fx
+        return v
+
+    alphas = np.asarray(alphas, dtype=float)
+    rows = max(1, BUDGET // len(coords))
+    pending, widest = [], 0
+    for first in range(0, len(alphas), rows):
+        al = alphas[first : first + rows, None]
+        lo, hi = curve.strip(al)
+        bound_lo = (lo - ax) / safe_dx1
+        t1 = (hi - ax) / safe_dx1
+        t0 = np.minimum(bound_lo, t1)
+        np.maximum(bound_lo, t1, out=t1)
+        valid = np.where(
+            vertical,
+            (ax >= lo - DOMAIN_TOL) & (ax <= hi + DOMAIN_TOL),
+            (t1 >= 0.0) & (t0 <= 1.0),
+        )
+        np.clip(t0, 0.0, 1.0, out=t0)
+        np.clip(t1, 0.0, 1.0, out=t1)
+        np.copyto(t0, 0.0, where=vertical)
+        np.copyto(t1, 1.0, where=vertical)
+        v0 = value(al, t0)
+        his = value(al, t1)
+        los = np.minimum(v0, his)
+        np.maximum(v0, his, out=his)
+        tc = (al - tc_curve - ax) / safe_dx1
+        inside = (tc > t0) & (tc < t1)
+        if inside.any():
+            vc = value(al, tc)
+            np.minimum(los, vc, out=los, where=inside)
+            np.maximum(his, vc, out=his, where=inside)
+        np.copyto(los, np.inf, where=~valid)
+        batch = _canonical_rows(los, his)
+        count = int(np.bincount(batch.row, minlength=1).max())
+        if pending and sum(b.rows for b in pending + [batch]) * max(widest, count) > BUDGET:
+            yield measure.IntervalUnion.stack(pending)
+            pending, widest = [], 0
+        pending.append(batch)
+        widest = max(widest, count)
+    if pending:
+        yield measure.IntervalUnion.stack(pending)
 
 
 def project_segment(curve: CurveProfile, alpha: float, seg: Segment) -> IntervalUnion:

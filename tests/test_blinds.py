@@ -31,6 +31,7 @@ from curveblinds.projline import (
     CW,
     PI,
     Arc,
+    Direction,
     angle_schedule,
     as_direction,
     dist,
@@ -504,6 +505,67 @@ def test_divide_rotate_level_rows_match_one_row_calls():
         _divide_rotate_level(coords, target, cover, np.array([1, 1, 0, 1, 1, 1]))
     with pytest.raises(ValueError):
         _divide_rotate_level(coords, target, np.where(np.arange(6) == 4, target, cover), n)
+
+
+def _divide_rotate_rows(coords, target, cover, n):
+    """Per-row reference for _divide_rotate_level, in Python floats: each row
+    checks its own angles and takes its own math.cos / math.sin."""
+    children, hulls = [], []
+    for (ax, ay, bx, by), t, c, m in zip(coords.tolist(), target, cover, n):
+        if dist(t, c) <= ANGLE_TOL:
+            raise ValueError(
+                f"degenerate angle configuration (target/cover): {Direction(t)} vs {Direction(c)}"
+            )
+        cs, ss, cc, sc = math.cos(t), math.sin(t), math.cos(c), math.sin(c)
+        det = cs * sc - ss * cc
+        for j in range(m):
+            lo, hi = j / m, (j + 1) / m
+            pax, pbx = ax + (bx - ax) * lo, ax + (bx - ax) * hi
+            pay, pby = ay + (by - ay) * lo, ay + (by - ay) * hi
+            s = ((pbx - pax) * sc - (pby - pay) * cc) / det
+            children.append([pax, pay, pax + s * cs, pay + s * ss])
+            hulls.append([pax, pay, pbx, pby, pax + s * cs, pay + s * ss])
+    return np.array(children), np.array(hulls)
+
+
+def test_divide_rotate_level_matches_per_row_reference():
+    # ragged groups of rows: a few (target, cover) pairs shared by many rows,
+    # in no order, next to pairs of their own, and a zero of either sign
+    rng = np.random.default_rng(5)
+    k = 60
+    coords = rng.uniform(-1.0, 1.0, size=(k, 4))
+    shared = [(0.0, 1.1), (-0.0, 1.1), (1.2, 2.1), (2.9, 0.4)]
+    pick = rng.integers(0, len(shared), size=k)
+    target = np.array([shared[i][0] for i in pick])
+    cover = np.array([shared[i][1] for i in pick])
+    own = rng.random(k) < 0.3
+    target[own] = rng.uniform(0.0, PI, size=own.sum())
+    cover[own] = np.fmod(target[own] + rng.uniform(0.3, 2.8, size=own.sum()), PI)
+    # a first child starting at y = -0.0 keeps that sign in its tip's y only
+    # if its target's sine is -0.0 too: the zeros of either sign are two pairs
+    target[:2], cover[:2] = (-0.0, 0.0), 1.1
+    coords[:2, 1], coords[:2, 3] = -0.0, -0.5
+    n = rng.integers(1, 8, size=k)
+    children, hulls = _divide_rotate_level(coords, target, cover, n)
+    want = _divide_rotate_rows(coords, target.tolist(), cover.tolist(), n.tolist())
+    assert children.tobytes() == want[0].tobytes()
+    assert hulls.tobytes() == want[1].tobytes()
+    # one angle for all rows
+    children, _ = _divide_rotate_level(coords, 1.2, 2.1, 3)
+    assert children.tobytes() == _divide_rotate_rows(coords, [1.2] * k, [2.1] * k, [3] * k)[0].tobytes()
+
+
+def test_divide_rotate_level_names_the_first_degenerate_row():
+    # two degenerate pairs; the one of the earlier row sorts after the other
+    coords = np.random.default_rng(6).uniform(-1.0, 1.0, size=(5, 4))
+    target = [1.2, 2.0, 1.2, 0.5, 2.0]
+    cover = [2.1, 2.0 + 0.5 * ANGLE_TOL, 2.1, 0.5, 2.0 + 0.5 * ANGLE_TOL]
+    with pytest.raises(ValueError) as want:
+        _divide_rotate_rows(coords, target, cover, [1] * 5)
+    with pytest.raises(ValueError) as got:
+        _divide_rotate_level(coords, np.array(target), np.array(cover), 2)
+    assert str(got.value) == str(want.value)
+    assert str(Direction(2.0)) in str(got.value)
 
 
 def test_level_search_groups_are_independent(monkeypatch):

@@ -11,20 +11,24 @@ from hypothesis import strategies as st
 from curveblinds.blinds import BlindSet
 from curveblinds.curve import CurveProfile, builtin_curve, eval_phi
 from curveblinds.geometry import Point, Segment
+from curveblinds.keylemma import key_construction
 from curveblinds.measure import (
     BUDGET,
     MERGE_TOL,
     AlphaSet,
     FiberArc,
     _canonical_rows,
+    _endpoint_only,
     project_blinds,
     project_blinds_grid,
     project_fiber_arc,
 )
+from curveblinds.scene import load_scene
 from scalar_projection import (
     argsort_canonical_rows,
     batch_of,
     contains,
+    general_projection_grid,
     project_segment,
     project_segments,
     rows_of,
@@ -461,6 +465,114 @@ def test_project_blinds_grid_fallback_for_scalar_curves():
     batched = _assert_grid_matches_per_alpha(curve, alphas, blinds)
     for alpha, got in zip(alphas, batched):
         assert got == project_segments(curve, alpha, blinds.segments).intervals
+
+
+def _assert_bitwise_general(curve, alphas, blinds):
+    """The kernel's batches equal the all-general reference's, bit for bit."""
+    got = list(project_blinds_grid(curve, alphas, blinds))
+    want = list(general_projection_grid(curve, alphas, blinds))
+    assert [b.rows for b in got] == [b.rows for b in want]
+    for g, w in zip(got, want):
+        for name in ("lo", "hi", "row"):
+            assert np.array_equal(getattr(g, name), getattr(w, name))
+            assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+
+
+# distances from a decision boundary, in x1 units: inside, at and beyond the
+# margin (1e-9 per unit of coordinate magnitude), down to rounding dust
+_OFFSETS = [0.0] + [s * d for d in (1e-12, 5e-10, 1e-9, 2e-9, 3e-9, 5e-9, 1e-8, 1e-6, 1e-3) for s in (1, -1)]
+
+
+def _adversarial_blinds(curve, a_lo, a_hi):
+    """Segments at the endpoint-only boundaries of the alpha range [a_lo, a_hi]:
+    ends near the edges a_hi - b and a_lo - a of the strips' common part,
+    near-vertical and vertical ones, and critical x1 positions that meet the
+    x1 range at only one end of the alpha range or miss it by an offset."""
+    edge_lo, edge_hi = a_hi - curve.b, a_lo - curve.a
+    mid = (a_lo + a_hi - curve.a - curve.b) / 2.0
+    dlo, dhi = curve.df_range()
+    slopes = (dlo - 1.0, dhi + 1.0, (3.0 * dlo + dhi) / 4.0, (dlo + 3.0 * dhi) / 4.0)
+    rows = []
+    for d in _OFFSETS:
+        for s in slopes:
+            rows.append((edge_lo + d, edge_lo + d + 0.05, s))  # left end at the edge
+            rows.append((edge_hi - d - 0.05, edge_hi - d, s))  # right end at the edge
+    for dx in (1e-12, 2e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+        for x in (mid, edge_lo + 2e-9, edge_hi - 2e-9, edge_lo - 1e-7):
+            rows += [(x, x + dx, 0.1 / dx), (x + dx, x, 0.1 / dx)]
+    for s in slopes[2:]:
+        tc = curve.df_inv(s)
+        p_lo, p_hi = a_lo - tc, a_hi - tc  # the critical x1 position at a_lo, a_hi
+        half = (p_hi - p_lo) / 2.0
+        rows.append((p_lo - 0.05, p_lo + half, s))  # crit inside at a_lo only
+        rows.append((p_hi - half, p_hi + 0.05, s))  # crit inside at a_hi only
+        for d in _OFFSETS:
+            rows.append((p_lo - d - 0.05, p_lo - d, s))  # crit right of it from a_lo on
+            rows.append((p_hi + d, p_hi + d + 0.05, s))  # crit left of it up to a_hi
+    coords = []
+    for i, (x0, x1, s) in enumerate(rows):
+        y0 = 0.01 * i
+        seg = [x0, y0, x1, y0 + s * (x1 - x0)]
+        coords += [seg, seg[2:] + seg[:2]]  # both orientations
+    coords.append([mid, 0.0, mid, 0.3])  # exactly vertical
+    return BlindSet(np.array(coords))
+
+
+@pytest.mark.parametrize("name", ["parabola", "quarter_circle", "exp"])
+@pytest.mark.parametrize("span", [0.0, 1e-6, 0.4, 3.5])
+def test_endpoint_only_evaluation_is_bitwise_the_general_one(name, span):
+    # single-alpha, narrow, moderate and wide grids (the widest has no strip
+    # common to all its alphas, so every segment takes the general path)
+    curve = builtin_curve(name)
+    a_lo = (curve.a + curve.b) / 2.0 + 0.5 - span / 2.0
+    alphas = np.linspace(a_lo, a_lo + span, 1 if span == 0.0 else 41)
+    blinds = _adversarial_blinds(curve, alphas[0], alphas[-1])
+    endpoint_only = _endpoint_only(curve, alphas, blinds.coords)
+    assert endpoint_only.any() == (span < 3.5) and not endpoint_only.all()
+    _assert_bitwise_general(curve, alphas, blinds)
+    _assert_bitwise_general(curve, alphas, _random_blinds(np.random.default_rng(11), 300))
+    # a curve without array support, one f call per element
+    slow = dataclasses.replace(curve, supports_arrays=False)
+    _assert_bitwise_general(slow, alphas[::8], BlindSet(blinds.coords[::7]))
+
+
+def test_endpoint_only_sends_crossings_to_the_general_path():
+    # parabola strips are [alpha - 1, alpha], so over alpha in [0.3, 0.7]
+    # their common part is [-0.3, 0.3]; at slope 1 the critical x1 position
+    # is alpha - 0.5
+    curve = builtin_curve("parabola")
+    alphas = np.linspace(0.3, 0.7, 41)
+    assert curve.df_inv(1.0) == 0.5
+    coords = np.array([
+        [0.0, 0.0, 0.1, 0.0],  # inside every strip; critical position alpha on its right
+        [0.5, 0.0, 0.6, 0.0],  # the edge alpha crosses it at alpha in [0.5, 0.6]
+        [-0.35, 0.0, -0.2, 0.0],  # the edge alpha - 1 crosses it at alpha in [0.65, 0.7]
+        # the critical position lies left of it at alpha = 0.3, right of it at
+        # 0.7, and crosses it at alpha in [0.5, 0.6]
+        [0.0, 0.0, 0.1, 0.1],
+        [-0.25, 0.0, -0.15, 0.1],  # the critical position crosses it at alpha in [0.25, 0.35]
+        [0.1, 0.0, 0.1, 0.1],  # vertical
+    ])
+    assert _endpoint_only(curve, alphas, coords).tolist() == [True] + [False] * 5
+    # at alpha = 0.7 alone only the edge alpha - 1 crosses a segment
+    assert _endpoint_only(curve, alphas[-1:], coords).tolist() == [True, True, False, True, True, False]
+    _assert_bitwise_general(curve, alphas, BlindSet(coords))
+
+
+@pytest.mark.parametrize("scene", ["Q1", "P1", "E1"])
+def test_benchmark_constructions_take_the_endpoint_only_path(scene):
+    # every segment of the key construction, at the shipped and the fine eps,
+    # on both certificate grids: a fall back to the general path would keep
+    # the bytes and lose the speed
+    spec = load_scene(scene)
+    curve = spec.curve()
+    for eps in (spec.epsilon, {"Q1": 0.02, "P1": 0.015, "E1": 0.01}[scene]):
+        result = key_construction(
+            curve, spec.y, spec.subrange, spec.a_small(), spec.a_cover(), eps, spec.delta,
+            caps=spec.caps,
+        )
+        for grid in (spec.a_cover().grid(), spec.a_small().grid()):
+            assert _endpoint_only(curve, grid, result.blinds.coords).all()
 
 
 @pytest.mark.parametrize("points", [-5, 0, 1, 1.7, 2.0, True, "200"])
