@@ -170,15 +170,17 @@ def _directions(coords: np.ndarray) -> np.ndarray:
 
 
 def _divide_rotate_level(
-    coords: np.ndarray, target, cover, n
+    coords: np.ndarray, target, cover, n, group: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Divide every segment into its n pieces and rotate each to its target.
 
     This is the one implementation of DIVIDE and ROTATE: each piece is
     replaced by the segment from its start to where the line through its
     start with direction ``target`` meets the line through its end with
-    direction ``cover``.  The angles ``target`` and ``cover`` and the piece
-    count ``n`` are given per row of ``coords`` or once for all rows.
+    direction ``cover``.  The angles ``target`` and ``cover`` are given per
+    group, row i of ``coords`` being in group ``group[i]``, or without
+    ``group`` per row or once for all rows; the piece count ``n`` is given
+    per row or once.
     Returns (children, hulls): children holds the new blades as rows
     (ax, ay, bx, by), the n children of each parent consecutive and in order
     along it; hulls holds each piece's triangle hull (pax, pay, pbx, pby, cx, cy).
@@ -187,18 +189,19 @@ def _divide_rotate_level(
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), (k,))
     if n.min() < 1:
         raise ValueError(f"piece count must be >= 1, got {int(n.min())}")
-    pairs = np.stack(
-        [np.broadcast_to(np.asarray(v, dtype=float), (k,)) for v in (target, cover)], axis=1
-    )
+    angles = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (target, cover)))
+    pairs = np.stack(angles, axis=-1).reshape(-1, 2)
+    if group is None:
+        group = np.arange(k) if len(pairs) > 1 else np.zeros(k, dtype=np.int64)
     # each distinct (target, cover) pair is checked and evaluated once; pairs
     # are told apart by their bits, as sin keeps the sign of a zero
     keys, inverse = np.unique(pairs.view(np.int64), axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    pick = inverse.reshape(-1)[group]
     target, cover = keys.view(float).T.tolist()
-    bad = np.array([dist(t, c) <= ANGLE_TOL for t, c in zip(target, cover)])
+    bad = np.array([dist(t, c) <= ANGLE_TOL for t, c in zip(target, cover)])[pick]
     if bad.any():
         # name the first offending row
-        t, c = pairs[np.argmax(bad[inverse])].tolist()
+        t, c = pairs[group[np.argmax(bad)]].tolist()
         raise ValueError(
             f"degenerate angle configuration (target/cover): {Direction(t)} vs {Direction(c)}"
         )
@@ -210,7 +213,7 @@ def _divide_rotate_level(
     pax, pbx = ax + (bx - ax) * lo, ax + (bx - ax) * hi
     pay, pby = ay + (by - ay) * lo, ay + (by - ay) * hi
     # math.cos/sin per pair: numpy's SIMD ones can differ in the last bit
-    pick = inverse[row]
+    pick = pick[row]
     cs, ss, cc, sc = (
         np.array([f(x) for x in v], dtype=float)[pick]
         for f, v in ((math.cos, target), (math.sin, target), (math.cos, cover), (math.sin, cover))
@@ -424,39 +427,67 @@ def _level_search(
     arc from theta_cover to ``level_dir``.  The others double n while
     n * sizes[g] <= n_max.  Returns (counts, children sorted by group), or
     the index of the first group past the cap.
+
+    Each piece of a parent cut into n is its n = 1 blade scaled by 1/n about
+    the piece start, so a group's farthest tip at n is far1 / n up to
+    rounding in the coordinates.  One division at n = 1 moves each group past
+    the counts whose tips certainly miss its budget, and the doubling starts
+    from there.  A group can still fail at its predicted count; if a group
+    then passes the cap, the doubling runs again from n, so that the index
+    names the group the doubling from n alone would.
     """
     groups = len(sizes)
     level_dir, target, theta_cover, budget = (
         np.broadcast_to(v, (groups,)) for v in (level_dir, target, theta_cover, budget)
     )
-    counts = np.array(np.broadcast_to(n, (groups,)), dtype=np.int64)
+    start = np.array(np.broadcast_to(n, (groups,)), dtype=np.int64)
     row_group = np.repeat(np.arange(groups), sizes)
-    pending = np.ones(groups, dtype=bool)
-    found, found_group = [], []
-    while pending.any():
-        over = pending & (counts * sizes > n_max)
-        if over.any():
-            return int(np.argmax(over))
-        live = np.flatnonzero(pending)
-        rows = np.flatnonzero(pending[row_group])
-        g = row_group[rows]
-        children, hulls = _divide_rotate_level(parents[rows], target[g], theta_cover[g], counts[g])
-        parent = np.repeat(rows, counts[g])
-        child_group = row_group[parent]
-        far = _distances_to_parents(parents[parent], children[:, 2:4])
-        ok = np.maximum.reduceat(far, np.searchsorted(child_group, live)) <= budget[live]
-        if a_cover is not None:
-            ok &= _hulls_cover_ok(
-                curve, hulls, counts[live] * sizes[live], level_dir[live], theta_cover[live],
-                chirality, a_cover,
+    over = start * sizes > n_max
+    if over.any():
+        return int(np.argmax(over))
+    # a count below 1 fails here as it would in the doubling
+    children, _ = _divide_rotate_level(
+        parents, target, theta_cover, np.minimum(start, 1)[row_group], row_group
+    )
+    far1 = np.maximum.reduceat(
+        _distances_to_parents(parents, children[:, 2:4]), np.cumsum(sizes) - sizes
+    )
+    miss = budget * (1.0 + 1e-9) + 1e-12 * np.max(np.abs(parents))
+    predicted = start.copy()
+    while (short := (far1 / predicted > miss) & (predicted * sizes <= n_max)).any():
+        predicted[short] *= 2
+    for counts in (predicted, start) if (predicted != start).any() else (start,):
+        pending = np.ones(groups, dtype=bool)
+        found, found_group = [], []
+        while pending.any():
+            over = pending & (counts * sizes > n_max)
+            if over.any():
+                break
+            live = np.flatnonzero(pending)
+            rows = np.flatnonzero(pending[row_group])
+            g = row_group[rows]
+            children, hulls = _divide_rotate_level(
+                parents[rows], target[live], theta_cover[live], counts[g],
+                (np.cumsum(pending) - 1)[g],
             )
-        pending[live[ok]] = False
-        counts[live[~ok]] *= 2
-        accepted = ~pending[child_group]
-        found.append(children[accepted])
-        found_group.append(child_group[accepted])
-    order = np.argsort(np.concatenate(found_group), kind="stable")
-    return counts, np.concatenate(found)[order]
+            parent = np.repeat(rows, counts[g])
+            child_group = row_group[parent]
+            far = _distances_to_parents(parents[parent], children[:, 2:4])
+            ok = np.maximum.reduceat(far, np.searchsorted(child_group, live)) <= budget[live]
+            if a_cover is not None:
+                ok &= _hulls_cover_ok(
+                    curve, hulls, counts[live] * sizes[live], level_dir[live], theta_cover[live],
+                    chirality, a_cover,
+                )
+            pending[live[ok]] = False
+            counts[live[~ok]] *= 2
+            accepted = ~pending[child_group]
+            found.append(children[accepted])
+            found_group.append(child_group[accepted])
+        else:
+            order = np.argsort(np.concatenate(found_group), kind="stable")
+            return counts, np.concatenate(found)[order]
+    return int(np.argmax(over))
 
 
 def _vb_cover_cap(

@@ -192,9 +192,10 @@ _DRAWN_FIELDS = ("scene_id", "curve", "y", "subrange", "A_cover")
 def _read_blindset(spec: SceneSpec, path: Path) -> BlindSet:
     """The blind set written at path, if it was built for spec.
 
-    A missing segments field, a non-object meta, a provenance that is not a
-    list of lists, or a scene block that differs from spec in a field the
-    figure draws is rejected with a SceneError naming the field; a blind set
+    A missing segments field, segments that are not a nonempty (n, 4) array
+    of finite numbers, a non-object meta, a provenance that is not a list of
+    lists, or a scene block that differs from spec in a field the figure
+    draws is rejected with a SceneError naming the field; a blind set
     without a scene block is accepted.  The parsed JSON tree is dropped on
     return, before rendering.
     """
@@ -203,6 +204,16 @@ def _read_blindset(spec: SceneSpec, path: Path) -> BlindSet:
         raise SceneError(f"{path}: expected a JSON object")
     if "segments" not in data:
         raise SceneError(f"{path}: segments: missing field")
+    try:
+        segments = np.array(data["segments"])
+    except ValueError:  # ragged rows
+        segments = np.empty(0)
+    shaped = segments.ndim == 2 and segments.shape[1] == 4 and len(segments) > 0
+    if not (shaped and segments.dtype.kind in "iuf" and np.isfinite(segments).all()):
+        raise SceneError(
+            f"{path}: segments: expected a nonempty list of [ax, ay, bx, by] rows of finite numbers"
+        )
+    data["segments"] = segments.astype(float)
     if not isinstance(data.get("meta", {}), dict):
         raise SceneError(f"{path}: meta: expected a JSON object")
     prov = data.get("provenance")

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveblinds import blinds as blinds_module
 from curveblinds.blinds import (
@@ -14,6 +16,7 @@ from curveblinds.blinds import (
     _distances_to_parents,
     _divide_rotate_level,
     _hulls_cover_ok,
+    _infer_chirality,
     _level_search,
     auto_iter_vb,
     auto_vb_cover,
@@ -37,6 +40,7 @@ from curveblinds.projline import (
     dist,
     normalize,
 )
+from level_search_reference import doubling_level_search
 from scalar_projection import contains, project_segment, to_scalar
 
 SEG = Segment(Point(0.0, 0.0), Point(1.0, 0.3))
@@ -568,6 +572,12 @@ def test_divide_rotate_level_names_the_first_degenerate_row():
     assert str(Direction(2.0)) in str(got.value)
 
 
+def _farthest_tip(parents, target, cover, n):
+    """The farthest blade tip from its own parent when every parent is cut into n."""
+    children, _ = _divide_rotate_level(parents, target, cover, n)
+    return float(np.max(_distances_to_parents(np.repeat(parents, n, axis=0), children[:, 2:4])))
+
+
 def test_level_search_groups_are_independent(monkeypatch):
     # group "one" passes at n=1, group "eight" (two parents) needs n=8 and
     # group "never" has a budget no blade meets, so it passes the cap
@@ -575,15 +585,11 @@ def test_level_search_groups_are_independent(monkeypatch):
     eight = np.array([[1.0, 0.3, 2.0, 0.5], [2.0, 0.5, 2.5, 1.0]])
     never = np.array([[3.0, 0.0, 3.4, 0.2]])
     target, cover, n_max = 1.2, 2.1, 64
-
-    def offset(parents, n):
-        children, _ = _divide_rotate_level(parents, target, cover, n)
-        tips = children[:, 2:4]
-        return float(np.max(_distances_to_parents(np.repeat(parents, n, axis=0), tips)))
-
     budget = {
         "one": math.inf,
-        "eight": math.sqrt(offset(eight, 4) * offset(eight, 8)),
+        "eight": math.sqrt(
+            _farthest_tip(eight, target, cover, 4) * _farthest_tip(eight, target, cover, 8)
+        ),
         "never": 0.0,
     }
     parents = {"one": one, "eight": eight, "never": never}
@@ -601,17 +607,82 @@ def test_level_search_groups_are_independent(monkeypatch):
     assert counts.tolist() == [1, 8]
     assert np.array_equal(children, np.concatenate([alone["one"][1], alone["eight"][1]]))
 
-    # an accepted group is not divided again, and the overflow names its group
+    # one division at n = 1 predicts the counts: "eight" is divided at 8 only
     calls = []
 
-    def spy(coords, *args):
-        calls.append(coords.copy())
-        return _divide_rotate_level(coords, *args)
+    def spy(coords, target, cover, n, *args):
+        calls.append((coords.copy(), np.broadcast_to(n, len(coords)).tolist()))
+        return _divide_rotate_level(coords, target, cover, n, *args)
 
     monkeypatch.setattr(blinds_module, "_divide_rotate_level", spy)
+    assert search(["one", "eight"])[0].tolist() == [1, 8]
+    both = np.concatenate([one, eight])
+    assert [n for _, n in calls] == [[1, 1, 1], [1, 8, 8]]
+    assert all(np.array_equal(got, both) for got, _ in calls)
+
+    # "never" passes the cap in the prediction, so the search doubles from 1:
+    # an accepted group is not divided again, and the overflow names its group
+    calls.clear()
     assert search(["one", "eight", "never"]) == 2
-    rows = [np.concatenate([one, eight, never])] + [np.concatenate([eight, never])] * 3
+    rows = [np.concatenate([one, eight, never])] * 2 + [np.concatenate([eight, never])] * 3
     rows += [never] * 3  # n = 16, 32, 64 for "never"; 128 passes the cap
     assert len(calls) == len(rows)
-    assert all(np.array_equal(got, want) for got, want in zip(calls, rows))
+    assert all(np.array_equal(got, want) for (got, _), want in zip(calls, rows))
     assert search(["never", "one"]) == 0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_level_search_matches_the_doubling_reference(data):
+    # groups of parents near the Q1 covering configuration, each with its own
+    # start count and a budget at a tip distance (to the ulp), unbounded, zero
+    # or unattainable below the cap; a degenerate angle pair sometimes
+    curve, a_cover, seg = _q1_context()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    groups = data.draw(st.integers(1, 4))
+    sizes = np.array(data.draw(st.lists(st.integers(1, 3), min_size=groups, max_size=groups)))
+    base = np.array([seg.a.x1, seg.a.x2, seg.b.x1, seg.b.x2])
+    parents = base + rng.normal(scale=0.005, size=(int(sizes.sum()), 4))
+    target = 0.6 + rng.uniform(-0.05, 0.05, size=groups)
+    cover = 2.5 + rng.uniform(-0.05, 0.05, size=groups)
+    if data.draw(st.integers(0, 9)) == 0:
+        g = data.draw(st.integers(0, groups - 1))
+        cover[g] = target[g] + 0.5 * ANGLE_TOL
+    start = np.array(data.draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=groups,
+                                        max_size=groups)))
+    n_max = data.draw(st.sampled_from([8, 64, 512, 2**14]))
+    first = np.cumsum(sizes) - sizes
+    budget = []
+    for g in range(groups):
+        own = parents[first[g] : first[g] + sizes[g]]
+        kind = data.draw(st.sampled_from(["far1/n", "far1/n", "far(n)", "far(n)", "inf", "zero"]))
+        # a count at or just past the cap
+        n = int(start[g]) * 2 ** data.draw(st.integers(0, int(math.log2(n_max / start[g])) + 1))
+        if kind in ("inf", "zero") or dist(target[g], cover[g]) <= ANGLE_TOL:
+            budget.append(math.inf if kind == "inf" else 0.0)
+            continue
+        far1 = _farthest_tip(own, target[g], cover[g], 1)
+        far = _farthest_tip(own, target[g], cover[g], n)
+        # the error of far(n) is absolute in the coordinates, not relative to it
+        assert abs(far * n - far1) <= 1e-12 * (far1 + n * np.max(np.abs(own)))
+        value = far1 / n if kind == "far1/n" else far
+        toward = data.draw(st.sampled_from([-math.inf, value, math.inf]))
+        budget.append(float(np.nextafter(value, toward)))
+    args = (
+        curve, parents, sizes, seg.direction.angle, target, cover,
+        _infer_chirality(seg.direction, Direction(0.6), Direction(2.5)),
+        data.draw(st.sampled_from([None, a_cover])), np.array(budget), start, n_max,
+    )
+
+    def run(search):
+        try:
+            return search(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    got, want = run(_level_search), run(doubling_level_search)
+    if isinstance(want, tuple):
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+    else:
+        assert got == want

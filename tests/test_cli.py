@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import time
 import xml.etree.ElementTree as ET
 
@@ -230,8 +231,19 @@ def test_render_rejects_a_blindset_that_is_not_an_object(tmp_path, capsys):
         ({}, "segments: missing field"),
         ({"segments": [[0, 0, 1, 1]], "meta": [1]}, "meta: expected a JSON object"),
         ({"segments": [[0, 0, 1, 1]], "provenance": [1]}, "provenance: expected a list"),
+        ({"segments": [[0, 0, 1, 1], [0, 0, 1, math.nan]]}, "segments: expected a nonempty"),
+        ({"segments": [[0, 0, 1, 1], [0, -math.inf, 1, 1]]}, "segments: expected a nonempty"),
+        ({"segments": []}, "segments: expected a nonempty"),
+        ({"segments": [[0, 0, 1, 1], [0, 0, 1]]}, "segments: expected a nonempty"),
+        ({"segments": [0, 0, 1, 1]}, "segments: expected a nonempty"),
+        ({"segments": [[0, 0, 1, "x"]]}, "segments: expected a nonempty"),
+        ({"segments": [[0, 0, 1, "1"]]}, "segments: expected a nonempty"),
+        ({"segments": [[0, 0, 1, None]]}, "segments: expected a nonempty"),
     ],
-    ids=["no_segments", "meta_list", "provenance_ints"],
+    ids=[
+        "no_segments", "meta_list", "provenance_ints", "nan", "inf", "empty", "ragged", "flat",
+        "text", "numeric_text", "null",
+    ],
 )
 def test_render_rejects_a_malformed_blindset(data, field, tmp_path, capsys):
     path, out = tmp_path / "blindset.json", tmp_path / "f.svg"

@@ -363,8 +363,9 @@ def test_key_construction_tiny_cap_fails_fast_with_a_stage(scene):
 
 
 def test_key_construction_batches_every_level_search(monkeypatch):
-    # bundled P1: one stage-1 search plus one per stage-2 level (depth 4), and
-    # one divide-and-rotate call per doubling round
+    # bundled P1: one stage-1 search plus one per stage-2 level (depth 4); each
+    # makes one divide-and-rotate call at n = 1 to predict its counts and one
+    # per doubling round, and every group is accepted at its predicted count
     calls = {"_level_search": 0, "_divide_rotate_level": 0}
     for name in calls:
         original = getattr(blinds_module, name)
@@ -381,7 +382,7 @@ def test_key_construction_batches_every_level_search(monkeypatch):
         spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
         spec.epsilon, spec.delta, caps=spec.caps,
     )
-    assert calls == {"_level_search": 5, "_divide_rotate_level": 13}
+    assert calls == {"_level_search": 5, "_divide_rotate_level": 10}
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)

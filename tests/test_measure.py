@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curveblinds import measure
 from curveblinds.blinds import BlindSet
 from curveblinds.curve import CurveProfile, builtin_curve, eval_phi
 from curveblinds.geometry import Point, Segment
@@ -18,6 +19,7 @@ from curveblinds.measure import (
     AlphaSet,
     FiberArc,
     _canonical_rows,
+    _collapse_chains,
     _endpoint_only,
     project_blinds,
     project_blinds_grid,
@@ -114,9 +116,47 @@ def _tie_and_touch_rows(rng):
     return los, his
 
 
+def _chained_row(rng):
+    # one row in blade order, few enough chains to be collapsed: the chains
+    # come in descending order, so each starts below its disjoint predecessor
+    # (a one-sided join test merges the two); inside a chain there are gaps,
+    # neighbours that touch, from either side, at exactly MERGE_TOL or just
+    # beyond it, and zeros of either sign
+    los, his = [], []
+    for k in range(60):
+        lo = 4.0 - 0.02 * k + np.cumsum(rng.exponential(1e-5, 512))
+        hi = lo + 5e-5
+        for j in range(64, 512, 64):
+            reach = hi[j - 1] + MERGE_TOL
+            lo[j] = rng.choice([reach, np.nextafter(reach, np.inf)])
+            hi[j] = max(hi[j], lo[j])
+        # interval 4 lies below interval 3, which touches it from above
+        hi[4] = lo[3] - 1e-6
+        lo[4] = hi[4] - 1e-6
+        reach = hi[4] + MERGE_TOL
+        lo[3] = reach if k % 2 else np.nextafter(reach, np.inf)
+        gaps = rng.choice(512, 3, replace=False)
+        lo[gaps] = np.inf
+        hi[gaps] = rng.choice([-10.0, 10.0], 3)
+        los.append(lo)
+        his.append(hi)
+    los, his = np.concatenate(los)[None], np.concatenate(his)[None]
+    los[0, 200:204], his[0, 200:204] = [-0.0, 0.0, 0.0, -0.0], [0.0, -0.0, 1e-6, 2e-6]
+    assert _collapse_chains(los, his)[0].shape[1] < los.shape[1]
+    return los, his
+
+
+def _many_runs_row(rng):
+    # one row of mostly disjoint intervals: too many chains to be collapsed
+    los = rng.uniform(-5.0, 5.0, (1, 4000))
+    his = los + rng.exponential(0.0003, los.shape)
+    assert _collapse_chains(los, his)[0] is los
+    return los, his
+
+
 @pytest.mark.parametrize(
     "make",
-    [_blade_rows, _random_rows, _gap_rows, _tie_and_touch_rows],
+    [_blade_rows, _random_rows, _gap_rows, _tie_and_touch_rows, _chained_row, _many_runs_row],
     ids=lambda f: f.__name__[1:],
 )
 def test_canonical_rows_equal_the_argsort_reference(make):
@@ -133,6 +173,34 @@ def test_canonical_rows_equal_the_argsort_reference(make):
     assert got.row.dtype == want.row.dtype
     # the inputs produce both merged groups and separate ones
     assert len(np.unique(want.row)) < len(want.lo) < los.size
+
+
+def test_cover_rows_of_the_large_constructions_collapse(monkeypatch):
+    # the one-row batches (n > BUDGET / 2) of the fine P1 and E1 constructions:
+    # over A_cover the blades chain into few runs and collapse; P1's rows over
+    # A_small fall apart into thousands and are sorted as given
+    chains = []
+
+    def spy(los, his):
+        got = _collapse_chains(los, his)
+        chains.append(got[0].shape[1] < los.shape[1])
+        return got
+
+    monkeypatch.setattr(measure, "_collapse_chains", spy)
+    for scene, eps in (("P1", 0.015), ("E1", 0.01)):
+        spec = dataclasses.replace(load_scene(scene), epsilon=eps)
+        blinds = key_construction(
+            spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
+            spec.epsilon, spec.delta, caps=spec.caps,
+        ).blinds
+        assert len(blinds) > BUDGET // 2
+        for grid, collapsed in ((spec.a_cover(), True), (spec.a_small(), False)):
+            chains.clear()
+            for _ in project_blinds_grid(spec.curve(), grid.grid(), blinds):
+                pass
+            assert len(chains) == len(grid.grid())
+            if scene == "P1" or collapsed:
+                assert set(chains) == {collapsed}
 
 
 def test_inflate_and_erode():
