@@ -8,6 +8,7 @@ float formatting so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -193,11 +194,11 @@ def _read_blindset(spec: SceneSpec, path: Path) -> BlindSet:
     """The blind set written at path, if it was built for spec.
 
     A missing segments field, segments that are not a nonempty (n, 4) array
-    of finite numbers, a non-object meta, a provenance that is not a list of
-    lists, or a scene block that differs from spec in a field the figure
-    draws is rejected with a SceneError naming the field; a blind set
-    without a scene block is accepted.  The parsed JSON tree is dropped on
-    return, before rendering.
+    of finite numbers (a JSON boolean is not a number), a non-object meta,
+    a provenance that is not a list of lists, or a scene block that differs
+    from spec in a field the figure draws is rejected with a SceneError
+    naming the field; a blind set without a scene block is accepted.  The
+    parsed JSON tree is dropped on return, before rendering.
     """
     data = json.loads(path.read_text())
     if not isinstance(data, dict):
@@ -209,7 +210,14 @@ def _read_blindset(spec: SceneSpec, path: Path) -> BlindSet:
     except ValueError:  # ragged rows
         segments = np.empty(0)
     shaped = segments.ndim == 2 and segments.shape[1] == 4 and len(segments) > 0
-    if not (shaped and segments.dtype.kind in "iuf" and np.isfinite(segments).all()):
+    numeric = shaped and segments.dtype.kind in "iuf" and np.isfinite(segments).all()
+    if numeric:
+        # numpy reads JSON true and false as 1 and 0, so only rows holding a
+        # 0 or a 1 can hide one; their element types are scanned in C
+        suspects = np.flatnonzero(((segments == 0) | (segments == 1)).any(axis=1))
+        rows = map(data["segments"].__getitem__, suspects.tolist())
+        numeric = {int, float}.issuperset(map(type, itertools.chain.from_iterable(rows)))
+    if not numeric:
         raise SceneError(
             f"{path}: segments: expected a nonempty list of [ax, ay, bx, by] rows of finite numbers"
         )

@@ -52,23 +52,33 @@ class IntervalUnion:
         return np.cumsum(widths, axis=1)[:, -1]
 
     def inflate(self, r: float) -> "IntervalUnion":
-        """Thicken every interval by r on both sides (then re-canonicalize)."""
+        """Thicken every interval by r on both sides, merging neighbours that meet.
+
+        lo - r and hi + r keep the canonical order, so _merge_neighbours
+        merges the neighbours that meet, without a sort.
+        """
         if r < 0.0:
             raise ValueError(f"inflation radius must be >= 0, got {r!r}")
-        return _from_groups(self.lo - r, self.hi + r, self.row, self.rows)
+        return _merge_neighbours(self.lo - r, self.hi + r, self.row, self.rows)
 
     def erode(self, r: float) -> "IntervalUnion":
-        """Shrink every interval by r on both sides, dropping emptied ones."""
+        """Shrink every interval by r on both sides, dropping emptied ones.
+
+        lo + r and hi - r keep the canonical order, so _merge_neighbours
+        merges the neighbours that still meet, without a sort.
+        """
         if r < 0.0:
             raise ValueError(f"erosion radius must be >= 0, got {r!r}")
         keep = self.hi - self.lo > 2.0 * r
-        return _from_groups(self.lo[keep] + r, self.hi[keep] - r, self.row[keep], self.rows)
+        return _merge_neighbours(self.lo[keep] + r, self.hi[keep] - r, self.row[keep], self.rows)
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
         """Row by row, the closure of self minus other, as canonical unions.
 
         The groups of other that meet self's group t are a[t] .. b[t] - 1;
         t splits into the k + 1 pieces between them, each kept if nonempty.
+        The pieces come in canonical order, so _merge_neighbours merges any
+        that touch within MERGE_TOL, without a sort.
         """
         a = np.searchsorted(_keys(other.row, other.hi), _keys(self.row, self.lo), "right")
         b = np.searchsorted(_keys(other.row, other.lo), _keys(self.row, self.hi), "left")
@@ -80,7 +90,7 @@ class IntervalUnion:
         lo = np.where(piece == 0, self.lo[owner], np.append(other.hi, np.nan)[right_of - 1])
         hi = np.where(piece == k[owner], self.hi[owner], np.append(other.lo, np.nan)[right_of])
         keep = lo < hi
-        return _from_groups(lo[keep], hi[keep], self.row[owner][keep], self.rows)
+        return _merge_neighbours(lo[keep], hi[keep], self.row[owner][keep], self.rows)
 
     def covers(self, target: "IntervalUnion") -> np.ndarray:
         """Per row: every interval of target lies inside one interval of self."""
@@ -126,9 +136,24 @@ def _layout(row: np.ndarray, rows: int, values: np.ndarray, fill: float) -> np.n
     return out
 
 
-def _from_groups(lo: np.ndarray, hi: np.ndarray, row: np.ndarray, rows: int) -> IntervalUnion:
-    """Canonicalize intervals given in row order."""
-    return _canonical_rows(_layout(row, rows, lo, np.inf), _layout(row, rows, hi, 0.0))
+def _merge_neighbours(lo: np.ndarray, hi: np.ndarray, row: np.ndarray, rows: int) -> IntervalUnion:
+    """Canonicalize intervals sorted by row whose lo and hi both rise within
+    each row, as a canonical union's do after a shift or a cut.
+
+    Sorting each row's lo and hi, as _canonical_rows does, would leave both
+    as given, so its cuts are the cuts between neighbours: where the row
+    changes or lo exceeds the previous hi by more than MERGE_TOL.  A group's
+    hi is its last, and largest, hi; the groups are _canonical_rows' of the
+    same intervals, bit for bit.
+    """
+    cuts = np.empty(len(lo), dtype=bool)
+    cuts[:1] = True
+    np.greater(lo[1:], hi[:-1] + MERGE_TOL, out=cuts[1:])
+    cuts[1:] |= row[1:] != row[:-1]
+    starts = np.flatnonzero(cuts)
+    # a group ends just before the next group starts
+    ends = np.append(starts, len(lo))[1:] - 1
+    return IntervalUnion(lo[starts], hi[ends], row[starts], rows)
 
 
 def _canonical_rows(los: np.ndarray, his: np.ndarray) -> IntervalUnion:
@@ -166,13 +191,17 @@ def _collapse_chains(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.n
     false, so a NaN joins nothing, and a gap (lo = +inf) joins only an
     interval reaching +inf.  Rows of more than n / 16 chains come back as
     given: the reduction costs more per chain than the sorts save per entry.
+    The first n / 16 entries are tested first, and a row whose prefix has
+    more than that share of chains comes back as given too, without the
+    full test; either way gives the same canonical rows.
     """
     lo, hi = los[0], his[0]
-    reach = hi + MERGE_TOL
-    joins = lo[1:] <= reach[:-1]
-    joins &= lo[:-1] <= reach[1:]
-    if 16 * (len(lo) - np.count_nonzero(joins)) > len(lo):
-        return los, his
+    for m in (len(lo) // 16, len(lo)):
+        reach = hi[:m] + MERGE_TOL
+        joins = lo[1:m] <= reach[:-1]
+        joins &= lo[:m][:-1] <= reach[1:]
+        if 16 * (m - np.count_nonzero(joins)) > m:
+            return los, his
     starts = np.flatnonzero(np.append(True, ~joins))
     return np.minimum.reduceat(lo, starts)[None], np.maximum.reduceat(hi, starts)[None]
 
@@ -288,14 +317,17 @@ def project_blinds_grid(
     both by _ENDPOINT_MARGIN, takes the endpoint-only evaluation: the min and
     max of its values at t = 0.0 and 1.0.  Every other segment takes the
     general one: strip window, validity, clipping and the critical-point
-    test.  Both apply the same float operations to an endpoint-only segment,
-    so the choice changes no bit of the result.  The alpha-independent
-    segment terms are computed once, then max(1, BUDGET // n) alphas at a
-    time are projected as (rows x n) arrays; their canonical rows are
-    stacked into one batch while rows x widest row stays within BUDGET, so
-    that consumers spend each numpy call on many alphas.  Every element goes
-    through the same float operations whatever the batch size, so batching
-    changes no bit of the result either.
+    test.  On an endpoint-only segment the general evaluation clips the
+    window to exactly [0.0, 1.0] and computes the same ends and values, but
+    it also clips alpha - x1 to [a, b]; the margin keeps alpha - x1 strictly
+    inside [a, b], where that clip returns its input bit for bit, so the
+    endpoint-only evaluation omits it and the choice changes no bit of the
+    result.  The alpha-independent segment terms are computed once, then
+    max(1, BUDGET // n) alphas at a time are projected as (rows x n) arrays;
+    their canonical rows are stacked into one batch while rows x widest row
+    stays within BUDGET, so that consumers spend each numpy call on many
+    alphas.  Every element goes through the same float operations whatever
+    the batch size, so batching changes no bit of the result either.
     """
     coords = blinds.coords
     alphas = np.asarray(alphas, dtype=float)
@@ -311,7 +343,7 @@ def project_blinds_grid(
     # temporaries are reused through out= or deleted once spent: freed numpy
     # buffers stay in the malloc heap, so this loop's high-water mark shows
     # in the peak RSS of the whole run
-    pending, widest = [], 0
+    pending, stacked, widest = [], 0, 0
     for first in range(0, len(alphas), rows):
         al = alphas[first : first + rows, None]
         if len(parts) == 1:
@@ -326,10 +358,11 @@ def project_blinds_grid(
         batch = _canonical_rows(los, his)
         del los, his
         count = int(np.bincount(batch.row, minlength=1).max())
-        if pending and sum(b.rows for b in pending + [batch]) * max(widest, count) > BUDGET:
+        if pending and (stacked + batch.rows) * max(widest, count) > BUDGET:
             yield IntervalUnion.stack(pending)
-            pending, widest = [], 0
+            pending, stacked, widest = [], 0, 0
         pending.append(batch)
+        stacked += batch.rows
         widest = max(widest, count)
     if pending:
         yield IntervalUnion.stack(pending)
@@ -391,25 +424,25 @@ def _endpoint_images(curve: CurveProfile, coords: np.ndarray):
     """The endpoint-only evaluation: al -> (los, his) of each segment's image.
 
     The ends x = t * dx1 + ax, y = t * dx2 + ay at t = 0.0 and 1.0 are the
-    general evaluation's own terms at those parameters, computed once.
+    general evaluation's own terms at those parameters, computed once and
+    laid side by side, so that each batch takes one pass over both ends.
+    The general evaluation clips al - x to [a, b]; here _endpoint_only keeps
+    al - x inside [a, b] by _ENDPOINT_MARGIN times the scale, far above the
+    rounding of one subtraction, so that clip returns its input unchanged
+    and is left out: every value keeps its bits.
     """
     ax, ay = coords[:, 0], coords[:, 1]
     dx1 = coords[:, 2] - ax
     dx2 = coords[:, 3] - ay
-    ends = [(t * dx1 + ax, t * dx2 + ay) for t in (0.0, 1.0)]
-
-    def value(al: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # y + f(clip(al - x)), in one buffer
-        v = np.subtract(al, x)
-        fx = curve.f_array(np.clip(v, curve.a, curve.b, out=v))
-        return np.add(y, fx, out=v)
+    x = np.concatenate([t * dx1 + ax for t in (0.0, 1.0)])
+    y = np.concatenate([t * dx2 + ay for t in (0.0, 1.0)])
+    n = len(coords)
 
     def images(al: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v0 = value(al, *ends[0])
-        his = value(al, *ends[1])
-        los = np.minimum(v0, his)
-        np.maximum(v0, his, out=his)
-        return los, his
+        # y + f(al - x) for both ends, in one buffer
+        v = np.subtract(al, x)
+        np.add(y, curve.f_array(v), out=v)
+        return np.minimum(v[:, :n], v[:, n:]), np.maximum(v[:, :n], v[:, n:])
 
     return images
 

@@ -239,10 +239,15 @@ def test_render_rejects_a_blindset_that_is_not_an_object(tmp_path, capsys):
         ({"segments": [[0, 0, 1, "x"]]}, "segments: expected a nonempty"),
         ({"segments": [[0, 0, 1, "1"]]}, "segments: expected a nonempty"),
         ({"segments": [[0, 0, 1, None]]}, "segments: expected a nonempty"),
+        # numpy reads true as 1, in an int or a float array
+        ({"segments": [[0, 0, 1, True]]}, "segments: expected a nonempty"),
+        ({"segments": [[0.0, 0.5, 1.0, True]]}, "segments: expected a nonempty"),
+        ({"segments": [[0.0, 0.5, 1.0, 1.0], [0.25, 0.5, 0.75, True]]}, "segments: expected a nonempty"),
+        ({"segments": [[0.0, 0.5, 1.0, 1.0], [False, 0.5, 1.0, 1.0]]}, "segments: expected a nonempty"),
     ],
     ids=[
         "no_segments", "meta_list", "provenance_ints", "nan", "inf", "empty", "ragged", "flat",
-        "text", "numeric_text", "null",
+        "text", "numeric_text", "null", "int_bool", "float_bool", "lone_bool", "float_false",
     ],
 )
 def test_render_rejects_a_malformed_blindset(data, field, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -287,6 +288,47 @@ def test_array_operations_match_scalar_reference(rows, margin, shift):
         deficit = target.difference(grown)
         assert rows_of(deficit) == [d.intervals for d in expected]
         assert deficit.measures().tolist() == [d.measure for d in expected]
+
+
+# radii at and around MERGE_TOL, and large enough to merge whole rows
+_RADII = (
+    st.sampled_from([0.0, MERGE_TOL / 2.0, MERGE_TOL, np.nextafter(MERGE_TOL, 1.0), 2.0 * MERGE_TOL])
+    | st.floats(0.0, 1.0)
+    | st.floats(1.0, 1e4)
+    | st.just(1e3)
+)
+
+
+def _resorted(lo, hi, row, rows):
+    """The canonical union of intervals given in row order, by sorting."""
+    return _canonical_rows(measure._layout(row, rows, lo, np.inf), measure._layout(row, rows, hi, 0.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 5).flatmap(lambda rows: st.tuples(_interval_rows(rows), _interval_rows(rows))),
+    _RADII,
+)
+def test_order_preserving_operations_equal_the_sorting_canonicalizer(rows, r):
+    # lo -/+ r and hi +/- r keep a canonical union's order, and so do the
+    # pieces of a difference: merging neighbours gives the groups that
+    # sorting them gives, bit for bit
+    u, v = batch_of(rows[0]), batch_of(rows[1])
+
+    def operations():
+        return [
+            u.inflate(r), u.erode(r),
+            u.difference(v), v.inflate(r).difference(u), u.difference(u.erode(r)),
+        ]
+
+    got = operations()
+    with mock.patch.object(measure, "_merge_neighbours", _resorted):
+        want = operations()
+    for g, w in zip(got, want):
+        assert g.rows == w.rows
+        for name in ("lo", "hi", "row"):
+            assert getattr(g, name).dtype == getattr(w, name).dtype
+            assert getattr(g, name).tobytes() == getattr(w, name).tobytes(), name
 
 
 def test_measures_sum_left_to_right():
@@ -602,6 +644,27 @@ def test_endpoint_only_evaluation_is_bitwise_the_general_one(name, span):
     # a curve without array support, one f call per element
     slow = dataclasses.replace(curve, supports_arrays=False)
     _assert_bitwise_general(slow, alphas[::8], BlindSet(blinds.coords[::7]))
+
+
+@pytest.mark.parametrize("name", ["parabola", "quarter_circle", "exp"])
+@pytest.mark.parametrize("span", [0.0, 1e-6, 0.4])
+def test_endpoint_only_values_need_no_clip(name, span):
+    # the endpoint-only evaluation leaves out the general one's clip of
+    # alpha - x1 to [a, b]; strictly inside [a, b], the clip returns every
+    # value with its bits (at a bound it could swap -0.0 and 0.0)
+    curve = builtin_curve(name)
+    a_lo = (curve.a + curve.b) / 2.0 + 0.5 - span / 2.0
+    alphas = np.linspace(a_lo, a_lo + span, 1 if span == 0.0 else 41)
+    for blinds in (
+        _adversarial_blinds(curve, alphas[0], alphas[-1]),
+        _random_blinds(np.random.default_rng(11), 300),
+    ):
+        coords = blinds.coords[_endpoint_only(curve, alphas, blinds.coords)]
+        assert len(coords)
+        dx1 = coords[:, 2] - coords[:, 0]
+        for t in (0.0, 1.0):
+            s = alphas[:, None] - (t * dx1 + coords[:, 0])
+            assert (s > curve.a).all() and (s < curve.b).all()
 
 
 def test_endpoint_only_sends_crossings_to_the_general_path():
