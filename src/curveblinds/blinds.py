@@ -389,8 +389,8 @@ def _hulls_cover_ok(
     g = np.repeat(np.arange(len(sizes)), sizes)[i]
     t_lo = amin - x1max[i]
     t_hi = amax - x1min[i]
-    phi_at_tlo = np.arctan(curve.df_array(np.clip(t_lo, curve.a, curve.b)))
-    phi_at_thi = np.arctan(curve.df_array(np.clip(t_hi, curve.a, curve.b)))
+    phi_at_tlo = np.arctan(curve.df(np.clip(t_lo, curve.a, curve.b)))
+    phi_at_thi = np.arctan(curve.df(np.clip(t_hi, curve.a, curve.b)))
     phi_lo = np.minimum(phi_at_tlo, phi_at_thi)
     phi_hi = np.maximum(phi_at_tlo, phi_at_thi)
     # the phi-interval [phi_lo, phi_hi] sits inside the arc iff traversal meets
@@ -591,7 +591,7 @@ def _iter_vb_stage(
         t = alphas - coords[:, 0:1]
         # outside dom Phi_alpha the hypothesis on theta_alpha(seg.a) is vacuous
         blade, col = np.nonzero((curve.a - 1e-12 <= t) & (t <= curve.b + 1e-12))
-        slopes = curve.df_array(np.clip(t[blade, col], curve.a, curve.b))
+        slopes = curve.df(np.clip(t[blade, col], curve.a, curve.b))
         # math.atan, not np.arctan: numpy's SIMD arctan can differ in the last bit
         phi = np.array([math.atan(v) for v in slopes.tolist()], dtype=float)
         u = _arc_offsets(phi, theta0[blade], chirality == CCW, 1e-9)

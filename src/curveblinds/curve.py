@@ -2,8 +2,9 @@
 
 Phi_alpha is defined on the strip [alpha-b, alpha-a] x R by
 Phi_alpha(x) = x2 + f(alpha - x1); its fibers are translated reflected
-copies of Gamma.  The curve profile carries f, f', optionally the inverse
-of f', the domain [a, b], and the monotonicity sense of f'.
+copies of Gamma.  The curve profile carries f, f' and the inverse of f',
+all evaluated elementwise on numpy arrays, the domain [a, b] and a bound
+on |f'|; the sense of f' is read off samples.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from .projline import Direction, normalize
 #: Tolerance for strip-membership tests at the boundary.
 DOMAIN_TOL = 1e-12
 
-INCREASING = "increasing"
-DECREASING = "decreasing"
-
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
@@ -34,41 +32,38 @@ class DomainError(ValueError):
 class CurveProfile:
     """A curve Gamma = graph(f) on [a, b] with strictly monotone f'.
 
-    df_bound must be a true bound on |f'| over [a, b]: the padding of the
-    rigorous certificates rests on it, and the constructor checks it at only
-    129 sample points.  A custom curve must supply it; the builtins do.
+    f, df = f' and df_inverse = (f')^-1 take a float or a numpy array, which
+    they evaluate elementwise, as numpy expressions do; wrap a scalar-only
+    function before building a profile.  The constructor evaluates each on
+    129 samples of [a, b] in one array call: f' must be strictly increasing
+    or strictly decreasing there (the sense is read off the samples) and
+    df_inverse must invert it to 1e-10.  df_bound must be a true bound on |f'|
+    over [a, b]: the padding of the rigorous certificates rests on it, and
+    the constructor checks it only at the samples.
     """
 
-    f: Callable[[float], float]
-    df: Callable[[float], float]
+    f: Callable
+    df: Callable
+    df_inverse: Callable
     a: float
     b: float
-    monotone: str
     df_bound: float
-    df_inverse: Optional[Callable[[float], float]] = None
     name: str = "custom"
-    supports_arrays: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
             raise ValueError(f"invalid domain [{self.a!r}, {self.b!r}]")
-        if self.monotone not in (INCREASING, DECREASING):
-            raise ValueError(f"unknown monotonicity {self.monotone!r}")
         ts = np.linspace(self.a, self.b, 129)
-        ds = np.array([self.df(float(t)) for t in ts])
+        _sample(self.f, "f", ts)  # f: the array contract only
+        ds = _sample(self.df, "df", ts)
         diffs = np.diff(ds)
-        if self.monotone == INCREASING and not np.all(diffs > 0.0):
-            raise ValueError("df is not strictly increasing on the sampled grid")
-        if self.monotone == DECREASING and not np.all(diffs < 0.0):
-            raise ValueError("df is not strictly decreasing on the sampled grid")
+        if not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
+            raise ValueError("df is not strictly monotone on the sampled grid")
         if float(np.max(np.abs(ds))) > self.df_bound + 1e-9:
             raise ValueError("df_bound does not dominate |df| on the sampled grid")
-        if self.df_inverse is not None:
-            for t in (self.a, 0.5 * (self.a + self.b), self.b):
-                if abs(self.df_inverse(self.df(t)) - t) > 1e-10:
-                    raise ValueError(
-                        f"df_inverse(df({t!r})) fails the 1e-10 round-trip check"
-                    )
+        miss = ~(np.abs(_sample(self.df_inverse, "df_inverse", ds) - ts) <= 1e-10)
+        if miss.any():
+            raise ValueError(f"df_inverse(df(t)) round-trip misses 1e-10 at t={float(ts[miss][0])}")
 
     # -- derivative range and inversion -----------------------------------
 
@@ -77,43 +72,10 @@ class CurveProfile:
         lo, hi = self.df(self.a), self.df(self.b)
         return (lo, hi) if lo <= hi else (hi, lo)
 
-    def df_inv(self, u: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-        """Solve f'(t) = u on [a, b]; analytic inverse or bisection fallback."""
+    def df_inv(self, u: float | np.ndarray) -> float | np.ndarray:
+        """Solve f'(t) = u on [a, b], elementwise; u is clipped to the range of f'."""
         lo, hi = self.df_range()
-        if not lo - 1e-9 <= u <= hi + 1e-9:
-            raise ValueError(f"slope {u!r} outside the range of f' [{lo}, {hi}]")
-        if self.df_inverse is not None:
-            return min(self.b, max(self.a, self.df_inverse(min(hi, max(lo, u)))))
-        sign = 1.0 if self.monotone == INCREASING else -1.0
-        ta, tb = self.a, self.b
-        for _ in range(max_iter):
-            tm = 0.5 * (ta + tb)
-            if sign * (self.df(tm) - u) < 0.0:
-                ta = tm
-            else:
-                tb = tm
-            if tb - ta <= tol:
-                break
-        return 0.5 * (ta + tb)
-
-    def f_array(self, t: np.ndarray) -> np.ndarray:
-        """f over an array: one call for array curves, one per element otherwise."""
-        if self.supports_arrays:
-            return self.f(t)
-        return _per_element(self.f, t)
-
-    def df_array(self, t: np.ndarray) -> np.ndarray:
-        """f' over an array: one call for array curves, one per element otherwise."""
-        if self.supports_arrays:
-            return self.df(t)
-        return _per_element(self.df, t)
-
-    def df_inv_array(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized df_inv for slopes already known to lie in range."""
-        if self.supports_arrays and self.df_inverse is not None:
-            lo, hi = self.df_range()
-            return np.clip(self.df_inverse(np.clip(u, lo, hi)), self.a, self.b)
-        return _per_element(self.df_inv, u)
+        return np.clip(self.df_inverse(np.clip(u, lo, hi)), self.a, self.b)
 
     # -- strip helpers ----------------------------------------------------
 
@@ -127,13 +89,21 @@ class CurveProfile:
     def clamp_t(self, t: float) -> float:
         return min(self.b, max(self.a, t))
 
+    def clearance(self, x1_lo: float, x1_hi: float, alphas: tuple[float, float]) -> float:
+        """How far [x1_lo, x1_hi] lies inside every strip over alphas = (min, max); < 0 if not."""
+        amin, amax = alphas
+        return min(x1_lo - (amax - self.b), (amin - self.a) - x1_hi)
 
-def _per_element(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    """fn applied to every element of values, one scalar call each."""
-    values = np.asarray(values, dtype=float)
-    return np.array([fn(v) for v in values.ravel().tolist()], dtype=float).reshape(
-        values.shape
-    )
+
+def _sample(fn: Callable, name: str, values: np.ndarray) -> np.ndarray:
+    """fn over the samples, in one call that must evaluate them elementwise."""
+    try:
+        out = fn(values)
+    except (TypeError, ValueError) as exc:
+        out = exc
+    if not (isinstance(out, np.ndarray) and out.shape == values.shape):
+        raise ValueError(f"{name} must evaluate numpy arrays elementwise, got {out!r:.60}")
+    return out
 
 
 # -- operations on Phi_alpha ----------------------------------------------
@@ -275,15 +245,8 @@ def project_disk(curve: CurveProfile, alpha: float, disk: Disk) -> tuple[float, 
 
 def _make_parabola(a: float, b: float) -> CurveProfile:
     return CurveProfile(
-        f=lambda t: t * t,
-        df=lambda t: 2.0 * t,
-        df_inverse=lambda u: u / 2.0,
-        a=a,
-        b=b,
-        monotone=INCREASING,
-        df_bound=max(abs(2.0 * a), abs(2.0 * b)),
-        name="parabola",
-        supports_arrays=True,
+        f=lambda t: t * t, df=lambda t: 2.0 * t, df_inverse=lambda u: u / 2.0,
+        a=a, b=b, df_bound=max(abs(2.0 * a), abs(2.0 * b)), name="parabola",
     )
 
 
@@ -294,26 +257,14 @@ def _make_quarter_circle(a: float, b: float) -> CurveProfile:
         f=lambda t: np.sqrt(1.0 - t * t),
         df=lambda t: -t / np.sqrt(1.0 - t * t),
         df_inverse=lambda u: -u / np.sqrt(1.0 + u * u),
-        a=a,
-        b=b,
-        monotone=DECREASING,
+        a=a, b=b, name="quarter_circle",
         df_bound=max(abs(a), abs(b)) / math.sqrt(1.0 - max(abs(a), abs(b)) ** 2),
-        name="quarter_circle",
-        supports_arrays=True,
     )
 
 
 def _make_exp(a: float, b: float) -> CurveProfile:
     return CurveProfile(
-        f=np.exp,
-        df=np.exp,
-        df_inverse=np.log,
-        a=a,
-        b=b,
-        monotone=INCREASING,
-        df_bound=math.exp(b),
-        name="exp",
-        supports_arrays=True,
+        f=np.exp, df=np.exp, df_inverse=np.log, a=a, b=b, df_bound=math.exp(b), name="exp"
     )
 
 
@@ -329,9 +280,7 @@ def builtin_curve(name: str, bounds: Optional[tuple[float, float]] = None) -> Cu
     try:
         factory, default_bounds = _BUILTINS[name]
     except KeyError:
-        raise ValueError(
-            f"unknown curve {name!r}; available: {sorted(_BUILTINS)}"
-        ) from None
+        raise ValueError(f"unknown curve {name!r}; available: {sorted(_BUILTINS)}") from None
     a, b = bounds if bounds is not None else default_bounds
     return factory(a, b)
 

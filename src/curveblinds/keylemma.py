@@ -160,7 +160,7 @@ def _tangent_chain(curve: CurveProfile, arc: FiberArc, n: int) -> PolyChain:
     y = arc.y
     ts = np.linspace(arc.lo, arc.hi, n)
     tc = np.clip(ts, curve.a, curve.b)
-    qx, qy, s = y.x1 - tc, y.x2 - curve.f_array(tc), curve.df_array(tc)
+    qx, qy, s = y.x1 - tc, y.x2 - curve.f(tc), curve.df(tc)
     vx = (qy[1:] - qy[:-1] + s[:-1] * qx[:-1] - s[1:] * qx[1:]) / (s[:-1] - s[1:])
     vy = qy[:-1] + s[:-1] * (vx - qx[:-1])
     xs = np.concatenate(([qx[0]], vx, [qx[-1]])).tolist()
@@ -431,9 +431,7 @@ def key_construction(
         raise ValueError(f"alpha0={alpha0!r} must lie in A_small")
     if len(a_cover.components) != 1:
         raise ValueError("A_cover must be a single interval")
-    amin, amax = a_cover.bounds
-    x1_lo, x1_hi = y.x1 - b1, y.x1 - a1
-    clearance = min(x1_lo - (amax - curve.b), (amin - curve.a) - x1_hi)
+    clearance = curve.clearance(y.x1 - b1, y.x1 - a1, a_cover.bounds)
     if clearance <= 0.0:
         raise ValueError(
             f"fiber arc leaves the strip over A_cover (clearance {clearance:.3g})"

@@ -3,9 +3,11 @@
 Projections of segments, blind sets and fiber arcs land on the vertical
 lines {alpha} x R, each image a finite union of closed intervals.  An
 IntervalUnion holds the images of a batch of alphas, one row per alpha, as
-flat arrays of canonical groups with each group's row; _canonical_rows is
-the one canonicalizer.  Measures, inflation, erosion, difference and
-containment act on whole batches.
+flat arrays of canonical groups with each group's row.  _canonical_rows
+canonicalizes (rows x n) interval arrays in any order; _merge_neighbours
+takes intervals sorted by row whose lo and hi rise within each row, as a
+union's do after a shift or a cut.  Measures, inflation, erosion,
+difference and containment act on whole batches.
 """
 
 from __future__ import annotations
@@ -292,8 +294,8 @@ def project_fiber_arc(
     s, t0 = s[row], t0[row]
     t1 = np.maximum(t0, t1[row])
     v0, v1 = (
-        arc.y.x2 - curve.f_array(np.clip(t, curve.a, curve.b))
-        + curve.f_array(np.clip(t + s, curve.a, curve.b))
+        arc.y.x2 - curve.f(np.clip(t, curve.a, curve.b))
+        + curve.f(np.clip(t + s, curve.a, curve.b))
         for t in (t0, t1)
     )
     return IntervalUnion(np.minimum(v0, v1), np.maximum(v0, v1), row, np.size(alphas))
@@ -390,7 +392,7 @@ def _segment_terms(curve: CurveProfile, coords: np.ndarray) -> tuple[np.ndarray,
     slope = dx2 / np.where(vertical, 1.0, dx1)
     has_crit = ~vertical & (slope >= dlo - 1e-9) & (slope <= dhi + 1e-9)
     tc_curve = np.full(len(coords), np.nan)
-    tc_curve[has_crit] = curve.df_inv_array(slope[has_crit])
+    tc_curve[has_crit] = curve.df_inv(slope[has_crit])
     return ax, ay, dx1, dx2, vertical, tc_curve
 
 
@@ -441,7 +443,7 @@ def _endpoint_images(curve: CurveProfile, coords: np.ndarray):
     def images(al: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # y + f(al - x) for both ends, in one buffer
         v = np.subtract(al, x)
-        np.add(y, curve.f_array(v), out=v)
+        np.add(y, curve.f(v), out=v)
         return np.minimum(v[:, :n], v[:, n:]), np.maximum(v[:, :n], v[:, n:])
 
     return images
@@ -463,7 +465,7 @@ def _general_images(curve: CurveProfile, coords: np.ndarray):
         v = t * dx1
         v += ax
         np.subtract(al, v, out=v)
-        fx = curve.f_array(np.clip(v, curve.a, curve.b, out=v))
+        fx = curve.f(np.clip(v, curve.a, curve.b, out=v))
         np.multiply(t, dx2, out=v)
         v += ay
         v += fx

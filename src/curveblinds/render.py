@@ -94,7 +94,7 @@ def render_svg(
             )
         ts = np.clip(ts, curve.a, curve.b)
         arc_x = arc.y.x1 - ts
-        arc_y = arc.y.x2 - curve.f_array(ts)
+        arc_y = arc.y.x2 - curve.f(ts)
         xs += [arc_x.min(), arc_x.max()]
         ys += [arc_y.min(), arc_y.max()]
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))

@@ -120,10 +120,16 @@ class SceneSpec:
             bounds = pair("curve.bounds", curve_node["bounds"])
             if not bounds[0] < bounds[1]:
                 raise fail("curve.bounds", "expected [a, b] with a < b")
+        try:
+            curve = builtin_curve(name, bounds)
+        except (ValueError, OverflowError) as exc:
+            raise fail("curve.bounds", str(exc)) from None
         y_lo, y_hi = pair("y", need("y"))
         sub = pair("subrange", need("subrange"))
         if not sub[0] < sub[1]:
             raise fail("subrange", "expected a' < b'")
+        if not curve.a <= sub[0] < sub[1] <= curve.b:
+            raise fail("subrange", f"must lie inside the curve domain [{curve.a}, {curve.b}]")
         small_raw = need("A_small")
         if not (isinstance(small_raw, list) and small_raw):
             raise fail("A_small", "expected a nonempty list of intervals")
@@ -137,6 +143,8 @@ class SceneSpec:
         cover = pair("A_cover", need("A_cover"))
         if cover[0] > cover[1]:
             raise fail("A_cover", "expected lo <= hi")
+        if curve.clearance(y_lo - sub[1], y_lo - sub[0], cover) <= 0.0:
+            raise fail("subrange", "the fiber arc at y over [a', b'] leaves the strip over A_cover")
         for i, (slo, shi) in enumerate(small):
             if not (shi < cover[0] or cover[1] < slo):
                 raise fail(f"A_small[{i}]", "overlaps A_cover")

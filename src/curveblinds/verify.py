@@ -98,11 +98,9 @@ def cover_views(
     through each view's erosion, containment and deficit in turn, so each
     report is the one check_cover(target, shift=shift) returns.
     """
-    if margin < 0.0:
-        raise ValueError(f"margin must be >= 0, got {margin!r}")
+    _require_finite("margin", margin)
     for _, shift in views:
-        if shift < 0.0:
-            raise ValueError(f"shift must be >= 0, got {shift!r}")
+        _require_finite("shift", shift)
     grid = alphas.grid()
     targets = []
     for target, shift in views:
@@ -184,11 +182,9 @@ def small_views(
     scene_id: str = "",
 ) -> list[VerificationReport]:
     """check_small's report for each shift, from one projection pass."""
-    if bound <= 0.0:
-        raise ValueError(f"bound must be positive, got {bound!r}")
+    _require_finite("bound", bound, positive=True)
     for shift in shifts:
-        if shift < 0.0:
-            raise ValueError(f"shift must be >= 0, got {shift!r}")
+        _require_finite("shift", shift)
     grid = alphas.grid()
     columns = [[] for _ in shifts]  # measure batches
     n_max = [0] * len(shifts)
@@ -225,6 +221,12 @@ def small_views(
             )
         )
     return reports
+
+
+def _require_finite(name: str, value: float, positive: bool = False) -> None:
+    """Reject NaN, an infinity and a negative value; with positive, 0 too."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
 
 
 def _shift_padding(curve: CurveProfile, alphas: AlphaSet, shift: float) -> float:

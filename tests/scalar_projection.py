@@ -8,13 +8,15 @@ per-alpha, per-interval evaluations.  ``rows_of``, ``to_scalar`` and
 ``argsort_canonical_rows`` canonicalizes by sorting whole intervals, the
 reference for ``measure._canonical_rows``.  ``general_projection_grid`` runs
 the kernel's general evaluation on every segment, the bit-exact reference
-for its endpoint-only one.
+for its endpoint-only one.  ``scalar_exp`` is a custom profile built from
+the scalar-only ``math`` functions, wrapped to evaluate arrays elementwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +24,25 @@ from curveblinds import measure
 from curveblinds.curve import DOMAIN_TOL, CurveProfile
 from curveblinds.geometry import Segment
 from curveblinds.measure import BUDGET, MERGE_TOL, FiberArc, _canonical_rows
+
+
+def _elementwise(fn: Callable[[float], float]) -> Callable:
+    """A scalar-only fn wrapped to take arrays too: one call per element."""
+
+    def wrapped(t):
+        if np.ndim(t) == 0:
+            return fn(t)
+        return np.array([fn(v) for v in np.ravel(t).tolist()]).reshape(np.shape(t))
+
+    return wrapped
+
+
+def scalar_exp() -> CurveProfile:
+    """exp on [0, 1] from math.exp / math.log, one call per array element."""
+    return CurveProfile(
+        f=_elementwise(math.exp), df=_elementwise(math.exp), df_inverse=_elementwise(math.log),
+        a=0.0, b=1.0, df_bound=math.exp(1.0), name="scalar_exp",
+    )
 
 
 @dataclass(frozen=True)
@@ -184,13 +205,13 @@ def general_projection_grid(curve: CurveProfile, alphas: Sequence[float], blinds
     slope = dx2 / safe_dx1
     has_crit = ~vertical & (slope >= dlo - 1e-9) & (slope <= dhi + 1e-9)
     tc_curve = np.full(len(coords), np.nan)
-    tc_curve[has_crit] = curve.df_inv_array(slope[has_crit])
+    tc_curve[has_crit] = curve.df_inv(slope[has_crit])
 
     def value(al: np.ndarray, t: np.ndarray) -> np.ndarray:
         v = t * dx1
         v += ax
         np.subtract(al, v, out=v)
-        fx = curve.f_array(np.clip(v, curve.a, curve.b, out=v))
+        fx = curve.f(np.clip(v, curve.a, curve.b, out=v))
         np.multiply(t, dx2, out=v)
         v += ay
         v += fx

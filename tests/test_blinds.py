@@ -345,7 +345,7 @@ def _hulls_cover_reference(curve, hulls, level_dir, theta_cover, chirality, a_co
     for row in hulls:
         x1s = row[[0, 2, 4]]
         ts = np.clip([amin - x1s.max(), amax - x1s.min()], curve.a, curve.b)
-        phis = np.arctan(curve.df_array(ts)).tolist()
+        phis = np.arctan(curve.df(ts)).tolist()
         lo, hi = min(phis), max(phis)
         first, second = (lo, hi) if chirality == CCW else (hi, lo)
         if not (arc.contains(first, tol) and arc.contains(second, tol)):
@@ -375,7 +375,7 @@ def test_hulls_cover_ok_matches_scalar_arc_test(name):
             # an arc through the hulls' own theta range, ends straddling the tolerance
             x1s = hulls[:, 0::2]
             ts = np.concatenate([amin - x1s.max(axis=1), amax - x1s.min(axis=1)])
-            phis = np.arctan(curve.df_array(np.clip(ts, curve.a, curve.b)))
+            phis = np.arctan(curve.df(np.clip(ts, curve.a, curve.b)))
             before, after = (float(m) for m in rng.choice(margins, size=2))
             if chirality == CCW:
                 theta_cover = normalize(float(phis.min()) - before)

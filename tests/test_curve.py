@@ -18,6 +18,7 @@ from curveblinds.curve import (
     tangent_direction,
 )
 from curveblinds.geometry import Disk, Point
+from scalar_projection import scalar_exp
 
 ALL_CURVES = [builtin_curve(name) for name in builtin_curve_names()]
 
@@ -29,15 +30,22 @@ def test_builtin_names():
 
 
 def test_profile_rejects_non_monotone_df():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not strictly monotone"):
         CurveProfile(
-            f=math.sin,
-            df=math.cos,  # not monotone on [0, 3]
+            f=np.sin,
+            df=np.cos,  # falls on [0, pi], rises after
+            df_inverse=np.arccos,
             a=0.0,
-            b=3.0,
-            monotone="increasing",
+            b=4.0,
             df_bound=1.0,
         )
+
+
+def test_profile_reads_a_decreasing_df_off_the_samples():
+    curve = CurveProfile(f=np.sin, df=np.cos, df_inverse=np.arccos, a=0.0, b=3.0, df_bound=1.0)
+    assert curve.df_range() == (math.cos(3.0), 1.0)
+    for t in np.linspace(0.0, 3.0, 17):
+        assert abs(curve.df_inv(math.cos(t)) - t) < 1e-9
 
 
 def test_profile_rejects_bad_df_bound():
@@ -45,11 +53,26 @@ def test_profile_rejects_bad_df_bound():
         CurveProfile(
             f=lambda t: t * t,
             df=lambda t: 2.0 * t,
+            df_inverse=lambda u: u / 2.0,
             a=0.0,
             b=1.0,
-            monotone="increasing",
             df_bound=0.5,  # |df| reaches 2
         )
+
+
+def test_profile_rejects_a_wrong_inverse():
+    with pytest.raises(ValueError, match="round-trip"):
+        CurveProfile(
+            f=np.exp, df=np.exp, df_inverse=np.log1p, a=0.0, b=1.0, df_bound=math.exp(1.0)
+        )
+
+
+@pytest.mark.parametrize("field", ["f", "df", "df_inverse"])
+def test_profile_rejects_scalar_only_callables(field):
+    fns = dict(f=np.exp, df=np.exp, df_inverse=np.log)
+    fns[field] = {"f": math.exp, "df": math.exp, "df_inverse": math.log}[field]
+    with pytest.raises(ValueError, match=f"^{field} must evaluate numpy arrays elementwise"):
+        CurveProfile(**fns, a=0.0, b=1.0, df_bound=math.exp(1.0))
 
 
 def test_df_inv_roundtrip_all_curves():
@@ -59,33 +82,20 @@ def test_df_inv_roundtrip_all_curves():
             assert abs(curve.df_inv(u) - float(t)) < 1e-9
 
 
-def test_df_inv_bisection_matches_analytic():
-    # same parabola, once with and once without the analytic inverse
-    analytic = builtin_curve("parabola")
-    bisect = CurveProfile(
-        f=lambda t: t * t,
-        df=lambda t: 2.0 * t,
-        a=0.0,
-        b=1.0,
-        monotone="increasing",
-        df_bound=2.0,
-    )
-    for u in np.linspace(0.05, 1.95, 13):
-        assert abs(analytic.df_inv(float(u)) - bisect.df_inv(float(u))) < 1e-9
-
-
 def test_array_evaluation_with_and_without_array_support():
+    # the construction mixes scalar calls (compute_bands, fiber_point,
+    # _rigorous_pad) with the array calls of the kernels: both must agree
+    # bit for bit, for the builtins' numpy expressions and for scalar-only
+    # functions wrapped to take arrays
     ts = np.linspace(0.0, 1.0, 12).reshape(3, 4)
-    scalar_only = CurveProfile(
-        f=math.exp, df=math.exp, a=0.0, b=1.0, monotone="increasing",
-        df_bound=math.exp(1.0),
-    )
-    for curve in ALL_CURVES + [scalar_only]:
+    for curve in ALL_CURVES + [scalar_exp()]:
         t = np.clip(ts, curve.a, curve.b)
-        f_vals, df_vals = curve.f_array(t), curve.df_array(t)
-        assert f_vals.shape == df_vals.shape == t.shape
-        for v, fv, dfv in zip(t.ravel().tolist(), f_vals.ravel(), df_vals.ravel()):
-            assert fv == curve.f(v) and dfv == curve.df(v)
+        u = np.linspace(*curve.df_range(), 12).reshape(3, 4)
+        for fn, values in ((curve.f, t), (curve.df, t), (curve.df_inv, u)):
+            got = fn(values)
+            assert isinstance(got, np.ndarray) and got.shape == values.shape
+            want = [fn(v) for v in values.ravel().tolist()]
+            assert got.ravel().tobytes() == np.array(want).tobytes()
 
 
 def test_strip_and_domain_checks():

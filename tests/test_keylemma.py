@@ -14,7 +14,7 @@ from curveblinds import blinds as blinds_module
 from curveblinds import keylemma as keylemma_module
 from curveblinds import verify
 from curveblinds.blinds import ConstructionError
-from curveblinds.curve import CurveProfile, builtin_curve, fiber_point, tangent_direction
+from curveblinds.curve import builtin_curve, fiber_point, tangent_direction
 from curveblinds.geometry import Point, Segment
 from curveblinds.keylemma import (
     _tangent_chain,
@@ -35,6 +35,7 @@ from scalar_projection import (
     project_fiber_arc,
     project_segment,
     project_segments,
+    scalar_exp,
     to_scalar,
 )
 
@@ -95,19 +96,11 @@ def test_polygon_approx_tangency_distance_and_covering():
         assert contains(project_segments(curve, alpha, segs), target, 1e-9)
 
 
-def _scalar_exp():
-    """exp as a scalar-only profile: math.exp, one call per element."""
-    return CurveProfile(
-        f=math.exp, df=math.exp, df_inverse=math.log, a=0.0, b=1.0,
-        monotone="increasing", df_bound=math.exp(1.0), name="scalar_exp",
-    )
-
-
 @pytest.mark.parametrize("scene", ["Q1", "P1", "E1", "scalar_exp"])
 @pytest.mark.parametrize("n", [2, 3, 16, 1024])
 def test_tangent_chain_matches_scalar_reference(scene, n):
     spec = load_scene("E1" if scene == "scalar_exp" else scene)
-    curve = _scalar_exp() if scene == "scalar_exp" else spec.curve()
+    curve = scalar_exp() if scene == "scalar_exp" else spec.curve()
     chain = _tangent_chain(curve, FiberArc(spec.y, *spec.subrange), n)
     want = reference.chain_vertices(curve, spec.y, spec.subrange, n)
     assert chain.vertices == tuple(want)
@@ -413,9 +406,8 @@ def test_key_construction_certifies_or_fails_fast_with_a_stage(scene, eps, share
 
 
 def test_key_construction_on_scalar_only_curve():
-    # a custom profile without array support gets one f / f' call per element
-    curve = _scalar_exp()
-    assert not curve.supports_arrays
+    # a custom profile from scalar-only functions, wrapped to take arrays
+    curve = scalar_exp()
     spec = dataclasses.replace(load_scene("E1"), alpha_points=20)
     result = key_construction(
         curve, spec.y, spec.subrange, spec.a_small(), spec.a_cover(),

@@ -467,21 +467,18 @@ def test_fiber_arc_rejects_empty_range():
 
 
 def test_project_blinds_fast_path_matches_slow_path():
-    # the kernel, with and without array support, against the scalar
-    # reference; convex and concave curves: interior critical points are
-    # minima on the first and maxima on the second
+    # the kernel against the scalar reference; convex and concave curves:
+    # interior critical points are minima on the first and maxima on the second
     blinds = _random_blinds(np.random.default_rng(4), 40)
     for name in ("parabola", "quarter_circle"):
-        fast_curve = builtin_curve(name)
-        slow_curve = dataclasses.replace(fast_curve, supports_arrays=False)
+        curve = builtin_curve(name)
         for alpha in np.linspace(-0.5, 2.0, 11).tolist():
-            slow = project_segments(fast_curve, alpha, blinds.segments)
-            for curve in (fast_curve, slow_curve):
-                (fast,) = rows_of(project_blinds(curve, alpha, blinds))
-                assert len(fast) == len(slow.intervals)
-                for (flo, fhi), (slo, shi) in zip(fast, slow.intervals):
-                    assert abs(flo - slo) < 1e-9
-                    assert abs(fhi - shi) < 1e-9
+            slow = project_segments(curve, alpha, blinds.segments)
+            (fast,) = rows_of(project_blinds(curve, alpha, blinds))
+            assert len(fast) == len(slow.intervals)
+            for (flo, fhi), (slo, shi) in zip(fast, slow.intervals):
+                assert abs(flo - slo) < 1e-9
+                assert abs(fhi - shi) < 1e-9
 
 
 def test_project_blinds_drops_segments_outside_the_strip():
@@ -561,13 +558,13 @@ def test_project_blinds_grid_stacks_steps_up_to_budget():
 
 
 def test_project_blinds_grid_fallback_for_scalar_curves():
-    # a curve without array support runs the same kernel, one f call per element
+    # a custom profile, built outside builtin_curve, runs the same kernel
     curve = CurveProfile(
         f=lambda t: t * t,
         df=lambda t: 2.0 * t,
+        df_inverse=lambda u: u / 2.0,
         a=0.0,
         b=1.0,
-        monotone="increasing",
         df_bound=2.0,
     )
     blinds = _random_blinds(np.random.default_rng(3), 30)
@@ -641,9 +638,6 @@ def test_endpoint_only_evaluation_is_bitwise_the_general_one(name, span):
     assert endpoint_only.any() == (span < 3.5) and not endpoint_only.all()
     _assert_bitwise_general(curve, alphas, blinds)
     _assert_bitwise_general(curve, alphas, _random_blinds(np.random.default_rng(11), 300))
-    # a curve without array support, one f call per element
-    slow = dataclasses.replace(curve, supports_arrays=False)
-    _assert_bitwise_general(slow, alphas[::8], BlindSet(blinds.coords[::7]))
 
 
 @pytest.mark.parametrize("name", ["parabola", "quarter_circle", "exp"])

@@ -72,6 +72,16 @@ def test_load_scene_missing():
         (lambda d: d.update(epsilon=-1.0), "epsilon"),
         (lambda d: d.update(delta=0.0), "delta"),
         (lambda d: d["curve"].update(bounds=[1.0, 0.0]), "curve.bounds"),
+        # faults that used to surface only in construct, naming no field
+        (
+            lambda d: d["curve"].update(name="quarter_circle", bounds=[-1.0, 0.7]),
+            "curve.bounds: quarter-circle bounds must lie inside (-1, 1)",
+        ),
+        (lambda d: d["curve"].update(name="exp", bounds=[0.0, 1000.0]), "curve.bounds: math range error"),
+        (lambda d: d.update(subrange=[0.3, 1.2]), "subrange: must lie inside the curve domain"),
+        (lambda d: d.update(subrange=[-0.1, 0.6]), "subrange: must lie inside the curve domain"),
+        (lambda d: d.update(A_cover=[1.5, 1.6]), "subrange: the fiber arc at y over [a', b'] leaves"),
+        (lambda d: d.update(A_cover=[0.6, 1.2]), "subrange: the fiber arc at y over [a', b'] leaves"),
         # fields that must be JSON objects
         (lambda d: d.update(curve="parabola"), "curve: expected a JSON object"),
         (lambda d: d.update(curve=["parabola"]), "curve: expected a JSON object"),

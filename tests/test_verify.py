@@ -88,11 +88,15 @@ def test_check_cover_accepts_fiber_arc_target():
 
 
 def test_check_cover_validates_margins():
+    # NaN fails every comparison: unchecked, it would pass as 0
     seg, blinds = _self_cover_case()
-    with pytest.raises(ValueError):
-        check_cover(CURVE, blinds, seg, ALPHAS, margin=-1.0)
-    with pytest.raises(ValueError):
-        check_cover(CURVE, blinds, seg, ALPHAS, shift=-1.0)
+    for value in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="margin must be finite and >= 0"):
+            check_cover(CURVE, blinds, seg, ALPHAS, margin=value)
+        with pytest.raises(ValueError, match="shift must be finite and >= 0"):
+            check_cover(CURVE, blinds, seg, ALPHAS, shift=value)
+        with pytest.raises(ValueError, match="shift must be finite and >= 0"):
+            cover_views(CURVE, blinds, [(seg, 0.0), (seg, value)], ALPHAS)
 
 
 def test_check_small_bounds_projected_measure():
@@ -102,8 +106,18 @@ def test_check_small_bounds_projected_measure():
     assert 0.0 < report.worst_value < 1.0
     failing = check_small(CURVE, blinds, ALPHAS, bound=report.worst_value / 2)
     assert not failing.passed
-    with pytest.raises(ValueError):
-        check_small(CURVE, blinds, ALPHAS, bound=0.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_check_small_validates_bound_and_shift(value):
+    _, blinds = _self_cover_case()
+    with pytest.raises(ValueError, match="bound must be finite and > 0"):
+        check_small(CURVE, blinds, ALPHAS, bound=value)
+    if value != 0.0:
+        with pytest.raises(ValueError, match="shift must be finite and >= 0"):
+            check_small(CURVE, blinds, ALPHAS, bound=1.0, shift=value)
+        with pytest.raises(ValueError, match="shift must be finite and >= 0"):
+            small_views(CURVE, blinds, ALPHAS, 1.0, [0.0, value])
 
 
 def test_check_small_shift_mode_padding():
