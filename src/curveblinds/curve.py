@@ -9,6 +9,7 @@ on |f'|; the sense of f' is read off samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -168,44 +169,56 @@ def diff_interval(
 # -- project_disk ----------------------------------------------------------
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximization of a unimodal fn on [lo, hi]."""
-    h = hi - lo
-    if h <= tol:
-        return max(fn(lo), fn(hi))
-    c = hi - _GOLDEN * h
-    d = lo + _GOLDEN * h
-    yc, yd = fn(c), fn(d)
-    while h > tol:
+def _first_max(*values: np.ndarray) -> np.ndarray:
+    """Python's max(*values), elementwise: the first value no later one exceeds."""
+    return functools.reduce(lambda best, v: np.where(v > best, v, best), values)
+
+
+def _golden_max(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float,
+                stop: Optional[Callable] = None) -> np.ndarray:
+    """Golden-section maximization of a unimodal function on each [lo[i], hi[i]].
+
+    lo and hi are float arrays; fn(x, i) evaluates element i[j]'s function at
+    x[..., j].  Each element keeps the probes and bits of one scalar search on
+    its bracket, and all still searching share one fn call per step.  One
+    whose best probe passes stop(best) leaves with it: the best only rises.
+    """
+    out, k, h = np.empty(lo.shape), np.arange(lo.size), hi - lo
+    # a bracket within tol probes its ends: max(yc, yd, f(lo), f(hi)) = max(f(lo), f(hi))
+    c, d = np.where(h > tol, hi - _GOLDEN * h, lo), np.where(h > tol, lo + _GOLDEN * h, hi)
+    yc, yd = fn(np.stack([c, d]), k)
+    while True:
+        hit = np.zeros(k.size, dtype=bool) if stop is None else stop(_first_max(yc, yd))
+        end = ~hit & ~(h > tol)
+        if not (go := ~(hit | end)).all():
+            out[k[hit]] = _first_max(yc[hit], yd[hit])
+            if end.any():
+                ends = fn(np.stack([lo[end], hi[end]]), k[end])
+                out[k[end]] = _first_max(yc[end], yd[end], *ends)
+            k, lo, hi, h, c, d, yc, yd = (v[go] for v in (k, lo, hi, h, c, d, yc, yd))
+            if not k.size:
+                return out
         h *= _GOLDEN
-        if yc > yd:
-            hi, d, yd = d, c, yc
-            c = hi - _GOLDEN * h
-            yc = fn(c)
-        else:
-            lo, c, yc = c, d, yd
-            d = lo + _GOLDEN * h
-            yd = fn(d)
-    return max(yc, yd, fn(lo), fn(hi))
+        left = yc > yd
+        # left: hi, d, yd = d, c, yc and a new c; else lo, c, yc = c, d, yd and a new d
+        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
+        new = np.where(left, hi - _GOLDEN * h, lo + _GOLDEN * h)
+        (y_new,) = fn(new[None], k)
+        c, yc, d, yd = np.where(left, [new, y_new, c, yc], [d, yd, new, y_new])
 
 
-def _max_over(fn: Callable[[float], float], lo: float, hi: float,
-              grid: int = 512, tol: float = 1e-12) -> float:
-    """Global max of a piecewise-unimodal fn: seed grid + golden refinement."""
+def _max_over(fn: Callable, lo: float, hi: float, grid: int = 512, tol: float = 1e-12) -> float:
+    """Global max of a piecewise-unimodal fn of arrays: seed grid + golden refinement."""
     if hi - lo <= tol:
-        return fn(0.5 * (lo + hi))
+        return float(fn(np.array(0.5 * (lo + hi))))
     xs = np.linspace(lo, hi, grid)
-    ys = np.array([fn(float(x)) for x in xs])
-    best = float(np.max(ys))
+    ys = fn(xs)
     # refine around every local maximum of the seeded values
-    for i in range(grid):
-        left = ys[i - 1] if i > 0 else -math.inf
-        right = ys[i + 1] if i < grid - 1 else -math.inf
-        if ys[i] >= left and ys[i] >= right:
-            blo = xs[max(i - 1, 0)]
-            bhi = xs[min(i + 1, grid - 1)]
-            best = max(best, _golden_max(fn, float(blo), float(bhi), tol))
-    return best
+    padded = np.concatenate(([-math.inf], ys, [-math.inf]))
+    peak = np.flatnonzero((ys >= padded[:-2]) & (ys >= padded[2:]))
+    refined = _golden_max(lambda x, _: fn(x), xs[np.maximum(peak - 1, 0)],
+                          xs[np.minimum(peak + 1, grid - 1)], tol)
+    return float(_first_max(np.max(ys), *refined))
 
 
 def project_disk(curve: CurveProfile, alpha: float, disk: Disk) -> tuple[float, float]:
@@ -226,18 +239,12 @@ def project_disk(curve: CurveProfile, alpha: float, disk: Disk) -> tuple[float, 
         )
     x_hi = max(x_lo, x_hi)
 
-    def half_width(x1: float) -> float:
-        return math.sqrt(max(r * r - (x1 - c1) ** 2, 0.0))
+    def image(x1: np.ndarray, sign: float) -> np.ndarray:
+        # sign * (c2 + sign * h(x1) + f(alpha - x1)): the top for sign 1, -bottom for -1
+        h = np.sqrt(np.maximum(r * r - np.float_power(x1 - c1, 2.0), 0.0))
+        return sign * (c2 + sign * h + curve.f(np.clip(alpha - x1, curve.a, curve.b)))
 
-    def upper(x1: float) -> float:
-        return c2 + half_width(x1) + curve.f(curve.clamp_t(alpha - x1))
-
-    def lower_neg(x1: float) -> float:
-        return -(c2 - half_width(x1) + curve.f(curve.clamp_t(alpha - x1)))
-
-    top = _max_over(upper, x_lo, x_hi)
-    bot = -_max_over(lower_neg, x_lo, x_hi)
-    return (bot, top)
+    return tuple(s * _max_over(functools.partial(image, sign=s), x_lo, x_hi) for s in (-1.0, 1.0))
 
 
 # -- built-in curve library -------------------------------------------------

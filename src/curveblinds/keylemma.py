@@ -1,16 +1,16 @@
 """The key-construction pipeline.
 
 Given a fiber point y and a parameter subrange, the fiber arc gamma is
-approximated by a tangent-line polygon chain, every vertex computed in one
-array expression over the partition points; per chain segment, disjoint
-direction bands for the cover and small alpha-sets are computed from the
-x1 window of the segment's delta-neighborhood, the small band by one
-circular-order rule (the small directions' positions along ``Arc.offsets``
-of the gap after the cover band); a two-stage blind construction (one
-clockwise stage toward the lower small band edge, then counterclockwise
-iterated blinds toward the upper edge), run on all chain segments at once,
-produces a segment family that covers gamma's projections over A_cover
-while projecting with small measure over A_small.
+approximated by a tangent-line polygon chain, its vertices from one array
+expression and their distances to the arc from one array golden-section
+search that stops a vertex within delta; per chain segment, disjoint direction
+bands for the cover and small alpha-sets are computed from the x1 window of
+the segment's delta-neighborhood, the small band by one circular-order rule
+(the small directions' ``Arc.offsets`` along the gap after the cover band); a
+two-stage blind construction (one clockwise stage toward the lower small band
+edge, then counterclockwise iterated blinds toward the upper edge), run on all
+chain segments at once, produces a segment family that covers gamma's
+projections over A_cover while projecting with small measure over A_small.
 
 Each piece count is chosen once for the requested eps, as in the
 Venetian-blind lemma: the family is built and certified in one pass, and a
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .blinds import (
     _row,
     _vb_cover_cap,
 )
-from .curve import CurveProfile, _golden_max, fiber_point
+from .curve import CurveProfile, _golden_max
 from .geometry import Point, Segment
 from .measure import AlphaSet, FiberArc
 from .projline import CCW, CW, Arc, Direction, dist, normalize
@@ -169,35 +169,35 @@ def _tangent_chain(curve: CurveProfile, arc: FiberArc, n: int) -> PolyChain:
     return PolyChain(vertices, tuple(ts.tolist()), arc)
 
 
-def _vertex_distances(curve: CurveProfile, chain: PolyChain) -> Iterator[float]:
+def _vertex_distances(curve: CurveProfile, chain: PolyChain,
+                      delta: Optional[float] = None) -> np.ndarray:
     """Upper bounds on the distance from each interior vertex to the fiber arc.
 
     Interior vertex i meets the tangents at t_{i-1} and t_i; one golden-section
-    search over that sub-arc finds its nearest arc point.  Every evaluated
-    point lies on the arc, so each value bounds the true distance from above.
+    search over all those sub-arcs finds each vertex's nearest arc point.  An
+    evaluated point lies on the arc, so bounds the distance from above; given
+    delta, a vertex stops at the first such bound within delta.
     """
-    y, ts = chain.source.y, chain.tangency_params
-    for p, lo, hi in zip(chain.vertices[1:-1], ts[:-1], ts[1:]):
+    y, ts = chain.source.y, np.array(chain.tangency_params)
+    px, py = chain.coords()[1:, :2].T
 
-        def neg_d2_at(t: float, p: Point = p) -> float:
-            q = fiber_point(curve, y, t)
-            return -((q.x1 - p.x1) ** 2 + (q.x2 - p.x2) ** 2)
+    def neg_d2_at(t: np.ndarray, i: np.ndarray) -> np.ndarray:
+        # -|fiber_point(t) - p_i|^2; float_power squares as Python's ** does
+        t = np.clip(t, curve.a, curve.b)
+        dx, dy = y.x1 - t - px[i], y.x2 - curve.f(t) - py[i]
+        return -(np.float_power(dx, 2.0) + np.float_power(dy, 2.0))
 
-        yield math.sqrt(-_golden_max(neg_d2_at, lo, hi, 1e-13))
+    stop = None if delta is None else (lambda best: np.sqrt(-best) <= delta)
+    return np.sqrt(-_golden_max(neg_d2_at, ts[:-1], ts[1:], 1e-13, stop))
 
 
-def _polygon_ok(
-    curve: CurveProfile,
-    chain: PolyChain,
-    eps: float,
-    delta: float,
-    alpha_grid: AlphaSet,
-) -> bool:
+def _polygon_ok(curve: CurveProfile, chain: PolyChain, eps: float, delta: float,
+                alpha_grid: AlphaSet) -> bool:
     coords = chain.coords()
     if np.any(_lengths(coords) >= eps):
         return False
     # the end vertices lie on the arc
-    if any(d > delta for d in _vertex_distances(curve, chain)):
+    if np.any(_vertex_distances(curve, chain, delta) > delta):
         return False
     return check_cover(curve, BlindSet(coords), chain.source, alpha_grid, margin=1e-9).passed
 
@@ -473,27 +473,19 @@ def key_construction(
     return KeyResult(blinds, covers[-1], smalls[-1])
 
 
-def _rigorous_pad(
-    curve: CurveProfile,
-    y: Point,
-    subrange: tuple[float, float],
-    a_cover: AlphaSet,
-    shift: float,
-) -> float:
-    """Subrange extension creating covering slack of at least 2*shift.
+def _rigorous_pad(curve: CurveProfile, y: Point, subrange: tuple[float, float],
+                  a_cover: AlphaSet, shift: float) -> float:
+    """Subrange extension creating covering slack of at least 3*shift.
 
     The projected fiber-arc endpoint at parameter t moves under d(t) at rate
-    |f'(alpha - y1 + t) - f'(t)|; padding by 2*shift over the slowest rate
-    observed on the alpha-grid leaves room to erode the covering later.
+    |f'(alpha - y1 + t) - f'(t)|; padding by 3*shift over the slowest rate at
+    the subrange ends on the alpha-grid leaves room to erode the covering.
     """
-    slowest = math.inf
-    for alpha in a_cover.grid():
-        for t in subrange:
-            rate = abs(
-                curve.df(curve.clamp_t(float(alpha) - y.x1 + t))
-                - curve.df(curve.clamp_t(t))
-            )
-            slowest = min(slowest, rate)
+    ts = np.array(subrange, dtype=float)
+    far = curve.df(np.clip(a_cover.grid()[:, None] - y.x1 + ts, curve.a, curve.b))
+    rates = np.abs(far - curve.df(np.clip(ts, curve.a, curve.b)))
+    # fmin skips a NaN rate, as min() does
+    slowest = float(np.fmin.reduce(rates, axis=None, initial=math.inf))
     if not math.isfinite(slowest) or slowest <= 0.0:
         raise ValueError("cannot pad subrange: projected endpoints are stationary")
     return 3.0 * shift / slowest

@@ -165,15 +165,16 @@ def _canonical_rows(los: np.ndarray, his: np.ndarray) -> IntervalUnion:
     smallest lo exceeds the i-th smallest hi by over MERGE_TOL, the i intervals
     of smallest hi are those of smallest lo and that hi is their running max:
     group starts and maxima equal those of a pass in lo order, bit for bit.  A
-    gap's hi counts as +inf, so gaps sort last in their row and are dropped.
-    A one-row batch first goes through _collapse_chains.
+    gap's hi counts as +inf (masked only in a batch with gaps), so gaps sort
+    last in their row and are dropped.  A one-row batch first goes through _collapse_chains.
     """
     if los.shape[0] == 1:
         los, his = _collapse_chains(los, his)
     rows, n = los.shape
-    his = np.where(los == np.inf, np.inf, his)  # a copy: the inputs stay as given
-    his.sort(axis=1)
-    his, los = his.ravel(), np.sort(los, axis=1).ravel()
+    sorted_los = np.sort(los, axis=1)
+    his = his.copy() if (sorted_los[:, -1] < np.inf).all() else np.where(los == np.inf, np.inf, his)
+    his.sort(axis=1)  # a copy: the inputs stay as given
+    his, los = his.ravel(), sorted_los.ravel()
     cuts = np.empty(rows * n, dtype=bool)
     np.greater(los[1:], his[:-1] + MERGE_TOL, out=cuts[1:])
     cuts[::n] = True

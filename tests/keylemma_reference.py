@@ -6,6 +6,10 @@ one circular-order rule on ``Arc.offsets``; the equivalence tests compare
 them against these per-vertex and per-case evaluations.  ``key_construction``
 builds the blinds of every chain unit in one batched pass; ``unit_by_unit``
 is the composition it replaces, one ``local_construction`` per unit.
+``curve._golden_max`` runs one golden-section search over arrays of
+brackets; ``golden_max`` is the scalar search each element must follow,
+and ``vertex_distances``, ``project_disk`` and ``rigorous_pad`` are the
+per-vertex, per-probe and per-grid-point loops its callers replace.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import numpy as np
 
 from curveblinds import keylemma
 from curveblinds.blinds import Caps, ConstructionError
-from curveblinds.curve import CurveProfile, fiber_point
-from curveblinds.geometry import Point
+from curveblinds.curve import DOMAIN_TOL, CurveProfile, DomainError, fiber_point
+from curveblinds.geometry import Disk, Point
 from curveblinds.keylemma import AngleBands
 from curveblinds.measure import AlphaSet
 from curveblinds.projline import PI, normalize
@@ -148,3 +152,96 @@ def unit_by_unit(
         pieces.append(local.coords)
         units.append([ci, local.meta["stage1_n"], len(local)])
     return np.concatenate(pieces), units
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(fn, lo: float, hi: float, tol: float) -> float:
+    """Golden-section maximization of a unimodal fn on [lo, hi], one probe at a time."""
+    h = hi - lo
+    if h <= tol:
+        return max(fn(lo), fn(hi))
+    c = hi - _GOLDEN * h
+    d = lo + _GOLDEN * h
+    yc, yd = fn(c), fn(d)
+    while h > tol:
+        h *= _GOLDEN
+        if yc > yd:
+            hi, d, yd = d, c, yc
+            c = hi - _GOLDEN * h
+            yc = fn(c)
+        else:
+            lo, c, yc = c, d, yd
+            d = lo + _GOLDEN * h
+            yd = fn(d)
+    return max(yc, yd, fn(lo), fn(hi))
+
+
+def vertex_distances(curve: CurveProfile, chain: keylemma.PolyChain) -> list[float]:
+    """Distance bounds of the interior chain vertices, one scalar search each."""
+    y, ts = chain.source.y, chain.tangency_params
+    out = []
+    for p, lo, hi in zip(chain.vertices[1:-1], ts[:-1], ts[1:]):
+
+        def neg_d2_at(t: float, p: Point = p) -> float:
+            q = fiber_point(curve, y, t)
+            return -((q.x1 - p.x1) ** 2 + (q.x2 - p.x2) ** 2)
+
+        out.append(math.sqrt(-golden_max(neg_d2_at, lo, hi, 1e-13)))
+    return out
+
+
+def _max_over(fn, lo: float, hi: float, grid: int = 512, tol: float = 1e-12) -> float:
+    if hi - lo <= tol:
+        return fn(0.5 * (lo + hi))
+    xs = np.linspace(lo, hi, grid)
+    ys = np.array([fn(float(x)) for x in xs])
+    best = float(np.max(ys))
+    for i in range(grid):
+        left = ys[i - 1] if i > 0 else -math.inf
+        right = ys[i + 1] if i < grid - 1 else -math.inf
+        if ys[i] >= left and ys[i] >= right:
+            blo = xs[max(i - 1, 0)]
+            bhi = xs[min(i + 1, grid - 1)]
+            best = max(best, golden_max(fn, float(blo), float(bhi), tol))
+    return best
+
+
+def project_disk(curve: CurveProfile, alpha: float, disk: Disk) -> tuple[float, float]:
+    """curve.project_disk with one scalar evaluation per seed point and probe."""
+    lo, hi = curve.strip(alpha)
+    c1, c2, r = disk.center.x1, disk.center.x2, disk.radius
+    x_lo = max(lo, c1 - r)
+    x_hi = min(hi, c1 + r)
+    if x_lo > x_hi + DOMAIN_TOL:
+        raise DomainError("disk misses the strip")
+    x_hi = max(x_lo, x_hi)
+
+    def half_width(x1: float) -> float:
+        return math.sqrt(max(r * r - (x1 - c1) ** 2, 0.0))
+
+    def upper(x1: float) -> float:
+        return c2 + half_width(x1) + curve.f(curve.clamp_t(alpha - x1))
+
+    def lower_neg(x1: float) -> float:
+        return -(c2 - half_width(x1) + curve.f(curve.clamp_t(alpha - x1)))
+
+    return (-_max_over(lower_neg, x_lo, x_hi), _max_over(upper, x_lo, x_hi))
+
+
+def rigorous_pad(
+    curve: CurveProfile, y: Point, subrange: tuple[float, float], a_cover: AlphaSet, shift: float
+) -> float:
+    """keylemma._rigorous_pad, one grid point and subrange end at a time."""
+    slowest = math.inf
+    for alpha in a_cover.grid():
+        for t in subrange:
+            rate = abs(
+                curve.df(curve.clamp_t(float(alpha) - y.x1 + t))
+                - curve.df(curve.clamp_t(t))
+            )
+            slowest = min(slowest, rate)
+    if not math.isfinite(slowest) or slowest <= 0.0:
+        raise ValueError("cannot pad subrange: projected endpoints are stationary")
+    return 3.0 * shift / slowest

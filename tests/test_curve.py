@@ -18,6 +18,7 @@ from curveblinds.curve import (
     tangent_direction,
 )
 from curveblinds.geometry import Disk, Point
+import keylemma_reference as reference
 from scalar_projection import scalar_exp
 
 ALL_CURVES = [builtin_curve(name) for name in builtin_curve_names()]
@@ -189,7 +190,8 @@ def _disk_oracle(curve, alpha, disk, samples=4000):
     return min(vals), max(vals)
 
 
-def test_project_disk_matches_boundary_oracle():
+def _oracle_disks():
+    """(curve, alpha, disk): ten disks inside the strip for each builtin curve."""
     rng = np.random.default_rng(3)
     for curve in ALL_CURVES:
         for _ in range(10):
@@ -197,14 +199,30 @@ def test_project_disk_matches_boundary_oracle():
             lo, hi = curve.strip(alpha)
             r = float(rng.uniform(0.05, 0.2)) * (hi - lo)
             c1 = float(rng.uniform(lo + r, hi - r))
-            disk = Disk(Point(c1, float(rng.uniform(-1, 1))), r)
-            bot, top = project_disk(curve, alpha, disk)
-            obot, otop = _disk_oracle(curve, alpha, disk)
-            assert top >= otop - 1e-12
-            assert bot <= obot + 1e-12
-            # boundary sampling approaches the endpoints quadratically
-            assert top - otop < 1e-5
-            assert obot - bot < 1e-5
+            yield curve, alpha, Disk(Point(c1, float(rng.uniform(-1, 1))), r)
+
+
+def test_project_disk_matches_boundary_oracle():
+    for curve, alpha, disk in _oracle_disks():
+        bot, top = project_disk(curve, alpha, disk)
+        obot, otop = _disk_oracle(curve, alpha, disk)
+        assert top >= otop - 1e-12
+        assert bot <= obot + 1e-12
+        # boundary sampling approaches the endpoints quadratically
+        assert top - otop < 1e-5
+        assert obot - bot < 1e-5
+
+
+def test_project_disk_equals_the_scalar_search():
+    # one array search over every local-max bracket keeps the bits of one
+    # scalar search per bracket; the disks of the cli's checks too
+    disks = list(_oracle_disks()) + [
+        (builtin_curve("parabola"), float(alpha), Disk(Point(0.5, 0.2), 0.3))
+        for alpha in np.linspace(0.3, 1.2, 7)
+    ]
+    for curve, alpha, disk in disks:
+        got = np.array(project_disk(curve, alpha, disk))
+        assert got.tobytes() == np.array(reference.project_disk(curve, alpha, disk)).tobytes()
 
 
 def test_project_disk_misses_strip():

@@ -13,7 +13,7 @@ from scipy.optimize import minimize_scalar
 from curveblinds import blinds as blinds_module
 from curveblinds import keylemma as keylemma_module
 from curveblinds import verify
-from curveblinds.blinds import ConstructionError
+from curveblinds.blinds import BlindSet, ConstructionError
 from curveblinds.curve import builtin_curve, fiber_point, tangent_direction
 from curveblinds.geometry import Point, Segment
 from curveblinds.keylemma import (
@@ -119,6 +119,114 @@ def test_vertex_distances_match_oracle(scene):
         for d, v in zip(got, chain.vertices[1:-1]):
             oracle = _fiber_distance_oracle(curve, chain.source, v)
             assert oracle - 1e-12 <= d <= oracle + 1e-9
+
+
+def _chain_curve_and_arc(scene, padded):
+    """A bundled scene's curve and fiber arc, padded as rigorous mode pads it."""
+    spec = load_scene("E1" if scene == "scalar_exp" else scene)
+    curve = scalar_exp() if scene == "scalar_exp" else spec.curve()
+    a1, b1 = spec.subrange
+    if padded:
+        a_cover = spec.a_cover()
+        shift = curve.df_bound * a_cover.grid_step / 2.0
+        pad = keylemma_module._rigorous_pad(curve, spec.y, (a1, b1), a_cover, shift)
+        a1, b1 = max(curve.a, a1 - pad), min(curve.b, b1 + pad)
+    return curve, FiberArc(spec.y, a1, b1)
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["plain", "padded"])
+@pytest.mark.parametrize("scene", ["Q1", "P1", "E1", "scalar_exp"])
+@pytest.mark.parametrize("n", [2, 3, 16, 100, 1024])
+def test_vertex_distances_equal_the_scalar_search(scene, n, padded):
+    curve, arc = _chain_curve_and_arc(scene, padded)
+    chain = _tangent_chain(curve, arc, n)
+    got = _vertex_distances(curve, chain)
+    want = np.array(reference.vertex_distances(curve, chain))
+    assert got.shape == (n - 1,) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scene", ["Q1", "P1", "E1", "scalar_exp"])
+def test_vertex_search_stopped_at_delta_keeps_every_decision(scene):
+    curve, arc = _chain_curve_and_arc(scene, False)
+    chain = _tangent_chain(curve, arc, 16)
+    full = np.array(reference.vertex_distances(curve, chain))
+    grid = default_alpha_box(curve, arc)
+    cover_ok = check_cover(curve, BlindSet(chain.coords()), arc, grid, margin=1e-9).passed
+    deltas = sorted({
+        float(np.nextafter(d, to)) for d in full.tolist() for to in (-np.inf, d, np.inf)
+    })
+    for delta in deltas:
+        got = _vertex_distances(curve, chain, delta)
+        assert np.array_equal(got > delta, full > delta)
+        # a vertex beyond delta never stops: its bound is the full search's
+        assert got[full > delta].tobytes() == full[full > delta].tobytes()
+        ok = keylemma_module._polygon_ok(curve, chain, 1.0, delta, grid)
+        assert ok == (cover_ok and not np.any(full > delta))
+    assert cover_ok
+
+
+@pytest.mark.parametrize("scene", ["Q1", "P1", "E1"])
+def test_polygon_vertex_search_stops_at_delta(monkeypatch, scene):
+    # the chains of the bundled key construction lie well within delta, so
+    # the vertex search stops after its first probes: a few f calls in all,
+    # where one scalar search per vertex made about 56
+    spec = load_scene(scene)
+    base = spec.curve()
+    inside, calls = [False], [0]
+
+    def f(t):
+        calls[0] += inside[0]
+        return base.f(t)
+
+    original = keylemma_module._vertex_distances
+
+    def counted(*args):
+        inside[0] = True
+        try:
+            return original(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(keylemma_module, "_vertex_distances", counted)
+    key_construction(
+        dataclasses.replace(base, f=f), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
+        spec.epsilon, spec.delta, caps=spec.caps,
+    )
+    assert 1 <= calls[0] <= 10
+
+
+@pytest.mark.parametrize(
+    "eps, points", [(None, None), (0.03, None), (0.03, 30)], ids=["shipped", "eps0.03", "points30"]
+)
+@pytest.mark.parametrize("scene", ["Q1", "P1", "E1"])
+def test_rigorous_pad_equals_the_scalar_loop(scene, eps, points):
+    # eps does not enter the pad; the alpha-grid does
+    spec = load_scene(scene)
+    spec = dataclasses.replace(
+        spec, epsilon=eps or spec.epsilon, alpha_points=points or spec.alpha_points
+    )
+    curve, a_cover = spec.curve(), spec.a_cover()
+    shift = curve.df_bound * a_cover.grid_step / 2.0
+    args = (curve, spec.y, spec.subrange, a_cover, shift)
+    got = keylemma_module._rigorous_pad(*args)
+    assert type(got) is float and got > 0.0
+    assert np.float64(got).tobytes() == np.float64(reference.rigorous_pad(*args)).tobytes()
+
+
+@pytest.mark.parametrize("scene", ["Q1", "P1", "E1"])
+def test_rigorous_pad_equals_the_scalar_loop_on_random_arcs(scene):
+    # random subranges and fiber points reach rates whose bits depend on the
+    # order of the additions in alpha - y1 + t
+    spec = load_scene(scene)
+    curve, a_cover = spec.curve(), spec.a_cover()
+    shift = curve.df_bound * a_cover.grid_step / 2.0
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        lo, hi = np.sort(rng.uniform(curve.a, curve.b, 2)).tolist()
+        y = Point(spec.y.x1 + float(rng.uniform(-0.05, 0.05)), spec.y.x2)
+        args = (curve, y, (lo, hi), a_cover, shift)
+        got = keylemma_module._rigorous_pad(*args)
+        assert np.float64(got).tobytes() == np.float64(reference.rigorous_pad(*args)).tobytes()
 
 
 def test_polygon_approx_rejects_bad_input():

@@ -155,9 +155,32 @@ def _many_runs_row(rng):
     return los, his
 
 
+def _unbounded_gap_free_rows(rng):
+    # no gaps, as the endpoint-only evaluation makes, so the his are sorted
+    # as given; intervals in rows 3 and 4 reach -inf or +inf, which are not gaps
+    los = rng.uniform(-1.0, 1.0, (5, 300))
+    his = los + rng.exponential(0.01, los.shape)
+    los[3, ::50] = -np.inf
+    his[4, 100] = np.inf
+    assert (np.sort(los, axis=1)[:, -1] < np.inf).all()
+    return los, his
+
+
+def _one_gap_rows(rng):
+    # a single gap, whose hi lies below every interval, in the last of many
+    # otherwise gap-free rows: the gap must still be masked
+    los = rng.uniform(-1.0, 1.0, (8, 300))
+    his = los + rng.exponential(0.01, los.shape)
+    los[7, 150], his[7, 150] = np.inf, -50.0
+    return los, his
+
+
 @pytest.mark.parametrize(
     "make",
-    [_blade_rows, _random_rows, _gap_rows, _tie_and_touch_rows, _chained_row, _many_runs_row],
+    [
+        _blade_rows, _random_rows, _gap_rows, _tie_and_touch_rows, _chained_row, _many_runs_row,
+        _unbounded_gap_free_rows, _one_gap_rows,
+    ],
     ids=lambda f: f.__name__[1:],
 )
 def test_canonical_rows_equal_the_argsort_reference(make):
