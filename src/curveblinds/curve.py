@@ -207,18 +207,22 @@ def _golden_max(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float,
         c, yc, d, yd = np.where(left, [new, y_new, c, yc], [d, yd, new, y_new])
 
 
-def _max_over(fn: Callable, lo: float, hi: float, grid: int = 512, tol: float = 1e-12) -> float:
-    """Global max of a piecewise-unimodal fn of arrays: seed grid + golden refinement."""
+def _max_over(fn: Callable, lo: float, hi: float, params: np.ndarray, grid: int = 512,
+              tol: float = 1e-12) -> np.ndarray:
+    """Global max over [lo, hi] of each piecewise-unimodal x -> fn(x, p), p in params.
+
+    fn takes arrays of x and p, elementwise.  Seed grid, then one golden
+    refinement around every local maximum of every p's seeded values.
+    """
     if hi - lo <= tol:
-        return float(fn(np.array(0.5 * (lo + hi))))
+        return fn(np.array(0.5 * (lo + hi)), params)
     xs = np.linspace(lo, hi, grid)
-    ys = fn(xs)
-    # refine around every local maximum of the seeded values
-    padded = np.concatenate(([-math.inf], ys, [-math.inf]))
-    peak = np.flatnonzero((ys >= padded[:-2]) & (ys >= padded[2:]))
-    refined = _golden_max(lambda x, _: fn(x), xs[np.maximum(peak - 1, 0)],
+    ys = fn(xs, params[:, None])
+    padded = np.pad(ys, ((0, 0), (1, 1)), constant_values=-math.inf)
+    owner, peak = np.nonzero((ys >= padded[:, :-2]) & (ys >= padded[:, 2:]))
+    refined = _golden_max(lambda x, i: fn(x, params[owner[i]]), xs[np.maximum(peak - 1, 0)],
                           xs[np.minimum(peak + 1, grid - 1)], tol)
-    return float(_first_max(np.max(ys), *refined))
+    return np.array([_first_max(np.max(ys[j]), *refined[owner == j]) for j in range(len(params))])
 
 
 def project_disk(curve: CurveProfile, alpha: float, disk: Disk) -> tuple[float, float]:
@@ -239,12 +243,13 @@ def project_disk(curve: CurveProfile, alpha: float, disk: Disk) -> tuple[float, 
         )
     x_hi = max(x_lo, x_hi)
 
-    def image(x1: np.ndarray, sign: float) -> np.ndarray:
+    def image(x1: np.ndarray, sign: np.ndarray) -> np.ndarray:
         # sign * (c2 + sign * h(x1) + f(alpha - x1)): the top for sign 1, -bottom for -1
         h = np.sqrt(np.maximum(r * r - np.float_power(x1 - c1, 2.0), 0.0))
         return sign * (c2 + sign * h + curve.f(np.clip(alpha - x1, curve.a, curve.b)))
 
-    return tuple(s * _max_over(functools.partial(image, sign=s), x_lo, x_hi) for s in (-1.0, 1.0))
+    bottom, top = _max_over(image, x_lo, x_hi, np.array([-1.0, 1.0]))
+    return -float(bottom), float(top)
 
 
 # -- built-in curve library -------------------------------------------------

@@ -29,9 +29,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 MERGE_TOL = 1e-12
 
 #: Elements per (rows x n) batch in project_blinds_grid: a set of n segments
-#: projects max(1, BUDGET // n) alphas per batch, so small sets share numpy's
-#: per-call cost among many alphas and large ones hold one row at a time.
-BUDGET = 4096
+#: projects max(1, BUDGET // n) alphas per batch (at most the grid's size).
+#: A batch costs about fifty numpy calls whatever its size, so small sets
+#: share that cost among many alphas and large ones hold one row at a time.
+#: The batch arrays are made once per call and reused, so no batch allocates
+#: an array of BUDGET elements that glibc would trim and fault in again for
+#: the next; only curve.f's result is new in every batch.
+BUDGET = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,27 +165,50 @@ def _merge_neighbours(lo: np.ndarray, hi: np.ndarray, row: np.ndarray, rows: int
 def _canonical_rows(los: np.ndarray, his: np.ndarray) -> IntervalUnion:
     """Canonicalize each row of (rows x n) interval arrays; lo = +inf marks a gap.
 
-    lo and hi are sorted each on their own.  As lo <= hi, where the i-th
-    smallest lo exceeds the i-th smallest hi by over MERGE_TOL, the i intervals
-    of smallest hi are those of smallest lo and that hi is their running max:
-    group starts and maxima equal those of a pass in lo order, bit for bit.  A
-    gap's hi counts as +inf (masked only in a batch with gaps), so gaps sort
-    last in their row and are dropped.  A one-row batch first goes through _collapse_chains.
+    The inputs stay as given: the rows are sorted in copies, with each gap's
+    hi set to +inf, so that gaps sort last in their row and are dropped.
+    """
+    his = np.where(los == np.inf, np.inf, his)
+    return _sorted_groups(*_sort_rows(los.copy(), his))
+
+
+def _sort_rows(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort each row's lo and hi, each on their own, in place; gap his are +inf.
+
+    A one-row batch first goes through _collapse_chains, which may return
+    new, shorter arrays; those are sorted and returned instead.
     """
     if los.shape[0] == 1:
         los, his = _collapse_chains(los, his)
+    los.sort(axis=1)
+    his.sort(axis=1)
+    return los, his
+
+
+def _sorted_groups(
+    los: np.ndarray, his: np.ndarray, cuts: np.ndarray | None = None, reach: np.ndarray | None = None
+) -> IntervalUnion:
+    """The canonical groups of (rows x n) intervals whose lo and hi are sorted
+    each on their own within every row, gaps (lo = hi = +inf) last.
+
+    As lo <= hi, where the i-th smallest lo exceeds the i-th smallest hi by
+    over MERGE_TOL, the i intervals of smallest hi are those of smallest lo
+    and that hi is their running max: group starts and maxima equal those of
+    a pass in lo order, bit for bit.  cuts (bool) and reach (float), of at
+    least rows * n entries, are scratch buffers; new ones are made if absent.
+    The result owns its arrays.
+    """
     rows, n = los.shape
-    sorted_los = np.sort(los, axis=1)
-    his = his.copy() if (sorted_los[:, -1] < np.inf).all() else np.where(los == np.inf, np.inf, his)
-    his.sort(axis=1)  # a copy: the inputs stay as given
-    his, los = his.ravel(), sorted_los.ravel()
-    cuts = np.empty(rows * n, dtype=bool)
-    np.greater(los[1:], his[:-1] + MERGE_TOL, out=cuts[1:])
+    size = rows * n
+    his, los = his.ravel(), los.ravel()
+    cuts = np.empty(size, dtype=bool) if cuts is None else cuts[:size]
+    reach = np.add(his[:-1], MERGE_TOL, out=None if reach is None else reach[: size - 1])
+    np.greater(los[1:], reach, out=cuts[1:])
     cuts[::n] = True
     starts = np.flatnonzero(cuts)
     kept = los[starts] < np.inf
     # a group ends just before the next group or row starts
-    ends = np.append(starts, rows * n)[1:][kept] - 1
+    ends = np.append(starts, size)[1:][kept] - 1
     return IntervalUnion(los[starts[kept]], his[ends], starts[kept] // n, rows)
 
 
@@ -331,35 +358,38 @@ def project_blinds_grid(
     stays within BUDGET, so that consumers spend each numpy call on many
     alphas.  Every element goes through the same float operations whatever
     the batch size, so batching changes no bit of the result either.
+
+    The batch arrays (endpoint values, lo and hi, the cut mask and reach) are
+    allocated once per call and written through out=; each batch's lo and hi
+    are sorted in place.  Up to a few thousand segments, per-batch numpy
+    call overhead, not element work, bounds the kernel, hence the large
+    BUDGET; reuse keeps it from costing page faults (see BUDGET).  The yielded
+    batches own their arrays: none is a view of a buffer.
     """
     coords = blinds.coords
     alphas = np.asarray(alphas, dtype=float)
-    rows = max(1, BUDGET // len(coords))
     if not alphas.size:
         return
+    n = len(coords)
+    rows = min(len(alphas), max(1, BUDGET // n))
     endpoint_only = _endpoint_only(curve, alphas, coords)
+    split = int(np.count_nonzero(endpoint_only))
+    # the batch buffers, written through out= by every batch; the sorts
+    # ignore the column order (up to which of -0.0 and 0.0 sorts first), so
+    # the endpoint-only segments take the first split columns
+    los, his = np.empty((2, rows, n))
+    cuts, reach = np.empty(rows * n, dtype=bool), np.empty(rows * n)
     parts = []
-    if endpoint_only.any():
-        parts.append(_endpoint_images(curve, coords[endpoint_only]))
-    if not endpoint_only.all():
-        parts.append(_general_images(curve, coords[~endpoint_only]))
-    # temporaries are reused through out= or deleted once spent: freed numpy
-    # buffers stay in the malloc heap, so this loop's high-water mark shows
-    # in the peak RSS of the whole run
+    if split:
+        parts.append((_endpoint_images(curve, coords[endpoint_only], rows), slice(None, split)))
+    if split < n:
+        parts.append((_general_images(curve, coords[~endpoint_only]), slice(split, None)))
     pending, stacked, widest = [], 0, 0
     for first in range(0, len(alphas), rows):
         al = alphas[first : first + rows, None]
-        if len(parts) == 1:
-            los, his = parts[0](al)
-        else:
-            # _canonical_rows sorts lo and hi on their own, so the column order
-            # does not matter (up to which of -0.0 and 0.0 sorts first)
-            (lo_e, hi_e), (lo_g, hi_g) = (part(al) for part in parts)
-            los = np.concatenate([lo_e, lo_g], axis=1)
-            his = np.concatenate([hi_e, hi_g], axis=1)
-            del lo_e, hi_e, lo_g, hi_g
-        batch = _canonical_rows(los, his)
-        del los, his
+        for images, cols in parts:
+            images(al, los[: len(al), cols], his[: len(al), cols])
+        batch = _sorted_groups(*_sort_rows(los[: len(al)], his[: len(al)]), cuts, reach)
         count = int(np.bincount(batch.row, minlength=1).max())
         if pending and (stacked + batch.rows) * max(widest, count) > BUDGET:
             yield IntervalUnion.stack(pending)
@@ -423,12 +453,13 @@ def _endpoint_only(curve: CurveProfile, alphas: np.ndarray, coords: np.ndarray) 
     )
 
 
-def _endpoint_images(curve: CurveProfile, coords: np.ndarray):
-    """The endpoint-only evaluation: al -> (los, his) of each segment's image.
+def _endpoint_images(curve: CurveProfile, coords: np.ndarray, rows: int):
+    """The endpoint-only evaluation: (al, lo, hi) writes each segment's image.
 
     The ends x = t * dx1 + ax, y = t * dx2 + ay at t = 0.0 and 1.0 are the
     general evaluation's own terms at those parameters, computed once and
-    laid side by side, so that each batch takes one pass over both ends.
+    laid side by side, so that each batch of up to rows alphas takes one pass
+    over both ends, in one buffer reused by every batch.
     The general evaluation clips al - x to [a, b]; here _endpoint_only keeps
     al - x inside [a, b] by _ENDPOINT_MARGIN times the scale, far above the
     rounding of one subtraction, so that clip returns its input unchanged
@@ -440,23 +471,27 @@ def _endpoint_images(curve: CurveProfile, coords: np.ndarray):
     x = np.concatenate([t * dx1 + ax for t in (0.0, 1.0)])
     y = np.concatenate([t * dx2 + ay for t in (0.0, 1.0)])
     n = len(coords)
+    buffer = np.empty((rows, 2 * n))
 
-    def images(al: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # y + f(al - x) for both ends, in one buffer
-        v = np.subtract(al, x)
+    def images(al: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        # y + f(al - x) for both ends
+        v = buffer[: len(al)]
+        np.subtract(al, x, out=v)
         np.add(y, curve.f(v), out=v)
-        return np.minimum(v[:, :n], v[:, n:]), np.maximum(v[:, :n], v[:, n:])
+        np.minimum(v[:, :n], v[:, n:], out=lo)
+        np.maximum(v[:, :n], v[:, n:], out=hi)
 
     return images
 
 
 def _general_images(curve: CurveProfile, coords: np.ndarray):
-    """The general evaluation: al -> (los, his) of each segment's image.
+    """The general evaluation: (al, lo, hi) writes each segment's image.
 
     The strip window in the segment parameter decides validity and is
     clipped to [0, 1] (vertical segments keep the whole segment), then the
     values at the clipped ends and at an interior critical point span the
-    image; an invalid segment's lo is +inf, a gap.
+    image; an invalid segment is a gap, with lo and hi +inf.  Its
+    temporaries are made afresh for each batch.
     """
     ax, ay, dx1, dx2, vertical, tc_curve = _segment_terms(curve, coords)
     safe_dx1 = np.where(vertical, 1.0, dx1)
@@ -472,7 +507,7 @@ def _general_images(curve: CurveProfile, coords: np.ndarray):
         v += fx
         return v
 
-    def images(al: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def images(al: np.ndarray, los: np.ndarray, his: np.ndarray) -> None:
         lo, hi = curve.strip(al)
         bound_lo = (lo - ax) / safe_dx1
         t1 = (hi - ax) / safe_dx1
@@ -491,11 +526,10 @@ def _general_images(curve: CurveProfile, coords: np.ndarray):
         np.clip(t1, 0.0, 1.0, out=t1)
         np.copyto(t0, 0.0, where=vertical)
         np.copyto(t1, 1.0, where=vertical)
-        v0 = value(al, t0)
-        his = value(al, t1)
-        los = np.minimum(v0, his)
-        np.maximum(v0, his, out=his)
-        del v0
+        v0, v1 = value(al, t0), value(al, t1)
+        np.minimum(v0, v1, out=los)
+        np.maximum(v0, v1, out=his)
+        del v0, v1
         tc = (al - tc_curve - ax) / safe_dx1
         inside = (tc > t0) & (tc < t1)
         del t0, t1
@@ -506,7 +540,7 @@ def _general_images(curve: CurveProfile, coords: np.ndarray):
             del vc
         del tc, inside
         np.copyto(los, np.inf, where=~valid)
-        return los, his
+        np.copyto(his, np.inf, where=~valid)
 
     return images
 

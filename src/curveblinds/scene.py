@@ -40,9 +40,15 @@ class SceneSpec:
     segment_points: int = 33  # recorded in blindset.json; the construction ignores it
     caps: Caps = field(default_factory=Caps)
     seed: int = 0
+    # the profile of curve_name and curve_bounds, built on the first curve()
+    # call (or by from_json_dict, which builds it to validate the scene); a
+    # copy made by dataclasses.replace starts without it
+    _curve: Optional[CurveProfile] = field(default=None, init=False, repr=False, compare=False)
 
     def curve(self) -> CurveProfile:
-        return builtin_curve(self.curve_name, self.curve_bounds)
+        if self._curve is None:
+            object.__setattr__(self, "_curve", builtin_curve(self.curve_name, self.curve_bounds))
+        return self._curve
 
     def a_small(self) -> AlphaSet:
         return AlphaSet.from_intervals(self.a_small_components, self.alpha_points)
@@ -162,7 +168,7 @@ class SceneSpec:
             raise fail("scene_id", f"expected a string, got {scene_id!r}")
         grids = obj("grids", data.get("grids", {}))
         caps_node = obj("caps", data.get("caps", {}))
-        return cls(
+        spec = cls(
             schema_version=version,
             scene_id=scene_id,
             curve_name=name,
@@ -181,6 +187,8 @@ class SceneSpec:
             ),
             seed=integer("seed", data.get("seed", 0), 0),
         )
+        object.__setattr__(spec, "_curve", curve)
+        return spec
 
 
 BUNDLED_SCENES = ("Q1", "P1", "E1")

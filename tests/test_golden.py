@@ -8,7 +8,9 @@ updates those tables.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from curveblinds.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "perfbench" / "README.md"
+JOBS = ROOT / "perfbench" / "jobs.py"
 SCENES = ROOT / "src" / "curveblinds" / "scenes"
 FILES = ("blindset.json", "report.json", "figure.svg")
 
@@ -78,6 +81,18 @@ JOB_HASHES = {
         "cfe7404d0243479b10b5e4160073b150fe40347ee87510d11c3ad74b1b74a6cc",
     ),
 }
+
+
+def test_job_hashes_pin_every_fine_and_rigorous_job(monkeypatch):
+    # the benchmark's job list, read from its module without running anything
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", JOBS)
+    jobs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, jobs)  # dataclasses look their module up
+    spec.loader.exec_module(jobs)
+    benchmark = [job for workload in ("fine", "rigorous") for job in jobs.WORKLOADS[workload]]
+    assert sorted(JOB_HASHES) == sorted(job.name for job in benchmark)
+    for job in benchmark:
+        assert JOB_HASHES[job.name][:3] == (job.scene, job.eps, job.rigorous), job.name
 
 
 def _reference_hashes() -> dict[str, dict[str, str]]:

@@ -200,9 +200,10 @@ def test_canonical_rows_equal_the_argsort_reference(make):
 
 
 def test_cover_rows_of_the_large_constructions_collapse(monkeypatch):
-    # the one-row batches (n > BUDGET / 2) of the fine P1 and E1 constructions:
-    # over A_cover the blades chain into few runs and collapse; P1's rows over
-    # A_small fall apart into thousands and are sorted as given
+    # fine P1 (n > BUDGET / 2) runs one-row batches: over A_cover the blades
+    # chain into few runs and collapse; over A_small its rows fall apart into
+    # thousands and are sorted as given.  Fine E1 (n <= BUDGET / 2) runs
+    # batches of several rows, which never go through _collapse_chains
     chains = []
 
     def spy(los, his):
@@ -217,14 +218,18 @@ def test_cover_rows_of_the_large_constructions_collapse(monkeypatch):
             spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
             spec.epsilon, spec.delta, caps=spec.caps,
         ).blinds
-        assert len(blinds) > BUDGET // 2
+        one_row = scene == "P1"
+        assert (len(blinds) > BUDGET // 2) == one_row
         for grid, collapsed in ((spec.a_cover(), True), (spec.a_small(), False)):
             chains.clear()
-            for _ in project_blinds_grid(spec.curve(), grid.grid(), blinds):
-                pass
-            assert len(chains) == len(grid.grid())
-            if scene == "P1" or collapsed:
+            batches = list(project_blinds_grid(spec.curve(), grid.grid(), blinds))
+            assert sum(b.rows for b in batches) == len(grid.grid())
+            if one_row:
+                assert len(chains) == len(grid.grid())
                 assert set(chains) == {collapsed}
+            else:
+                # only a last step of one alpha reaches _collapse_chains
+                assert len(chains) == (len(grid.grid()) % (BUDGET // len(blinds)) == 1)
 
 
 def test_inflate_and_erode():
@@ -578,6 +583,28 @@ def test_project_blinds_grid_stacks_steps_up_to_budget():
     rows = list(project_blinds_grid(curve, [0.5, 0.5, 0.5], wide))
     assert [(b.rows, len(b.row)) for b in rows] == [(1, BUDGET)] * 3
     assert batches[len(alphas) // 2] != ()
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["endpoint_only", "mixed"])
+def test_project_blinds_grid_batches_outlive_the_next_batch(mixed):
+    # the kernel reuses its batch buffers: every yielded batch, kept while the
+    # later ones are made, must still hold its own rows.  BUDGET / 16 short
+    # steep segments inside every strip of the alphas project to disjoint
+    # intervals, so each batch is one kernel step of about 16 alphas
+    curve = builtin_curve("parabola")
+    n = BUDGET // 16
+    x, heights = np.linspace(0.3, 0.8, n), np.arange(n) * 1e-2
+    coords = np.column_stack([x, heights, x + 1e-4, heights + 5e-4])
+    if mixed:
+        coords = np.concatenate([coords, _random_blinds(np.random.default_rng(5), 64).coords])
+    blinds = BlindSet(coords)
+    alphas = np.linspace(1.0, 1.2, 97).tolist()
+    endpoint_only = _endpoint_only(curve, np.array(alphas), coords)
+    assert endpoint_only[:n].all() and endpoint_only.all() != mixed
+    assert len(list(project_blinds_grid(curve, alphas, blinds))) >= 3
+    # both collect every batch with list() before comparing any of them
+    _assert_grid_matches_per_alpha(curve, alphas, blinds)
+    _assert_bitwise_general(curve, alphas, blinds)
 
 
 def test_project_blinds_grid_fallback_for_scalar_curves():

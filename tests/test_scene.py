@@ -1,9 +1,11 @@
 """Scene JSON loading, validation field paths, and bundled scenes."""
 
+import dataclasses
 import json
 
 import pytest
 
+from curveblinds import scene
 from curveblinds.scene import BUNDLED_SCENES, SceneError, SceneSpec, load_scene
 
 
@@ -43,6 +45,29 @@ def test_roundtrip_through_json_dict():
     assert again.caps.n_max == 1024
     assert again.alpha_points == 50
     assert again.seed == 3
+
+
+def test_load_scene_builds_the_curve_once(monkeypatch):
+    built = []
+
+    def counting(name, bounds=None):
+        built.append((name, bounds))
+        return scene_builtin_curve(name, bounds)
+
+    scene_builtin_curve = scene.builtin_curve
+    monkeypatch.setattr(scene, "builtin_curve", counting)
+    spec = load_scene("E1")
+    curve = spec.curve()
+    assert spec.curve() is curve and built == [("exp", None)]
+    # a copy, made without the curve, compares equal; its curve follows its own fields
+    assert dataclasses.replace(spec) == spec
+    finer = dataclasses.replace(spec, epsilon=0.01)
+    assert (finer.curve().name, finer.curve().a, finer.curve().b) == ("exp", curve.a, curve.b)
+    narrow = dataclasses.replace(spec, curve_name="parabola", curve_bounds=(0.1, 0.9))
+    assert (narrow.curve().name, narrow.curve().a, narrow.curve().b) == ("parabola", 0.1, 0.9)
+    assert spec.curve() is curve and narrow.curve() is narrow.curve()
+    assert len(built) == 3
+    assert "_curve" not in repr(spec)
 
 
 def test_load_scene_from_file(tmp_path):
