@@ -64,7 +64,7 @@ class BlindSet:
 
     ``coords`` holds one row (ax, ay, bx, by) per segment; ``provenance``
     (optional) holds one tree index tuple per segment; ``meta`` records the
-    construction parameters.
+    construction parameters as JSON values (directions as their angles).
     """
 
     coords: np.ndarray
@@ -110,7 +110,7 @@ class BlindSet:
     def to_json_dict(self) -> dict:
         out = {
             "segments": self.coords,
-            "meta": _jsonable(self.meta),
+            "meta": dict(self.meta),
         }
         if self.provenance is not None:
             out["provenance"] = [list(idx) for idx in self.provenance]
@@ -124,20 +124,6 @@ class BlindSet:
             [tuple(idx) for idx in prov] if prov is not None else None,
             dict(data.get("meta", {})),
         )
-
-
-def _jsonable(value):
-    if isinstance(value, Direction):
-        return value.angle
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def _distances_to_parents(parents: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -298,10 +284,10 @@ def vb(
         provenance=[(i,) for i in range(n)],
         meta={
             "kind": "vb",
-            "theta_small": theta_small,
-            "theta_cover": theta_cover,
+            "theta_small": theta_small.angle,
+            "theta_cover": theta_cover.angle,
             "chirality": inferred,
-            "n": n,
+            "n": int(n),
         },
     )
 
@@ -344,8 +330,8 @@ def iter_vb(
         provenance=list(itertools.product(*map(range, counts))),
         meta={
             "kind": "iter_vb",
-            "theta_small": theta_small,
-            "theta_cover": theta_cover,
+            "theta_small": theta_small.angle,
+            "theta_cover": theta_cover.angle,
             "chirality": chirality,
             "depth": len(counts),
             "schedule": [d.angle for d in schedule],
@@ -538,8 +524,8 @@ def auto_vb_cover(
         provenance=[(i,) for i in range(n)],
         meta={
             "kind": "auto_vb_cover",
-            "theta_small": theta_small,
-            "theta_cover": theta_cover,
+            "theta_small": theta_small.angle,
+            "theta_cover": theta_cover.angle,
             "chirality": chirality,
             "n": n,
         },
@@ -678,8 +664,8 @@ def auto_iter_vb(
         provenance=None,
         meta={
             "kind": "auto_iter_vb",
-            "theta_small": theta_small,
-            "theta_cover": theta_cover,
+            "theta_small": theta_small.angle,
+            "theta_cover": theta_cover.angle,
             "chirality": chirality,
             "depth": len(schedule) - 1,
             "level_counts": counts[0].tolist(),

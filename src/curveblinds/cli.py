@@ -14,7 +14,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -32,18 +32,20 @@ from .verify import gradient_check, law_of_sines_check
 CHECK_SUITES = ("rotation", "projection", "duality", "all")
 
 
-#: Rows per %-format call when writing a float matrix or a table.
+#: Rows per %-format call when writing a float matrix or a record array.
 _BLOCK_ROWS = 1024
 
 
 def _dump_json(data: dict, path: Path) -> None:
     """Write ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``, row by row.
 
-    Float matrices (2-D float arrays) and tables (lists of dicts with one key
-    set and float or bool values, like the per-alpha rows of a report) are
-    written with one %-template per row: "%r" is float.__repr__, which is
-    how json writes a finite float.  Every other value goes through
-    json.dumps, re-indented to its depth.  Dict keys must be strings.
+    Float matrices (2-D float arrays) and record arrays (1-D structured
+    arrays of float or bool fields, like the per-alpha rows of a report,
+    written as a list of objects) are written with one %-template per row:
+    "%r" is float.__repr__, which is how json writes a finite float; a bool
+    field and a float field holding a non-finite value are written as their
+    cells' JSON text.  Every other value goes through json.dumps, re-indented
+    to its depth.  Dict keys must be strings.
     """
     with path.open("w") as fh:
         fh.writelines(_json_chunks(data, ""))
@@ -73,14 +75,20 @@ def _json_chunks(value: object, indent: str) -> Iterator[str]:
             row, len(value), lambda lo, hi: value[lo:hi].ravel().tolist(), indent
         )
         return
-    columns = _table_columns(value)
-    if columns is not None:
-        fields = (
-            f"{inner}  {json.dumps(key).replace('%', '%%')}: {slot}"
-            for key, slot, _ in columns
-        )
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.names and value.size:
+        fields, columns = [], []
+        for name in sorted(value.dtype.names):
+            col = value[name]
+            if col.dtype.kind == "b":
+                slot, cells = "%s", ["true" if v else "false" for v in col.tolist()]
+            elif np.isfinite(col).all():
+                slot, cells = "%r", col.tolist()
+            else:
+                slot, cells = "%s", [json.dumps(v) for v in col.tolist()]
+            fields.append(f"{inner}  {json.dumps(name).replace('%', '%%')}: {slot}")
+            columns.append(cells)
         row = f"{inner}{{\n" + ",\n".join(fields) + f"\n{inner}}}"
-        flat = [v for cells in zip(*(col for _, _, col in columns)) for v in cells]
+        flat = [v for cells in zip(*columns) for v in cells]
         width = len(columns)
         yield from _row_chunks(
             row, len(value), lambda lo, hi: flat[lo * width : hi * width], indent
@@ -101,33 +109,6 @@ def _row_chunks(
         block = ",\n".join([row] * (hi - lo)) % tuple(cells(lo, hi))
         yield block if lo == 0 else ",\n" + block
     yield f"\n{indent}]"
-
-
-def _table_columns(value: object) -> Optional[list[tuple[str, str, list]]]:
-    """(key, template slot, cells) per sorted key of a table, else None.
-
-    A table is a nonempty list of dicts sharing one key set whose values are
-    floats or bools.  A column of finite floats keeps its floats for "%r";
-    any other column holds its cells' JSON text for "%s".
-    """
-    if not (isinstance(value, list) and value and isinstance(value[0], dict)):
-        return None
-    keys = value[0].keys()
-    if not keys or not all(isinstance(r, dict) and r.keys() == keys for r in value):
-        return None
-    columns = []
-    for key in sorted(keys):
-        col = [r[key] for r in value]
-        if all(type(v) is float for v in col):
-            if math.isfinite(sum(col)):
-                columns.append((key, "%r", col))
-            else:
-                columns.append((key, "%s", [json.dumps(v) for v in col]))
-        elif all(type(v) is bool for v in col):
-            columns.append((key, "%s", ["true" if v else "false" for v in col]))
-        else:
-            return None
-    return columns
 
 
 def run_construct(
@@ -405,6 +386,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (SceneError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError, a MemoryError, names the failed allocation
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)
         return 2
     return 2
 

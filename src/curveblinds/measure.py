@@ -3,10 +3,11 @@
 Projections of segments, blind sets and fiber arcs land on the vertical
 lines {alpha} x R, each image a finite union of closed intervals.  An
 IntervalUnion holds the images of a batch of alphas, one row per alpha, as
-flat arrays of canonical groups with each group's row.  _canonical_rows
-canonicalizes (rows x n) interval arrays in any order; _merge_neighbours
-takes intervals sorted by row whose lo and hi rise within each row, as a
-union's do after a shift or a cut.  Measures, inflation, erosion,
+flat arrays of canonical groups with each group's row.  _sort_rows and
+_sorted_groups canonicalize the projection kernel's (rows x n) interval
+arrays in any order, in its own buffers; _merge_neighbours takes intervals
+sorted by row whose lo and hi rise within each row, as a union's do after a
+shift or a cut.  Measures, inflation, erosion,
 difference and containment act on whole batches.
 """
 
@@ -146,11 +147,11 @@ def _merge_neighbours(lo: np.ndarray, hi: np.ndarray, row: np.ndarray, rows: int
     """Canonicalize intervals sorted by row whose lo and hi both rise within
     each row, as a canonical union's do after a shift or a cut.
 
-    Sorting each row's lo and hi, as _canonical_rows does, would leave both
-    as given, so its cuts are the cuts between neighbours: where the row
-    changes or lo exceeds the previous hi by more than MERGE_TOL.  A group's
-    hi is its last, and largest, hi; the groups are _canonical_rows' of the
-    same intervals, bit for bit.
+    Sorting each row's lo and hi, as _sort_rows does, would leave both as
+    given, so _sorted_groups' cuts are the cuts between neighbours: where the
+    row changes or lo exceeds the previous hi by more than MERGE_TOL.  A
+    group's hi is its last, and largest, hi; the groups are _sorted_groups'
+    of the same intervals, bit for bit.
     """
     cuts = np.empty(len(lo), dtype=bool)
     cuts[:1] = True
@@ -160,16 +161,6 @@ def _merge_neighbours(lo: np.ndarray, hi: np.ndarray, row: np.ndarray, rows: int
     # a group ends just before the next group starts
     ends = np.append(starts, len(lo))[1:] - 1
     return IntervalUnion(lo[starts], hi[ends], row[starts], rows)
-
-
-def _canonical_rows(los: np.ndarray, his: np.ndarray) -> IntervalUnion:
-    """Canonicalize each row of (rows x n) interval arrays; lo = +inf marks a gap.
-
-    The inputs stay as given: the rows are sorted in copies, with each gap's
-    hi set to +inf, so that gaps sort last in their row and are dropped.
-    """
-    his = np.where(los == np.inf, np.inf, his)
-    return _sorted_groups(*_sort_rows(los.copy(), his))
 
 
 def _sort_rows(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +177,7 @@ def _sort_rows(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _sorted_groups(
-    los: np.ndarray, his: np.ndarray, cuts: np.ndarray | None = None, reach: np.ndarray | None = None
+    los: np.ndarray, his: np.ndarray, cuts: np.ndarray, reach: np.ndarray
 ) -> IntervalUnion:
     """The canonical groups of (rows x n) intervals whose lo and hi are sorted
     each on their own within every row, gaps (lo = hi = +inf) last.
@@ -195,14 +186,13 @@ def _sorted_groups(
     over MERGE_TOL, the i intervals of smallest hi are those of smallest lo
     and that hi is their running max: group starts and maxima equal those of
     a pass in lo order, bit for bit.  cuts (bool) and reach (float), of at
-    least rows * n entries, are scratch buffers; new ones are made if absent.
-    The result owns its arrays.
+    least rows * n entries, are scratch buffers.  The result owns its arrays.
     """
     rows, n = los.shape
     size = rows * n
     his, los = his.ravel(), los.ravel()
-    cuts = np.empty(size, dtype=bool) if cuts is None else cuts[:size]
-    reach = np.add(his[:-1], MERGE_TOL, out=None if reach is None else reach[: size - 1])
+    cuts = cuts[:size]
+    reach = np.add(his[:-1], MERGE_TOL, out=reach[: size - 1])
     np.greater(los[1:], reach, out=cuts[1:])
     cuts[::n] = True
     starts = np.flatnonzero(cuts)

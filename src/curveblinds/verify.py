@@ -12,8 +12,8 @@ pass; check_cover and check_small are their one-view case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -27,17 +27,6 @@ Target = Union[Segment, FiberArc]
 
 
 @dataclass
-class PerAlpha:
-    alpha: float
-    covered: Optional[bool]
-    deficit: float
-    projected_measure: float
-
-    def to_json_dict(self) -> dict:
-        return {key: value for key, value in vars(self).items() if value is not None}
-
-
-@dataclass
 class VerificationReport:
     scene_id: str
     kind: str  # "cover" | "small"
@@ -46,7 +35,9 @@ class VerificationReport:
     padding: float  # certified alpha-slack around each grid point (0 if none)
     worst_alpha: float
     worst_value: float
-    per_alpha: list[PerAlpha] = field(default_factory=list)
+    #: one record per grid alpha: alpha, covered (cover reports only),
+    #: deficit and projected_measure
+    per_alpha: np.recarray
 
     def summary_line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -59,7 +50,6 @@ class VerificationReport:
     def to_json_dict(self) -> dict:
         out = {key: value for key, value in vars(self).items() if key != "passed"}
         out["pass"] = self.passed
-        out["per_alpha"] = [pa.to_json_dict() for pa in self.per_alpha]
         return out
 
 
@@ -131,10 +121,11 @@ def cover_views(
     clear = _clear_of_strip_edges(curve, alphas, blinds)
     reports = []
     for (target, shift), batches in zip(views, columns):
-        covered, deficit, measure = map(np.concatenate, batches)
-        per_alpha = list(map(PerAlpha, *(x.tolist() for x in (grid, covered, deficit, measure))))
-        worst = per_alpha[int(np.argmax(deficit))]
-        all_ok = bool(covered.all())
+        per_alpha = np.rec.fromarrays(
+            [grid, *map(np.concatenate, batches)], names="alpha,covered,deficit,projected_measure"
+        )
+        worst = int(np.argmax(per_alpha.deficit))
+        all_ok = bool(per_alpha.covered.all())
         # unshifted, a grid pass certifies nothing between grid points: the
         # margin is a tolerance on the deficit, not headroom
         padded = all_ok and clear and _clear_of_strip_edges(curve, alphas, target)
@@ -145,8 +136,8 @@ def cover_views(
                 passed=all_ok,
                 bound=margin,
                 padding=_shift_padding(curve, alphas, shift) if padded else 0.0,
-                worst_alpha=worst.alpha,
-                worst_value=worst.deficit,
+                worst_alpha=float(grid[worst]),
+                worst_value=float(per_alpha.deficit[worst]),
                 per_alpha=per_alpha,
             )
         )
@@ -197,16 +188,19 @@ def small_views(
     reports = []
     for shift, batches, n in zip(shifts, columns, n_max):
         measure = np.concatenate(batches)
-        per_alpha = [PerAlpha(a, None, 0.0, m) for a, m in zip(grid.tolist(), measure.tolist())]
-        worst = per_alpha[int(np.argmax(measure))]
-        passed = worst.projected_measure < bound
+        per_alpha = np.rec.fromarrays(
+            [grid, np.zeros(len(grid)), measure], names="alpha,deficit,projected_measure"
+        )
+        worst = int(np.argmax(measure))
+        worst_value = float(measure[worst])
+        passed = worst_value < bound
         padding = 0.0
         if passed and clear and shift > 0.0:
             padding = _shift_padding(curve, alphas, shift)
         elif passed and clear and n > 0:
             # measure of an n-interval union moves by <= 2 n df_bound dalpha
             half_step = alphas.grid_step / 2.0
-            if worst.projected_measure + 2.0 * n * curve.df_bound * half_step < bound:
+            if worst_value + 2.0 * n * curve.df_bound * half_step < bound:
                 padding = half_step
         reports.append(
             VerificationReport(
@@ -215,8 +209,8 @@ def small_views(
                 passed=passed,
                 bound=bound,
                 padding=padding,
-                worst_alpha=worst.alpha,
-                worst_value=worst.projected_measure,
+                worst_alpha=float(grid[worst]),
+                worst_value=worst_value,
                 per_alpha=per_alpha,
             )
         )

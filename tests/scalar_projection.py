@@ -5,11 +5,15 @@
 package; the equivalence tests compare both against these independent
 per-alpha, per-interval evaluations.  ``rows_of``, ``to_scalar`` and
 ``batch_of`` convert between the two representations, and
-``argsort_canonical_rows`` canonicalizes by sorting whole intervals, the
-reference for ``measure._canonical_rows``.  ``general_projection_grid`` runs
+``canonical_rows`` canonicalizes (rows x n) interval arrays in copies with
+the projection kernel's two steps, ``measure._sort_rows`` and
+``measure._sorted_groups``; ``argsort_canonical_rows`` canonicalizes by
+sorting whole intervals, its reference.  ``general_projection_grid`` runs
 the kernel's general evaluation on every segment, the bit-exact reference
 for its endpoint-only one.  ``scalar_exp`` is a custom profile built from
 the scalar-only ``math`` functions, wrapped to evaluate arrays elementwise.
+``records`` and ``report_bits`` read a certificate report's per-alpha
+record array as dicts and as bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from curveblinds import measure
 from curveblinds.curve import DOMAIN_TOL, CurveProfile
 from curveblinds.geometry import Segment
-from curveblinds.measure import BUDGET, MERGE_TOL, FiberArc, _canonical_rows
+from curveblinds.measure import BUDGET, MERGE_TOL, FiberArc
 
 
 def _elementwise(fn: Callable[[float], float]) -> Callable:
@@ -159,7 +163,19 @@ def batch_of(rows: Sequence[Sequence[Sequence[float]]]):
     for r, row in enumerate(rows):
         for c, (lo, hi) in enumerate(row):
             los[r, c], his[r, c] = lo, hi
-    return _canonical_rows(los, his)
+    return canonical_rows(los, his)
+
+
+def canonical_rows(los: np.ndarray, his: np.ndarray):
+    """Canonicalize each row of (rows x n) interval arrays; lo = +inf marks a gap.
+
+    The inputs stay as given: the kernel's steps sort the rows in copies,
+    with each gap's hi set to +inf, so that gaps sort last in their row and
+    are dropped.
+    """
+    his = np.where(los == np.inf, np.inf, his)
+    cuts, reach = np.empty(los.size, dtype=bool), np.empty(los.size)
+    return measure._sorted_groups(*measure._sort_rows(los.copy(), his), cuts, reach)
 
 
 def argsort_canonical_rows(los: np.ndarray, his: np.ndarray):
@@ -247,7 +263,7 @@ def general_projection_grid(curve: CurveProfile, alphas: Sequence[float], blinds
             np.minimum(los, vc, out=los, where=inside)
             np.maximum(his, vc, out=his, where=inside)
         np.copyto(los, np.inf, where=~valid)
-        batch = _canonical_rows(los, his)
+        batch = canonical_rows(los, his)
         count = int(np.bincount(batch.row, minlength=1).max())
         if pending and sum(b.rows for b in pending + [batch]) * max(widest, count) > BUDGET:
             yield measure.IntervalUnion.stack(pending)
@@ -329,3 +345,16 @@ def project_fiber_arc(curve: CurveProfile, alpha: float, arc: FiberArc) -> Inter
 
     v0, v1 = value(t0), value(t1)
     return union_of([(min(v0, v1), max(v0, v1))])
+
+
+def records(per_alpha) -> list[dict]:
+    """A report's per-alpha record array as one dict per alpha, of Python values."""
+    return [dict(zip(per_alpha.dtype.names, row)) for row in per_alpha.tolist()]
+
+
+def report_bits(report) -> tuple:
+    """A report's fields, with its per-alpha records as their dtype and bytes,
+    so that == compares the records bit for bit."""
+    fields = dict(vars(report))
+    per_alpha = fields.pop("per_alpha")
+    return fields, per_alpha.dtype, per_alpha.tobytes()

@@ -1,6 +1,7 @@
 """The blind construction stack: rotate, vb, iterated blinds."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from curveblinds.blinds import (
     rotate,
     vb,
 )
+from curveblinds.cli import _dump_json
 from curveblinds.curve import builtin_curve
 from curveblinds.geometry import Point, Segment
 from curveblinds.measure import AlphaSet, project_blinds
@@ -237,6 +239,23 @@ def test_blind_set_json_roundtrip():
     assert np.allclose(back.coords, blinds.coords)
     assert back.provenance == blinds.provenance
     assert back.meta["kind"] == "vb"
+
+
+def test_written_meta_reads_back_equal(tmp_path):
+    # meta holds plain numbers, so the written blindset.json reads back equal
+    curve, a_cover, seg = _q1_context()
+    made = [
+        vb(SEG, 1.2, 2.1, np.int64(4)),
+        iter_vb(SEG, 1.4, 2.4, [2, 3], chirality=CCW),
+        auto_vb_cover(curve, seg, 0.6, 2.5, a_cover, n_max=2**14)[1],
+        auto_iter_vb(curve, seg, 0.75, 2.5, 0.05, a_cover=a_cover, chirality=CCW, delta=0.01),
+    ]
+    for blinds in made:
+        path = tmp_path / f"{blinds.meta['kind']}.json"
+        _dump_json(blinds.to_json_dict(), path)
+        back = BlindSet.from_json_dict(json.loads(path.read_text()))
+        assert back.meta == blinds.meta
+        assert type(blinds.meta.get("n", 0)) is int
 
 
 def test_blind_set_validation():

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from curveblinds import verify
+from curveblinds import cli, verify
 from curveblinds.blinds import BlindSet, iter_vb, vb
 from curveblinds.cli import _BLOCK_ROWS, _dump_json, main, run_checks, run_construct
 from curveblinds.curve import builtin_curve
@@ -17,7 +17,8 @@ from curveblinds.geometry import Point, Segment
 from curveblinds.measure import AlphaSet, FiberArc, project_blinds_grid, project_fiber_arc
 from curveblinds.projline import CCW
 from curveblinds.scene import load_scene
-from curveblinds.verify import PerAlpha, VerificationReport, check_cover, check_small
+from curveblinds.verify import VerificationReport, check_cover, check_small
+from scalar_projection import records
 
 
 def test_construct_writes_outputs(tmp_path):
@@ -272,6 +273,32 @@ def test_construct_names_the_failing_stage(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+class _ArrayMemoryError(MemoryError):
+    """Stands for numpy's error of the same name, a MemoryError subclass."""
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        MemoryError(),
+        _ArrayMemoryError("Unable to allocate 93.0 MiB for an array with shape (12189696,)"),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_construct_out_of_memory_exits_2(error, monkeypatch, tmp_path, capsys):
+    # the construction's memory error is raised here, not provoked
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "key_construction", exhausted)
+    code = main(["construct", "--scene", "Q1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: construct ran out of memory") and err.count("\n") == 1
+    assert str(error) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("rigorous", [False, True])
 def test_construct_projects_the_final_blinds_once_per_grid(monkeypatch, tmp_path, rigorous):
     projected = []  # blind sets of the key construction, once per projection pass
@@ -332,14 +359,21 @@ def test_seed_override_recorded(tmp_path):
 
 
 def _reference_json(data):
-    return json.dumps(data, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+    return json.dumps(data, sort_keys=True, indent=2, default=_as_lists) + "\n"
+
+
+def _as_lists(array):
+    """An array as json.dumps' nested lists; a record array as a list of objects."""
+    return records(array) if array.dtype.names else array.tolist()
 
 
 def _small_report(measures):
-    return VerificationReport(
-        "t", "small", True, 0.05, 0.0, 0.1, 0.02,
-        [PerAlpha(0.1 * i, None, 0.0, m) for i, m in enumerate(measures)],
-    ).to_json_dict()
+    n = len(measures)
+    per_alpha = np.rec.fromarrays(
+        [0.1 * np.arange(n), np.zeros(n), np.array(measures, dtype=float)],
+        names="alpha,deficit,projected_measure",
+    )
+    return VerificationReport("t", "small", True, 0.05, 0.0, 0.1, 0.02, per_alpha).to_json_dict()
 
 
 def _writer_documents():
@@ -369,6 +403,9 @@ def _writer_documents():
         "per_alpha_non_finite": {"small": _small_report([0.5, float("nan"), float("inf")])},
         "per_alpha_empty": {"small": _small_report([])},
         "percent_keys": {"t": [{"5%": 1.0, "%r": True}, {"5%": -0.0, "%r": False}]},
+        "percent_fields": {
+            "t": np.rec.fromarrays([[1.0, -0.0], [True, False]], names=["5%", "%r"])
+        },
         "not_tables": {
             "ints": [{"a": 1, "b": 2.0}],
             "nested": [{"a": [1.0, 2.0]}],

@@ -35,6 +35,7 @@ from scalar_projection import (
     project_fiber_arc,
     project_segment,
     project_segments,
+    report_bits,
     scalar_exp,
     to_scalar,
 )
@@ -543,8 +544,8 @@ def test_rigorous_reports_are_the_shifted_checks_on_the_unpadded_arc(scene):
         curve, result.blinds, a_small, bound=spec.epsilon, scene_id=scene,
         shift=curve.df_bound * a_small.grid_step / 2.0,
     )
-    assert result.cover_report.to_json_dict() == cover.to_json_dict()
-    assert result.small_report.to_json_dict() == small.to_json_dict()
+    assert report_bits(result.cover_report) == report_bits(cover)
+    assert report_bits(result.small_report) == report_bits(small)
     assert cover.padding > 0.0 and small.padding > 0.0
 
 

@@ -19,7 +19,6 @@ from curveblinds.measure import (
     MERGE_TOL,
     AlphaSet,
     FiberArc,
-    _canonical_rows,
     _collapse_chains,
     _endpoint_only,
     project_blinds,
@@ -30,6 +29,7 @@ from curveblinds.scene import load_scene
 from scalar_projection import (
     argsort_canonical_rows,
     batch_of,
+    canonical_rows,
     contains,
     general_projection_grid,
     project_segment,
@@ -65,7 +65,7 @@ def test_union_from_arrays_matches_union_of():
             union_of(zip(lo[lo < np.inf].tolist(), hi[lo < np.inf].tolist())).intervals
             for lo, hi in zip(los, his)
         ]
-        assert rows_of(_canonical_rows(los, his)) == expected
+        assert rows_of(canonical_rows(los, his)) == expected
 
 
 def _blade_rows(rng, rows=2, runs=96):
@@ -187,7 +187,7 @@ def test_canonical_rows_equal_the_argsort_reference(make):
     los, his = make(np.random.default_rng(7))
     assert (his >= los)[los < np.inf].all()
     los_in, his_in = los.copy(), his.copy()
-    got = _canonical_rows(los, his)
+    got = canonical_rows(los, his)
     want = argsort_canonical_rows(los, his)
     # inputs are untouched: callers pass views of the arrays they keep
     assert np.array_equal(los, los_in) and np.array_equal(his, his_in)
@@ -329,7 +329,7 @@ _RADII = (
 
 def _resorted(lo, hi, row, rows):
     """The canonical union of intervals given in row order, by sorting."""
-    return _canonical_rows(measure._layout(row, rows, lo, np.inf), measure._layout(row, rows, hi, 0.0))
+    return canonical_rows(measure._layout(row, rows, lo, np.inf), measure._layout(row, rows, hi, 0.0))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

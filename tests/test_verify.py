@@ -18,7 +18,14 @@ from curveblinds.verify import (
     law_of_sines_check,
     small_views,
 )
-from scalar_projection import contains, project_fiber_arc, project_segment, project_segments
+from scalar_projection import (
+    contains,
+    project_fiber_arc,
+    project_segment,
+    project_segments,
+    records,
+    report_bits,
+)
 
 CURVE = builtin_curve("parabola")
 ALPHAS = AlphaSet.interval(0.7, 0.9, 20)  # strips contain all test segments
@@ -36,7 +43,7 @@ def test_check_cover_passes_on_self_cover():
     assert report.passed
     assert report.kind == "cover"
     assert report.worst_value == 0.0
-    assert all(pa.covered for pa in report.per_alpha)
+    assert report.per_alpha.covered.all()
     assert "PASS" in report.summary_line()
 
 
@@ -151,7 +158,7 @@ def test_strip_edge_inside_the_grid_grants_no_padding():
     fine = np.linspace(grid[0] - half, grid[-1] + half, 2001)
     fine_measure = IntervalUnion.stack(project_blinds_grid(CURVE, fine, blinds)).measures()
     nearest = np.abs(fine[:, None] - grid[None, :]).argmin(axis=1)
-    grid_measure = np.array([row.projected_measure for row in shifted.per_alpha])
+    grid_measure = shifted.per_alpha.projected_measure
     assert np.max(fine_measure - grid_measure[nearest]) > 1e-4
     # the same segment inside the strip for every such alpha keeps its padding
     inside = BlindSet.from_segments([_edge_case_segment(dx=0.5)])
@@ -181,23 +188,29 @@ def test_views_of_one_pass_match_one_view_checks():
         reports = cover_views(curve, blinds, views, alphas, margin=1e-9, scene_id="v")
         for (view_target, shift), report in zip(views, reports):
             single = check_cover(curve, blinds, view_target, alphas, 1e-9, "v", shift)
-            assert report.to_json_dict() == single.to_json_dict()
+            assert report_bits(report) == report_bits(single)
         reports = small_views(curve, blinds, alphas, 0.5, shifts, scene_id="v")
         for shift, report in zip(shifts, reports):
             single = check_small(curve, blinds, alphas, 0.5, "v", shift)
-            assert report.to_json_dict() == single.to_json_dict()
+            assert report_bits(report) == report_bits(single)
 
 
 def test_report_json_shape():
     seg, blinds = _self_cover_case()
     report = check_cover(CURVE, blinds, seg, ALPHAS, scene_id="t")
-    data = report.to_json_dict()
-    assert data["kind"] == "cover"
-    assert data["pass"] is True
-    assert len(data["per_alpha"]) == len(report.per_alpha)
-    assert {"alpha", "covered", "deficit", "projected_measure"} <= set(
-        data["per_alpha"][0]
-    )
+    small = check_small(CURVE, blinds, ALPHAS, bound=1.0, scene_id="t")
+    fields = {
+        "cover": ("alpha", "covered", "deficit", "projected_measure"),
+        "small": ("alpha", "deficit", "projected_measure"),
+    }
+    for kind, checked in (("cover", report), ("small", small)):
+        data = checked.to_json_dict()
+        assert data["kind"] == kind
+        assert data["pass"] is True
+        assert type(data["worst_alpha"]) is float and type(data["worst_value"]) is float
+        assert data["per_alpha"].dtype.names == fields[kind]
+        # one record per grid alpha, the count tracing reports as alpha_points
+        assert len(data["per_alpha"]) == len(ALPHAS.grid()) == 20
 
 
 def test_gradient_check_small_on_builtins():
@@ -256,8 +269,8 @@ def test_check_reports_match_scalar_per_alpha_loop(shift):
             )
         cover = check_cover(curve, blinds, target, alphas, margin=1e-9, shift=shift).to_json_dict()
         small = check_small(curve, blinds, alphas, bound=1.0, shift=shift).to_json_dict()
-        assert cover["per_alpha"] == cover_rows
-        assert small["per_alpha"] == small_rows
+        assert records(cover["per_alpha"]) == cover_rows
+        assert records(small["per_alpha"]) == small_rows
         assert sum(not row["covered"] for row in cover_rows) > 5
         assert sum(row["deficit"] > 1e-6 for row in cover_rows) > 5
         worst = max(cover_rows, key=lambda row: row["deficit"])
