@@ -31,6 +31,7 @@ from .projline import (
     Arc,
     Direction,
     _arc_offsets,
+    _schedules,
     angle_schedule,
     as_direction,
     dist,
@@ -543,34 +544,29 @@ def _iter_vb_stage(
     chirality: str,
     caps: Caps,
     delta: Optional[float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]], float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """auto_iter_vb's searches on every row, one group per blade.
 
     Each blade has its own depth and schedule; level k runs one level search
     over the blades deeper than k.  Returns (leaves sorted by blade, leaves
-    per blade, level counts (blades x deepest depth), schedules, delta0).
+    per blade, level counts (blades x deepest depth), schedules (blades x
+    deepest depth + 1, NaN past a blade's depth), delta0).
     """
-    theta0 = _directions(coords)
-    schedules, reach = [], []
-    for length, start, end in zip(_lengths(coords).tolist(), theta0.tolist(), theta_small.tolist()):
-        if length >= eps:
-            raise ConstructionError(
-                f"segment length {length:.3g} must be below eps={eps:.3g}", stage="precondition"
-            )
-        band = Arc(start, end, chirality) if start != end else None
-        if band is None or band.length <= ANGLE_TOL:
-            raise ConstructionError(
-                "segment already points in the small direction", stage="precondition"
-            )
-        m = max(1, math.ceil(band.length / eps - 1e-12))
-        if m > caps.m_max:
-            raise ConstructionError(
-                f"required depth m={m} exceeds cap {caps.m_max} "
-                f"(arc {band.length:.3g}, eps {eps:.3g})",
-                stage="depth",
-            )
-        schedules.append([d.angle for d in angle_schedule(start, end, m, chirality)])
-        reach.append(band.length)
+    theta0, lengths = _directions(coords), _lengths(coords)
+    reach = _arc_offsets(theta_small, theta0, chirality == CCW)
+    # a float until checked against the cap (a NaN fails it), which a cast could wrap past
+    depth = np.maximum(1.0, np.ceil(reach / eps - 1e-12))
+    # each blade's first failing check, in the order length, direction, depth
+    bad = np.stack([lengths >= eps, reach <= ANGLE_TOL, ~(depth <= caps.m_max)])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        message, stage = (
+            (f"segment length {lengths[i]:.3g} must be below eps={eps:.3g}", "precondition"),
+            ("segment already points in the small direction", "precondition"),
+            (f"required depth m={depth[i]:.0f} exceeds cap {caps.m_max} "
+             f"(arc {reach[i]:.3g}, eps {eps:.3g})", "depth"),
+        )[int(np.argmax(bad[:, i]))]
+        raise ConstructionError(message, stage=stage)
 
     if a_small is not None:
         alphas = a_small.grid()
@@ -581,7 +577,7 @@ def _iter_vb_stage(
         # math.atan, not np.arctan: numpy's SIMD arctan can differ in the last bit
         phi = np.array([math.atan(v) for v in slopes.tolist()], dtype=float)
         u = _arc_offsets(phi, theta0[blade], chirality == CCW, 1e-9)
-        outside = u > np.array(reach)[blade] + 1e-9
+        outside = u > reach[blade] + 1e-9
         if outside.any():
             i = int(np.argmax(outside))
             alpha = float(alphas[col[i]])
@@ -599,8 +595,8 @@ def _iter_vb_stage(
     # level; the per-level drift allowance is delta_k - delta_{k+1}.
     shrink = 0.5
 
-    depth = np.array([len(s) - 1 for s in schedules])
-    angles = np.array([s + [math.nan] * (depth.max() + 1 - len(s)) for s in schedules])
+    depth = depth.astype(np.int64)
+    angles = _schedules(theta0, theta_small, depth, chirality == CCW)
     counts = np.zeros((len(coords), depth.max()), dtype=np.int64)
     sizes = np.ones(len(coords), dtype=np.int64)
     leaves, leaf_blade = [], []
@@ -626,7 +622,7 @@ def _iter_vb_stage(
         leaf_blade.append(row_blade[last])
         coords = coords[~last]
     order = np.argsort(np.concatenate(leaf_blade), kind="stable")
-    return np.concatenate(leaves)[order], sizes, counts, schedules, delta0
+    return np.concatenate(leaves)[order], sizes, counts, angles, delta0
 
 
 def auto_iter_vb(
@@ -653,7 +649,7 @@ def auto_iter_vb(
         raise ValueError(f"unknown chirality {chirality!r}")
     theta_small = as_direction(theta_small)
     theta_cover = as_direction(theta_cover)
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     coords, _, counts, (schedule,), delta0 = _iter_vb_stage(
         curve, _row(seg), np.array([theta_small.angle]), np.array([theta_cover.angle]), eps,
@@ -671,6 +667,6 @@ def auto_iter_vb(
             "level_counts": counts[0].tolist(),
             "eps": eps,
             "delta0": delta0,
-            "schedule": schedule,
+            "schedule": schedule.tolist(),
         },
     )

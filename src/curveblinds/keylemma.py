@@ -1,16 +1,16 @@
 """The key-construction pipeline.
 
 Given a fiber point y and a parameter subrange, the fiber arc gamma is
-approximated by a tangent-line polygon chain, its vertices from one array
-expression and their distances to the arc from one array golden-section
-search that stops a vertex within delta; per chain segment, disjoint direction
-bands for the cover and small alpha-sets are computed from the x1 window of
-the segment's delta-neighborhood, the small band by one circular-order rule
-(the small directions' ``Arc.offsets`` along the gap after the cover band); a
-two-stage blind construction (one clockwise stage toward the lower small band
-edge, then counterclockwise iterated blinds toward the upper edge), run on all
-chain segments at once, produces a segment family that covers gamma's
-projections over A_cover while projecting with small measure over A_small.
+approximated by a tangent-line polygon chain, an (N+1, 2) vertex array from
+one array expression, whose distances to the arc come from one array
+golden-section search that stops a vertex within delta.  One compute_bands
+call gives every chain segment its disjoint direction bands for the cover
+and small alpha-sets, as angle arrays, from the x1 windows of the segments'
+delta-neighborhoods.  A two-stage blind construction (one clockwise stage
+toward the lower small band edge, then counterclockwise iterated blinds
+toward the upper edge), run on all chain segments at once, produces a
+segment family that covers gamma's projections over A_cover while
+projecting with small measure over A_small.
 
 Each piece count is chosen once for the requested eps, as in the
 Venetian-blind lemma: the family is built and certified in one pass, and a
@@ -40,48 +40,42 @@ from .blinds import (
 from .curve import CurveProfile, _golden_max
 from .geometry import Point, Segment
 from .measure import AlphaSet, FiberArc
-from .projline import CCW, CW, Arc, Direction, dist, normalize
-from .verify import VerificationReport, check_cover, cover_views, small_views
+from .projline import CCW, CW, Direction, _arc_offsets, dist
+from .verify import VerificationReport, _require_finite, check_cover, cover_views, small_views
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngleBands:
-    """Disjoint direction arcs enclosing the cover and small tangent sets.
+    """Disjoint direction arcs enclosing the cover and small tangent sets, per unit.
 
-    Counterclockwise cyclic order is cover_lo, cover_hi, small_lo, small_hi;
-    the two closed arcs [cover_lo, cover_hi] and [small_lo, small_hi]
-    (both counterclockwise) are separated by at least eps0.
+    Each field is a float array with one entry per chain unit, the angles in
+    [0, pi).  Counterclockwise cyclic order is cover_lo, cover_hi, small_lo,
+    small_hi; the two closed arcs [cover_lo, cover_hi] and [small_lo,
+    small_hi] (both counterclockwise) are separated by at least eps0.
     """
 
-    cover_lo: Direction
-    cover_hi: Direction
-    small_lo: Direction
-    small_hi: Direction
-    eps0: float
+    cover_lo: np.ndarray
+    cover_hi: np.ndarray
+    small_lo: np.ndarray
+    small_hi: np.ndarray
+    eps0: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.eps0 <= 0.0:
+        if not np.all(self.eps0 > 0.0):
             raise ValueError(f"band separation must be positive, got {self.eps0!r}")
 
-    @property
-    def cover_arc(self) -> Arc:
-        return Arc(self.cover_lo, self.cover_hi, CCW)
 
-    @property
-    def small_arc(self) -> Arc:
-        return Arc(self.small_lo, self.small_hi, CCW)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyChain:
     """A tangent-line polygon chain approximating a fiber arc.
 
-    Vertices p_0 ... p_N; segment i (from p_{i-1} to p_i) is tangent to the
-    fiber arc at parameter tangency_params[i-1]; p_0 and p_N lie on the arc.
+    Vertices p_0 ... p_N, the rows of an (N+1, 2) array; segment i (from
+    p_{i-1} to p_i) is tangent to the fiber arc at parameter
+    tangency_params[i-1]; p_0 and p_N lie on the arc.
     """
 
-    vertices: tuple[Point, ...]
-    tangency_params: tuple[float, ...]
+    vertices: np.ndarray
+    tangency_params: np.ndarray
     source: FiberArc
 
     def __post_init__(self) -> None:
@@ -89,17 +83,17 @@ class PolyChain:
             raise ValueError("chain needs at least two vertices")
         if len(self.tangency_params) != len(self.vertices) - 1:
             raise ValueError("need one tangency parameter per chain segment")
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("chain vertices must be finite")
 
     def segments(self) -> list[Segment]:
         return [
-            Segment(self.vertices[i], self.vertices[i + 1])
-            for i in range(len(self.vertices) - 1)
+            Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in self.coords().tolist()
         ]
 
     def coords(self) -> np.ndarray:
         """The chain segments as (ax, ay, bx, by) rows."""
-        v = np.array([p.as_tuple() for p in self.vertices])
-        return np.concatenate([v[:-1], v[1:]], axis=1)
+        return np.concatenate([self.vertices[:-1], self.vertices[1:]], axis=1)
 
 
 # -- polygon approximation --------------------------------------------------
@@ -132,8 +126,8 @@ def polygon_approx(
     a1, b1 = float(subrange[0]), float(subrange[1])
     if not curve.a - 1e-12 <= a1 < b1 <= curve.b + 1e-12:
         raise ValueError(f"invalid subrange [{a1!r}, {b1!r}] within [{curve.a}, {curve.b}]")
-    if eps <= 0.0 or delta <= 0.0:
-        raise ValueError("eps and delta must be positive")
+    _require_finite("eps", eps, positive=True)
+    _require_finite("delta", delta, positive=True)
     arc = FiberArc(y, a1, b1)
     if alpha_grid is None:
         alpha_grid = default_alpha_box(curve, arc)
@@ -163,10 +157,9 @@ def _tangent_chain(curve: CurveProfile, arc: FiberArc, n: int) -> PolyChain:
     qx, qy, s = y.x1 - tc, y.x2 - curve.f(tc), curve.df(tc)
     vx = (qy[1:] - qy[:-1] + s[:-1] * qx[:-1] - s[1:] * qx[1:]) / (s[:-1] - s[1:])
     vy = qy[:-1] + s[:-1] * (vx - qx[:-1])
-    xs = np.concatenate(([qx[0]], vx, [qx[-1]])).tolist()
-    ys = np.concatenate(([qy[0]], vy, [qy[-1]])).tolist()
-    vertices = tuple(Point(p, q) for p, q in zip(xs, ys))
-    return PolyChain(vertices, tuple(ts.tolist()), arc)
+    xs = np.concatenate(([qx[0]], vx, [qx[-1]]))
+    ys = np.concatenate(([qy[0]], vy, [qy[-1]]))
+    return PolyChain(np.stack([xs, ys], axis=1), ts, arc)
 
 
 def _vertex_distances(curve: CurveProfile, chain: PolyChain,
@@ -178,8 +171,8 @@ def _vertex_distances(curve: CurveProfile, chain: PolyChain,
     evaluated point lies on the arc, so bounds the distance from above; given
     delta, a vertex stops at the first such bound within delta.
     """
-    y, ts = chain.source.y, np.array(chain.tangency_params)
-    px, py = chain.coords()[1:, :2].T
+    y, ts = chain.source.y, chain.tangency_params
+    px, py = chain.vertices[1:-1].T
 
     def neg_d2_at(t: np.ndarray, i: np.ndarray) -> np.ndarray:
         # -|fiber_point(t) - p_i|^2; float_power squares as Python's ** does
@@ -210,76 +203,70 @@ _BAND_SLACK = 1e-7
 
 def compute_bands(
     curve: CurveProfile,
-    x1_lo: float,
-    x1_hi: float,
+    x1_lo: np.ndarray | float,
+    x1_hi: np.ndarray | float,
     a_small: AlphaSet,
     a_cover: AlphaSet,
 ) -> AngleBands:
-    """Disjoint direction bands over A_small / A_cover for a compact region.
+    """Disjoint direction bands over A_small / A_cover, one unit per x1 window.
 
-    The region enters only through its x1 window [x1_lo, x1_hi]: tangent
-    directions theta_alpha(x) = atan(f'(alpha - x1)) depend only on
-    t = alpha - x1, and f' is monotone, so the exact direction range over
-    (alpha-component) x (region) is attained at the endpoints of the
-    corresponding t-window; the bands are those exact ranges plus a tiny
-    safety slack.  The small band is the shortest arc enclosing the small
-    directions inside the gap that runs counterclockwise from the cover band
-    back to it; it may wrap through the vertical direction.
+    A unit is a compact region that enters only through its x1 window
+    [x1_lo, x1_hi]; a scalar pair is one unit.  Tangent directions
+    theta_alpha(x) = atan(f'(alpha - x1)) depend only on t = alpha - x1 and
+    f' is monotone, so a band is the exact direction range at the ends of
+    its t-windows plus a tiny slack.  The small band is the shortest arc
+    enclosing the small directions inside the gap that runs counterclockwise
+    from the cover band back to it; it may wrap through the vertical.  The
+    first failing unit raises ConstructionError("bands") for its first failing check.
     """
     if len(a_cover.components) != 1:
         raise ValueError("A_cover must be a single interval")
-    for clo, chi_ in a_cover.components:
-        for slo, shi in a_small.components:
-            if not (shi < clo or chi_ < slo):
-                raise ValueError("A_small and A_cover must be disjoint")
-
     clo, chi_ = a_cover.bounds
-    t_lo, t_hi = clo - x1_hi, chi_ - x1_lo
-    if t_lo < curve.a or t_hi > curve.b:
-        raise ConstructionError(
-            f"compact region leaves the strip over A_cover "
-            f"(t-window [{t_lo:.3g}, {t_hi:.3g}] vs [{curve.a}, {curve.b}])",
-            stage="bands",
-        )
-    cover_phis = np.array(
-        [math.atan(curve.df(t_lo)), math.atan(curve.df(t_hi))]
-    )
-    small_vals = []
-    for slo, shi in a_small.components:
-        w_lo = max(slo - x1_hi, curve.a)
-        w_hi = min(shi - x1_lo, curve.b)
-        if w_lo <= w_hi:
-            small_vals.append(math.atan(curve.df(w_lo)))
-            small_vals.append(math.atan(curve.df(w_hi)))
-    if not small_vals:
-        raise ConstructionError("no admissible directions over A_small", stage="bands")
-    small_phis = np.array(small_vals)
+    if any(not (shi < clo or chi_ < slo) for slo, shi in a_small.components):
+        raise ValueError("A_small and A_cover must be disjoint")
 
-    c_lo = float(np.min(cover_phis)) - _BAND_SLACK
-    c_hi = float(np.max(cover_phis)) + _BAND_SLACK
+    x1_lo, x1_hi = np.atleast_1d(x1_lo, x1_hi)
+    t_lo, t_hi = clo - x1_hi, chi_ - x1_lo
+    outside = (t_lo < curve.a) | (t_hi > curve.b)
+    # per small component, the t-window it meets (columns lo, hi, lo, hi, ...)
+    comps = np.array(a_small.components)
+    w_lo = np.maximum(comps[:, 0] - x1_hi[:, None], curve.a)
+    w_hi = np.minimum(comps[:, 1] - x1_lo[:, None], curve.b)
+    admissible = np.repeat(w_lo <= w_hi, 2, axis=1)
+    ends = np.stack([w_lo, w_hi], axis=2).reshape(len(x1_lo), -1)
+    ts = np.clip(np.column_stack([t_lo, t_hi, ends]), curve.a, curve.b)
+    # math.atan, not np.arctan: numpy's SIMD arctan can differ in the last bit
+    phis = np.array([math.atan(v) for v in curve.df(ts).ravel().tolist()]).reshape(ts.shape)
+    c_lo = np.min(phis[:, :2], axis=1) - _BAND_SLACK
+    c_hi = np.max(phis[:, :2], axis=1) + _BAND_SLACK
+    small_phis = phis[:, 2:]
+    # offsets from 0 reduce angles mod pi, as normalize does
+    cover_lo, cover_hi = _arc_offsets(c_lo, 0.0, True), _arc_offsets(c_hi, 0.0, True)
     # positions of the small directions along the gap from the cover band's
     # upper edge counterclockwise to its lower edge; a direction inside the
     # cover band lands past the gap's end
-    gap = Arc(normalize(c_hi), normalize(c_lo), CCW)
-    u = gap.offsets(small_phis)
-    first, last = int(np.argmin(u)), int(np.argmax(u))
-    s_lo = float(small_phis[first]) - _BAND_SLACK
-    s_hi = float(small_phis[last]) + _BAND_SLACK
-    eps0 = min(float(u[first]), gap.length - float(u[last])) - _BAND_SLACK
-    if eps0 <= 0.0:
-        raise ConstructionError(
-            f"inflated direction sets overlap (separation {eps0:.3g}); "
-            "delta or grids too coarse",
-            stage="bands",
-            witness=((c_lo, c_hi), (s_lo, s_hi)),
-        )
-    return AngleBands(
-        cover_lo=normalize(c_lo),
-        cover_hi=normalize(c_hi),
-        small_lo=normalize(s_lo),
-        small_hi=normalize(s_hi),
-        eps0=eps0,
-    )
+    gap = _arc_offsets(cover_lo, cover_hi, True)
+    u = _arc_offsets(small_phis, cover_hi[:, None], True)
+    units = np.arange(len(u))
+    first = np.argmin(np.where(admissible, u, math.inf), axis=1)
+    last = np.argmax(np.where(admissible, u, -math.inf), axis=1)
+    s_lo = small_phis[units, first] - _BAND_SLACK
+    s_hi = small_phis[units, last] + _BAND_SLACK
+    eps0 = np.minimum(u[units, first], gap - u[units, last]) - _BAND_SLACK
+    bad = np.stack([outside, ~admissible.any(axis=1), eps0 <= 0.0])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        message, witness = (
+            ("compact region leaves the strip over A_cover (t-window "
+             f"[{t_lo[i]:.3g}, {t_hi[i]:.3g}] vs [{curve.a}, {curve.b}])", None),
+            ("no admissible directions over A_small", None),
+            (f"inflated direction sets overlap (separation {eps0[i]:.3g}); "
+             "delta or grids too coarse",
+             ((float(c_lo[i]), float(c_hi[i])), (float(s_lo[i]), float(s_hi[i])))),
+        )[int(np.argmax(bad[:, i]))]
+        raise ConstructionError(message, stage="bands", witness=witness)
+    small_lo, small_hi = _arc_offsets(s_lo, 0.0, True), _arc_offsets(s_hi, 0.0, True)
+    return AngleBands(cover_lo, cover_hi, small_lo, small_hi, eps0)
 
 
 # -- two-stage local construction ------------------------------------------
@@ -304,7 +291,7 @@ def local_construction(
     two stages' covering arcs intersect to the cover band.
     """
     coords, stage1_n, leaves = _local_blinds(
-        curve, _row(seg), [bands], a_small, a_cover, eps, delta, caps
+        curve, _row(seg), bands, a_small, a_cover, eps, delta, caps
     )
     return BlindSet(
         coords,
@@ -313,13 +300,7 @@ def local_construction(
             "kind": "local_construction",
             "stage1_n": int(stage1_n[0]),
             "stage2_counts": leaves.tolist(),
-            "bands": {
-                "cover_lo": bands.cover_lo.angle,
-                "cover_hi": bands.cover_hi.angle,
-                "small_lo": bands.small_lo.angle,
-                "small_hi": bands.small_hi.angle,
-                "eps0": bands.eps0,
-            },
+            "bands": {name: float(v[0]) for name, v in vars(bands).items()},
         },
     )
 
@@ -327,7 +308,7 @@ def local_construction(
 def _local_blinds(
     curve: CurveProfile,
     segs: np.ndarray,
-    bands: list[AngleBands],
+    bands: AngleBands,
     a_small: AlphaSet,
     a_cover: AlphaSet,
     eps: float,
@@ -339,25 +320,26 @@ def _local_blinds(
     Returns (the leaves row by row and blade by blade, stage-1 blades per
     row, leaves per blade).
     """
+    if len(bands.eps0) != len(segs):
+        raise ValueError(f"need one band row per segment, got {len(bands.eps0)} for {len(segs)}")
+    small_lo, cover_hi = bands.small_lo, bands.cover_hi
     lengths, theta = _lengths(segs), _directions(segs)
-    for length, t, b in zip(lengths.tolist(), theta.tolist(), bands):
-        if length >= eps:
-            raise ConstructionError(
-                f"segment length {length:.3g} must be below eps={eps:.3g}", stage="precondition"
-            )
-        if not b.small_arc.contains_strictly(t, tol=1e-9):
-            raise ConstructionError(
-                f"segment direction {Direction(t)} is not strictly inside the "
-                f"small band [{b.small_lo}, {b.small_hi}]",
-                stage="band membership",
-            )
-    cover_lo, cover_hi, small_lo, small_hi = (
-        [getattr(b, side).angle for b in bands]
-        for side in ("cover_lo", "cover_hi", "small_lo", "small_hi")
-    )
+    # strictly inside the small band, 1e-9 clear of both ends
+    u = _arc_offsets(theta, small_lo, True)
+    inside = (1e-9 <= u) & (u <= _arc_offsets(bands.small_hi, small_lo, True) - 1e-9)
+    bad = np.stack([lengths >= eps, ~inside])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        message, stage = (
+            (f"segment length {lengths[i]:.3g} must be below eps={eps:.3g}", "precondition"),
+            (f"segment direction {Direction(theta[i])} is not strictly inside the small band "
+             f"[{Direction(small_lo[i])}, {Direction(bands.small_hi[i])}]", "band membership"),
+        )[int(np.argmax(bad[:, i]))]
+        raise ConstructionError(message, stage=stage)
     # keep stage-1 blades below the stage-2 length precondition
     ratio = [
-        math.sin(dist(t, c)) / math.sin(dist(s, c)) for t, s, c in zip(theta, small_lo, cover_hi)
+        math.sin(dist(t, c)) / math.sin(dist(s, c))
+        for t, s, c in zip(theta.tolist(), small_lo.tolist(), cover_hi.tolist())
     ]
     n0 = np.maximum(1, np.ceil(lengths * np.array(ratio) / (0.9 * eps))).astype(np.int64)
     # one parent per group, as in auto_vb_cover; band membership puts every
@@ -370,7 +352,7 @@ def _local_blinds(
         raise _vb_cover_cap(caps.n_max, segs[found], small_lo[found], cover_hi[found], a_cover)
     stage1_n, blades = found
     leaves, sizes, *_ = _iter_vb_stage(
-        curve, blades, np.repeat(small_hi, stage1_n), np.repeat(cover_lo, stage1_n),
+        curve, blades, np.repeat(bands.small_hi, stage1_n), np.repeat(bands.cover_lo, stage1_n),
         eps, a_small, a_cover, CCW, caps, delta / 2.0,
     )
     return leaves, stage1_n, sizes
@@ -416,6 +398,8 @@ def key_construction(
     every alpha; they come from the same projection pass over each grid as
     the deciding ones.
     """
+    _require_finite("eps", eps, positive=True)
+    _require_finite("delta", delta, positive=True)
     a1, b1 = float(subrange[0]), float(subrange[1])
     # rigorous: each grid's pass gets a second view, shifted, on the unpadded arc
     shifted_cover: list[tuple[FiberArc, float]] = []
@@ -441,8 +425,8 @@ def key_construction(
     chain = polygon_approx(curve, y, (arc.lo, arc.hi), eps, delta_c / 2.0, alpha_grid=a_cover)
     segs = chain.coords()
     # a segment's delta_c-neighborhood spans its endpoints' x1 range, widened
-    x1 = np.sort(segs[:, 0::2], axis=1).tolist()
-    bands = [compute_bands(curve, lo - delta_c, hi + delta_c, a_small, a_cover) for lo, hi in x1]
+    x1 = np.sort(segs[:, 0::2], axis=1)
+    bands = compute_bands(curve, x1[:, 0] - delta_c, x1[:, 1] + delta_c, a_small, a_cover)
     coords, stage1_n, leaves = _local_blinds(
         curve, segs, bands, a_small, a_cover, eps, delta_c, caps
     )

@@ -239,15 +239,15 @@ class AlphaSet:
     def __post_init__(self) -> None:
         if not self.components:
             raise ValueError("alpha set needs at least one component")
-        if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
-            raise ValueError(f"grid step must be positive, got {self.grid_step!r}")
         prev_hi = -math.inf
         for lo, hi in self.components:
-            if hi < lo:
-                raise ValueError(f"inverted component [{lo!r}, {hi!r}]")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(f"component [{lo!r}, {hi!r}] needs finite ends, lo <= hi")
             if lo <= prev_hi:
                 raise ValueError("alpha components must be sorted and disjoint")
             prev_hi = hi
+        if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
+            raise ValueError(f"grid step must be positive, got {self.grid_step!r}")
 
     @classmethod
     def from_intervals(

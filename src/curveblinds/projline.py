@@ -111,15 +111,6 @@ class Arc:
             return ccw_delta(self.start, theta)
         return ccw_delta(theta, self.start)
 
-    def offsets(self, thetas: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        """Arc.offset of every angle in an array, bit for bit.
-
-        With tol > 0, an offset within tol of pi becomes its (negative)
-        position just before the start, so that ``contains(theta, tol)``
-        holds exactly when the offset is at most length + tol.
-        """
-        return _arc_offsets(thetas, self.start.angle, self.chirality == CCW, tol)
-
     def contains(self, theta: Direction | float, tol: float = 1e-12) -> bool:
         """Membership in the closed arc, with tolerance at both endpoints."""
         u = self.offset(theta)
@@ -132,7 +123,12 @@ class Arc:
 
 
 def _arc_offsets(thetas, start, ccw: bool, tol: float = 0.0) -> np.ndarray:
-    """Arc.offsets of arcs whose start (broadcast against ``thetas``) varies by row."""
+    """Arc.offset of every angle in ``thetas``, bit for bit, from starts broadcast against them.
+
+    With tol > 0, an offset within tol of pi becomes its (negative) position
+    just before the start, so that ``Arc.contains(theta, tol)`` holds exactly
+    when the offset is at most length + tol.
+    """
     u = np.fmod(thetas - start if ccw else start - thetas, PI)
     u[u < 0.0] += PI
     u[u >= PI] = 0.0
@@ -155,6 +151,20 @@ def angle_schedule(
     if m < 1:
         raise ValueError(f"schedule depth must be >= 1, got {m}")
     arc = Arc(theta0, theta_small, chirality)
-    sign = 1.0 if chirality == CCW else -1.0
-    steps = (normalize(arc.start.angle + sign * arc.length * k / m) for k in range(1, m))
-    return [arc.start, *steps, arc.end]
+    row = _schedules(*np.atleast_1d(arc.start.angle, arc.end.angle, m), chirality == CCW)
+    return [Direction(a) for a in row[0].tolist()]
+
+
+def _schedules(start: np.ndarray, end: np.ndarray, m: np.ndarray, ccw: bool) -> np.ndarray:
+    """angle_schedule of every row, NaN past each row's own depth m.
+
+    Entry k of row i is start + (+-)length * k / m reduced mod pi, length
+    being the arc from start to end; entry m is end itself.
+    """
+    k = np.arange(m.max() + 1)
+    reach = _arc_offsets(end, start, ccw)[:, None]
+    out = _arc_offsets(start[:, None] + (1.0 if ccw else -1.0) * reach * k / m[:, None], 0.0, True)
+    out[:, 0] = start
+    out[np.arange(len(m)), m] = end
+    out[k > m[:, None]] = math.nan
+    return out

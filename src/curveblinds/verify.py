@@ -262,6 +262,8 @@ def gradient_check(
     """Max relative error of grad_phi against central differences of eval_phi."""
     if h <= 0.0:
         raise ValueError(f"step h must be positive, got {h!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     width = curve.b - curve.a

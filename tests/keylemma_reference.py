@@ -1,9 +1,12 @@
 """Scalar references for the key-construction layer.
 
 ``keylemma.polygon_approx`` builds every chain vertex in one array
-expression and ``keylemma.compute_bands`` encloses the small directions with
-one circular-order rule on ``Arc.offsets``; the equivalence tests compare
-them against these per-vertex and per-case evaluations.  ``key_construction``
+expression and ``keylemma.compute_bands`` encloses the small directions of
+every chain unit with one array circular-order rule; the equivalence tests
+compare them against these per-vertex and per-case evaluations, one unit at
+a time.  ``projline._schedules`` builds the stage-2 angle schedules of all
+blades in one array pass; ``angle_schedule`` is the per-direction loop it
+replaces.  ``key_construction``
 builds the blinds of every chain unit in one batched pass; ``unit_by_unit``
 is the composition it replaces, one ``local_construction`` per unit.
 ``curve._golden_max`` runs one golden-section search over arrays of
@@ -22,9 +25,8 @@ from curveblinds import keylemma
 from curveblinds.blinds import Caps, ConstructionError
 from curveblinds.curve import DOMAIN_TOL, CurveProfile, DomainError, fiber_point
 from curveblinds.geometry import Disk, Point
-from curveblinds.keylemma import AngleBands
 from curveblinds.measure import AlphaSet
-from curveblinds.projline import PI, normalize
+from curveblinds.projline import CCW, PI, Arc, normalize
 
 
 def tangent_intersection(curve: CurveProfile, y: Point, t1: float, t2: float) -> Point:
@@ -61,12 +63,13 @@ def compute_bands(
     a_small: AlphaSet,
     a_cover: AlphaSet,
     slack: float = 1e-7,
-) -> AngleBands:
+) -> tuple[float, float, float, float, float]:
     """Direction bands with the small set split below / above the cover midpoint.
 
     Three cases: the small directions straddle the cover band (the small
     band wraps through the vertical direction), lie all below it, or lie all
-    above it; each case computes its two gaps with its own formula.
+    above it; each case computes its two gaps with its own formula.  Returns
+    the angles (cover_lo, cover_hi, small_lo, small_hi), each in [0, pi), and eps0.
     """
     if len(a_cover.components) != 1:
         raise ValueError("A_cover must be a single interval")
@@ -117,13 +120,15 @@ def compute_bands(
         raise ConstructionError(
             f"inflated direction sets overlap (separation {eps0:.3g})", stage="bands"
         )
-    return AngleBands(
-        cover_lo=normalize(c_lo),
-        cover_hi=normalize(c_hi),
-        small_lo=normalize(s_lo),
-        small_hi=normalize(s_hi),
-        eps0=eps0,
-    )
+    return (*(normalize(v).angle for v in (c_lo, c_hi, s_lo, s_hi)), eps0)
+
+
+def angle_schedule(theta0: float, theta_small: float, m: int, chirality: str) -> list[float]:
+    """The angles of projline.angle_schedule, one normalize call per direction."""
+    arc = Arc(theta0, theta_small, chirality)
+    sign = 1.0 if chirality == CCW else -1.0
+    steps = (normalize(arc.start.angle + sign * arc.length * k / m) for k in range(1, m))
+    return [d.angle for d in (arc.start, *steps, arc.end)]
 
 
 def unit_by_unit(
@@ -180,13 +185,13 @@ def golden_max(fn, lo: float, hi: float, tol: float) -> float:
 
 def vertex_distances(curve: CurveProfile, chain: keylemma.PolyChain) -> list[float]:
     """Distance bounds of the interior chain vertices, one scalar search each."""
-    y, ts = chain.source.y, chain.tangency_params
+    y, ts = chain.source.y, chain.tangency_params.tolist()
     out = []
-    for p, lo, hi in zip(chain.vertices[1:-1], ts[:-1], ts[1:]):
+    for p, lo, hi in zip(chain.vertices[1:-1].tolist(), ts[:-1], ts[1:]):
 
-        def neg_d2_at(t: float, p: Point = p) -> float:
+        def neg_d2_at(t: float, p: list[float] = p) -> float:
             q = fiber_point(curve, y, t)
-            return -((q.x1 - p.x1) ** 2 + (q.x2 - p.x2) ** 2)
+            return -((q.x1 - p[0]) ** 2 + (q.x2 - p[1]) ** 2)
 
         out.append(math.sqrt(-golden_max(neg_d2_at, lo, hi, 1e-13)))
     return out

@@ -175,7 +175,7 @@ def test_criterion_06_polygon_approximation(capsys):
         ys = y.x2 - curve.f(ts)
         return float(np.min(np.hypot(xs - p.x1, ys - p.x2)))
 
-    worst_dist = max(fiber_distance(v) for v in chain.vertices)
+    worst_dist = max(fiber_distance(Point(*v)) for v in chain.vertices.tolist())
 
     covered = True
     for alpha in default_alpha_box(curve, arc, points=100).grid():

@@ -431,8 +431,9 @@ def test_auto_iter_vb_preconditions():
     long_seg = Segment(Point(-0.1, 0.9), Point(0.3, 1.1))
     with pytest.raises(ConstructionError):
         auto_iter_vb(curve, long_seg, 0.75, 2.5, 0.05)
-    with pytest.raises(ValueError):
-        auto_iter_vb(curve, seg, 0.75, 2.5, -1.0)
+    for eps in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            auto_iter_vb(curve, seg, 0.75, 2.5, eps)
     with pytest.raises(ConstructionError):
         # depth cap too small for the requested arc/eps
         auto_iter_vb(curve, seg, 0.75, 2.5, 0.05, caps=Caps(m_max=2))

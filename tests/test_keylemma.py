@@ -26,7 +26,7 @@ from curveblinds.keylemma import (
     polygon_approx,
 )
 from curveblinds.measure import AlphaSet, FiberArc, project_blinds
-from curveblinds.projline import normalize
+from curveblinds.projline import CCW, Arc, normalize
 from curveblinds.scene import load_scene
 from curveblinds.verify import check_cover, check_small
 import keylemma_reference as reference
@@ -84,8 +84,8 @@ def test_polygon_approx_tangency_distance_and_covering():
 
     # every segment is short and every vertex is delta-close to the arc
     assert all(s.length < eps for s in segs)
-    for v in chain.vertices:
-        assert _fiber_distance_oracle(curve, arc, v) <= delta + 1e-9
+    for v in chain.vertices.tolist():
+        assert _fiber_distance_oracle(curve, arc, Point(*v)) <= delta + 1e-9
 
     # projection covering of the arc on an alpha-grid spanning the strip box
     alphas = default_alpha_box(curve, arc, points=100)
@@ -104,9 +104,9 @@ def test_tangent_chain_matches_scalar_reference(scene, n):
     curve = scalar_exp() if scene == "scalar_exp" else spec.curve()
     chain = _tangent_chain(curve, FiberArc(spec.y, *spec.subrange), n)
     want = reference.chain_vertices(curve, spec.y, spec.subrange, n)
-    assert chain.vertices == tuple(want)
-    assert all(type(v.x1) is float and type(v.x2) is float for v in chain.vertices)
-    assert chain.tangency_params == tuple(np.linspace(*spec.subrange, n).tolist())
+    assert chain.vertices.shape == (n + 1, 2)
+    assert chain.vertices.tobytes() == np.array([p.as_tuple() for p in want]).tobytes()
+    assert chain.tangency_params.tobytes() == np.linspace(*spec.subrange, n).tobytes()
 
 
 @pytest.mark.parametrize("scene", ["Q1", "P1", "E1"])
@@ -117,8 +117,8 @@ def test_vertex_distances_match_oracle(scene):
         chain = polygon_approx(curve, spec.y, spec.subrange, eps, spec.delta)
         got = list(_vertex_distances(curve, chain))
         assert len(got) == len(chain.vertices) - 2
-        for d, v in zip(got, chain.vertices[1:-1]):
-            oracle = _fiber_distance_oracle(curve, chain.source, v)
+        for d, v in zip(got, chain.vertices[1:-1].tolist()):
+            oracle = _fiber_distance_oracle(curve, chain.source, Point(*v))
             assert oracle - 1e-12 <= d <= oracle + 1e-9
 
 
@@ -249,6 +249,19 @@ def _q1_band_context():
 
 
 VERTICAL = normalize(math.pi / 2)
+SIDES = ("cover_lo", "cover_hi", "small_lo", "small_hi", "eps0")
+
+
+def _arcs(bands, i=0):
+    """Unit i's cover and small bands as counterclockwise arcs."""
+    return (
+        Arc(bands.cover_lo[i], bands.cover_hi[i], CCW),
+        Arc(bands.small_lo[i], bands.small_hi[i], CCW),
+    )
+
+
+def _band_row(bands, i=0):
+    return tuple(float(getattr(bands, side)[i]) for side in SIDES)
 
 
 def test_compute_bands_encloses_sampled_directions():
@@ -260,16 +273,18 @@ def test_compute_bands_encloses_sampled_directions():
     straddling = AlphaSet.from_intervals([*spec.a_small_components, (0.6, 0.7)], 50)
     for a_small, straddle in ((spec.a_small(), False), (straddling, True)):
         bands = compute_bands(curve, *window, a_small, a_cover)
-        assert bands.eps0 > 0.0
-        assert bands.small_arc.contains(VERTICAL) == straddle
-        _assert_bands_enclose_and_separate(curve, window, bands, a_small, a_cover)
+        assert all(getattr(bands, side).shape == (1,) for side in SIDES)
+        assert bands.eps0[0] > 0.0
+        assert _arcs(bands)[1].contains(VERTICAL) == straddle
+        _assert_bands_enclose_and_separate(curve, window, _arcs(bands), a_small, a_cover)
 
 
-def _assert_bands_enclose_and_separate(curve, window, bands, a_small, a_cover):
+def _assert_bands_enclose_and_separate(curve, window, arcs, a_small, a_cover):
     rng = np.random.default_rng(0)
+    cover_arc, small_arc = arcs
     # oracle: tangent directions at random (alpha, region x1) samples must
     # land in the matching band, and the bands must stay disjoint
-    for aset, band in ((a_cover, bands.cover_arc), (a_small, bands.small_arc)):
+    for aset, band in ((a_cover, cover_arc), (a_small, small_arc)):
         for _ in range(300):
             lo, hi = aset.components[int(rng.integers(len(aset.components)))]
             alpha = float(rng.uniform(lo, hi))
@@ -281,10 +296,7 @@ def _assert_bands_enclose_and_separate(curve, window, bands, a_small, a_cover):
             assert band.contains(theta, tol=1e-12)
     # separation: the two arcs do not intersect
     for probe in np.linspace(0.0, math.pi, 721, endpoint=False):
-        assert not (
-            bands.cover_arc.contains(float(probe))
-            and bands.small_arc.contains(float(probe))
-        )
+        assert not (cover_arc.contains(float(probe)) and small_arc.contains(float(probe)))
 
 
 def _random_band_scene(rng, curve):
@@ -317,6 +329,11 @@ def _random_band_scene(rng, curve):
     return (x1_lo, x1_hi), AlphaSet.from_intervals(comps, 2), AlphaSet.interval(clo, chi, 2)
 
 
+def _assert_rows_match_reference(got, want):
+    assert got[:4] == want[:4]
+    assert abs(got[4] - want[4]) <= 1e-15
+
+
 def test_compute_bands_matches_three_branch_reference():
     rng = np.random.default_rng(20)
     separated = straddling = failed = 0
@@ -334,13 +351,62 @@ def test_compute_bands_matches_three_branch_reference():
                 failed += 1
                 continue
             got = compute_bands(curve, *window, a_small, a_cover)
-            for side in ("cover_lo", "cover_hi", "small_lo", "small_hi"):
-                assert getattr(got, side) == getattr(want, side)
-            assert abs(got.eps0 - want.eps0) <= 1e-15
+            _assert_rows_match_reference(_band_row(got), want)
             separated += 1
-            straddling += got.small_arc.contains(VERTICAL)
+            straddling += _arcs(got)[1].contains(VERTICAL)
     # every case of the reference is exercised
     assert separated > 500 and straddling > 100 and failed > 500
+
+
+def _unit_outcome(call):
+    """The bands row of a one-unit call, or its exception as comparable data."""
+    try:
+        return _band_row(call())
+    except (ValueError, ConstructionError) as exc:
+        return (type(exc), str(exc), getattr(exc, "stage", None), getattr(exc, "witness", None))
+
+
+def test_compute_bands_batch_equals_its_units():
+    # one call over many x1 windows: each row is the one-unit call's and the
+    # reference's; a failing batch raises what its first failing unit raises
+    rng = np.random.default_rng(21)
+    passed = late = 0
+    first_checks = set()
+    for name in ("parabola", "quarter_circle", "exp"):
+        curve = builtin_curve(name)
+        width = curve.b - curve.a
+        for _ in range(150):
+            (lo, hi), a_small, a_cover = _random_band_scene(rng, curve)
+            k = int(rng.integers(1, 25))
+            shift = rng.normal(0.0, 0.1 * width, k) * (rng.random(k) < 0.1)
+            widen = rng.uniform(0.0, 0.01 * width, k)
+            x1_lo, x1_hi = lo + shift - widen, hi + shift + widen
+            units = [
+                _unit_outcome(lambda i=i: compute_bands(curve, x1_lo[i], x1_hi[i], a_small, a_cover))
+                for i in range(k)
+            ]
+            fails = [i for i, u in enumerate(units) if isinstance(u[0], type)]
+            for i in range(k):
+                try:
+                    want = reference.compute_bands(curve, x1_lo[i], x1_hi[i], a_small, a_cover)
+                except (ValueError, ConstructionError) as exc:
+                    assert units[i][0] is type(exc) and units[i][2] == getattr(exc, "stage", None)
+                else:
+                    _assert_rows_match_reference(units[i], want)
+            got = _unit_outcome(lambda: compute_bands(curve, x1_lo, x1_hi, a_small, a_cover))
+            if fails:
+                assert got == units[fails[0]]
+                late += fails[0] > 0
+                first_checks.add(got[1].split(" (")[0])
+            else:
+                bands = compute_bands(curve, x1_lo, x1_hi, a_small, a_cover)
+                assert [_band_row(bands, i) for i in range(k)] == units
+                passed += 1
+    assert passed > 100 and late > 30
+    # each failing check is first somewhere
+    assert {"compact region leaves the strip over A_cover",
+            "no admissible directions over A_small",
+            "inflated direction sets overlap"} <= first_checks
 
 
 def test_compute_bands_rejects_overlapping_sets():
@@ -462,6 +528,41 @@ def test_key_construction_tiny_cap_fails_fast_with_a_stage(scene):
     assert time.perf_counter() - start < 1.0
     stage = info.value.stage
     assert stage == "vb_cover" or type(stage) is int
+
+
+def test_key_construction_computes_bands_once(monkeypatch):
+    # one array call over the x1 windows of every chain unit
+    calls = []
+    original = keylemma_module.compute_bands
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(keylemma_module, "compute_bands", counted)
+    spec = load_scene("P1")
+    result = key_construction(
+        spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
+        spec.epsilon, spec.delta, caps=spec.caps,
+    )
+    assert len(calls) == 1
+    assert len(calls[0][1]) == result.blinds.meta["chain_segments"] > 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.01])
+@pytest.mark.parametrize("name", ["eps", "delta"])
+@pytest.mark.parametrize("entry", ["polygon_approx", "key_construction"])
+def test_eps_and_delta_must_be_finite_and_positive(entry, name, value):
+    # rejected up front, before any chain or blind is built
+    spec = load_scene("Q1")
+    scales = {"eps": spec.epsilon, "delta": spec.delta, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got"):
+        if entry == "polygon_approx":
+            polygon_approx(spec.curve(), spec.y, spec.subrange, **scales)
+        else:
+            key_construction(
+                spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(), **scales
+            )
 
 
 def test_key_construction_batches_every_level_search(monkeypatch):

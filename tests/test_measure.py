@@ -750,6 +750,17 @@ def test_benchmark_constructions_take_the_endpoint_only_path(scene):
             assert _endpoint_only(curve, grid, result.blinds.coords).all()
 
 
+@pytest.mark.parametrize(
+    "ends", [(math.nan, 0.1), (0.0, math.nan), (-math.inf, 0.1), (0.0, math.inf)]
+)
+def test_alpha_set_rejects_non_finite_component_ends(ends):
+    # a NaN end would otherwise build and fail later, in grid()
+    with pytest.raises(ValueError, match="needs finite ends"):
+        AlphaSet.from_intervals([ends])
+    with pytest.raises(ValueError, match="needs finite ends"):
+        AlphaSet(((0.0, 0.05), ends), 0.01)
+
+
 @pytest.mark.parametrize("points", [-5, 0, 1, 1.7, 2.0, True, "200"])
 def test_alpha_set_rejects_too_few_or_non_integer_points(points):
     with pytest.raises(ValueError, match="points per component"):

@@ -11,12 +11,15 @@ from curveblinds.projline import (
     PI,
     Arc,
     Direction,
+    _arc_offsets,
+    _schedules,
     angle_schedule,
     as_direction,
     ccw_delta,
     dist,
     normalize,
 )
+import keylemma_reference as reference
 
 
 def test_normalize_reduces_modulo_pi():
@@ -139,6 +142,27 @@ def test_angle_schedule_rejects_bad_input():
         angle_schedule(0.3, 1.5, 3, "spinwise")
 
 
+@pytest.mark.parametrize("chirality", [CCW, CW])
+def test_schedule_rows_equal_the_scalar_loop_bit_for_bit(chirality):
+    # ragged depths in one call; about half the arcs wrap through direction 0
+    rng = np.random.default_rng(6)
+    below_pi = math.nextafter(PI, 0.0)
+    start = np.concatenate([rng.uniform(0.0, PI, 2000), [0.0, below_pi, 1e-17, below_pi]])
+    end = np.concatenate([rng.uniform(0.0, PI, 2000), [below_pi, 0.0, below_pi, 1e-17]])
+    m = rng.integers(1, 65, len(start))
+    rows = _schedules(start, end, m, chirality == CCW)
+    assert rows.shape == (len(start), m.max() + 1)
+    wraps = 0
+    for i, (s, e, depth) in enumerate(zip(start.tolist(), end.tolist(), m.tolist())):
+        want = reference.angle_schedule(s, e, depth, chirality)
+        assert [a.hex() for a in rows[i, : depth + 1].tolist()] == [a.hex() for a in want]
+        assert np.isnan(rows[i, depth + 1 :]).all()
+        if i % 20 == 0:
+            assert [d.angle for d in angle_schedule(s, e, depth, chirality)] == want
+        wraps += (e < s) == (chirality == CCW)
+    assert wraps > 900
+
+
 def _offset_cases(rng):
     """Arcs with angles near their start, at 0 and pi, and at random."""
     below_pi = math.nextafter(PI, 0.0)
@@ -155,7 +179,7 @@ def _offset_cases(rng):
 def test_arc_offsets_match_scalar_offset_bit_for_bit():
     rng = np.random.default_rng(3)
     for arc, thetas in _offset_cases(rng):
-        got = arc.offsets(thetas)
+        got = _arc_offsets(thetas, arc.start.angle, arc.chirality == CCW)
         want = [arc.offset(float(t)) for t in thetas]
         assert [float(u).hex() for u in got] == [u.hex() for u in want]
 
@@ -174,5 +198,5 @@ def test_arc_offsets_with_tolerance_decide_contains(tol):
                 [at_tol, -at_tol],
             ]
         )
-        got = arc.offsets(thetas, tol) <= arc.length + tol
+        got = _arc_offsets(thetas, arc.start.angle, arc.chirality == CCW, tol) <= arc.length + tol
         assert got.tolist() == [arc.contains(float(t), tol) for t in thetas]

@@ -220,6 +220,13 @@ def test_gradient_check_small_on_builtins():
         gradient_check(CURVE, h=0.0)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_gradient_check_rejects_no_samples(samples):
+    # no sample would be a vacuous pass: a worst error of 0.0
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        gradient_check(CURVE, samples=samples)
+
+
 def test_law_of_sines_check_small():
     assert law_of_sines_check(trials=200, seed=1) < 1e-10
     with pytest.raises(ValueError):
