@@ -119,9 +119,10 @@ class BlindSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BlindSet":
+        """The blind set of a to_json_dict tree; a float segments array is kept, not copied."""
         prov = data.get("provenance")
         return cls(
-            np.array(data["segments"], dtype=float),
+            np.asarray(data["segments"], dtype=float),
             [tuple(idx) for idx in prov] if prov is not None else None,
             dict(data.get("meta", {})),
         )

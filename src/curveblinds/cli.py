@@ -202,7 +202,6 @@ def _read_blindset(spec: SceneSpec, path: Path) -> BlindSet:
         raise SceneError(
             f"{path}: segments: expected a nonempty list of [ax, ay, bx, by] rows of finite numbers"
         )
-    data["segments"] = segments.astype(float)
     if not isinstance(data.get("meta", {}), dict):
         raise SceneError(f"{path}: meta: expected a JSON object")
     prov = data.get("provenance")
@@ -220,6 +219,7 @@ def _read_blindset(spec: SceneSpec, path: Path) -> BlindSet:
                     f"{path}: scene.{key} is {got!r}, "
                     f"but the scene to render has {expected[key]!r}"
                 )
+    data["segments"] = segments
     return BlindSet.from_json_dict(data)
 
 

@@ -290,6 +290,8 @@ def local_construction(
     direction cover_lo), staying within delta of the original segment.  The
     two stages' covering arcs intersect to the cover band.
     """
+    _require_finite("eps", eps, positive=True)
+    _require_finite("delta", delta, positive=True)
     coords, stage1_n, leaves = _local_blinds(
         curve, _row(seg), bands, a_small, a_cover, eps, delta, caps
     )

@@ -551,7 +551,7 @@ def test_key_construction_computes_bands_once(monkeypatch):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.01])
 @pytest.mark.parametrize("name", ["eps", "delta"])
-@pytest.mark.parametrize("entry", ["polygon_approx", "key_construction"])
+@pytest.mark.parametrize("entry", ["polygon_approx", "key_construction", "local_construction"])
 def test_eps_and_delta_must_be_finite_and_positive(entry, name, value):
     # rejected up front, before any chain or blind is built
     spec = load_scene("Q1")
@@ -559,6 +559,10 @@ def test_eps_and_delta_must_be_finite_and_positive(entry, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got"):
         if entry == "polygon_approx":
             polygon_approx(spec.curve(), spec.y, spec.subrange, **scales)
+        elif entry == "local_construction":
+            _, curve, seg, window = _q1_band_context()
+            bands = compute_bands(curve, *window, spec.a_small(), spec.a_cover())
+            local_construction(curve, seg, bands, spec.a_small(), spec.a_cover(), **scales)
         else:
             key_construction(
                 spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(), **scales

@@ -1,5 +1,6 @@
 """SVG rendering: structure, determinism, stage coloring."""
 
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -141,16 +142,105 @@ def test_polylines_match_per_point_reference_with_negative_zero():
     top = frame.y_lo + (_HEIGHT - _MARGIN) / frame.scale
     xs = np.array([[left - 1e-6, left - 4e-4 / frame.scale, left, 1e7]])
     ys = np.array([[top + 1e-6, top + 4e-4 / frame.scale, top, -1e7]])
-    got = _polylines(frame, xs, ys, ["#000000"], 1.6)
+    got = _polylines(frame, xs, ys, ["#000000"], np.zeros(1, int), 1.6)
     assert got == [_reference_polyline(frame, xs[0], ys[0], "#000000", 1.6)]
     assert "-0.000," in got[0] and ",-0.000" in got[0]
     rng = np.random.default_rng(3)
     n = _BLOCK_ROWS + 5
     xs = rng.uniform(-3.0, 4.0, (n, 2))
     ys = rng.uniform(-3.0, 4.0, (n, 2))
-    colors = [_STAGE_COLORS[i % 4] for i in range(n)]
-    got = _polylines(frame, xs, ys, colors, 0.9, dash="6,4")
+    stage = np.arange(n) % 4
+    colors = [_STAGE_COLORS[i] for i in stage]
+    got = _polylines(frame, xs, ys, _STAGE_COLORS, stage, 0.9, dash="6,4")
     assert len(got) == 2
     assert "\n".join(got) == "\n".join(
         _reference_polyline(frame, x, y, c, 0.9, "6,4") for x, y, c in zip(xs, ys, colors)
     )
+
+
+class _PixelFrame:
+    """A frame whose model coordinates are the pixel coordinates."""
+
+    def to_px(self, x, y):
+        return x, y
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate(
+        [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)]
+    )
+
+
+def _as_points(values):
+    """(xs, ys) of two-point rows, read off the values four at a time."""
+    rows = values[: len(values) // 4 * 4].reshape(-1, 2, 2)
+    return rows[:, 0], rows[:, 1]
+
+
+def _pixel_cases():
+    rng = np.random.default_rng(7)
+    m = np.arange(-6000.0, 6000.0)
+    near_zero = [-0.0, 0.0, -5e-324, 5e-324, -1e-300, -1e-10, -0.0004999, -0.0005, 0.0005]
+    return {
+        # v * 1000 ends in .5 exactly: ties that "%.3f" breaks half-even
+        "binary_ties": _as_points(_with_neighbours(np.concatenate([m / 16, m / 1024]))),
+        # decimal halves k.5 / 1000 are not binary: their nearest double is
+        # above or below the half, and v * 1000 may round onto it
+        "decimal_halves": _as_points(_with_neighbours((m + 0.5) / 1000)),
+        "near_zero": _as_points(
+            np.concatenate([_with_neighbours(near_zero), -rng.uniform(0.0, 0.0005, 2000)])
+        ),
+        "large": _as_points(
+            np.concatenate(
+                [
+                    rng.uniform(-1e12, 1e12, 2000),
+                    np.logspace(-3, 12, 500),
+                    -np.logspace(-3, 12, 500),
+                    [2.0**52 / 1000, -5e12, 1e15, -2.0**60],
+                ]
+            )
+        ),
+        # one row of 400 points, as the fiber arc is drawn, crossing zero
+        "arc_row": (
+            np.sort(rng.uniform(-50.0, 850.0, (1, 400))),
+            rng.uniform(-1.0, 1.0, (1, 400)) * np.logspace(-5, 3, 400),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["binary_ties", "decimal_halves", "near_zero", "large", "arc_row"]
+)
+def test_polylines_format_each_coordinate_like_percent_3f(case):
+    xs, ys = _pixel_cases()[case]
+    stage = np.arange(len(xs)) ** 2 % 3
+    colors = [_STAGE_COLORS[i] for i in stage]
+    got = _polylines(_PixelFrame(), xs, ys, _STAGE_COLORS, stage, 0.9, dash="6,4")
+    assert len(got) == -(-len(xs) // _BLOCK_ROWS)
+    assert "\n".join(got).split("\n") == [
+        _reference_polyline(_PixelFrame(), x, y, c, 0.9, "6,4")
+        for x, y, c in zip(xs, ys, colors)
+    ]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"row": 1, "value": math.nan}, r"row 1 is \[0.1, nan, 0.3, 0.4\]"),
+        ({"row": 0, "value": math.inf}, r"row 0 is \[0.0, inf, 1.0, 0.5\]"),
+        ({"row": 1, "value": -math.inf}, r"row 1 is \[0.1, -inf, 0.3, 0.4\]"),
+        ({"alpha": math.nan}, "alpha must be finite, got nan"),
+        ({"alpha": math.inf}, "alpha must be finite, got inf"),
+    ],
+    ids=["nan_coord", "inf_coord", "neg_inf_coord", "nan_alpha", "inf_alpha"],
+)
+def test_render_svg_rejects_non_finite_input(bad, message):
+    # rejected before the frame is built, so no RuntimeWarning (an error
+    # under the test settings) and no "nan" polyline
+    curve, _, arc = _sample()
+    coords = np.array([[0.0, 0.0, 1.0, 0.5], [0.1, 0.2, 0.3, 0.4]])
+    if "row" in bad:
+        coords[bad["row"], 1] = bad["value"]
+    with pytest.raises(ValueError, match=message):
+        render_svg(curve, BlindSet(coords), arc=arc, alpha=bad.get("alpha", 0.8))
