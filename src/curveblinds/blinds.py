@@ -79,22 +79,6 @@ class BlindSet:
         if self.provenance is not None and len(self.provenance) != len(self.coords):
             raise ValueError("provenance length must match segment count")
 
-    @classmethod
-    def from_segments(
-        cls,
-        segments: Sequence[Segment],
-        provenance: Optional[list[tuple[int, ...]]] = None,
-        meta: Optional[dict] = None,
-    ) -> "BlindSet":
-        coords = np.array(
-            [[s.a.x1, s.a.x2, s.b.x1, s.b.x2] for s in segments], dtype=float
-        )
-        return cls(coords, provenance, meta or {})
-
-    @property
-    def segments(self) -> list[Segment]:
-        return [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in self.coords]
-
     def __len__(self) -> int:
         return len(self.coords)
 
@@ -102,11 +86,6 @@ class BlindSet:
     def total_length(self) -> float:
         d = self.coords[:, 2:4] - self.coords[:, 0:2]
         return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
-
-    def max_distance_to(self, seg: Segment) -> float:
-        """Largest endpoint distance from this set to the given segment."""
-        endpoints = self.coords.reshape(-1, 2)
-        return float(np.max(_distances_to_parents(_row(seg), endpoints)))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -484,7 +463,7 @@ def _vb_cover_cap(
     """The stage-1 error for the segment (ax, ay, bx, by) whose search passed n_max."""
     seg = Segment(Point(float(row[0]), float(row[1])), Point(float(row[2]), float(row[3])))
     return ConstructionError(
-        f"auto_vb_cover exceeded N_max={n_max} for segment of length {seg.length:.3g} "
+        f"stage 1 (vb_cover) exceeded N_max={n_max} for segment of length {seg.length:.3g} "
         f"(theta_seg={seg.direction}, theta_small={Direction(theta_small)}, "
         f"theta_cover={Direction(theta_cover)})",
         stage="vb_cover",
@@ -504,9 +483,12 @@ def auto_vb_cover(
 ) -> tuple[int, BlindSet]:
     """Double N until the one-stage covering hypotheses certify over A_cover.
 
-    Optionally also requires all blades to stay within ``max_offset`` of the
-    base segment.  Returns the first passing (N, BlindSet).
+    Optionally also requires all blades to stay within ``max_offset`` > 0 of
+    the base segment (an infinite one bounds nothing, as None).  Returns the
+    first passing (N, BlindSet).
     """
+    if max_offset is not None and not max_offset > 0.0:
+        raise ValueError(f"max_offset must be positive, got {max_offset!r}")
     theta_small = as_direction(theta_small)
     theta_cover = as_direction(theta_cover)
     theta_seg = seg.direction
@@ -644,7 +626,8 @@ def auto_iter_vb(
     branching count doubles until (i) every blade stays within the level's
     share of the neighborhood budget of its parent (so stage neighborhoods
     nest into B(seg.a, 2*eps)) and (ii) with A_cover present, the one-stage
-    covering hypotheses certify for every piece.
+    covering hypotheses certify for every piece.  The budget is eps / 4, or
+    min(eps, delta) / 4 with a positive delta given.
     """
     if chirality not in CHIRALITIES:
         raise ValueError(f"unknown chirality {chirality!r}")
@@ -652,6 +635,8 @@ def auto_iter_vb(
     theta_cover = as_direction(theta_cover)
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
+    if delta is not None and not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
     coords, _, counts, (schedule,), delta0 = _iter_vb_stage(
         curve, _row(seg), np.array([theta_small.angle]), np.array([theta_cover.angle]), eps,
         a_small, a_cover, chirality, caps, delta,

@@ -184,6 +184,8 @@ def _golden_max(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float,
     whose best probe passes stop(best) leaves with it: the best only rises.
     """
     out, k, h = np.empty(lo.shape), np.arange(lo.size), hi - lo
+    if not k.size:
+        return out
     # a bracket within tol probes its ends: max(yc, yd, f(lo), f(hi)) = max(f(lo), f(hi))
     c, d = np.where(h > tol, hi - _GOLDEN * h, lo), np.where(h > tol, lo + _GOLDEN * h, hi)
     yc, yd = fn(np.stack([c, d]), k)
@@ -233,6 +235,8 @@ def project_disk(curve: CurveProfile, alpha: float, disk: Disk) -> tuple[float, 
     c2 +/- h(x1) + f(alpha - x1) over the clipped x1-range.  The image of the
     open disk differs from this closed interval in at most the two endpoints.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     lo, hi = curve.strip(alpha)
     c1, c2, r = disk.center.x1, disk.center.x2, disk.radius
     x_lo = max(lo, c1 - r)

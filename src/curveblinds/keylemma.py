@@ -86,11 +86,6 @@ class PolyChain:
         if not np.isfinite(self.vertices).all():
             raise ValueError("chain vertices must be finite")
 
-    def segments(self) -> list[Segment]:
-        return [
-            Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in self.coords().tolist()
-        ]
-
     def coords(self) -> np.ndarray:
         """The chain segments as (ax, ay, bx, by) rows."""
         return np.concatenate([self.vertices[:-1], self.vertices[1:]], axis=1)

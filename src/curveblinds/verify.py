@@ -23,7 +23,7 @@ from .geometry import Point, Segment
 from .measure import AlphaSet, FiberArc, IntervalUnion, project_blinds_grid, project_fiber_arc
 from .projline import dist, normalize
 
-Target = Union[Segment, FiberArc]
+Target = Union[BlindSet, FiberArc]
 
 
 @dataclass
@@ -64,6 +64,8 @@ def check_cover(
 ) -> VerificationReport:
     """Certify Phi_alpha(blinds) contains Phi_alpha(target) over the grid.
 
+    The target is a FiberArc or a BlindSet; a blind-set target is projected
+    by the same kernel as the blinds.
     With shift > 0 the per-grid-point test erodes the blind projection and
     inflates the target by shift, so a pass certifies covering on the whole
     closed interval when shift >= df_bound * (half the grid spacing): moving
@@ -94,11 +96,10 @@ def cover_views(
     grid = alphas.grid()
     targets = []
     for target, shift in views:
-        if isinstance(target, Segment):
-            segment = BlindSet.from_segments([target])
-            rows = IntervalUnion.stack(project_blinds_grid(curve, grid, segment))
-        else:
+        if isinstance(target, FiberArc):
             rows = project_fiber_arc(curve, grid, target)
+        else:
+            rows = IntervalUnion.stack(project_blinds_grid(curve, grid, target))
         targets.append(rows.inflate(shift))
     columns = [([], [], []) for _ in views]  # covered, deficit, measure batches
     start = 0
@@ -229,9 +230,7 @@ def _shift_padding(curve: CurveProfile, alphas: AlphaSet, shift: float) -> float
     return half_step if shift > 0.0 and shift >= curve.df_bound * half_step else 0.0
 
 
-def _clear_of_strip_edges(
-    curve: CurveProfile, alphas: AlphaSet, item: Union[BlindSet, Target]
-) -> bool:
+def _clear_of_strip_edges(curve: CurveProfile, alphas: AlphaSet, item: Target) -> bool:
     """No segment of item, nor its arc, meets a strip edge of a certified alpha.
 
     Padding certifies the alphas within half a grid step of a grid point,
@@ -244,9 +243,8 @@ def _clear_of_strip_edges(
         # the fiber point at parameter t has x1 = y1 - t
         x1_lo, x1_hi = item.y.x1 - item.hi, item.y.x1 - item.lo
     else:
-        coords = BlindSet.from_segments([item]).coords if isinstance(item, Segment) else item.coords
-        x1_lo = np.minimum(coords[:, 0], coords[:, 2])
-        x1_hi = np.maximum(coords[:, 0], coords[:, 2])
+        x1_lo = np.minimum(item.coords[:, 0], item.coords[:, 2])
+        x1_hi = np.maximum(item.coords[:, 0], item.coords[:, 2])
     half_step = alphas.grid_step / 2.0
     for lo, hi in alphas.components:
         for end in (curve.b, curve.a):

@@ -27,6 +27,7 @@ from curveblinds.curve import DOMAIN_TOL, CurveProfile, DomainError, fiber_point
 from curveblinds.geometry import Disk, Point
 from curveblinds.measure import AlphaSet
 from curveblinds.projline import CCW, PI, Arc, normalize
+from scalar_projection import segments_of
 
 
 def tangent_intersection(curve: CurveProfile, y: Point, t1: float, t2: float) -> Point:
@@ -150,7 +151,7 @@ def unit_by_unit(
     """
     chain = keylemma.polygon_approx(curve, y, subrange, eps, delta / 2.0, alpha_grid=a_cover)
     pieces, units = [], []
-    for ci, seg in enumerate(chain.segments()):
+    for ci, seg in enumerate(segments_of(chain.coords())):
         lo, hi = min(seg.a.x1, seg.b.x1), max(seg.a.x1, seg.b.x1)
         bands = keylemma.compute_bands(curve, lo - delta, hi + delta, a_small, a_cover)
         local = keylemma.local_construction(curve, seg, bands, a_small, a_cover, eps, delta, caps)

@@ -13,7 +13,10 @@ the kernel's general evaluation on every segment, the bit-exact reference
 for its endpoint-only one.  ``scalar_exp`` is a custom profile built from
 the scalar-only ``math`` functions, wrapped to evaluate arrays elementwise.
 ``records`` and ``report_bits`` read a certificate report's per-alpha
-record array as dicts and as bytes.
+record array as dicts and as bytes.  ``segments_of`` turns (ax, ay, bx, by)
+rows into the Segment objects these references take, and
+``max_endpoint_distance`` measures rows against a segment with
+Segment.distance_to_point.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from curveblinds import measure
 from curveblinds.curve import DOMAIN_TOL, CurveProfile
-from curveblinds.geometry import Segment
+from curveblinds.geometry import Point, Segment
 from curveblinds.measure import BUDGET, MERGE_TOL, FiberArc
 
 
@@ -272,6 +275,17 @@ def general_projection_grid(curve: CurveProfile, alphas: Sequence[float], blinds
         widest = max(widest, count)
     if pending:
         yield measure.IntervalUnion.stack(pending)
+
+
+def segments_of(coords) -> list[Segment]:
+    """The (ax, ay, bx, by) rows of an array as Segment objects."""
+    return [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in np.asarray(coords).tolist()]
+
+
+def max_endpoint_distance(coords, seg: Segment) -> float:
+    """The largest distance from an endpoint of the rows to seg."""
+    points = np.asarray(coords).reshape(-1, 2).tolist()
+    return max(seg.distance_to_point(Point(x, y)) for x, y in points)
 
 
 def project_segment(curve: CurveProfile, alpha: float, seg: Segment) -> IntervalUnion:

@@ -32,7 +32,7 @@ from curveblinds.projline import CCW, angle_schedule, dist
 from curveblinds.scene import BUNDLED_SCENES, load_scene
 from curveblinds.verify import gradient_check, law_of_sines_check
 from curveblinds.cli import run_construct
-from scalar_projection import contains, project_fiber_arc, project_segments
+from scalar_projection import contains, project_fiber_arc, project_segments, segments_of
 
 
 def _verdict(capsys, ok: bool, label: str, detail: str) -> None:
@@ -83,7 +83,7 @@ def test_criterion_03_iterated_level_sums(capsys):
         blinds = iter_vb(seg, theta_small, theta_cover, counts, chirality=CCW)
         schedule = angle_schedule(seg.direction, theta_small, m, CCW)
         by_level: dict[int, float] = {}
-        for piece, idx in zip(blinds.segments, blinds.provenance):
+        for piece, idx in zip(segments_of(blinds.coords), blinds.provenance):
             by_level[len(idx)] = by_level.get(len(idx), 0.0) + piece.length
         for level, total in by_level.items():
             expected = (
@@ -129,7 +129,8 @@ def test_criterion_05_smallness_scaling(capsys):
     curve = spec.curve()
     a_small, a_cover = spec.a_small(), spec.a_cover()
     chain = polygon_approx(curve, spec.y, spec.subrange, 0.04, spec.delta)
-    seg = chain.segments()[len(chain.segments()) // 2]
+    segs = segments_of(chain.coords())
+    seg = segs[len(segs) // 2]
     x1_lo, x1_hi = min(seg.a.x1, seg.b.x1), max(seg.a.x1, seg.b.x1)
     ratios = []
     for eps in (0.2, 0.1, 0.05):
@@ -158,7 +159,7 @@ def test_criterion_06_polygon_approximation(capsys):
     eps, delta = 0.05, 0.01
     chain = polygon_approx(curve, y, (0.3, 0.6), eps, delta)
     arc = chain.source
-    segs = chain.segments()
+    segs = segments_of(chain.coords())
 
     worst_tan = 0.0
     for seg, t in zip(segs, chain.tangency_params):

@@ -43,7 +43,13 @@ from curveblinds.projline import (
     normalize,
 )
 from level_search_reference import doubling_level_search
-from scalar_projection import contains, project_segment, to_scalar
+from scalar_projection import (
+    contains,
+    max_endpoint_distance,
+    project_segment,
+    segments_of,
+    to_scalar,
+)
 
 SEG = Segment(Point(0.0, 0.0), Point(1.0, 0.3))
 
@@ -86,7 +92,7 @@ def test_vb_blades_and_provenance():
     blinds = vb(SEG, 1.2, 2.1, 5)
     assert len(blinds) == 5
     assert blinds.provenance == [(i,) for i in range(5)]
-    for blade in blinds.segments:
+    for blade in segments_of(blinds.coords):
         assert dist(blade.direction, 1.2) < 1e-9
     assert blinds.meta["chirality"] == CCW
 
@@ -108,7 +114,7 @@ def test_branch_tree_shapes():
 def test_iter_vb_leaves_and_directions():
     blinds = iter_vb(SEG, 1.4, 2.4, [2, 3], chirality=CCW)
     assert len(blinds) == 6
-    for leaf in blinds.segments:
+    for leaf in segments_of(blinds.coords):
         assert dist(leaf.direction, 1.4) < 1e-9
     assert sorted(blinds.provenance) == [
         (i, j) for i in range(2) for j in range(3)
@@ -267,10 +273,9 @@ def test_blind_set_validation():
         BlindSet(np.ones((2, 4)), provenance=[(0,)])
 
 
-def test_blind_set_total_length_and_distance():
-    blinds = BlindSet.from_segments([SEG])
-    assert math.isclose(blinds.total_length, SEG.length)
-    assert blinds.max_distance_to(SEG) < 1e-15
+def test_blind_set_total_length():
+    blinds = BlindSet(np.array([[0.0, 0.0, 1.0, 0.3], [0.0, 0.0, 0.0, -2.0]]))
+    assert math.isclose(blinds.total_length, SEG.length + 2.0)
 
 
 def _q1_context():
@@ -297,7 +302,7 @@ def test_auto_vb_cover_respects_max_offset():
     n, blinds = auto_vb_cover(
         curve, seg, 0.6, 2.5, a_cover, n_max=2**16, max_offset=0.002
     )
-    assert blinds.max_distance_to(seg) <= 0.002 + 1e-12
+    assert max_endpoint_distance(blinds.coords, seg) <= 0.002 + 1e-12
 
 
 def test_auto_vb_cover_cap_error():
@@ -308,9 +313,22 @@ def test_auto_vb_cover_cap_error():
         # a starting count above the cap is never tried
         dict(n0=128, n_max=64),
     ):
-        with pytest.raises(ConstructionError) as err:
+        message = r"^stage 1 \(vb_cover\) exceeded N_max=64 "
+        with pytest.raises(ConstructionError, match=message) as err:
             auto_vb_cover(curve, seg, 0.6, 2.5, a_cover, **kwargs)
         assert err.value.stage == "vb_cover"
+
+
+def test_auto_vb_cover_max_offset_preconditions(time_limit):
+    curve, a_cover, seg = _q1_context()
+    for max_offset in (math.nan, 0.0, -0.002):
+        # no blade count can meet these, so they fail before any doubling
+        with time_limit(10), pytest.raises(ValueError, match="^max_offset must be positive, got"):
+            auto_vb_cover(curve, seg, 0.6, 2.5, a_cover, max_offset=max_offset)
+    # an infinite offset bounds nothing, as None
+    n, blinds = auto_vb_cover(curve, seg, 0.6, 2.5, a_cover, n_max=2**14, max_offset=math.inf)
+    n_none, blinds_none = auto_vb_cover(curve, seg, 0.6, 2.5, a_cover, n_max=2**14)
+    assert n == n_none and blinds.coords.tobytes() == blinds_none.coords.tobytes()
 
 
 def test_auto_iter_vb_stays_within_budget_and_reaches_small_direction():
@@ -320,10 +338,10 @@ def test_auto_iter_vb_stays_within_budget_and_reaches_small_direction():
         curve, seg, 0.75, 2.5, eps, a_cover=a_cover, chirality=CCW,
         caps=Caps(n_max=2**20, m_max=128), delta=0.01,
     )
-    for leaf in blinds.segments:
+    for leaf in segments_of(blinds.coords):
         assert dist(leaf.direction, 0.75) < 1e-9
     # every leaf stays within the seed radius delta0 of the base segment
-    assert blinds.max_distance_to(seg) <= blinds.meta["delta0"] + 1e-12
+    assert max_endpoint_distance(blinds.coords, seg) <= blinds.meta["delta0"] + 1e-12
     assert blinds.meta["depth"] == len(blinds.meta["level_counts"])
 
 
@@ -426,7 +444,7 @@ def test_hulls_cover_ok_matches_scalar_arc_test(name):
         assert got.tolist() == list(expected)
 
 
-def test_auto_iter_vb_preconditions():
+def test_auto_iter_vb_preconditions(time_limit):
     curve, a_cover, seg = _q1_context()
     long_seg = Segment(Point(-0.1, 0.9), Point(0.3, 1.1))
     with pytest.raises(ConstructionError):
@@ -434,6 +452,10 @@ def test_auto_iter_vb_preconditions():
     for eps in (-1.0, math.nan):
         with pytest.raises(ValueError, match="eps must be positive"):
             auto_iter_vb(curve, seg, 0.75, 2.5, eps)
+    for delta in (math.nan, 0.0, -0.01):
+        # min(eps, nan) is eps, which would ignore a NaN; the others cannot be met
+        with time_limit(10), pytest.raises(ValueError, match="^delta must be positive, got"):
+            auto_iter_vb(curve, seg, 0.75, 2.5, 0.05, a_cover=a_cover, delta=delta)
     with pytest.raises(ConstructionError):
         # depth cap too small for the requested arc/eps
         auto_iter_vb(curve, seg, 0.75, 2.5, 0.05, caps=Caps(m_max=2))

@@ -8,6 +8,7 @@ import pytest
 from curveblinds.curve import (
     CurveProfile,
     DomainError,
+    _golden_max,
     builtin_curve,
     builtin_curve_names,
     diff_interval,
@@ -229,3 +230,18 @@ def test_project_disk_misses_strip():
     curve = builtin_curve("parabola")
     with pytest.raises(DomainError):
         project_disk(curve, 10.0, Disk(Point(0.0, 0.0), 0.5))
+
+
+def test_golden_max_returns_at_once_without_brackets(time_limit):
+    # all() of an empty mask is true, so the loop must not be entered
+    with time_limit(10):
+        out = _golden_max(lambda x, i: -x * x, np.empty(0), np.empty(0), 1e-12)
+    assert out.shape == (0,)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_project_disk_rejects_a_non_finite_alpha(alpha, time_limit):
+    # a NaN alpha makes every seed value NaN, leaving the search no bracket
+    curve = builtin_curve("parabola")
+    with time_limit(10), pytest.raises(ValueError, match="^alpha must be finite, got"):
+        project_disk(curve, alpha, Disk(Point(0.5, 0.2), 0.3))

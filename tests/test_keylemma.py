@@ -32,11 +32,13 @@ from curveblinds.verify import check_cover, check_small
 import keylemma_reference as reference
 from scalar_projection import (
     contains,
+    max_endpoint_distance,
     project_fiber_arc,
     project_segment,
     project_segments,
     report_bits,
     scalar_exp,
+    segments_of,
     to_scalar,
 )
 
@@ -70,7 +72,7 @@ def test_polygon_approx_tangency_distance_and_covering():
     eps, delta = 0.05, 0.01
     chain = polygon_approx(curve, y, subrange, eps, delta)
     arc = chain.source
-    segs = chain.segments()
+    segs = segments_of(chain.coords())
     assert len(chain.tangency_params) == len(segs)
 
     # tangency: the fiber point at t_i lies on segment i, with matching slope
@@ -242,7 +244,8 @@ def _q1_band_context():
     spec = load_scene("Q1")
     curve = spec.curve()
     chain = polygon_approx(curve, spec.y, spec.subrange, spec.epsilon, spec.delta)
-    seg = chain.segments()[len(chain.segments()) // 2]
+    segs = segments_of(chain.coords())
+    seg = segs[len(segs) // 2]
     # the x1 window of the segment's delta-neighborhood
     window = (min(seg.a.x1, seg.b.x1) - spec.delta, max(seg.a.x1, seg.b.x1) + spec.delta)
     return spec, curve, seg, window
@@ -433,7 +436,7 @@ def test_local_construction_covers_and_stays_close():
         caps=spec.caps,
     )
     # stays within delta of the base segment
-    assert blinds.max_distance_to(seg) <= spec.delta + 1e-12
+    assert max_endpoint_distance(blinds.coords, seg) <= spec.delta + 1e-12
     # covering oracle: projections contain the segment's projections
     for alpha in a_cover.grid():
         target = project_segment(curve, float(alpha), seg)

@@ -35,6 +35,7 @@ from scalar_projection import (
     project_segment,
     project_segments,
     rows_of,
+    segments_of,
     union_of,
 )
 from scalar_projection import project_fiber_arc as scalar_fiber_arc
@@ -420,7 +421,7 @@ def test_project_segment_matches_sampling_oracle():
             if a == b:
                 continue
             seg = Segment(a, b)
-            u = project_blinds(curve, alpha, BlindSet.from_segments([seg]))
+            u = project_blinds(curve, alpha, BlindSet(np.array([[a.x1, a.x2, b.x1, b.x2]])))
             assert rows_of(u) == [project_segment(curve, alpha, seg).intervals]
             oracle = _segment_oracle(curve, alpha, seg)
             if oracle is None:
@@ -441,7 +442,7 @@ def test_project_segment_matches_sampling_oracle():
 
 def test_project_segment_vertical():
     curve = builtin_curve("parabola")
-    blinds = BlindSet.from_segments([Segment(Point(1.5, 0.0), Point(1.5, 2.0))])
+    blinds = BlindSet(np.array([[1.5, 0.0, 1.5, 2.0]]))
     u = project_blinds(curve, 2.0, blinds)
     base = curve.f(0.5)
     assert rows_of(u) == [((base, 2.0 + base),)]
@@ -501,7 +502,7 @@ def test_project_blinds_fast_path_matches_slow_path():
     for name in ("parabola", "quarter_circle"):
         curve = builtin_curve(name)
         for alpha in np.linspace(-0.5, 2.0, 11).tolist():
-            slow = project_segments(curve, alpha, blinds.segments)
+            slow = project_segments(curve, alpha, segments_of(blinds.coords))
             (fast,) = rows_of(project_blinds(curve, alpha, blinds))
             assert len(fast) == len(slow.intervals)
             for (flo, fhi), (slo, shi) in zip(fast, slow.intervals):
@@ -514,7 +515,7 @@ def test_project_blinds_drops_segments_outside_the_strip():
     # its unclipped image [-1, 1] would swallow the other segment's
     curve = builtin_curve("parabola")
     blinds = BlindSet(np.array([[0.0, 0.0, 0.1, 0.0], [2.0, -1.0, 2.0, 1.0]]))
-    expected = project_segment(curve, 0.5, blinds.segments[0])
+    expected = project_segment(curve, 0.5, segments_of(blinds.coords)[0])
     (batch,) = project_blinds_grid(curve, [0.5, 0.5], blinds)
     assert rows_of(batch) == [expected.intervals] * 2
 
@@ -621,7 +622,7 @@ def test_project_blinds_grid_fallback_for_scalar_curves():
     alphas = np.linspace(-1.0, 3.0, 11).tolist()
     batched = _assert_grid_matches_per_alpha(curve, alphas, blinds)
     for alpha, got in zip(alphas, batched):
-        assert got == project_segments(curve, alpha, blinds.segments).intervals
+        assert got == project_segments(curve, alpha, segments_of(blinds.coords)).intervals
 
 
 def _assert_bitwise_general(curve, alphas, blinds):

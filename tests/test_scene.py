@@ -177,6 +177,7 @@ def test_non_string_scene_id_is_rejected(value):
         ("schema_version", "1"),
         ("y", [0.5, "abc"]),
         ("A_small", [["a", 0.54]]),
+        ("seed", -3),
     ],
 )
 def test_numeric_fields_fail_with_their_name(path, value):

@@ -7,7 +7,7 @@ import pytest
 
 from curveblinds.blinds import BlindSet
 from curveblinds.curve import builtin_curve
-from curveblinds.geometry import Point, Segment
+from curveblinds.geometry import Point
 from curveblinds.keylemma import default_alpha_box, polygon_approx
 from curveblinds.measure import AlphaSet, FiberArc, IntervalUnion, project_blinds_grid
 from curveblinds.verify import (
@@ -21,25 +21,22 @@ from curveblinds.verify import (
 from scalar_projection import (
     contains,
     project_fiber_arc,
-    project_segment,
     project_segments,
     records,
     report_bits,
+    segments_of,
 )
 
 CURVE = builtin_curve("parabola")
 ALPHAS = AlphaSet.interval(0.7, 0.9, 20)  # strips contain all test segments
 
 
-def _self_cover_case():
-    seg = Segment(Point(0.3, 0.0), Point(0.5, 0.1))
-    blinds = BlindSet.from_segments([seg])
-    return seg, blinds
+#: one segment, as blinds and as the covering target they cover exactly
+SELF = BlindSet(np.array([[0.3, 0.0, 0.5, 0.1]]))
 
 
 def test_check_cover_passes_on_self_cover():
-    seg, blinds = _self_cover_case()
-    report = check_cover(CURVE, blinds, seg, ALPHAS, scene_id="t")
+    report = check_cover(CURVE, SELF, SELF, ALPHAS, scene_id="t")
     assert report.passed
     assert report.kind == "cover"
     assert report.worst_value == 0.0
@@ -48,12 +45,9 @@ def test_check_cover_passes_on_self_cover():
 
 
 def test_check_cover_fails_with_deficit():
-    seg, _ = _self_cover_case()
     # a vertically shifted copy misses part of the target projection
-    shifted = BlindSet.from_segments(
-        [Segment(Point(0.3, 0.05), Point(0.5, 0.15))]
-    )
-    report = check_cover(CURVE, shifted, seg, ALPHAS)
+    shifted = BlindSet(np.array([[0.3, 0.05, 0.5, 0.15]]))
+    report = check_cover(CURVE, shifted, SELF, ALPHAS)
     assert not report.passed
     assert report.worst_value > 0.0
     assert report.padding == 0.0
@@ -64,88 +58,82 @@ def test_check_cover_margin_is_not_padding():
     # the blinds fall 5e-10 short of the target, inside the 1e-9 margin at
     # every grid point; the margin is a tolerance, not headroom, so even a
     # tiny grid step certifies nothing between grid points
-    seg, _ = _self_cover_case()
-    short = BlindSet.from_segments([Segment(Point(0.3, 5e-10), Point(0.5, 0.1 + 5e-10))])
+    short = BlindSet(np.array([[0.3, 5e-10, 0.5, 0.1 + 5e-10]]))
     tiny = AlphaSet(((0.8, 0.8 + 1e-11),), 1e-12)
     assert 2.0 * CURVE.df_bound * tiny.grid_step < 1e-9
-    report = check_cover(CURVE, short, seg, tiny, margin=1e-9)
+    report = check_cover(CURVE, short, SELF, tiny, margin=1e-9)
     assert report.passed
     assert report.padding == 0.0
 
 
 def test_check_cover_shift_mode_requires_interior_slack():
-    seg, blinds = _self_cover_case()
     shift = CURVE.df_bound * ALPHAS.grid_step / 2.0
     # exact self-cover has no interior slack: the eroded cover cannot contain
     # the inflated target
-    tight = check_cover(CURVE, blinds, seg, ALPHAS, shift=shift)
+    tight = check_cover(CURVE, SELF, SELF, ALPHAS, shift=shift)
     assert not tight.passed
     # a tall vertical segment projects onto a wide interval: real slack
-    big = BlindSet.from_segments([Segment(Point(0.4, -1.0), Point(0.4, 1.0))])
-    roomy = check_cover(CURVE, big, seg, ALPHAS, shift=shift)
+    big = BlindSet(np.array([[0.4, -1.0, 0.4, 1.0]]))
+    roomy = check_cover(CURVE, big, SELF, ALPHAS, shift=shift)
     assert roomy.passed
     assert math.isclose(roomy.padding, ALPHAS.grid_step / 2.0)
 
 
 def test_check_cover_accepts_fiber_arc_target():
     arc = FiberArc(Point(0.5, 1.0), 0.2, 0.4)
-    big = BlindSet.from_segments([Segment(Point(0.0, -3.0), Point(0.6, 4.0))])
+    big = BlindSet(np.array([[0.0, -3.0, 0.6, 4.0]]))
     report = check_cover(CURVE, big, arc, AlphaSet.interval(0.9, 1.1, 10))
     assert report.passed
 
 
 def test_check_cover_validates_margins():
     # NaN fails every comparison: unchecked, it would pass as 0
-    seg, blinds = _self_cover_case()
     for value in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="margin must be finite and >= 0"):
-            check_cover(CURVE, blinds, seg, ALPHAS, margin=value)
+            check_cover(CURVE, SELF, SELF, ALPHAS, margin=value)
         with pytest.raises(ValueError, match="shift must be finite and >= 0"):
-            check_cover(CURVE, blinds, seg, ALPHAS, shift=value)
+            check_cover(CURVE, SELF, SELF, ALPHAS, shift=value)
         with pytest.raises(ValueError, match="shift must be finite and >= 0"):
-            cover_views(CURVE, blinds, [(seg, 0.0), (seg, value)], ALPHAS)
+            cover_views(CURVE, SELF, [(SELF, 0.0), (SELF, value)], ALPHAS)
 
 
 def test_check_small_bounds_projected_measure():
-    _, blinds = _self_cover_case()
-    report = check_small(CURVE, blinds, ALPHAS, bound=1.0, scene_id="t")
+    report = check_small(CURVE, SELF, ALPHAS, bound=1.0, scene_id="t")
     assert report.passed
     assert 0.0 < report.worst_value < 1.0
-    failing = check_small(CURVE, blinds, ALPHAS, bound=report.worst_value / 2)
+    failing = check_small(CURVE, SELF, ALPHAS, bound=report.worst_value / 2)
     assert not failing.passed
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_check_small_validates_bound_and_shift(value):
-    _, blinds = _self_cover_case()
     with pytest.raises(ValueError, match="bound must be finite and > 0"):
-        check_small(CURVE, blinds, ALPHAS, bound=value)
+        check_small(CURVE, SELF, ALPHAS, bound=value)
     if value != 0.0:
         with pytest.raises(ValueError, match="shift must be finite and >= 0"):
-            check_small(CURVE, blinds, ALPHAS, bound=1.0, shift=value)
+            check_small(CURVE, SELF, ALPHAS, bound=1.0, shift=value)
         with pytest.raises(ValueError, match="shift must be finite and >= 0"):
-            small_views(CURVE, blinds, ALPHAS, 1.0, [0.0, value])
+            small_views(CURVE, SELF, ALPHAS, 1.0, [0.0, value])
 
 
 def test_check_small_shift_mode_padding():
-    _, blinds = _self_cover_case()
     shift = CURVE.df_bound * ALPHAS.grid_step / 2.0
-    report = check_small(CURVE, blinds, ALPHAS, bound=1.0, shift=shift)
+    report = check_small(CURVE, SELF, ALPHAS, bound=1.0, shift=shift)
     assert report.passed
     assert math.isclose(report.padding, ALPHAS.grid_step / 2.0)
-    plain = check_small(CURVE, blinds, ALPHAS, bound=1.0)
+    plain = check_small(CURVE, SELF, ALPHAS, bound=1.0)
     # inflation can only increase the certified worst measure
     assert report.worst_value >= plain.worst_value
 
 
-def _edge_case_segment(dx: float = 0.0) -> Segment:
+def _edge_case_row(dx: float = 0.0) -> list[float]:
     # for dx = 0 the strip edge alpha - b = alpha - 1 crosses the segment for
     # every alpha in [0.75, 0.85], inside ALPHAS; its slope 6 exceeds df_bound
-    return Segment(Point(-0.25 + dx, 0.0), Point(-0.15 + dx, 0.6))
+    return [-0.25 + dx, 0.0, -0.15 + dx, 0.6]
 
 
 def test_strip_edge_inside_the_grid_grants_no_padding():
-    blinds = BlindSet.from_segments([_edge_case_segment()])
+    blinds = BlindSet(np.array([_edge_case_row()]))
     shift = CURVE.df_bound * ALPHAS.grid_step / 2.0
     shifted = check_small(CURVE, blinds, ALPHAS, bound=10.0, shift=shift)
     plain = check_small(CURVE, blinds, ALPHAS, bound=10.0)
@@ -161,22 +149,21 @@ def test_strip_edge_inside_the_grid_grants_no_padding():
     grid_measure = shifted.per_alpha.projected_measure
     assert np.max(fine_measure - grid_measure[nearest]) > 1e-4
     # the same segment inside the strip for every such alpha keeps its padding
-    inside = BlindSet.from_segments([_edge_case_segment(dx=0.5)])
+    inside = BlindSet(np.array([_edge_case_row(dx=0.5)]))
     assert check_small(CURVE, inside, ALPHAS, bound=10.0, shift=shift).padding == half
     assert check_small(CURVE, inside, ALPHAS, bound=10.0).padding == half
 
 
 def test_strip_edge_voids_cover_padding_for_blinds_and_target():
-    seg = Segment(Point(0.3, 0.0), Point(0.5, 0.1))
-    tall = Segment(Point(0.4, -3.0), Point(0.4, 3.0))
+    tall = [0.4, -3.0, 0.4, 3.0]
     shift = CURVE.df_bound * ALPHAS.grid_step / 2.0
-    roomy = check_cover(CURVE, BlindSet.from_segments([tall]), seg, ALPHAS, shift=shift)
+    roomy = check_cover(CURVE, BlindSet(np.array([tall])), SELF, ALPHAS, shift=shift)
     assert roomy.passed and roomy.padding > 0.0
-    blinds = BlindSet.from_segments([tall, _edge_case_segment()])
-    report = check_cover(CURVE, blinds, seg, ALPHAS, shift=shift)
+    blinds = BlindSet(np.array([tall, _edge_case_row()]))
+    report = check_cover(CURVE, blinds, SELF, ALPHAS, shift=shift)
     assert report.passed and report.padding == 0.0
-    target = _edge_case_segment()
-    report = check_cover(CURVE, BlindSet.from_segments([tall]), target, ALPHAS, shift=shift)
+    target = BlindSet(np.array([_edge_case_row()]))
+    report = check_cover(CURVE, BlindSet(np.array([tall])), target, ALPHAS, shift=shift)
     assert report.passed and report.padding == 0.0
 
 
@@ -184,7 +171,7 @@ def test_views_of_one_pass_match_one_view_checks():
     for curve, blinds, target, alphas in _failing_cover_cases():
         shifts = [0.0, 0.004, 0.001]
         views = [(target, shift) for shift in shifts]
-        views.append((Segment(Point(0.0, 0.0), Point(0.3, 0.1)), 0.002))
+        views.append((BlindSet(np.array([[0.0, 0.0, 0.3, 0.1]])), 0.002))
         reports = cover_views(curve, blinds, views, alphas, margin=1e-9, scene_id="v")
         for (view_target, shift), report in zip(views, reports):
             single = check_cover(curve, blinds, view_target, alphas, 1e-9, "v", shift)
@@ -196,9 +183,8 @@ def test_views_of_one_pass_match_one_view_checks():
 
 
 def test_report_json_shape():
-    seg, blinds = _self_cover_case()
-    report = check_cover(CURVE, blinds, seg, ALPHAS, scene_id="t")
-    small = check_small(CURVE, blinds, ALPHAS, bound=1.0, scene_id="t")
+    report = check_cover(CURVE, SELF, SELF, ALPHAS, scene_id="t")
+    small = check_small(CURVE, SELF, ALPHAS, bound=1.0, scene_id="t")
     fields = {
         "cover": ("alpha", "covered", "deficit", "projected_measure"),
         "small": ("alpha", "deficit", "projected_measure"),
@@ -239,7 +225,7 @@ def _failing_cover_cases():
     its midpoint, and short random segments against one long segment."""
     curve = builtin_curve("parabola")
     chain = polygon_approx(curve, Point(0.5, 0.1), (0.3, 0.6), 0.05, 0.01)
-    ends = BlindSet.from_segments(chain.segments()).coords.reshape(-1, 2, 2)
+    ends = chain.coords().reshape(-1, 2, 2)
     mid = ends.mean(axis=1, keepdims=True)
     shrunk = BlindSet((mid + 0.9 * (ends - mid)).reshape(-1, 4))
     yield curve, shrunk, chain.source, default_alpha_box(curve, chain.source, 80)
@@ -247,7 +233,7 @@ def _failing_cover_cases():
     ax, ay = rng.uniform(-0.2, 0.6, 20), rng.uniform(-0.3, 0.3, 20)
     theta, length = rng.uniform(0.0, math.pi, 20), rng.uniform(0.01, 0.2, 20)
     coords = np.column_stack([ax, ay, ax + length * np.cos(theta), ay + length * np.sin(theta)])
-    target = Segment(Point(-0.1, -0.2), Point(0.5, 0.25))
+    target = BlindSet(np.array([[-0.1, -0.2, 0.5, 0.25]]))
     yield curve, BlindSet(coords), target, AlphaSet.from_intervals([(0.3, 0.7), (0.9, 1.2)], 45)
 
 
@@ -258,9 +244,9 @@ def test_check_reports_match_scalar_per_alpha_loop(shift):
     for curve, blinds, target, alphas in _failing_cover_cases():
         cover_rows, small_rows = [], []
         for alpha in alphas.grid().tolist():
-            proj_e = project_segments(curve, alpha, blinds.segments)
-            if isinstance(target, Segment):
-                proj_t = project_segment(curve, alpha, target)
+            proj_e = project_segments(curve, alpha, segments_of(blinds.coords))
+            if isinstance(target, BlindSet):
+                proj_t = project_segments(curve, alpha, segments_of(target.coords))
             else:
                 proj_t = project_fiber_arc(curve, alpha, target)
             small_rows.append(
