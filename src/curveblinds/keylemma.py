@@ -212,7 +212,8 @@ def compute_bands(
     its t-windows plus a tiny slack.  The small band is the shortest arc
     enclosing the small directions inside the gap that runs counterclockwise
     from the cover band back to it; it may wrap through the vertical.  The
-    first failing unit raises ConstructionError("bands") for its first failing check.
+    first failing unit raises ConstructionError("bands") for its first failing check;
+    a NaN or infinite window end raises ValueError naming the first such unit.
     """
     if len(a_cover.components) != 1:
         raise ValueError("A_cover must be a single interval")
@@ -221,6 +222,12 @@ def compute_bands(
         raise ValueError("A_small and A_cover must be disjoint")
 
     x1_lo, x1_hi = np.atleast_1d(x1_lo, x1_hi)
+    finite = np.isfinite(x1_lo) & np.isfinite(x1_hi)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(
+            f"x1 window must be finite: unit {i} is [{float(x1_lo[i])!r}, {float(x1_hi[i])!r}]"
+        )
     t_lo, t_hi = clo - x1_hi, chi_ - x1_lo
     outside = (t_lo < curve.a) | (t_hi > curve.b)
     # per small component, the t-window it meets (columns lo, hi, lo, hi, ...)

@@ -3,12 +3,14 @@
 Projections of segments, blind sets and fiber arcs land on the vertical
 lines {alpha} x R, each image a finite union of closed intervals.  An
 IntervalUnion holds the images of a batch of alphas, one row per alpha, as
-flat arrays of canonical groups with each group's row.  _sort_rows and
-_sorted_groups canonicalize the projection kernel's (rows x n) interval
-arrays in any order, in its own buffers; _merge_neighbours takes intervals
+flat arrays of canonical groups with each group's row.  _canonical_groups
+canonicalizes the projection kernel's (rows x n) interval arrays in any
+order, in its own buffers: chains of neighbours collapse to their hulls,
+a wide row pre-merges in blocks of _BLOCK intervals, and _sorted_groups
+cuts the groups of the sorted rows.  _merge_neighbours takes intervals
 sorted by row whose lo and hi rise within each row, as a union's do after a
-shift or a cut.  Measures, inflation, erosion,
-difference and containment act on whole batches.
+shift or a cut.  Measures, inflation, erosion, difference and containment
+act on whole batches.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ MERGE_TOL = 1e-12
 #: an array of BUDGET elements that glibc would trim and fault in again for
 #: the next; only curve.f's result is new in every batch.
 BUDGET = 16384
+
+#: Intervals per block in _canonical_groups' pre-merge of a wide row.
+_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,10 +141,11 @@ def _keys(row: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _layout(row: np.ndarray, rows: int, values: np.ndarray, fill: float) -> np.ndarray:
-    """values as a (rows x width) array: each row's groups in order, then fill."""
+    """values (the last axis, one entry per group) as (rows x width) arrays:
+    each row's groups in order, then fill."""
     col = np.arange(len(row)) - np.searchsorted(row, row)
-    out = np.full((rows, int(col.max(initial=0)) + 1), fill)
-    out[row, col] = values
+    out = np.full(values.shape[:-1] + (rows, int(col.max(initial=0)) + 1), fill)
+    out[..., row, col] = values
     return out
 
 
@@ -147,11 +153,11 @@ def _merge_neighbours(lo: np.ndarray, hi: np.ndarray, row: np.ndarray, rows: int
     """Canonicalize intervals sorted by row whose lo and hi both rise within
     each row, as a canonical union's do after a shift or a cut.
 
-    Sorting each row's lo and hi, as _sort_rows does, would leave both as
-    given, so _sorted_groups' cuts are the cuts between neighbours: where the
-    row changes or lo exceeds the previous hi by more than MERGE_TOL.  A
-    group's hi is its last, and largest, hi; the groups are _sorted_groups'
-    of the same intervals, bit for bit.
+    Sorting each row's lo and hi, as _canonical_groups does, would leave
+    both as given, so _sorted_groups' cuts are the cuts between neighbours:
+    where the row changes or lo exceeds the previous hi by more than
+    MERGE_TOL.  A group's hi is its last, and largest, hi; the groups are
+    _sorted_groups' of the same intervals, bit for bit.
     """
     cuts = np.empty(len(lo), dtype=bool)
     cuts[:1] = True
@@ -163,17 +169,47 @@ def _merge_neighbours(lo: np.ndarray, hi: np.ndarray, row: np.ndarray, rows: int
     return IntervalUnion(lo[starts], hi[ends], row[starts], rows)
 
 
-def _sort_rows(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort each row's lo and hi, each on their own, in place; gap his are +inf.
+def _canonical_groups(
+    lo_buf: np.ndarray, hi_buf: np.ndarray, rows: int, n: int, cuts: np.ndarray, reach: np.ndarray
+) -> IntervalUnion:
+    """The canonical groups of the (rows x n) intervals in lo_buf and hi_buf.
 
-    A one-row batch first goes through _collapse_chains, which may return
-    new, shorter arrays; those are sorted and returned instead.
+    The intervals are the first rows * n entries of the flat buffers, row by
+    row, in any order; a gap has lo = hi = +inf, and no entry is NaN.  The
+    buffers and the scratch arrays cuts (bool) and reach (float) hold at
+    least rows * n + _BLOCK entries and are overwritten.  Three steps:
+
+    1. _collapse_chains replaces each chain of neighbours by its hull, in
+       every row of the batch, when the batch has few enough chains.
+    2. A one-row batch of more than BUDGET // 2 intervals that did not
+       collapse is cut into blocks of _BLOCK intervals, the last padded with
+       gaps; each block's lo and hi are sorted in one 2-D sort, and the
+       block groups (see _sorted_groups) replace the intervals.  Such a
+       row holds an interval: a row of gaps only is one chain.
+    3. Each row's lo and hi are sorted, and _sorted_groups cuts the groups.
+
+    The canonical groups of a row are the components of the union of its
+    [lo, fl(hi + MERGE_TOL)], each with its min lo and max hi.  A chain and
+    a block group are connected, and their hull has exactly their min lo
+    and max hi, so that replacing them by it leaves that union, and so every
+    group, unchanged bit for bit.  The result owns its arrays.
     """
-    if los.shape[0] == 1:
-        los, his = _collapse_chains(los, his)
+    los, his = lo_buf[: rows * n].reshape(rows, n), hi_buf[: rows * n].reshape(rows, n)
+    given = los
+    los, his = _collapse_chains(los, his, cuts, reach)
+    if rows == 1 and n > BUDGET // 2 and los is given:
+        blocks = -(-n // _BLOCK)
+        lo_buf[n : blocks * _BLOCK] = np.inf
+        hi_buf[n : blocks * _BLOCK] = np.inf
+        block_los = lo_buf[: blocks * _BLOCK].reshape(blocks, _BLOCK)
+        block_his = hi_buf[: blocks * _BLOCK].reshape(blocks, _BLOCK)
+        block_los.sort(axis=1)
+        block_his.sort(axis=1)
+        merged = _sorted_groups(block_los, block_his, cuts, reach)
+        los, his = merged.lo[None], merged.hi[None]
     los.sort(axis=1)
     his.sort(axis=1)
-    return los, his
+    return _sorted_groups(los, his, cuts, reach)
 
 
 def _sorted_groups(
@@ -202,28 +238,39 @@ def _sorted_groups(
     return IntervalUnion(los[starts[kept]], his[ends], starts[kept] // n, rows)
 
 
-def _collapse_chains(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A one-row batch with each chain of neighbours replaced by (min lo, max hi).
+def _collapse_chains(
+    los: np.ndarray, his: np.ndarray, cuts: np.ndarray, reach: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows x n) intervals with each chain of neighbours replaced by (min lo, max hi).
 
-    Neighbours whose closures, widened by MERGE_TOL, meet join a chain, and
-    the union of a chain lies in one canonical group with exactly its min lo
-    and max hi, whatever else joins that group.  A comparison with NaN is
-    false, so a NaN joins nothing, and a gap (lo = +inf) joins only an
-    interval reaching +inf.  Rows of more than n / 16 chains come back as
-    given: the reduction costs more per chain than the sorts save per entry.
-    The first n / 16 entries are tested first, and a row whose prefix has
+    Neighbours in a row whose closures, widened by MERGE_TOL, meet join a
+    chain; a join never crosses a row boundary.  The union of a chain lies
+    in one canonical group with exactly its min lo and max hi, whatever else
+    joins that group.  A gap (lo = +inf) joins only a gap or an interval
+    reaching +inf.  The collapsed rows are laid out as _layout does, each
+    row's chains in order, then gaps.  A batch of more than rows * n / 16
+    chains comes back as given, the same arrays: the reduction costs more
+    per chain than the sorts save per entry.  The first rows * n / 16
+    entries, row by row, are tested first, and a batch whose prefix holds
     more than that share of chains comes back as given too, without the
-    full test; either way gives the same canonical rows.
+    full test; either way gives the same canonical rows.  cuts and reach,
+    of at least rows * n entries, are scratch buffers.
     """
-    lo, hi = los[0], his[0]
-    for m in (len(lo) // 16, len(lo)):
-        reach = hi[:m] + MERGE_TOL
-        joins = lo[1:m] <= reach[:-1]
-        joins &= lo[:m][:-1] <= reach[1:]
-        if 16 * (m - np.count_nonzero(joins)) > m:
+    rows, n = los.shape
+    lo, hi = los.ravel(), his.ravel()
+    for m in (lo.size // 16, lo.size):
+        # cuts[i]: entry i starts a chain
+        near = np.add(hi[:m], MERGE_TOL, out=reach[:m])
+        np.greater(lo[1:m], near[:-1], out=cuts[1:m])
+        cuts[1:m] |= lo[:m][:-1] > near[1:]
+        cuts[:m:n] = True  # a row starts a chain: no join crosses rows
+        if 16 * np.count_nonzero(cuts[:m]) > m:
             return los, his
-    starts = np.flatnonzero(np.append(True, ~joins))
-    return np.minimum.reduceat(lo, starts)[None], np.maximum.reduceat(hi, starts)[None]
+    starts = np.flatnonzero(cuts[:m])
+    lo, hi = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+    if rows == 1 or len(lo) == rows:  # one row, or one chain a row: laid out
+        return lo.reshape(rows, -1), hi.reshape(rows, -1)
+    return tuple(_layout(starts // n, rows, np.stack([lo, hi]), np.inf))
 
 
 # -- alpha parameter sets ---------------------------------------------------
@@ -350,25 +397,35 @@ def project_blinds_grid(
     the batch size, so batching changes no bit of the result either.
 
     The batch arrays (endpoint values, lo and hi, the cut mask and reach) are
-    allocated once per call and written through out=; each batch's lo and hi
-    are sorted in place.  Up to a few thousand segments, per-batch numpy
-    call overhead, not element work, bounds the kernel, hence the large
-    BUDGET; reuse keeps it from costing page faults (see BUDGET).  The yielded
-    batches own their arrays: none is a view of a buffer.
+    allocated once per call and written through out=; _canonical_groups
+    canonicalizes each batch's rows in them.  Up to a few thousand segments,
+    per-batch numpy call overhead, not element work, bounds the kernel, hence
+    the large BUDGET; reuse keeps it from costing page faults (see BUDGET).
+    The yielded batches own their arrays: none is a view of a buffer.  A NaN
+    or infinite alpha or blind coordinate is rejected with ValueError naming
+    the first one.
     """
     coords = blinds.coords
     alphas = np.asarray(alphas, dtype=float)
+    finite = np.isfinite(alphas)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"alpha must be finite, got alphas[{i}] = {float(alphas[i])!r}")
+    _require_finite_coords(coords)
     if not alphas.size:
         return
     n = len(coords)
     rows = min(len(alphas), max(1, BUDGET // n))
     endpoint_only = _endpoint_only(curve, alphas, coords)
     split = int(np.count_nonzero(endpoint_only))
-    # the batch buffers, written through out= by every batch; the sorts
-    # ignore the column order (up to which of -0.0 and 0.0 sorts first), so
-    # the endpoint-only segments take the first split columns
-    los, his = np.empty((2, rows, n))
-    cuts, reach = np.empty(rows * n, dtype=bool), np.empty(rows * n)
+    # the batch buffers, written through out= by every batch, with room for
+    # _canonical_groups' block padding; the canonical groups do not depend
+    # on the column order (up to which of -0.0 and 0.0 comes first), so the
+    # endpoint-only segments take the first split columns
+    size = rows * n + _BLOCK
+    lo_buf, hi_buf, reach = np.empty((3, size))
+    cuts = np.empty(size, dtype=bool)
+    los, his = lo_buf[: rows * n].reshape(rows, n), hi_buf[: rows * n].reshape(rows, n)
     parts = []
     if split:
         parts.append((_endpoint_images(curve, coords[endpoint_only], rows), slice(None, split)))
@@ -379,7 +436,7 @@ def project_blinds_grid(
         al = alphas[first : first + rows, None]
         for images, cols in parts:
             images(al, los[: len(al), cols], his[: len(al), cols])
-        batch = _sorted_groups(*_sort_rows(los[: len(al)], his[: len(al)]), cuts, reach)
+        batch = _canonical_groups(lo_buf, hi_buf, len(al), n, cuts, reach)
         count = int(np.bincount(batch.row, minlength=1).max())
         if pending and (stacked + batch.rows) * max(widest, count) > BUDGET:
             yield IntervalUnion.stack(pending)
@@ -389,6 +446,14 @@ def project_blinds_grid(
         widest = max(widest, count)
     if pending:
         yield IntervalUnion.stack(pending)
+
+
+def _require_finite_coords(coords: np.ndarray) -> None:
+    """Reject (n, 4) segment rows holding a NaN or an infinity, naming the first."""
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"blind coordinates must be finite: row {row} is {coords[row].tolist()}")
 
 
 #: Clearance, in x1 units per unit of coordinate magnitude, that an

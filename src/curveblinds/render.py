@@ -16,7 +16,7 @@ import numpy as np
 
 from .blinds import BlindSet
 from .curve import DOMAIN_TOL, CurveProfile
-from .measure import FiberArc
+from .measure import FiberArc, _require_finite_coords
 
 _WIDTH = 800
 _HEIGHT = 600
@@ -156,10 +156,7 @@ def render_svg(
     A NaN or infinite blind coordinate or alpha is rejected with ValueError.
     """
     coords = blinds.coords
-    finite = np.isfinite(coords).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ValueError(f"blind coordinates must be finite: row {row} is {coords[row].tolist()}")
+    _require_finite_coords(coords)
     if alpha is not None and not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     xs = [coords[:, 0].min(), coords[:, 0].max(), coords[:, 2].min(), coords[:, 2].max()]

@@ -6,8 +6,8 @@ package; the equivalence tests compare both against these independent
 per-alpha, per-interval evaluations.  ``rows_of``, ``to_scalar`` and
 ``batch_of`` convert between the two representations, and
 ``canonical_rows`` canonicalizes (rows x n) interval arrays in copies with
-the projection kernel's two steps, ``measure._sort_rows`` and
-``measure._sorted_groups``; ``argsort_canonical_rows`` canonicalizes by
+the projection kernel's canonicalizer, ``measure._canonical_groups``;
+``argsort_canonical_rows`` canonicalizes by
 sorting whole intervals, its reference.  ``general_projection_grid`` runs
 the kernel's general evaluation on every segment, the bit-exact reference
 for its endpoint-only one.  ``scalar_exp`` is a custom profile built from
@@ -172,13 +172,20 @@ def batch_of(rows: Sequence[Sequence[Sequence[float]]]):
 def canonical_rows(los: np.ndarray, his: np.ndarray):
     """Canonicalize each row of (rows x n) interval arrays; lo = +inf marks a gap.
 
-    The inputs stay as given: the kernel's steps sort the rows in copies,
-    with each gap's hi set to +inf, so that gaps sort last in their row and
-    are dropped.
+    The inputs stay as given: the kernel's canonicalizer runs on copies in
+    buffers of the kernel's size, with each gap's hi set to +inf as the
+    kernel sets it.  The buffers' spare room and the scratch arrays start
+    as a non-gap interval [-1, 1] and True, so a canonicalizer that read
+    them without writing them first would change the rows.
     """
-    his = np.where(los == np.inf, np.inf, his)
-    cuts, reach = np.empty(los.size, dtype=bool), np.empty(los.size)
-    return measure._sorted_groups(*measure._sort_rows(los.copy(), his), cuts, reach)
+    rows, n = los.shape
+    size = rows * n + measure._BLOCK
+    lo_buf, hi_buf, reach = np.full((3, size), -1.0)
+    hi_buf[:] = 1.0
+    cuts = np.ones(size, dtype=bool)
+    lo_buf[: rows * n] = los.ravel()
+    hi_buf[: rows * n] = np.where(los == np.inf, np.inf, his).ravel()
+    return measure._canonical_groups(lo_buf, hi_buf, rows, n, cuts, reach)
 
 
 def argsort_canonical_rows(los: np.ndarray, his: np.ndarray):

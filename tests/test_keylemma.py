@@ -427,6 +427,17 @@ def test_compute_bands_rejects_region_leaving_strip():
     assert info.value.stage == "bands"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_compute_bands_names_a_non_finite_window(bad):
+    # a NaN window failed every admissibility test and was blamed on A_small
+    spec, curve, seg, (lo, hi) = _q1_band_context()
+    sets = (spec.a_small(), spec.a_cover())
+    with pytest.raises(ValueError, match=rf"x1 window must be finite: unit 0 is \[{bad!r}, "):
+        compute_bands(curve, bad, hi, *sets)
+    with pytest.raises(ValueError, match=rf"unit 1 is \[{lo!r}, {bad!r}\]"):
+        compute_bands(curve, [lo, lo, bad], [hi, bad, hi], *sets)
+
+
 def test_local_construction_covers_and_stays_close():
     spec, curve, seg, window = _q1_band_context()
     a_small, a_cover = spec.a_small(), spec.a_cover()

@@ -20,6 +20,7 @@ from curveblinds.measure import (
     AlphaSet,
     FiberArc,
     _collapse_chains,
+    _BLOCK,
     _endpoint_only,
     project_blinds,
     project_blinds_grid,
@@ -118,17 +119,22 @@ def _tie_and_touch_rows(rng):
     return los, his
 
 
-def _chained_row(rng):
-    # one row in blade order, few enough chains to be collapsed: the chains
-    # come in descending order, so each starts below its disjoint predecessor
-    # (a one-sided join test merges the two); inside a chain there are gaps,
-    # neighbours that touch, from either side, at exactly MERGE_TOL or just
-    # beyond it, and zeros of either sign
+def _collapses(los, his):
+    # whether _collapse_chains collapses the batch, given scratch of its size
+    cuts, reach = np.empty(los.size, dtype=bool), np.empty(los.size)
+    return _collapse_chains(los, his, cuts, reach)[0] is not los
+
+
+def _chain_runs(rng, chains, length, top):
+    # one row in blade order: chains of length intervals each, in descending
+    # order, so each starts below its disjoint predecessor (a one-sided join
+    # test merges the two); inside a chain there are gaps, neighbours that
+    # touch, from either side, at exactly MERGE_TOL or just beyond it
     los, his = [], []
-    for k in range(60):
-        lo = 4.0 - 0.02 * k + np.cumsum(rng.exponential(1e-5, 512))
+    for k in range(chains):
+        lo = top - 0.02 * k + np.cumsum(rng.exponential(1e-5, length))
         hi = lo + 5e-5
-        for j in range(64, 512, 64):
+        for j in range(64, length, 64):
             reach = hi[j - 1] + MERGE_TOL
             lo[j] = rng.choice([reach, np.nextafter(reach, np.inf)])
             hi[j] = max(hi[j], lo[j])
@@ -137,14 +143,32 @@ def _chained_row(rng):
         lo[4] = hi[4] - 1e-6
         reach = hi[4] + MERGE_TOL
         lo[3] = reach if k % 2 else np.nextafter(reach, np.inf)
-        gaps = rng.choice(512, 3, replace=False)
+        gaps = rng.choice(length, 3, replace=False)
         lo[gaps] = np.inf
         hi[gaps] = rng.choice([-10.0, 10.0], 3)
         los.append(lo)
         his.append(hi)
-    los, his = np.concatenate(los)[None], np.concatenate(his)[None]
+    return np.concatenate(los), np.concatenate(his)
+
+
+def _chained_row(rng):
+    # one row few enough chains to be collapsed, with zeros of either sign
+    los, his = (a[None] for a in _chain_runs(rng, 60, 512, 4.0))
     los[0, 200:204], his[0, 200:204] = [-0.0, 0.0, 0.0, -0.0], [0.0, -0.0, 1e-6, 2e-6]
-    assert _collapse_chains(los, his)[0].shape[1] < los.shape[1]
+    assert _collapses(los, his)
+    return los, his
+
+
+def _chained_rows(rng):
+    # a batch of rows in blade order that collapses, rows of unequal chain
+    # counts; each row starts with a copy of the previous row's last
+    # interval, which a join across the row boundary would merge
+    runs = [_chain_runs(rng, chains, 3072 // chains, 4.0 - r) for r, chains in enumerate((2, 3, 6, 4))]
+    los, his = np.array([lo for lo, _ in runs]), np.array([hi for _, hi in runs])
+    for r in range(1, len(los)):
+        last = np.flatnonzero(los[r - 1] < np.inf)[-1]
+        los[r, 0], his[r, 0] = los[r - 1, last], his[r - 1, last]
+    assert _collapses(los, his)
     return los, his
 
 
@@ -152,8 +176,66 @@ def _many_runs_row(rng):
     # one row of mostly disjoint intervals: too many chains to be collapsed
     los = rng.uniform(-5.0, 5.0, (1, 4000))
     his = los + rng.exponential(0.0003, los.shape)
-    assert _collapse_chains(los, his)[0] is los
+    assert not _collapses(los, his)
     return los, his
+
+
+def _wide(los, his):
+    # a row the blocks pre-merge: one row of over BUDGET / 2 intervals that
+    # does not collapse, its last block short of _BLOCK intervals
+    assert los.shape[0] == 1 and los.shape[1] > BUDGET // 2 and los.shape[1] % _BLOCK
+    assert not _collapses(los, his)
+    return los, his
+
+
+def _wide_row(rng):
+    # blades of 64-256 intervals in shuffled order, all in [2, 9], clear of
+    # any padding that is not a gap
+    runs = []
+    while sum(len(lo) for lo, _ in runs) < BUDGET // 2 + 900:
+        lo = rng.uniform(2.0, 8.0) + np.cumsum(rng.exponential(0.002, int(rng.integers(64, 257))))
+        runs.append((lo, lo + rng.exponential(0.002, len(lo))))
+    order = rng.permutation(len(runs))
+    los = np.concatenate([runs[i][0] for i in order])[None, : BUDGET // 2 + 900]
+    his = np.concatenate([runs[i][1] for i in order])[None, : BUDGET // 2 + 900]
+    return _wide(los, his)
+
+
+def _block_edge_row(rng):
+    # scattered intervals, and across every block edge a pair in a band of
+    # its own: touching at exactly MERGE_TOL or just beyond it, either one
+    # first, or tied at lo or at hi
+    n = 70 * _BLOCK + 77
+    los = rng.uniform(10.0, 20.0, (1, n))
+    his = los + rng.exponential(1e-4, los.shape)
+    for j in range(1, n // _BLOCK + 1):
+        z = 30.0 + j
+        reach = z + 0.25 + MERGE_TOL
+        pair = [
+            ((z, z + 0.25), (reach, z + 0.5)),
+            ((z, z + 0.25), (np.nextafter(reach, np.inf), z + 0.5)),
+            ((z, z + 0.25), (z, z + 0.5)),
+            ((z, z + 0.5), (z + 0.25, z + 0.5)),
+        ][j % 4]
+        if j % 8 >= 4:
+            pair = pair[::-1]
+        (los[0, j * _BLOCK - 1], his[0, j * _BLOCK - 1]), (los[0, j * _BLOCK], his[0, j * _BLOCK]) = pair
+    return _wide(los, his)
+
+
+def _gap_block_row(rng):
+    # whole blocks of gaps, a last block of gaps only, and zeros of either
+    # sign that touch or tie across blocks
+    n = 70 * _BLOCK + 5
+    los = rng.uniform(-1.0, 1.0, (1, n))
+    his = los + rng.exponential(1e-4, los.shape)
+    for block in (3, 7, 70):
+        los[0, block * _BLOCK : (block + 1) * _BLOCK] = np.inf
+        his[0, block * _BLOCK : (block + 1) * _BLOCK] = np.inf
+    zeros = [(-0.0, 0.0), (0.0, -0.0), (-1e-3, -0.0), (0.0, 1e-3), (-0.0, -0.0), (0.0, 0.0)]
+    for k, (lo, hi) in enumerate(zeros * 4):
+        los[0, 100 + 301 * k], his[0, 100 + 301 * k] = lo, hi
+    return _wide(los, his)
 
 
 def _unbounded_gap_free_rows(rng):
@@ -180,7 +262,8 @@ def _one_gap_rows(rng):
     "make",
     [
         _blade_rows, _random_rows, _gap_rows, _tie_and_touch_rows, _chained_row, _many_runs_row,
-        _unbounded_gap_free_rows, _one_gap_rows,
+        _unbounded_gap_free_rows, _one_gap_rows, _chained_rows, _wide_row, _block_edge_row,
+        _gap_block_row,
     ],
     ids=lambda f: f.__name__[1:],
 )
@@ -200,37 +283,83 @@ def test_canonical_rows_equal_the_argsort_reference(make):
     assert len(np.unique(want.row)) < len(want.lo) < los.size
 
 
-def test_cover_rows_of_the_large_constructions_collapse(monkeypatch):
-    # fine P1 (n > BUDGET / 2) runs one-row batches: over A_cover the blades
-    # chain into few runs and collapse; over A_small its rows fall apart into
-    # thousands and are sorted as given.  Fine E1 (n <= BUDGET / 2) runs
-    # batches of several rows, which never go through _collapse_chains
-    chains = []
+def test_rows_of_one_chain_each_equal_the_argsort_reference():
+    # every row is one chain, which needs no layout; the rows continue one
+    # another, so a join across a row boundary would merge them
+    steps = np.random.default_rng(7).uniform(0.0, 4e-4, 3000)
+    los = np.cumsum(steps).reshape(5, 600)
+    his = los + 5e-4
+    # neighbours that touch at exactly MERGE_TOL
+    los[:, 100::100] = his[:, 99:-1:100] + MERGE_TOL
+    assert (his >= los).all() and _collapses(los, his)
+    got, want = canonical_rows(los, his), argsort_canonical_rows(los, his)
+    for name in ("lo", "hi", "row"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert want.row.tolist() == [0, 1, 2, 3, 4]
 
-    def spy(los, his):
-        got = _collapse_chains(los, his)
-        chains.append(got[0].shape[1] < los.shape[1])
+
+def test_cover_rows_of_the_large_constructions_collapse(monkeypatch):
+    # fine P1 (n > BUDGET / 2) runs one-row batches, fine E1 (n <= BUDGET / 2)
+    # batches of three rows.  Over A_cover the blades chain into few runs and
+    # every batch collapses; over A_small the rows fall apart into thousands
+    # of chains and no batch does.  P1's uncollapsed rows then pre-merge in
+    # blocks of _BLOCK intervals into far fewer block groups; E1's batches of
+    # several rows never do
+    chains, blocks = [], []
+    collapse, sorted_groups = measure._collapse_chains, measure._sorted_groups
+
+    def collapse_spy(los, his, cuts, reach):
+        got = collapse(los, his, cuts, reach)
+        chains.append((los.shape[0], got[0] is not los))
         return got
 
-    monkeypatch.setattr(measure, "_collapse_chains", spy)
-    for scene, eps in (("P1", 0.015), ("E1", 0.01)):
+    def groups_spy(los, his, cuts, reach):
+        got = sorted_groups(los, his, cuts, reach)
+        if los.shape == (-(-n // _BLOCK), _BLOCK):
+            blocks.append(len(got.lo))
+        return got
+
+    cases = []
+    for scene, eps, rows in (("P1", 0.015, 1), ("E1", 0.01, 3)):
         spec = dataclasses.replace(load_scene(scene), epsilon=eps)
         blinds = key_construction(
             spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
             spec.epsilon, spec.delta, caps=spec.caps,
         ).blinds
-        one_row = scene == "P1"
-        assert (len(blinds) > BUDGET // 2) == one_row
-        for grid, collapsed in ((spec.a_cover(), True), (spec.a_small(), False)):
+        assert max(1, BUDGET // len(blinds)) == rows
+        cases.append((spec, blinds, rows))
+    monkeypatch.setattr(measure, "_collapse_chains", collapse_spy)
+    monkeypatch.setattr(measure, "_sorted_groups", groups_spy)
+    for spec, blinds, rows in cases:
+        n = len(blinds)
+        for grid, collapsed in ((spec.a_cover().grid(), True), (spec.a_small().grid(), False)):
             chains.clear()
-            batches = list(project_blinds_grid(spec.curve(), grid.grid(), blinds))
-            assert sum(b.rows for b in batches) == len(grid.grid())
-            if one_row:
-                assert len(chains) == len(grid.grid())
-                assert set(chains) == {collapsed}
+            blocks.clear()
+            batches = list(project_blinds_grid(spec.curve(), grid, blinds))
+            assert sum(b.rows for b in batches) == len(grid)
+            # one canonicalization per batch of rows, the last one shorter
+            assert [r for r, _ in chains] == [min(rows, len(grid) - i) for i in range(0, len(grid), rows)]
+            assert {c for _, c in chains} == {collapsed}
+            if rows == 1 and not collapsed:
+                # about 500 block groups of 26,944 intervals in a typical row
+                assert len(blocks) == len(grid)
+                assert np.median(blocks) < n / 20 and max(blocks) < n / 2
             else:
-                # only a last step of one alpha reaches _collapse_chains
-                assert len(chains) == (len(grid.grid()) % (BUDGET // len(blinds)) == 1)
+                assert blocks == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_projection_names_a_non_finite_alpha_or_coordinate(bad):
+    # a NaN alpha made an empty row, and a NaN coordinate an image of nothing
+    curve = builtin_curve("parabola")
+    blinds = BlindSet(np.array([[0.0, 0.0, 1.0, 0.3]]))
+    with pytest.raises(ValueError, match=rf"alpha must be finite, got alphas\[2\] = {bad!r}$"):
+        next(project_blinds_grid(curve, [0.7, 0.8, bad, math.nan], blinds))
+    with pytest.raises(ValueError, match=rf"alphas\[0\] = {bad!r}$"):
+        project_blinds(curve, bad, blinds)
+    coords = np.array([[0.3, 0.0, 0.5, 0.1], [0.3, 0.0, 0.5, bad], [bad, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=rf"blind coordinates must be finite: row 1 is \[0.3, 0.0, 0.5, {bad!r}\]"):
+        project_blinds(curve, 0.8, BlindSet(coords))
 
 
 def test_inflate_and_erode():

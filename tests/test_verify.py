@@ -116,6 +116,22 @@ def test_check_small_validates_bound_and_shift(value):
             small_views(CURVE, SELF, ALPHAS, 1.0, [0.0, value])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_checks_name_a_non_finite_blind_coordinate(bad):
+    # a NaN segment projected to nothing: check_small read "PASS small: worst 0"
+    blinds = BlindSet(np.array([[0.3, 0.0, 0.5, bad]]))
+    match = r"blind coordinates must be finite: row 0 is"
+    for check in (
+        lambda: check_small(CURVE, blinds, ALPHAS, bound=1.0),
+        lambda: small_views(CURVE, blinds, ALPHAS, 1.0, [0.0, 0.01]),
+        lambda: check_cover(CURVE, blinds, SELF, ALPHAS),
+        lambda: check_cover(CURVE, SELF, blinds, ALPHAS),
+        lambda: cover_views(CURVE, SELF, [(SELF, 0.0), (blinds, 0.0)], ALPHAS),
+    ):
+        with pytest.raises(ValueError, match=match):
+            check()
+
+
 def test_check_small_shift_mode_padding():
     shift = CURVE.df_bound * ALPHAS.grid_step / 2.0
     report = check_small(CURVE, SELF, ALPHAS, bound=1.0, shift=shift)
