@@ -14,9 +14,10 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blinds import BlindSet, ConstructionError, _lengths, iter_vb, vb
 from .curve import builtin_curve, diff_interval, project_disk
@@ -32,22 +33,42 @@ from .verify import gradient_check, law_of_sines_check
 CHECK_SUITES = ("rotation", "projection", "duality", "all")
 
 
-#: Rows per %-format call when writing a float matrix or a record array.
+#: Rows per block when writing a float matrix or a record array.
 _BLOCK_ROWS = 1024
+#: 10**k, exact for k <= 22, and its Dekker halves: _P10_HI holds its high
+#: 26 bits, so that its product with a 26-bit half of a float is exact.
+_P10 = np.array([float(10**k) for k in range(23)])
+_P10_HI = _P10 * 134217729.0 - (_P10 * 134217729.0 - _P10)
+_P10_LO = _P10 - _P10_HI
+#: How near a rounding half or a round-trip bound sends a cell to json.dumps.
+_GUARD = 1e-9
+#: Characters of a figure encoded and written at a time.
+_WRITE_CHARS = 1 << 16
+
+
+def _digit_groups() -> np.ndarray:
+    """The characters of 0000..9999 as uint32s, then the same with trailing zeros NUL."""
+    q = np.arange(10**4, dtype=np.uint16)  # small types: no import-time memory peak
+    digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1).astype(np.uint8)
+    kept = np.logical_or.accumulate(digits[:, ::-1] > 0, axis=1)[:, ::-1]
+    chars = digits + np.uint8(ord("0"))
+    return np.concatenate([chars, chars * kept]).view(np.uint32).ravel()
+
+
+_DIGIT_GROUPS = _digit_groups()
 
 
 def _dump_json(data: dict, path: Path) -> None:
-    """Write ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``, row by row.
+    """Write ``json.dumps(data, sort_keys=True, indent=2) + "\\n"`` as UTF-8.
 
     Float matrices (2-D float arrays) and record arrays (1-D structured
-    arrays of float or bool fields, like the per-alpha rows of a report,
-    written as a list of objects) are written with one %-template per row:
-    "%r" is float.__repr__, which is how json writes a finite float; a bool
-    field and a float field holding a non-finite value are written as their
-    cells' JSON text.  Every other value goes through json.dumps, re-indented
+    arrays, like the per-alpha rows of a report, written as a list of
+    objects) are written _BLOCK_ROWS rows at a time by _format_rows, each
+    float cell as float.__repr__ writes it, which is how json writes a
+    finite float.  Every other value goes through json.dumps, re-indented
     to its depth.  Dict keys must be strings.
     """
-    with path.open("w") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         fh.writelines(_json_chunks(data, ""))
         fh.write("\n")
 
@@ -63,52 +84,224 @@ def _json_chunks(value: object, indent: str) -> Iterator[str]:
             sep = ",\n"
         yield f"\n{indent}}}"
         return
-    if (
+    if not (
         isinstance(value, np.ndarray)
-        and value.ndim == 2
-        and value.dtype.kind == "f"
         and value.size
-        and np.isfinite(value).all()
+        and (value.dtype.names if value.ndim == 1 else value.ndim == 2 and value.dtype.kind == "f")
     ):
-        row = f"{inner}[\n" + ",\n".join([f"{inner}  %r"] * value.shape[1]) + f"\n{inner}]"
-        yield from _row_chunks(
-            row, len(value), lambda lo, hi: value[lo:hi].ravel().tolist(), indent
-        )
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
         return
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.names and value.size:
-        fields, columns = [], []
-        for name in sorted(value.dtype.names):
-            col = value[name]
-            if col.dtype.kind == "b":
-                slot, cells = "%s", ["true" if v else "false" for v in col.tolist()]
-            elif np.isfinite(col).all():
-                slot, cells = "%r", col.tolist()
-            else:
-                slot, cells = "%s", [json.dumps(v) for v in col.tolist()]
-            fields.append(f"{inner}  {json.dumps(name).replace('%', '%%')}: {slot}")
-            columns.append(cells)
-        row = f"{inner}{{\n" + ",\n".join(fields) + f"\n{inner}}}"
-        flat = [v for cells in zip(*columns) for v in cells]
-        width = len(columns)
-        yield from _row_chunks(
-            row, len(value), lambda lo, hi: flat[lo * width : hi * width], indent
-        )
-        return
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    if value.dtype.names:
+        names = sorted(value.dtype.names)
+        columns = [value[name] for name in names]
+        keys = [json.dumps(name) + ": " for name in names]
+        opening, closing = "{", "}"
+    else:
+        columns = list(value.T)
+        keys = [""] * len(columns)
+        opening, closing = "[", "]"
+    # the text before each cell; a row's first one closes the previous row,
+    # which the first row of the list has not
+    close = f"\n{inner}{closing},"
+    leads = [f"{close}\n{inner}{opening}\n{inner}  {keys[0]}"]
+    leads += [f",\n{inner}  {key}" for key in keys[1:]]
+    leads = [lead.encode() for lead in leads]
+    yield "["
+    for lo in range(0, len(value), _BLOCK_ROWS):
+        block = [col[lo : lo + _BLOCK_ROWS] for col in columns]
+        yield _format_rows(block, leads, skip=len(close) if lo == 0 else 0)
+    yield f"\n{inner}{closing}\n{indent}]"
 
 
-def _row_chunks(
-    row: str, n: int, cells: Callable[[int, int], list], indent: str
-) -> Iterator[str]:
-    """A JSON list of n items; item i is ``row % tuple(its cells)``."""
-    yield "[\n"
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(n, lo + _BLOCK_ROWS)
-        block = ",\n".join([row] * (hi - lo)) % tuple(cells(lo, hi))
-        yield block if lo == 0 else ",\n" + block
-    yield f"\n{indent}]"
+def _format_rows(columns: list[np.ndarray], leads: list[bytes], skip: int) -> str:
+    """The JSON text of rows of cells, cell (i, j) being columns[j][i].
+
+    Each cell follows its column's lead; the first skip bytes of the first
+    row's first lead are left out.  The block is laid out as a byte matrix,
+    one row per row of cells: each lead, then a slot of equal width per
+    cell holding a sign, the integer digits, ".", the fraction digits, and
+    NUL wherever the cell's text has no character.  The bytes other than
+    NUL are decoded once.
+
+    A float cell prints as float.__repr__ does.  Where _repr_digits finds
+    its digits, they sit in the slot by their power of ten: the sign, the
+    integer digits ("0" if there are none, zeros after the last significant
+    one), ".", the fraction digits ("0" if there are none, zeros before the
+    first significant one).  Any other float cell (a NaN or infinity, |x|
+    outside [1e-4, 1e15), a tie) takes its text from json.dumps, which
+    writes a finite float as float.__repr__.  A bool column is written
+    true and false, any other column through json.dumps.
+    """
+    rows, m = len(columns[0]), len(columns)
+    x = np.full((rows, m), np.nan)
+    for j, col in enumerate(columns):
+        if col.dtype.kind == "f":
+            x[:, j] = col
+    digits, e, fast = _repr_digits(x)
+    texts = {}  # column: (rows, their texts), which replace those slots' digits
+    for j, col in enumerate(columns):
+        if col.dtype.kind == "b":
+            texts[j] = (slice(None), np.where(col, b"true", b"false"))
+        elif col.dtype.kind != "f":
+            texts[j] = (slice(None), np.array([json.dumps(v).encode() for v in col.tolist()]))
+        elif not fast[:, j].all():
+            slow = np.flatnonzero(~fast[:, j])
+            texts[j] = (slow, np.array([json.dumps(v).encode() for v in x[slow, j].tolist()]))
+    n = rows * m
+    lowest, highest = int(e.min()), int(e.max())
+    places = max(highest + 1, 1)  # integer digit positions
+    # Row i of z holds cell i's digits, the first in column pad, NUL around
+    # them.  Columns pad + 1.. hold them four at a time, so pad + 1 and the
+    # row length are multiples of 4.
+    pad = (places - lowest) | 3
+    z = np.zeros((n, pad + 18 + highest - lowest + 3 & ~3), np.uint8)
+    high = digits.ravel() // 10**8
+    top = high // 10**8  # 0 only for a zero, which prints "0.0"
+    z[:, pad] = (top + ord("0")) * (top > 0)
+    halves = np.stack([high - top * 10**8, digits.ravel() - high * 10**8], axis=1)
+    halves = halves.astype(np.int32)  # int32 divides faster
+    upper = halves // 10**4
+    groups = np.stack([upper, halves - upper * 10**4], axis=2).reshape(n, 4)
+    # where every later group is 0, a group's trailing zeros are NUL
+    last = np.ones((n, 4), bool)
+    for k in (2, 1, 0):
+        last[:, k] = last[:, k + 1] & (groups[:, k + 1] == 0)
+    z[:, pad + 1 : pad + 17].view(np.uint32)[:] = _DIGIT_GROUPS.take(groups + last * 10**4)
+    # the window of z's row from power places down: the sign, then the digits
+    width = places + 17 - lowest
+    starts = np.arange(n) * z.shape[1] + pad + e.ravel() - places
+    window = sliding_window_view(z.ravel(), width)[starts]
+    while width > places + 2 and not window[:, width - 1].any():
+        width -= 1
+    window = window[:, :width].reshape(rows, m, width)
+    window[..., 0] = np.signbit(x) * np.uint8(ord("-"))
+    # zeros between the units and the first significant digit ("0.000d"
+    # for e = -4) and between the last significant digit and the units
+    # ("d0.0"); the slot template ORs in the units and first fraction digit
+    for t in range(2, min(-lowest, 4)):  # the fraction digit of power -t
+        window[..., places + t] |= (e < -t) * np.uint8(ord("0"))
+    for t in range(1, places):  # the integer digit of power t
+        window[..., places - t] |= (e >= t) * np.uint8(ord("0"))
+    slot = max([width + 1, *(text.itemsize for _, text in texts.values())])
+    template = b"\0" * places + b"0.0" + b"\0" * (slot - places - 3)
+    row = b"".join(lead + template for lead in leads)
+    raw = bytearray(rows * len(row))
+    buf = np.frombuffer(raw, np.uint8).reshape(rows, -1)
+    buf[:] = np.frombuffer(row, np.uint8)
+    buf[0, :skip] = 0
+    at = 0
+    for j, lead in enumerate(leads):
+        cell = buf[:, at + len(lead) : at + len(lead) + slot]
+        at += len(lead) + slot
+        cell[:, : places + 1] |= window[:, j, : places + 1]
+        cell[:, places + 2 : width + 1] |= window[:, j, places + 1 :]
+        if j in texts:
+            which, text = texts[j]
+            cell[which] = 0
+            cell[which, : text.itemsize] = text.view(np.uint8).reshape(len(text), -1)
+    return raw.translate(None, b"\0").decode()
+
+
+def _repr_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """float.__repr__'s digits of x, elementwise: (n, e, fast).
+
+    Where fast is true, repr(x) writes |x| = 0.d...d * 10**(e + 1) in
+    positional form, d...d being the digits of the 17-digit integer n
+    (10**16 <= n < 10**17) without its trailing zeros, or x is ±0.0 and n
+    is 0.  Where fast is false, n and e mean nothing, and the cell's text
+    must come from repr.
+
+    A nonzero x is fast if it is finite, 1e-4 <= |x| < 1e15 (repr is
+    positional on [1e-4, 1e16)) and no choice below is within _GUARD of a
+    tie or of the round-trip bound:
+
+    1. e is |x|'s decimal exponent and k = 16 - e, so 2 <= k <= 20 and
+       10**k is exact.  log10 can miss e by one next to a power of ten,
+       where X (step 2) lies at an end of [10**16, 10**17]; those cells
+       are checked exactly and redone.
+    2. X = |x| * 10**k is computed exactly as hi + lo (_scaled).
+    3. D17 = int(hi) + rint(lo) is X rounded to an integer: hi is an even
+       integer there (its ulp is 2 or more), so rint's half-even tie is
+       also D17's.  f = X - D17 = lo - rint(lo) is exact; |f| near 0.5 is
+       a tie.
+    4. X rounded to 16 and 15 digits follows from D17's last one and two
+       digits and the sign of f: D17 = 10q + r rounds up iff r > 5, or
+       r = 5 and f > 0.  r = 5 with f near 0 is a tie.  A 15-digit tie
+       lies 50 from X, farther than any bound H below, so it never reads
+       back and needs no test.
+    5. A candidate c reads back as x iff |c - X| < H = 10**k * ulp(x) / 2,
+       the rounding interval being symmetric.  H is exact: 5**k < 2**53
+       and ulp(x) is a power of two.  0.55 < H < 11.2, so D17 always reads
+       back.  Only at a power of two is the interval below x half as wide,
+       and every power of two in range, 2**-13 to 2**49, is a decimal of
+       at most 15 digits: X ends in two zeros, and D15 = X reads back
+       whichever the interval.
+    6. repr's digits are the 15-digit rounding's if it reads back, else
+       the 16-digit one's if it does, else D17's.  Decimals of 15 or fewer
+       digits are 100 or more apart near X, so at most one lies within H:
+       a 15-digit rounding that reads back is repr's shortest string.  Of
+       a length that has one reading back, repr takes the nearest, and the
+       rounding is the nearest.
+
+    A candidate that rounds up to 10**17 is 10**16 a decade up.
+    """
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a >= 1e-4) & (a < 1e15)  # false for NaN and the infinities
+    a = np.where(fast, a, 3.0)  # e = 0, and no NaN reaches an integer cast
+    ex = np.frexp(a)[1]
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, e)
+    edge = np.nonzero((hi <= 1e16) | (hi >= 1e17))
+    if edge[0].size:
+        e[edge] += _decade(hi[edge], lo[edge])
+        hi[edge], lo[edge] = _scaled(a[edge], e[edge])
+        fast[edge] &= _decade(hi[edge], lo[edge]) == 0
+    near = np.rint(lo)
+    f = lo - near
+    d17 = hi.astype(np.int64) + near.astype(np.int64)
+    r2 = (d17 % 100).astype(np.int32)
+    r1 = r2 % 10
+    up = f > 0
+    # X rounded to 16 and 15 digits, less D17
+    step16 = 10 * (r1 + up > 5) - r1
+    step15 = 100 * (r2 + up > 50) - r2
+    bound = np.ldexp(_P10[16 - e], ex - 54)
+    gap16 = np.abs(step16 - f)
+    gap15 = np.abs(step15 - f)
+    fast &= (np.abs(f) < 0.5 - _GUARD) & ((r1 != 5) | (np.abs(f) > _GUARD))
+    fast &= np.abs(gap16 - bound) > _GUARD * bound
+    fast &= np.abs(gap15 - bound) > _GUARD * bound
+    n = d17 + np.where(gap15 < bound, step15, np.where(gap16 < bound, step16, 0))
+    carry = n == 10**17
+    n[carry] = 10**16
+    e += carry
+    n[zero] = 0
+    return n, e, fast | zero
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16 - e) exactly, as hi + lo (Dekker's TwoProduct).
+
+    Each product is its own ufunc call, so none is fused into an FMA.
+    """
+    k = 16 - e
+    hi = a * _P10[k]
+    c = a * 134217729.0
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _P10_HI[k], _P10_LO[k]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi, lo
+
+
+def _decade(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """-1, 0 or 1 as hi + lo is below 10**16, in [10**16, 10**17), or above."""
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    return above.astype(np.int64) - below
 
 
 def run_construct(
@@ -163,7 +356,10 @@ def run_render(spec: SceneSpec, blindset_path: Path, out_path: Path) -> str:
     alpha = sum(spec.a_cover_component) / 2.0
     svg = render_svg(curve, blinds, arc=arc, alpha=alpha, title=spec.scene_id)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(svg)
+    with out_path.open("w", encoding="utf-8") as fh:
+        # a slice at a time: no encoded copy of the whole figure
+        for lo in range(0, len(svg), _WRITE_CHARS):
+            fh.write(svg[lo : lo + _WRITE_CHARS])
     return svg
 
 
@@ -181,7 +377,7 @@ def _read_blindset(spec: SceneSpec, path: Path) -> BlindSet:
     naming the field; a blind set without a scene block is accepted.  The
     parsed JSON tree is dropped on return, before rendering.
     """
-    data = json.loads(path.read_text())
+    data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise SceneError(f"{path}: expected a JSON object")
     if "segments" not in data:
@@ -322,6 +518,12 @@ def run_checks(suite: str) -> tuple[bool, list[str]]:
     return all_ok, lines
 
 
+def _print(line: str) -> None:
+    """Print line, escaping the characters stdout's encoding cannot write."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="curveblinds",
@@ -355,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
                 data["grids"]["alpha_points"] = args.grid_alpha
                 spec = SceneSpec.from_json_dict(data)
             _, report = run_construct(spec, Path(args.out), rigorous=args.rigorous)
-            print(
+            _print(
                 f"{'PASS' if report['pass'] else 'FAIL'} construct [{spec.scene_id}]: "
                 f"{report['pieces']} pieces in {report['elapsed_seconds']}s"
             )

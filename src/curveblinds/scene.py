@@ -200,10 +200,10 @@ def load_scene(source: str | Path) -> SceneSpec:
     if name in BUNDLED_SCENES:
         text = (
             resources.files("curveblinds").joinpath(f"scenes/{name.lower()}.json")
-        ).read_text()
+        ).read_text(encoding="utf-8")
     else:
         path = Path(source)
         if not path.exists():
             raise SceneError(f"scene {name!r} is neither bundled nor an existing file")
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     return SceneSpec.from_json_dict(json.loads(text))

@@ -3,8 +3,12 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from curveblinds.curve import builtin_curve
 from curveblinds.geometry import Point, Segment
 from curveblinds.measure import AlphaSet, FiberArc, project_blinds_grid, project_fiber_arc
 from curveblinds.projline import CCW
-from curveblinds.scene import load_scene
+from curveblinds.scene import SceneSpec, load_scene
 from curveblinds.verify import VerificationReport, check_cover, check_small
 from scalar_projection import records
 
@@ -145,6 +149,33 @@ def test_render_escapes_the_scene_id_in_the_title(tmp_path):
     root = ET.parse(out).getroot()
     (title,) = root.iter("{http://www.w3.org/2000/svg}text")
     assert title.text == "Q1 <a&b>"
+
+
+def test_construct_and_render_use_utf8_under_an_ascii_locale(tmp_path):
+    # a scene file, and a figure, holding a non-ASCII scene_id, in a process
+    # whose locale encoding is ASCII
+    data = load_scene("Q1").to_json_dict()
+    data["scene_id"] = "Q1 \u00e9"
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    env["PYTHONPATH"] = src
+    out = tmp_path / "out"
+    blindset, figure = out / "blindset.json", out / "figure.svg"
+    runs = [
+        ["construct", "--scene", str(scene), "--out", str(out)],
+        ["render", "--scene", str(scene), "--blindset", str(blindset), "--out", str(figure)],
+    ]
+    for args in runs:
+        done = subprocess.run(
+            [sys.executable, "-m", "curveblinds.cli", *args], env=env, capture_output=True
+        )
+        assert done.returncode == 0, done.stderr
+        if args[0] == "construct":  # stdout escapes what ASCII lacks
+            assert b"PASS construct [Q1 \\xe9]" in done.stdout
+    (title,) = ET.parse(figure).getroot().iter("{http://www.w3.org/2000/svg}text")
+    assert title.text == "Q1 \u00e9"
 
 
 def test_render_missing_blindset_exit_2(tmp_path):
@@ -367,6 +398,14 @@ def _writer_documents():
     blinds = vb(seg, 1.2, 2.1, 6)
     target = BlindSet(np.array([[0.3, 0.0, 0.5, 0.1]]))
     alphas = AlphaSet.interval(0.55, 0.7, 15)
+    # one block whose cells span every layout: exponents -4 to 14 beside
+    # exponent-form and fallback cells, 16- and 17-digit ties, range ends
+    repr_edges = [
+        1e-4, 1e14, 123456789012345.6, 9.9999847412109375, 1.00002288818359375,
+        0.1, 100.0, 12345.0, -7.0, -0.000123, 2.0**49, 2.0**-13,
+        np.nextafter(1e-4, 0), np.nextafter(1e15, 0), 1e15, 5e-324,
+        -0.0, 0.0, 1e16, 0.30000000000000004,
+    ]
     return {
         "vb": {**vb(seg, 1.2, 2.1, 6).to_json_dict(), "scene": scene},
         "iter_vb": {
@@ -384,6 +423,13 @@ def _writer_documents():
             "worst": float("nan"),
         },
         "per_alpha_edges": {"small": _small_report(edge_floats)},
+        "repr_edges": {
+            "segments": np.array(repr_edges).reshape(-1, 4),
+            "t": np.rec.fromarrays(
+                [repr_edges, np.float32(repr_edges), np.arange(20) % 3 == 0, np.arange(20)],
+                names="x,x32,flag,i",
+            ),
+        },
         "per_alpha_non_finite": {"small": _small_report([0.5, float("nan"), float("inf")])},
         "per_alpha_empty": {"small": _small_report([])},
         "percent_keys": {"t": [{"5%": 1.0, "%r": True}, {"5%": -0.0, "%r": False}]},
@@ -407,3 +453,93 @@ def test_dump_json_matches_json_dumps(name, tmp_path):
     data = _writer_documents()[name]
     _dump_json(data, tmp_path / "out.json")
     assert (tmp_path / "out.json").read_text() == _reference_json(data)
+
+
+def _cell_texts(values):
+    """The JSON writer's text of each value, written as a one-column matrix."""
+    x = np.asarray(values, dtype=float).ravel()
+    size = 4 * _BLOCK_ROWS  # the cells of one block of segment rows
+    text = "".join(
+        cli._format_rows([x[lo : lo + size]], [b"\n"], skip=1 if lo == 0 else 0)
+        for lo in range(0, len(x), size)
+    )
+    return text.split("\n")
+
+
+def _assert_cells_are_repr(values):
+    x = np.asarray(values, dtype=float).ravel()
+    expected = [float.__repr__(v) if math.isfinite(v) else json.dumps(v) for v in x.tolist()]
+    got = _cell_texts(x)
+    assert len(got) == len(expected)
+    wrong = [(g, e) for g, e in zip(got, expected) if g != e]
+    assert not wrong, wrong[:10]
+
+
+def _ties(digits, rng):
+    """Floats halfway between two decimals of the given number of digits.
+
+    m * 2**-j with m odd has j fraction digits, the last a 5; in
+    [10**e, 10**(e + 1)), j = digits - e makes it digits + 1 digits long.
+    """
+    out = []
+    for e in range(-4, 15):
+        j = digits - e
+        lo, hi = math.ceil(10.0**e * 2**j), math.floor(10.0 ** (e + 1) * 2**j)
+        if hi < 2**53:
+            out.append((rng.integers(lo, hi, 300) | 1) * 2.0**-j)
+    return np.concatenate(out)
+
+
+def _repr_cases():
+    rng = np.random.default_rng(25)
+    p10 = np.array([float(f"1e{k}") for k in range(-6, 18)])
+    p2 = 2.0 ** np.arange(-20, 60)
+    edges = np.array([1e-4, 1e15, 1e16, 9.999999999999999e14, 123456789012345.6])
+    tiny = np.array([5e-324, 1e-310, 2.2250738585072014e-308, np.nextafter(1e-4, 0)])
+    return {
+        "uniform": rng.uniform(-2.0, 2.0, 10**6),
+        "significant_digits": [
+            float(f"{rng.integers(10 ** (d - 1), 10**d)}e{p}")
+            for d in range(1, 18)
+            for p in rng.integers(-22, 12, 300)
+        ],
+        "integral": np.concatenate(
+            [np.round(rng.uniform(-1e6, 1e6, 3000)), np.round(rng.uniform(-1e16, 1e16, 3000))]
+        ),
+        "powers_of_ten": np.concatenate([p10, np.nextafter(p10, 0), np.nextafter(p10, np.inf)]),
+        "powers_of_two": np.concatenate([p2, np.nextafter(p2, 0), np.nextafter(p2, np.inf)]),
+        "range_ends": np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)]),
+        "zeros_subnormal_largest": np.concatenate(
+            [[0.0, -0.0, 1.7976931348623157e308, np.nan, np.inf], tiny, -tiny]
+        ),
+        "ties_15": _ties(15, rng),
+        "ties_16": _ties(16, rng),
+        "ties_17": _ties(17, rng),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_repr_cases()))
+def test_cells_are_float_repr(case):
+    values = np.asarray(_repr_cases()[case], dtype=float)
+    _assert_cells_are_repr(values)
+    _assert_cells_are_repr(-values)
+
+
+@pytest.mark.parametrize("scene", ["Q1", "P1", "E1"])
+def test_cells_of_the_benchmark_constructions_are_float_repr(scene, tmp_path):
+    spec = load_scene(scene)
+    for eps in (spec.epsilon, {"Q1": 0.02, "P1": 0.015, "E1": 0.01}[scene]):
+        data = spec.to_json_dict()
+        data["epsilon"] = eps
+        blindset, report = run_construct(SceneSpec.from_json_dict(data), tmp_path)
+        segments = blindset["segments"]
+        _assert_cells_are_repr(segments)
+        for part in ("cover", "small"):
+            per_alpha = report[part]["per_alpha"]
+            for name in per_alpha.dtype.names:
+                if per_alpha[name].dtype.kind == "f":
+                    _assert_cells_are_repr(per_alpha[name])
+        if (scene, eps) == ("P1", 0.015):
+            # a formatter that sent every cell to repr would be as slow as before
+            fast = cli._repr_digits(segments)[2]
+            assert fast.mean() >= 0.99, fast.mean()
