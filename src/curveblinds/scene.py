@@ -83,7 +83,7 @@ class SceneSpec:
         def fail(path: str, msg: str) -> SceneError:
             return SceneError(f"{path}: {msg}")
 
-        def need(path: str, *keys):
+        def need(path: str):
             node = data
             for key in path.split(".") if path else []:
                 if not isinstance(node, dict) or key not in node:
