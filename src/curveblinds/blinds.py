@@ -328,7 +328,6 @@ def _hulls_cover_ok(
     theta_cover: np.ndarray,
     chirality: str,
     a_cover: AlphaSet,
-    interior_tol: float = 1e-9,
 ) -> np.ndarray:
     """Covering hypotheses for every piece's triangle hull, one verdict per group.
 
@@ -351,7 +350,7 @@ def _hulls_cover_ok(
     x1max = np.max(x1, axis=1)
     amin, amax = a_cover.bounds
     # strip interior for all alpha in [amin, amax]; directions only over hulls inside it
-    ok = (x1min > amax - curve.b + interior_tol) & (x1max < amin - curve.a - interior_tol)
+    ok = (x1min > amax - curve.b + 1e-9) & (x1max < amin - curve.a - 1e-9)
     i = np.flatnonzero(ok)
     g = np.repeat(np.arange(len(sizes)), sizes)[i]
     t_lo = amin - x1max[i]
@@ -399,9 +398,7 @@ def _level_search(
     the piece start, so a group's farthest tip at n is far1 / n up to
     rounding in the coordinates.  One division at n = 1 moves each group past
     the counts whose tips certainly miss its budget, and the doubling starts
-    from there.  A group can still fail at its predicted count; if a group
-    then passes the cap, the doubling runs again from n, so that the index
-    names the group the doubling from n alone would.
+    from there.
     """
     groups = len(sizes)
     level_dir, target, theta_cover, budget = (
@@ -420,41 +417,38 @@ def _level_search(
         _distances_to_parents(parents, children[:, 2:4]), np.cumsum(sizes) - sizes
     )
     miss = budget * (1.0 + 1e-9) + 1e-12 * np.max(np.abs(parents))
-    predicted = start.copy()
-    while (short := (far1 / predicted > miss) & (predicted * sizes <= n_max)).any():
-        predicted[short] *= 2
-    for counts in (predicted, start) if (predicted != start).any() else (start,):
-        pending = np.ones(groups, dtype=bool)
-        found, found_group = [], []
-        while pending.any():
-            over = pending & (counts * sizes > n_max)
-            if over.any():
-                break
-            live = np.flatnonzero(pending)
-            rows = np.flatnonzero(pending[row_group])
-            g = row_group[rows]
-            children, hulls = _divide_rotate_level(
-                parents[rows], target[live], theta_cover[live], counts[g],
-                (np.cumsum(pending) - 1)[g],
+    counts = start.copy()
+    while (short := (far1 / counts > miss) & (counts * sizes <= n_max)).any():
+        counts[short] *= 2
+    pending = np.ones(groups, dtype=bool)
+    found, found_group = [], []
+    while pending.any():
+        over = pending & (counts * sizes > n_max)
+        if over.any():
+            return int(np.argmax(over))
+        live = np.flatnonzero(pending)
+        rows = np.flatnonzero(pending[row_group])
+        g = row_group[rows]
+        children, hulls = _divide_rotate_level(
+            parents[rows], target[live], theta_cover[live], counts[g],
+            (np.cumsum(pending) - 1)[g],
+        )
+        parent = np.repeat(rows, counts[g])
+        child_group = row_group[parent]
+        far = _distances_to_parents(parents[parent], children[:, 2:4])
+        ok = np.maximum.reduceat(far, np.searchsorted(child_group, live)) <= budget[live]
+        if a_cover is not None:
+            ok &= _hulls_cover_ok(
+                curve, hulls, counts[live] * sizes[live], level_dir[live], theta_cover[live],
+                chirality, a_cover,
             )
-            parent = np.repeat(rows, counts[g])
-            child_group = row_group[parent]
-            far = _distances_to_parents(parents[parent], children[:, 2:4])
-            ok = np.maximum.reduceat(far, np.searchsorted(child_group, live)) <= budget[live]
-            if a_cover is not None:
-                ok &= _hulls_cover_ok(
-                    curve, hulls, counts[live] * sizes[live], level_dir[live], theta_cover[live],
-                    chirality, a_cover,
-                )
-            pending[live[ok]] = False
-            counts[live[~ok]] *= 2
-            accepted = ~pending[child_group]
-            found.append(children[accepted])
-            found_group.append(child_group[accepted])
-        else:
-            order = np.argsort(np.concatenate(found_group), kind="stable")
-            return counts, np.concatenate(found)[order]
-    return int(np.argmax(over))
+        pending[live[ok]] = False
+        counts[live[~ok]] *= 2
+        accepted = ~pending[child_group]
+        found.append(children[accepted])
+        found_group.append(child_group[accepted])
+    order = np.argsort(np.concatenate(found_group), kind="stable")
+    return counts, np.concatenate(found)[order]
 
 
 def _vb_cover_cap(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -83,13 +84,10 @@ class SceneSpec:
         def fail(path: str, msg: str) -> SceneError:
             return SceneError(f"{path}: {msg}")
 
-        def need(path: str):
-            node = data
-            for key in path.split(".") if path else []:
-                if not isinstance(node, dict) or key not in node:
-                    raise fail(path, "missing field")
-                node = node[key]
-            return node
+        def need(key: str):
+            if not isinstance(data, dict) or key not in data:
+                raise fail(key, "missing field")
+            return data[key]
 
         def number(path: str, v) -> float:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -166,6 +164,10 @@ class SceneSpec:
         scene_id = data.get("scene_id", "scene")
         if not isinstance(scene_id, str):
             raise fail("scene_id", f"expected a string, got {scene_id!r}")
+        # the figure writes scene_id as XML text: these are the code points outside
+        # XML 1.0's Char production, lone surrogates included
+        if bad := re.search("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", scene_id):
+            raise fail("scene_id", f"U+{ord(bad.group()):04X} cannot appear in XML text")
         grids = obj("grids", data.get("grids", {}))
         caps_node = obj("caps", data.get("caps", {}))
         spec = cls(

@@ -5,7 +5,10 @@ the first count whose blade tips can meet it, predicted from one division
 at n = 1, and then doubles.  ``doubling_level_search`` is the search it
 replaces: every group starts at its start count and doubles until accepted,
 so every count below the accepted one is divided and checked.  The
-equivalence test requires the same counts, children, cap index and errors.
+equivalence test requires the same counts, children and errors.  When a
+group passes the cap, both return a group index, but not always the same
+one: ``_level_search`` names the first group past the cap in its one pass,
+and the test requires only that this group alone passes the cap here too.
 """
 
 from __future__ import annotations

@@ -626,7 +626,7 @@ def test_level_search_groups_are_independent(monkeypatch):
     one = np.array([[0.0, 0.0, 1.0, 0.3]])
     eight = np.array([[1.0, 0.3, 2.0, 0.5], [2.0, 0.5, 2.5, 1.0]])
     never = np.array([[3.0, 0.0, 3.4, 0.2]])
-    target, cover, n_max = 1.2, 2.1, 64
+    target, cover = 1.2, 2.1
     budget = {
         "one": math.inf,
         "eight": math.sqrt(
@@ -636,7 +636,7 @@ def test_level_search_groups_are_independent(monkeypatch):
     }
     parents = {"one": one, "eight": eight, "never": never}
 
-    def search(names):
+    def search(names, n_max=64):
         return _level_search(
             None, np.concatenate([parents[g] for g in names]),
             np.array([len(parents[g]) for g in names]), 0.5, target, cover, CCW, None,
@@ -662,14 +662,13 @@ def test_level_search_groups_are_independent(monkeypatch):
     assert [n for _, n in calls] == [[1, 1, 1], [1, 8, 8]]
     assert all(np.array_equal(got, both) for got, _ in calls)
 
-    # "never" passes the cap in the prediction, so the search doubles from 1:
-    # an accepted group is not divided again, and the overflow names its group
-    calls.clear()
-    assert search(["one", "eight", "never"]) == 2
-    rows = [np.concatenate([one, eight, never])] * 2 + [np.concatenate([eight, never])] * 3
-    rows += [never] * 3  # n = 16, 32, 64 for "never"; 128 passes the cap
-    assert len(calls) == len(rows)
-    assert all(np.array_equal(got, want) for (got, _), want in zip(calls, rows))
+    # "never" passes the cap in the prediction, so the search returns its
+    # index after the one division at n = 1, whatever the cap
+    for n_max in (64, 2**20):
+        calls.clear()
+        assert search(["one", "eight", "never"], n_max) == 2
+        assert [n for _, n in calls] == [[1, 1, 1, 1]]
+        assert np.array_equal(calls[0][0], np.concatenate([one, eight, never]))
     assert search(["never", "one"]) == 0
 
 
@@ -710,10 +709,11 @@ def test_level_search_matches_the_doubling_reference(data):
         value = far1 / n if kind == "far1/n" else far
         toward = data.draw(st.sampled_from([-math.inf, value, math.inf]))
         budget.append(float(np.nextafter(value, toward)))
+    chirality = _infer_chirality(seg.direction, Direction(0.6), Direction(2.5))
+    cover_set = data.draw(st.sampled_from([None, a_cover]))
     args = (
-        curve, parents, sizes, seg.direction.angle, target, cover,
-        _infer_chirality(seg.direction, Direction(0.6), Direction(2.5)),
-        data.draw(st.sampled_from([None, a_cover])), np.array(budget), start, n_max,
+        curve, parents, sizes, seg.direction.angle, target, cover, chirality, cover_set,
+        np.array(budget), start, n_max,
     )
 
     def run(search):
@@ -726,5 +726,15 @@ def test_level_search_matches_the_doubling_reference(data):
     if isinstance(want, tuple):
         assert got[0].tolist() == want[0].tolist()
         assert got[1].tobytes() == want[1].tobytes()
+    elif isinstance(want, int):
+        # both pass the cap; the group named need not be the reference's,
+        # but the doubling cannot fit it either
+        assert isinstance(got, int)
+        rows = slice(first[got], first[got] + sizes[got])
+        alone = doubling_level_search(
+            curve, parents[rows], sizes[got : got + 1], seg.direction.angle, target[got],
+            cover[got], chirality, cover_set, budget[got], start[got], n_max,
+        )
+        assert isinstance(alone, int)
     else:
         assert got == want

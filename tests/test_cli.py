@@ -204,6 +204,17 @@ def test_construct_rejects_non_object_scene_field(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_construct_rejects_a_scene_id_the_figure_cannot_carry(tmp_path, capsys):
+    scene = load_scene("Q1").to_json_dict()
+    scene["scene_id"] = "Q1\u0001"
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code = main(["construct", "--scene", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: scene_id: U+0001 " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _render(scene: str, blindset, out) -> int:
     return main(["render", "--scene", scene, "--blindset", str(blindset), "--out", str(out)])
 

@@ -583,8 +583,9 @@ def test_eps_and_delta_must_be_finite_and_positive(entry, name, value):
             )
 
 
-def test_key_construction_batches_every_level_search(monkeypatch):
-    # bundled P1: one stage-1 search plus one per stage-2 level (depth 4); each
+@pytest.mark.parametrize("scene", ["Q1", "P1", "E1"])
+def test_key_construction_batches_every_level_search(monkeypatch, scene):
+    # each bundled scene: one stage-1 search plus one per stage-2 level; each
     # makes one divide-and-rotate call at n = 1 to predict its counts and one
     # per doubling round, and every group is accepted at its predicted count
     calls = {"_level_search": 0, "_divide_rotate_level": 0}
@@ -598,12 +599,13 @@ def test_key_construction_batches_every_level_search(monkeypatch):
         for module in (blinds_module, keylemma_module):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    spec = load_scene("P1")
+    spec = load_scene(scene)
     key_construction(
         spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
         spec.epsilon, spec.delta, caps=spec.caps,
     )
-    assert calls == {"_level_search": 5, "_divide_rotate_level": 10}
+    searches = {"Q1": 5, "P1": 5, "E1": 3}[scene]
+    assert calls == {"_level_search": searches, "_divide_rotate_level": 2 * searches}
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)

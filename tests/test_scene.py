@@ -157,6 +157,27 @@ def test_non_string_scene_id_is_rejected(value):
 
 
 @pytest.mark.parametrize(
+    "value,code", [("Q1\u0001", "0001"), ("Q1\ud800", "D800"), ("Q1 \ufffe\u0000", "FFFE")]
+)
+def test_scene_id_outside_xml_chars_is_rejected(value, code):
+    # the figure writes scene_id as XML text: a control character would make
+    # it ill-formed, and a lone surrogate cannot be encoded at all
+    data = _valid_scene_dict()
+    data["scene_id"] = value
+    with pytest.raises(SceneError, match=rf"^scene_id: U\+{code} "):
+        SceneSpec.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "value", ["Q1 \u00e9", "Q1 <a&b>", "Q1\t\n\r\U0001f600", "\ud7ff\ue000\ufffd\U0010ffff"]
+)
+def test_scene_id_of_xml_chars_loads(value):
+    data = _valid_scene_dict()
+    data["scene_id"] = value
+    assert SceneSpec.from_json_dict(data).scene_id == value
+
+
+@pytest.mark.parametrize(
     "path,value",
     [
         ("epsilon", "abc"),
