@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,6 +29,7 @@ from .projline import (
     ANGLE_TOL,
     CCW,
     CHIRALITIES,
+    PI,
     Arc,
     Direction,
     _arc_offsets,
@@ -113,12 +115,11 @@ def _distances_to_parents(parents: np.ndarray, points: np.ndarray) -> np.ndarray
     ``parents`` holds (ax, ay, bx, by) rows and ``points`` (x, y) rows; the
     two broadcast against each other, one parent per point.
     """
-    a = parents[..., 0:2]
-    v = parents[..., 2:4] - a
-    w = points - a
-    t = np.clip(np.sum(w * v, axis=-1) / np.sum(v * v, axis=-1), 0.0, 1.0)
-    d = w - t[..., None] * v
-    return np.hypot(d[..., 0], d[..., 1])
+    ax, ay = parents[..., 0], parents[..., 1]
+    vx, vy = parents[..., 2] - ax, parents[..., 3] - ay
+    wx, wy = points[..., 0] - ax, points[..., 1] - ay
+    t = np.minimum(np.maximum((wx * vx + wy * vy) / (vx * vx + vy * vy), 0.0), 1.0)
+    return np.hypot(wx - t * vx, wy - t * vy)
 
 
 def _lengths(coords: np.ndarray) -> np.ndarray:
@@ -136,63 +137,79 @@ def _directions(coords: np.ndarray) -> np.ndarray:
 # -- divide and rotate ------------------------------------------------------
 
 
+def _angle_table(target, cover) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (target, cover) pairs of a level, checked, with their cosines and sines.
+
+    Pairs are told apart by their bits, as sin keeps the sign of a zero.
+    Returns (trig, index): trig holds the rows cos target, sin target,
+    cos cover, sin cover, one column per distinct pair, and index[i] is the
+    column of the i-th given pair.  The first pair whose directions are within
+    ANGLE_TOL raises, decided by projline.dist's IEEE operations on arrays.
+    """
+    pairs = np.empty((len(target), 2))
+    pairs[:, 0], pairs[:, 1] = target, cover
+    keys, index = np.unique(pairs.view(np.dtype((np.void, 16))).reshape(-1), return_inverse=True)
+    t, c = keys.view(float).reshape(-1, 2).T
+    d = np.fmod(np.abs(t - c), PI)
+    bad = (np.minimum(d, PI - d) <= ANGLE_TOL)[index]
+    if bad.any():
+        t, c = pairs[np.argmax(bad)].tolist()
+        raise ValueError(
+            f"degenerate angle configuration (target/cover): {Direction(t)} vs {Direction(c)}"
+        )
+    # math.cos/sin, once per pair: numpy's SIMD ones can differ in the last
+    # bit, and every output coordinate goes through them
+    t, c = t.tolist(), c.tolist()
+    trig = [*map(math.cos, t), *map(math.sin, t), *map(math.cos, c), *map(math.sin, c)]
+    return np.array(trig).reshape(4, -1), index.reshape(-1)
+
+
 def _divide_rotate_level(
-    coords: np.ndarray, target, cover, n, group: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
+    coords: np.ndarray, target, cover, n, table: Optional[tuple] = None, hulls: bool = True
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Divide every segment into its n pieces and rotate each to its target.
 
     This is the one implementation of DIVIDE and ROTATE: each piece is
     replaced by the segment from its start to where the line through its
     start with direction ``target`` meets the line through its end with
     direction ``cover``.  The angles ``target`` and ``cover`` are given per
-    group, row i of ``coords`` being in group ``group[i]``, or without
-    ``group`` per row or once for all rows; the piece count ``n`` is given
-    per row or once.
+    row or once for all rows; a caller that divides the same rows more than
+    once builds their _angle_table once and passes it as ``table`` = (trig,
+    column of each row) in their place.  The piece count ``n`` is given per
+    row or once.
     Returns (children, hulls): children holds the new blades as rows
     (ax, ay, bx, by), the n children of each parent consecutive and in order
-    along it; hulls holds each piece's triangle hull (pax, pay, pbx, pby, cx, cy).
+    along it; hulls holds each piece's triangle hull (pax, pay, pbx, pby, cx, cy),
+    or is None with ``hulls`` false.
     """
     k = coords.shape[0]
-    n = np.broadcast_to(np.asarray(n, dtype=np.int64), (k,))
+    n = np.full(k, n, dtype=np.int64)
     if n.min() < 1:
         raise ValueError(f"piece count must be >= 1, got {int(n.min())}")
-    angles = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (target, cover)))
-    pairs = np.stack(angles, axis=-1).reshape(-1, 2)
-    if group is None:
-        group = np.arange(k) if len(pairs) > 1 else np.zeros(k, dtype=np.int64)
-    # each distinct (target, cover) pair is checked and evaluated once; pairs
-    # are told apart by their bits, as sin keeps the sign of a zero
-    keys, inverse = np.unique(pairs.view(np.int64), axis=0, return_inverse=True)
-    pick = inverse.reshape(-1)[group]
-    target, cover = keys.view(float).T.tolist()
-    bad = np.array([dist(t, c) <= ANGLE_TOL for t, c in zip(target, cover)])[pick]
-    if bad.any():
-        # name the first offending row
-        t, c = pairs[group[np.argmax(bad)]].tolist()
-        raise ValueError(
-            f"degenerate angle configuration (target/cover): {Direction(t)} vs {Direction(c)}"
-        )
+    trig, pick = table if table is not None else _angle_table(np.broadcast_to(target, (k,)), cover)
     # piece j of a row with n pieces spans the fractions j/n .. (j+1)/n of it
     row = np.repeat(np.arange(k), n)
     j = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)
     ax, ay, bx, by = coords[row].T
-    lo, hi = j / n[row], (j + 1) / n[row]
+    m = n[row]
+    lo, hi = j / m, (j + 1) / m
     pax, pbx = ax + (bx - ax) * lo, ax + (bx - ax) * hi
     pay, pby = ay + (by - ay) * lo, ay + (by - ay) * hi
-    # math.cos/sin per pair: numpy's SIMD ones can differ in the last bit
-    pick = pick[row]
-    cs, ss, cc, sc = (
-        np.array([f(x) for x in v], dtype=float)[pick]
-        for f, v in ((math.cos, target), (math.sin, target), (math.cos, cover), (math.sin, cover))
-    )
+    cs, ss, cc, sc = trig[:, pick[row]]
     # a + s*(cs, ss) = b + t*(cc, sc); solve for s by 2x2 cross products
     det = cs * sc - ss * cc  # sin(cover - target), bounded away from 0
     s = ((pbx - pax) * sc - (pby - pay) * cc) / det
     cx = pax + s * cs
     cy = pay + s * ss
-    children = np.stack([pax, pay, cx, cy], axis=1)
-    hulls = np.stack([pax, pay, pbx, pby, cx, cy], axis=1)
-    return children, hulls
+    children = np.array([pax, pay, cx, cy]).T.copy()
+    return children, np.array([pax, pay, pbx, pby, cx, cy]).T.copy() if hulls else None
+
+
+def _piece_count(value, name: str) -> int:
+    """A piece count given as ``name``: any integer but a bool, else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _row(seg: Segment) -> np.ndarray:
@@ -256,6 +273,7 @@ def vb(
     The segment direction must lie strictly inside the arc from theta_cover
     to theta_small (in the given chirality, inferred when omitted).
     """
+    n = _piece_count(n, "n")
     theta_small = as_direction(theta_small)
     theta_cover = as_direction(theta_cover)
     inferred = _infer_chirality(seg.direction, theta_small, theta_cover, chirality)
@@ -268,7 +286,7 @@ def vb(
             "theta_small": theta_small.angle,
             "theta_cover": theta_cover.angle,
             "chirality": inferred,
-            "n": int(n),
+            "n": n,
         },
     )
 
@@ -290,7 +308,7 @@ def iter_vb(
     """
     if chirality not in CHIRALITIES:
         raise ValueError(f"unknown chirality {chirality!r}")
-    counts = tuple(counts)
+    counts = tuple(_piece_count(n, f"counts[{k}]") for k, n in enumerate(counts))
     if not counts or min(counts) < 1:
         raise ValueError(f"need one branching count >= 1 per level, got {counts!r}")
     theta_small = as_direction(theta_small)
@@ -341,13 +359,13 @@ def _hulls_cover_ok(
     """
     ccw = chirality == CCW
     length = _arc_offsets(level_dir, theta_cover, ccw)
-    if np.any(length <= 0.0):
+    if (length <= 0.0).any():
         g = int(np.argmax(length <= 0.0))
         start, end = Direction(float(theta_cover[g])), Direction(float(level_dir[g]))
         raise ValueError(f"degenerate arc: start {start} equals end {end}")
     x1 = hulls[:, (0, 2, 4)]
-    x1min = np.min(x1, axis=1)
-    x1max = np.max(x1, axis=1)
+    x1min = x1.min(axis=1)
+    x1max = x1.max(axis=1)
     amin, amax = a_cover.bounds
     # strip interior for all alpha in [amin, amax]; directions only over hulls inside it
     ok = (x1min > amax - curve.b + 1e-9) & (x1max < amin - curve.a - 1e-9)
@@ -398,25 +416,28 @@ def _level_search(
     the piece start, so a group's farthest tip at n is far1 / n up to
     rounding in the coordinates.  One division at n = 1 moves each group past
     the counts whose tips certainly miss its budget, and the doubling starts
-    from there.
+    from there.  The groups' angle table is built once: that division, which
+    builds no hulls, and every doubling round's index into it.
     """
     groups = len(sizes)
     level_dir, target, theta_cover, budget = (
-        np.broadcast_to(v, (groups,)) for v in (level_dir, target, theta_cover, budget)
+        np.full(groups, v, dtype=float) for v in (level_dir, target, theta_cover, budget)
     )
-    start = np.array(np.broadcast_to(n, (groups,)), dtype=np.int64)
+    start = np.full(groups, n, dtype=np.int64)
     row_group = np.repeat(np.arange(groups), sizes)
     over = start * sizes > n_max
     if over.any():
         return int(np.argmax(over))
+    trig, index = _angle_table(target, theta_cover)
+    pick = index[row_group]
     # a count below 1 fails here as it would in the doubling
     children, _ = _divide_rotate_level(
-        parents, target, theta_cover, np.minimum(start, 1)[row_group], row_group
+        parents, None, None, np.minimum(start, 1)[row_group], (trig, pick), hulls=False
     )
     far1 = np.maximum.reduceat(
         _distances_to_parents(parents, children[:, 2:4]), np.cumsum(sizes) - sizes
     )
-    miss = budget * (1.0 + 1e-9) + 1e-12 * np.max(np.abs(parents))
+    miss = budget * (1.0 + 1e-9) + 1e-12 * np.abs(parents).max()
     counts = start.copy()
     while (short := (far1 / counts > miss) & (counts * sizes <= n_max)).any():
         counts[short] *= 2
@@ -430,8 +451,7 @@ def _level_search(
         rows = np.flatnonzero(pending[row_group])
         g = row_group[rows]
         children, hulls = _divide_rotate_level(
-            parents[rows], target[live], theta_cover[live], counts[g],
-            (np.cumsum(pending) - 1)[g],
+            parents[rows], None, None, counts[g], (trig, pick[rows])
         )
         parent = np.repeat(rows, counts[g])
         child_group = row_group[parent]
@@ -481,6 +501,7 @@ def auto_vb_cover(
     the base segment (an infinite one bounds nothing, as None).  Returns the
     first passing (N, BlindSet).
     """
+    n0 = _piece_count(n0, "n0")
     if max_offset is not None and not max_offset > 0.0:
         raise ValueError(f"max_offset must be positive, got {max_offset!r}")
     theta_small = as_direction(theta_small)
@@ -510,6 +531,25 @@ def auto_vb_cover(
     )
 
 
+def _atan_outside(slopes: np.ndarray, start, reach, ccw: bool) -> np.ndarray:
+    """Whether atan(slopes[i]) lies outside the arc of length reach[i] from start[i].
+
+    Both arc ends carry the tolerance 1e-9, as in Arc.contains, and every
+    verdict is that of math.atan.  numpy's SIMD arctan can differ from it in
+    the last bit, which moves an offset by far less than the 1e-11 guard band:
+    only the entries it puts within the band of a decision threshold (the
+    bound reach + 1e-9, or a wrap of _arc_offsets at 0, pi - 1e-9 or pi, met
+    at offsets near 0, -1e-9 and pi - 1e-9) are redone with math.atan.
+    """
+    u = _arc_offsets(np.arctan(slopes), start, ccw, 1e-9)
+    bound = reach + 1e-9
+    near = np.abs([u - bound, u, u + 1e-9, u - (PI - 1e-9)]).min(axis=0) < 1e-11
+    if near.any():
+        phi = np.array([math.atan(v) for v in slopes[near].tolist()])
+        u[near] = _arc_offsets(phi, start[near], ccw, 1e-9)
+    return u > bound
+
+
 def _iter_vb_stage(
     curve: CurveProfile,
     coords: np.ndarray,
@@ -525,7 +565,9 @@ def _iter_vb_stage(
     """auto_iter_vb's searches on every row, one group per blade.
 
     Each blade has its own depth and schedule; level k runs one level search
-    over the blades deeper than k.  Returns (leaves sorted by blade, leaves
+    over the blades deeper than k.  With ``a_small``, theta_alpha(seg.a) must
+    lie on each blade's schedule arc at every alpha of its grid inside the
+    curve's domain, decided on arrays by _atan_outside.  Returns (leaves sorted by blade, leaves
     per blade, level counts (blades x deepest depth), schedules (blades x
     deepest depth + 1, NaN past a blade's depth), delta0).
     """
@@ -551,15 +593,12 @@ def _iter_vb_stage(
         # outside dom Phi_alpha the hypothesis on theta_alpha(seg.a) is vacuous
         blade, col = np.nonzero((curve.a - 1e-12 <= t) & (t <= curve.b + 1e-12))
         slopes = curve.df(np.clip(t[blade, col], curve.a, curve.b))
-        # math.atan, not np.arctan: numpy's SIMD arctan can differ in the last bit
-        phi = np.array([math.atan(v) for v in slopes.tolist()], dtype=float)
-        u = _arc_offsets(phi, theta0[blade], chirality == CCW, 1e-9)
-        outside = u > reach[blade] + 1e-9
+        outside = _atan_outside(slopes, theta0[blade], reach[blade], chirality == CCW)
         if outside.any():
             i = int(np.argmax(outside))
             alpha = float(alphas[col[i]])
             raise ConstructionError(
-                f"theta_alpha(seg.a) = {float(phi[i]):.6g} outside the schedule arc at "
+                f"theta_alpha(seg.a) = {math.atan(slopes[i]):.6g} outside the schedule arc at "
                 f"alpha={alpha:.6g}",
                 stage="precondition",
                 witness=alpha,

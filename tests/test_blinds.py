@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from curveblinds.blinds import (
     BlindSet,
     Caps,
     ConstructionError,
+    _atan_outside,
     _distances_to_parents,
     _divide_rotate_level,
     _hulls_cover_ok,
@@ -37,6 +39,7 @@ from curveblinds.projline import (
     PI,
     Arc,
     Direction,
+    _arc_offsets,
     angle_schedule,
     as_direction,
     dist,
@@ -317,6 +320,52 @@ def test_auto_vb_cover_cap_error():
         with pytest.raises(ConstructionError, match=message) as err:
             auto_vb_cover(curve, seg, 0.6, 2.5, a_cover, **kwargs)
         assert err.value.stage == "vb_cover"
+
+
+@pytest.mark.parametrize(
+    "entry, count, name",
+    [
+        ("vb", True, "n"),
+        ("vb", 2.5, "n"),
+        ("iter_vb", [True, 2], "counts[0]"),
+        ("iter_vb", [2, 2.7, 1.5], "counts[1]"),
+        ("iter_vb", [math.nan], "counts[0]"),
+        ("auto_vb_cover", 2.5, "n0"),
+        ("auto_vb_cover", math.nan, "n0"),
+        ("auto_vb_cover", True, "n0"),
+    ],
+)
+def test_piece_counts_that_are_not_integers_are_rejected(monkeypatch, entry, count, name):
+    # rejected by name before any division, where they used to be truncated
+    # (vb with True made 1 piece, auto_vb_cover with n0=2.5 started at 2) or
+    # died in range() or a cast
+    divisions = []
+    monkeypatch.setattr(
+        blinds_module, "_divide_rotate_level", lambda *args, **kwargs: divisions.append(args)
+    )
+    curve, a_cover, seg = _q1_context()
+    call = {
+        "vb": lambda: vb(SEG, 1.2, 2.1, count),
+        "iter_vb": lambda: iter_vb(SEG, 1.2, 2.1, count),
+        "auto_vb_cover": lambda: auto_vb_cover(curve, seg, 0.6, 2.5, a_cover, n0=count),
+    }[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got "):
+        call()
+    assert divisions == []
+
+
+def test_piece_counts_of_numpy_integers_are_accepted():
+    curve, a_cover, seg = _q1_context()
+    assert vb(SEG, 1.2, 2.1, np.int64(3)).coords.tobytes() == vb(SEG, 1.2, 2.1, 3).coords.tobytes()
+    assert (
+        iter_vb(SEG, 1.2, 2.1, [np.int32(2), np.int64(3)]).coords.tobytes()
+        == iter_vb(SEG, 1.2, 2.1, [2, 3]).coords.tobytes()
+    )
+    want = auto_vb_cover(curve, seg, 0.6, 2.5, a_cover, n0=1)
+    # a start count below 1 is clamped to 1, as before
+    for n0 in (np.int64(1), 0, -3, np.int8(-1)):
+        n, blinds = auto_vb_cover(curve, seg, 0.6, 2.5, a_cover, n0=n0)
+        assert n == want[0] and blinds.coords.tobytes() == want[1].coords.tobytes()
 
 
 def test_auto_vb_cover_max_offset_preconditions(time_limit):
@@ -652,9 +701,9 @@ def test_level_search_groups_are_independent(monkeypatch):
     # one division at n = 1 predicts the counts: "eight" is divided at 8 only
     calls = []
 
-    def spy(coords, target, cover, n, *args):
+    def spy(coords, target, cover, n, *args, **kwargs):
         calls.append((coords.copy(), np.broadcast_to(n, len(coords)).tolist()))
-        return _divide_rotate_level(coords, target, cover, n, *args)
+        return _divide_rotate_level(coords, target, cover, n, *args, **kwargs)
 
     monkeypatch.setattr(blinds_module, "_divide_rotate_level", spy)
     assert search(["one", "eight"])[0].tolist() == [1, 8]
@@ -670,6 +719,62 @@ def test_level_search_groups_are_independent(monkeypatch):
         assert [n for _, n in calls] == [[1, 1, 1, 1]]
         assert np.array_equal(calls[0][0], np.concatenate([one, eight, never]))
     assert search(["never", "one"]) == 0
+
+
+def test_level_search_keeps_pairs_of_signed_zeros_apart():
+    # two groups that differ only in the sign of a zero target, on parents
+    # starting at y = -0.0: a first blade's tip keeps y = -0.0 only under the
+    # target whose sine is -0.0, so groups sharing one angle-table entry
+    # would flip a sign bit
+    parents = np.array(
+        [[0.0, -0.0, 1.0, -0.5], [0.3, -0.0, 0.9, -0.6], [0.1, -0.0, 0.8, -0.4],
+         [0.2, -0.0, 1.2, -0.3]]
+    )
+    target = np.array([-0.0, 0.0])
+
+    def search(groups):
+        rows = np.concatenate([np.arange(2 * g, 2 * g + 2) for g in groups])
+        return _level_search(
+            None, parents[rows], np.array([2] * len(groups)), 0.5, target[groups], 1.1, CCW,
+            None, math.inf, 3, 64,
+        )
+
+    counts, children = search([0, 1])
+    alone = [search([g]) for g in (0, 1)]
+    assert counts.tolist() == [3, 3] and [c.tolist() for c, _ in alone] == [[3], [3]]
+    assert children.tobytes() == np.concatenate([c for _, c in alone]).tobytes()
+    # the first tip of each parent: y = -0.0 in the target -0.0 group only
+    assert np.signbit(children[::3, 3]).tolist() == [True, True, False, False]
+
+
+def test_atan_outside_decides_as_math_atan():
+    # slopes whose np.arctan and math.atan differ in the last bit, placed so
+    # that the math.atan offset sits at the bound reach + 1e-9 or at a wrap
+    # of _arc_offsets (0, pi - 1e-9, pi), give or take a few ulps of reach or
+    # start: every verdict must be that of math.atan
+    draws = np.random.default_rng(11).normal(scale=2.0, size=20_000)
+    exact = np.array([math.atan(v) for v in draws.tolist()])
+    differ = np.flatnonzero(np.arctan(draws) != exact)[:30]
+    ulps = np.arange(-3, 4)
+    for ccw in (True, False):
+        sign = 1.0 if ccw else -1.0
+        slopes, start, reach = [], [], []
+        for i in differ.tolist():
+            u = float(_arc_offsets(exact[i : i + 1], 0.5, ccw, 1e-9)[0])
+            bound = u - 1e-9 + ulps * np.spacing(u)
+            for wrap in (0.0, PI - 1e-9, PI):
+                ideal = exact[i] - sign * wrap
+                starts = ideal + ulps * np.spacing(ideal)
+                slopes += [draws[i]] * (len(bound) + len(starts))
+                start += [0.5] * len(bound) + starts.tolist()
+                reach += bound.tolist() + [1.0] * len(starts)
+        slopes, start, reach = np.array(slopes), np.array(start), np.array(reach)
+        phi = np.array([math.atan(v) for v in slopes.tolist()])
+        want = _arc_offsets(phi, start, ccw, 1e-9) > reach + 1e-9
+        assert np.array_equal(_atan_outside(slopes, start, reach, ccw), want)
+        # the cases reach the guard: np.arctan alone decides some of them otherwise
+        unguarded = _arc_offsets(np.arctan(slopes), start, ccw, 1e-9) > reach + 1e-9
+        assert len(differ) == 0 or (unguarded != want).any()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

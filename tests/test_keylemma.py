@@ -592,9 +592,9 @@ def test_key_construction_batches_every_level_search(monkeypatch, scene):
     for name in calls:
         original = getattr(blinds_module, name)
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         for module in (blinds_module, keylemma_module):
             if getattr(module, name, None) is original:
