@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -33,6 +32,7 @@ from .projline import (
     Arc,
     Direction,
     _arc_offsets,
+    _count,
     _schedules,
     angle_schedule,
     as_direction,
@@ -137,46 +137,40 @@ def _directions(coords: np.ndarray) -> np.ndarray:
 # -- divide and rotate ------------------------------------------------------
 
 
-def _angle_table(target, cover) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct (target, cover) pairs of a level, checked, with their cosines and sines.
+def _angle_table(target, cover) -> np.ndarray:
+    """The cosines and sines of (target, cover) pairs, checked, one column per pair.
 
-    Pairs are told apart by their bits, as sin keeps the sign of a zero.
-    Returns (trig, index): trig holds the rows cos target, sin target,
-    cos cover, sin cover, one column per distinct pair, and index[i] is the
-    column of the i-th given pair.  The first pair whose directions are within
-    ANGLE_TOL raises, decided by projline.dist's IEEE operations on arrays.
+    ``target`` and ``cover`` are equal-length arrays or two angles.  Returns
+    the rows cos target, sin target, cos cover, sin cover.  The first pair
+    whose directions are within ANGLE_TOL raises, decided by projline.dist's
+    IEEE operations on arrays.
     """
-    pairs = np.empty((len(target), 2))
-    pairs[:, 0], pairs[:, 1] = target, cover
-    keys, index = np.unique(pairs.view(np.dtype((np.void, 16))).reshape(-1), return_inverse=True)
-    t, c = keys.view(float).reshape(-1, 2).T
+    t, c = np.atleast_1d(target, cover)
     d = np.fmod(np.abs(t - c), PI)
-    bad = (np.minimum(d, PI - d) <= ANGLE_TOL)[index]
+    bad = np.minimum(d, PI - d) <= ANGLE_TOL
     if bad.any():
-        t, c = pairs[np.argmax(bad)].tolist()
+        t, c = (float(v[np.argmax(bad)]) for v in (t, c))
         raise ValueError(
             f"degenerate angle configuration (target/cover): {Direction(t)} vs {Direction(c)}"
         )
-    # math.cos/sin, once per pair: numpy's SIMD ones can differ in the last
-    # bit, and every output coordinate goes through them
+    # math.cos/sin, not numpy's SIMD ones, which can differ in the last bit:
+    # every output coordinate goes through them
     t, c = t.tolist(), c.tolist()
     trig = [*map(math.cos, t), *map(math.sin, t), *map(math.cos, c), *map(math.sin, c)]
-    return np.array(trig).reshape(4, -1), index.reshape(-1)
+    return np.array(trig).reshape(4, -1)
 
 
 def _divide_rotate_level(
-    coords: np.ndarray, target, cover, n, table: Optional[tuple] = None, hulls: bool = True
+    coords: np.ndarray, trig: np.ndarray, n, hulls: bool = True
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Divide every segment into its n pieces and rotate each to its target.
 
     This is the one implementation of DIVIDE and ROTATE: each piece is
     replaced by the segment from its start to where the line through its
-    start with direction ``target`` meets the line through its end with
-    direction ``cover``.  The angles ``target`` and ``cover`` are given per
-    row or once for all rows; a caller that divides the same rows more than
-    once builds their _angle_table once and passes it as ``table`` = (trig,
-    column of each row) in their place.  The piece count ``n`` is given per
-    row or once.
+    start with direction target meets the line through its end with
+    direction cover.  ``trig`` is the _angle_table of the (target, cover)
+    pairs, one column per row or one for all rows; the piece count ``n`` is
+    given per row or once.
     Returns (children, hulls): children holds the new blades as rows
     (ax, ay, bx, by), the n children of each parent consecutive and in order
     along it; hulls holds each piece's triangle hull (pax, pay, pbx, pby, cx, cy),
@@ -186,7 +180,6 @@ def _divide_rotate_level(
     n = np.full(k, n, dtype=np.int64)
     if n.min() < 1:
         raise ValueError(f"piece count must be >= 1, got {int(n.min())}")
-    trig, pick = table if table is not None else _angle_table(np.broadcast_to(target, (k,)), cover)
     # piece j of a row with n pieces spans the fractions j/n .. (j+1)/n of it
     row = np.repeat(np.arange(k), n)
     j = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)
@@ -195,7 +188,7 @@ def _divide_rotate_level(
     lo, hi = j / m, (j + 1) / m
     pax, pbx = ax + (bx - ax) * lo, ax + (bx - ax) * hi
     pay, pby = ay + (by - ay) * lo, ay + (by - ay) * hi
-    cs, ss, cc, sc = trig[:, pick[row]]
+    cs, ss, cc, sc = trig if trig.shape[1] == 1 else trig[:, row]
     # a + s*(cs, ss) = b + t*(cc, sc); solve for s by 2x2 cross products
     det = cs * sc - ss * cc  # sin(cover - target), bounded away from 0
     s = ((pbx - pax) * sc - (pby - pay) * cc) / det
@@ -203,13 +196,6 @@ def _divide_rotate_level(
     cy = pay + s * ss
     children = np.array([pax, pay, cx, cy]).T.copy()
     return children, np.array([pax, pay, pbx, pby, cx, cy]).T.copy() if hulls else None
-
-
-def _piece_count(value, name: str) -> int:
-    """A piece count given as ``name``: any integer but a bool, else a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _row(seg: Segment) -> np.ndarray:
@@ -232,7 +218,8 @@ def rotate(seg: Segment, theta_small: Direction, theta_cover: Direction) -> Segm
             raise ValueError(
                 f"degenerate angle configuration ({labels}): {theta_seg} vs {v}"
             )
-    children, _ = _divide_rotate_level(_row(seg), theta_small.angle, theta_cover.angle, 1)
+    trig = _angle_table(theta_small.angle, theta_cover.angle)
+    children, _ = _divide_rotate_level(_row(seg), trig, 1)
     ax, ay, cx, cy = children[0].tolist()
     return Segment(Point(ax, ay), Point(cx, cy))
 
@@ -273,11 +260,12 @@ def vb(
     The segment direction must lie strictly inside the arc from theta_cover
     to theta_small (in the given chirality, inferred when omitted).
     """
-    n = _piece_count(n, "n")
+    n = _count(n, "n")
     theta_small = as_direction(theta_small)
     theta_cover = as_direction(theta_cover)
     inferred = _infer_chirality(seg.direction, theta_small, theta_cover, chirality)
-    children, _ = _divide_rotate_level(_row(seg), theta_small.angle, theta_cover.angle, n)
+    trig = _angle_table(theta_small.angle, theta_cover.angle)
+    children, _ = _divide_rotate_level(_row(seg), trig, n)
     return BlindSet(
         children,
         provenance=[(i,) for i in range(n)],
@@ -308,7 +296,7 @@ def iter_vb(
     """
     if chirality not in CHIRALITIES:
         raise ValueError(f"unknown chirality {chirality!r}")
-    counts = tuple(_piece_count(n, f"counts[{k}]") for k, n in enumerate(counts))
+    counts = tuple(_count(n, f"counts[{k}]") for k, n in enumerate(counts))
     if not counts or min(counts) < 1:
         raise ValueError(f"need one branching count >= 1 per level, got {counts!r}")
     theta_small = as_direction(theta_small)
@@ -318,7 +306,8 @@ def iter_vb(
     for k, n in enumerate(counts):
         try:
             _infer_chirality(schedule[k], schedule[k + 1], theta_cover, chirality)
-            coords, _ = _divide_rotate_level(coords, schedule[k + 1].angle, theta_cover.angle, n)
+            trig = _angle_table(schedule[k + 1].angle, theta_cover.angle)
+            coords, _ = _divide_rotate_level(coords, trig, n)
         except ValueError as exc:
             raise ConstructionError(
                 f"stage {k + 1} blind failed at tree index {(0,) * k!r}: {exc}",
@@ -416,8 +405,9 @@ def _level_search(
     the piece start, so a group's farthest tip at n is far1 / n up to
     rounding in the coordinates.  One division at n = 1 moves each group past
     the counts whose tips certainly miss its budget, and the doubling starts
-    from there.  The groups' angle table is built once: that division, which
-    builds no hulls, and every doubling round's index into it.
+    from there.  The groups' _angle_table is built once, one column per
+    parent: that division, which builds no hulls, and every doubling round
+    take their parents' columns of it.
     """
     groups = len(sizes)
     level_dir, target, theta_cover, budget = (
@@ -428,12 +418,9 @@ def _level_search(
     over = start * sizes > n_max
     if over.any():
         return int(np.argmax(over))
-    trig, index = _angle_table(target, theta_cover)
-    pick = index[row_group]
+    trig = _angle_table(target, theta_cover)[:, row_group]
     # a count below 1 fails here as it would in the doubling
-    children, _ = _divide_rotate_level(
-        parents, None, None, np.minimum(start, 1)[row_group], (trig, pick), hulls=False
-    )
+    children, _ = _divide_rotate_level(parents, trig, np.minimum(start, 1)[row_group], hulls=False)
     far1 = np.maximum.reduceat(
         _distances_to_parents(parents, children[:, 2:4]), np.cumsum(sizes) - sizes
     )
@@ -450,9 +437,7 @@ def _level_search(
         live = np.flatnonzero(pending)
         rows = np.flatnonzero(pending[row_group])
         g = row_group[rows]
-        children, hulls = _divide_rotate_level(
-            parents[rows], None, None, counts[g], (trig, pick[rows])
-        )
+        children, hulls = _divide_rotate_level(parents[rows], trig[:, rows], counts[g])
         parent = np.repeat(rows, counts[g])
         child_group = row_group[parent]
         far = _distances_to_parents(parents[parent], children[:, 2:4])
@@ -501,7 +486,7 @@ def auto_vb_cover(
     the base segment (an infinite one bounds nothing, as None).  Returns the
     first passing (N, BlindSet).
     """
-    n0 = _piece_count(n0, "n0")
+    n0 = _count(n0, "n0")
     if max_offset is not None and not max_offset > 0.0:
         raise ValueError(f"max_offset must be positive, got {max_offset!r}")
     theta_small = as_direction(theta_small)

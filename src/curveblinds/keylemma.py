@@ -187,7 +187,7 @@ def _polygon_ok(curve: CurveProfile, chain: PolyChain, eps: float, delta: float,
     # the end vertices lie on the arc
     if np.any(_vertex_distances(curve, chain, delta) > delta):
         return False
-    return check_cover(curve, BlindSet(coords), chain.source, alpha_grid, margin=1e-9).passed
+    return check_cover(curve, BlindSet(coords), chain.source, alpha_grid).passed
 
 
 # -- angle bands ------------------------------------------------------------
@@ -451,9 +451,7 @@ def key_construction(
         },
     )
     # view 0 of each grid decides; the last one is reported
-    covers = cover_views(
-        curve, blinds, [(arc, 0.0)] + shifted_cover, a_cover, margin=1e-9, scene_id=scene_id
-    )
+    covers = cover_views(curve, blinds, [(arc, 0.0)] + shifted_cover, a_cover, scene_id=scene_id)
     smalls = small_views(curve, blinds, a_small, eps, [0.0] + shifted_small, scene_id=scene_id)
     for stage, views in (("cover", covers), ("small", smalls)):
         if not views[0].passed:

@@ -9,6 +9,7 @@ which is the classic source of wraparound bugs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,13 @@ def _arc_offsets(thetas, start, ccw: bool, tol: float = 0.0) -> np.ndarray:
     return u
 
 
+def _count(value, name: str) -> int:
+    """A count given as ``name``: any integer but a bool, else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def angle_schedule(
     theta0: Direction | float,
     theta_small: Direction | float,
@@ -148,6 +156,7 @@ def angle_schedule(
     Returns [theta_0, ..., theta_m] with theta_m == theta_small and with
     constant consecutive gaps of (arc length)/m along the given chirality.
     """
+    m = _count(m, "m")
     if m < 1:
         raise ValueError(f"schedule depth must be >= 1, got {m}")
     arc = Arc(theta0, theta_small, chirality)

@@ -21,9 +21,12 @@ from .blinds import BlindSet, rotate
 from .curve import CurveProfile, eval_phi, grad_phi
 from .geometry import Point, Segment
 from .measure import AlphaSet, FiberArc, IntervalUnion, project_blinds_grid, project_fiber_arc
-from .projline import dist, normalize
+from .projline import _count, dist, normalize
 
 Target = Union[BlindSet, FiberArc]
+
+#: Tolerance of the covering certificate on each grid point's deficit.
+_MARGIN = 1e-9
 
 
 @dataclass
@@ -58,7 +61,6 @@ def check_cover(
     blinds: BlindSet,
     target: Target,
     alphas: AlphaSet,
-    margin: float = 1e-9,
     scene_id: str = "",
     shift: float = 0.0,
 ) -> VerificationReport:
@@ -73,7 +75,7 @@ def check_cover(
     That rate holds only away from the strip edges, so no padding is granted
     where a blind or the target meets one (see _clear_of_strip_edges).
     """
-    return cover_views(curve, blinds, [(target, shift)], alphas, margin, scene_id)[0]
+    return cover_views(curve, blinds, [(target, shift)], alphas, scene_id)[0]
 
 
 def cover_views(
@@ -81,7 +83,6 @@ def cover_views(
     blinds: BlindSet,
     views: Sequence[tuple[Target, float]],
     alphas: AlphaSet,
-    margin: float = 1e-9,
     scene_id: str = "",
 ) -> list[VerificationReport]:
     """check_cover's report for each (target, shift) view, from one projection pass.
@@ -90,7 +91,6 @@ def cover_views(
     through each view's erosion, containment and deficit in turn, so each
     report is the one check_cover(target, shift=shift) returns.
     """
-    _require_finite("margin", margin)
     for _, shift in views:
         _require_finite("shift", shift)
     grid = alphas.grid()
@@ -112,7 +112,7 @@ def cover_views(
             deficit = np.zeros(len(ok))
             if not ok.all():
                 # the margin only widens proj_e, so rows covered without it stay covered
-                grown = proj_e.inflate(margin)
+                grown = proj_e.inflate(_MARGIN)
                 ok = grown.covers(proj_t)
                 deficit = proj_t.difference(grown).measures()
             deficits.append(deficit)
@@ -135,7 +135,7 @@ def cover_views(
                 scene_id=scene_id,
                 kind="cover",
                 passed=all_ok,
-                bound=margin,
+                bound=_MARGIN,
                 padding=_shift_padding(curve, alphas, shift) if padded else 0.0,
                 worst_alpha=float(grid[worst]),
                 worst_value=float(per_alpha.deficit[worst]),
@@ -258,9 +258,8 @@ def gradient_check(
     curve: CurveProfile, samples: int = 1000, h: float = 1e-6, seed: int = 0
 ) -> float:
     """Max relative error of grad_phi against central differences of eval_phi."""
-    if h <= 0.0:
-        raise ValueError(f"step h must be positive, got {h!r}")
-    if samples < 1:
+    _require_finite("step h", h, positive=True)
+    if _count(samples, "samples") < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -291,7 +290,7 @@ def law_of_sines_check(trials: int = 1000, seed: int = 0) -> float:
     Samples valid triples for both chiralities: angles pairwise at least
     0.05 rad apart so the rotation is well conditioned.
     """
-    if trials < 1:
+    if _count(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     worst = 0.0

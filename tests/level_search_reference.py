@@ -17,7 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from curveblinds.blinds import _distances_to_parents, _divide_rotate_level, _hulls_cover_ok
+from curveblinds.blinds import (
+    _angle_table,
+    _distances_to_parents,
+    _divide_rotate_level,
+    _hulls_cover_ok,
+)
 from curveblinds.curve import CurveProfile
 from curveblinds.measure import AlphaSet
 
@@ -54,7 +59,8 @@ def doubling_level_search(
         live = np.flatnonzero(pending)
         rows = np.flatnonzero(pending[row_group])
         g = row_group[rows]
-        children, hulls = _divide_rotate_level(parents[rows], target[g], theta_cover[g], counts[g])
+        trig = _angle_table(target[g], theta_cover[g])
+        children, hulls = _divide_rotate_level(parents[rows], trig, counts[g])
         parent = np.repeat(rows, counts[g])
         child_group = row_group[parent]
         far = _distances_to_parents(parents[parent], children[:, 2:4])

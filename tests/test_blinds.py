@@ -15,6 +15,7 @@ from curveblinds.blinds import (
     BlindSet,
     Caps,
     ConstructionError,
+    _angle_table,
     _atan_outside,
     _distances_to_parents,
     _divide_rotate_level,
@@ -589,17 +590,18 @@ def test_divide_rotate_level_rows_match_one_row_calls():
     target = rng.uniform(0.0, PI, size=6)
     cover = np.fmod(target + rng.uniform(0.3, 2.8, size=6), PI)
     n = np.array([1, 3, 1, 7, 2, 5])
-    children, hulls = _divide_rotate_level(coords, target, cover, n)
+    trig = _angle_table(target, cover)
+    children, hulls = _divide_rotate_level(coords, trig, n)
     one_row = [
-        _divide_rotate_level(coords[i : i + 1], float(target[i]), float(cover[i]), int(n[i]))
+        _divide_rotate_level(coords[i : i + 1], _angle_table(target[i], cover[i]), int(n[i]))
         for i in range(6)
     ]
     assert np.array_equal(children, np.concatenate([c for c, _ in one_row]))
     assert np.array_equal(hulls, np.concatenate([h for _, h in one_row]))
     with pytest.raises(ValueError):
-        _divide_rotate_level(coords, target, cover, np.array([1, 1, 0, 1, 1, 1]))
+        _divide_rotate_level(coords, trig, np.array([1, 1, 0, 1, 1, 1]))
     with pytest.raises(ValueError):
-        _divide_rotate_level(coords, target, np.where(np.arange(6) == 4, target, cover), n)
+        _angle_table(target, np.where(np.arange(6) == 4, target, cover))
 
 
 def _divide_rotate_rows(coords, target, cover, n):
@@ -637,35 +639,38 @@ def test_divide_rotate_level_matches_per_row_reference():
     target[own] = rng.uniform(0.0, PI, size=own.sum())
     cover[own] = np.fmod(target[own] + rng.uniform(0.3, 2.8, size=own.sum()), PI)
     # a first child starting at y = -0.0 keeps that sign in its tip's y only
-    # if its target's sine is -0.0 too: the zeros of either sign are two pairs
+    # if its target's sine is -0.0 too: each row takes its own column
     target[:2], cover[:2] = (-0.0, 0.0), 1.1
     coords[:2, 1], coords[:2, 3] = -0.0, -0.5
     n = rng.integers(1, 8, size=k)
-    children, hulls = _divide_rotate_level(coords, target, cover, n)
+    children, hulls = _divide_rotate_level(coords, _angle_table(target, cover), n)
     want = _divide_rotate_rows(coords, target.tolist(), cover.tolist(), n.tolist())
     assert children.tobytes() == want[0].tobytes()
     assert hulls.tobytes() == want[1].tobytes()
-    # one angle for all rows
-    children, _ = _divide_rotate_level(coords, 1.2, 2.1, 3)
-    assert children.tobytes() == _divide_rotate_rows(coords, [1.2] * k, [2.1] * k, [3] * k)[0].tobytes()
+    # one column for all rows: bit for bit that column given once per row
+    one = _divide_rotate_level(coords, _angle_table(-0.0, 1.1), n)
+    per_row = _divide_rotate_level(coords, _angle_table(np.full(k, -0.0), np.full(k, 1.1)), n)
+    want = _divide_rotate_rows(coords, [-0.0] * k, [1.1] * k, n.tolist())
+    for got in (one, per_row):
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 def test_divide_rotate_level_names_the_first_degenerate_row():
-    # two degenerate pairs; the one of the earlier row sorts after the other
+    # two degenerate pairs; the one of the earlier row has the larger angles
     coords = np.random.default_rng(6).uniform(-1.0, 1.0, size=(5, 4))
     target = [1.2, 2.0, 1.2, 0.5, 2.0]
     cover = [2.1, 2.0 + 0.5 * ANGLE_TOL, 2.1, 0.5, 2.0 + 0.5 * ANGLE_TOL]
     with pytest.raises(ValueError) as want:
         _divide_rotate_rows(coords, target, cover, [1] * 5)
     with pytest.raises(ValueError) as got:
-        _divide_rotate_level(coords, np.array(target), np.array(cover), 2)
+        _divide_rotate_level(coords, _angle_table(np.array(target), np.array(cover)), 2)
     assert str(got.value) == str(want.value)
     assert str(Direction(2.0)) in str(got.value)
 
 
 def _farthest_tip(parents, target, cover, n):
     """The farthest blade tip from its own parent when every parent is cut into n."""
-    children, _ = _divide_rotate_level(parents, target, cover, n)
+    children, _ = _divide_rotate_level(parents, _angle_table(target, cover), n)
     return float(np.max(_distances_to_parents(np.repeat(parents, n, axis=0), children[:, 2:4])))
 
 
@@ -701,9 +706,9 @@ def test_level_search_groups_are_independent(monkeypatch):
     # one division at n = 1 predicts the counts: "eight" is divided at 8 only
     calls = []
 
-    def spy(coords, target, cover, n, *args, **kwargs):
+    def spy(coords, trig, n, **kwargs):
         calls.append((coords.copy(), np.broadcast_to(n, len(coords)).tolist()))
-        return _divide_rotate_level(coords, target, cover, n, *args, **kwargs)
+        return _divide_rotate_level(coords, trig, n, **kwargs)
 
     monkeypatch.setattr(blinds_module, "_divide_rotate_level", spy)
     assert search(["one", "eight"])[0].tolist() == [1, 8]

@@ -154,7 +154,7 @@ def test_vertex_search_stopped_at_delta_keeps_every_decision(scene):
     chain = _tangent_chain(curve, arc, 16)
     full = np.array(reference.vertex_distances(curve, chain))
     grid = default_alpha_box(curve, arc)
-    cover_ok = check_cover(curve, BlindSet(chain.coords()), arc, grid, margin=1e-9).passed
+    cover_ok = check_cover(curve, BlindSet(chain.coords()), arc, grid).passed
     deltas = sorted({
         float(np.nextafter(d, to)) for d in full.tolist() for to in (-np.inf, d, np.inf)
     })
@@ -658,7 +658,7 @@ def test_rigorous_reports_are_the_shifted_checks_on_the_unpadded_arc(scene):
     )
     arc = FiberArc(spec.y, *spec.subrange)
     cover = check_cover(
-        curve, result.blinds, arc, a_cover, margin=1e-9, scene_id=scene,
+        curve, result.blinds, arc, a_cover, scene_id=scene,
         shift=curve.df_bound * a_cover.grid_step / 2.0,
     )
     small = check_small(

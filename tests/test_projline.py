@@ -1,6 +1,7 @@
 """Direction arithmetic on R/piZ: normalization, metric, arcs, schedules."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,14 @@ def test_angle_schedule_rejects_bad_input():
         angle_schedule(0.3, 0.3, 3, CCW)
     with pytest.raises(ValueError):
         angle_schedule(0.3, 1.5, 3, "spinwise")
+
+
+@pytest.mark.parametrize("m", [2.5, True, math.nan, 3.0])
+def test_angle_schedule_rejects_depths_that_are_not_integers(m):
+    # they used to die in numpy's indexing (2.5, True) or in arange (NaN)
+    with pytest.raises(ValueError, match=f"^m must be an integer, got {re.escape(repr(m))}$"):
+        angle_schedule(0.3, 1.5, m, CCW)
+    assert len(angle_schedule(0.3, 1.5, np.int64(3), CCW)) == 4
 
 
 @pytest.mark.parametrize("chirality", [CCW, CW])

@@ -1,6 +1,7 @@
 """The certification harness: covering, smallness, gradient, rotation checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_check_cover_margin_is_not_padding():
     short = BlindSet(np.array([[0.3, 5e-10, 0.5, 0.1 + 5e-10]]))
     tiny = AlphaSet(((0.8, 0.8 + 1e-11),), 1e-12)
     assert 2.0 * CURVE.df_bound * tiny.grid_step < 1e-9
-    report = check_cover(CURVE, short, SELF, tiny, margin=1e-9)
+    report = check_cover(CURVE, short, SELF, tiny)
     assert report.passed
     assert report.padding == 0.0
 
@@ -89,8 +90,6 @@ def test_check_cover_accepts_fiber_arc_target():
 def test_check_cover_validates_margins():
     # NaN fails every comparison: unchecked, it would pass as 0
     for value in (-1.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="margin must be finite and >= 0"):
-            check_cover(CURVE, SELF, SELF, ALPHAS, margin=value)
         with pytest.raises(ValueError, match="shift must be finite and >= 0"):
             check_cover(CURVE, SELF, SELF, ALPHAS, shift=value)
         with pytest.raises(ValueError, match="shift must be finite and >= 0"):
@@ -188,9 +187,9 @@ def test_views_of_one_pass_match_one_view_checks():
         shifts = [0.0, 0.004, 0.001]
         views = [(target, shift) for shift in shifts]
         views.append((BlindSet(np.array([[0.0, 0.0, 0.3, 0.1]])), 0.002))
-        reports = cover_views(curve, blinds, views, alphas, margin=1e-9, scene_id="v")
+        reports = cover_views(curve, blinds, views, alphas, scene_id="v")
         for (view_target, shift), report in zip(views, reports):
-            single = check_cover(curve, blinds, view_target, alphas, 1e-9, "v", shift)
+            single = check_cover(curve, blinds, view_target, alphas, "v", shift)
             assert report_bits(report) == report_bits(single)
         reports = small_views(curve, blinds, alphas, 0.5, shifts, scene_id="v")
         for shift, report in zip(shifts, reports):
@@ -227,6 +226,28 @@ def test_gradient_check_rejects_no_samples(samples):
     # no sample would be a vacuous pass: a worst error of 0.0
     with pytest.raises(ValueError, match="samples must be >= 1"):
         gradient_check(CURVE, samples=samples)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"samples": 2.5}, "samples must be an integer, got 2.5"),
+        ({"samples": True}, "samples must be an integer, got True"),
+        ({"samples": 3, "h": math.nan}, "step h must be finite and > 0, got nan"),
+        ({"samples": 3, "h": math.inf}, "step h must be finite and > 0, got inf"),
+    ],
+)
+def test_gradient_check_rejects_invalid_counts_and_steps(kwargs, message):
+    # a float count used to die in range(), True ran one sample, and a NaN or
+    # infinite step passed the h <= 0 test and failed in the evaluation
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gradient_check(CURVE, **kwargs)
+
+
+@pytest.mark.parametrize("trials", [2.5, True])
+def test_law_of_sines_check_rejects_counts_that_are_not_integers(trials):
+    with pytest.raises(ValueError, match=f"^trials must be an integer, got {trials!r}$"):
+        law_of_sines_check(trials=trials)
 
 
 def test_law_of_sines_check_small():
@@ -276,7 +297,7 @@ def test_check_reports_match_scalar_per_alpha_loop(shift):
             cover_rows.append(
                 {"alpha": alpha, "covered": ok, "deficit": deficit, "projected_measure": proj_e.measure}
             )
-        cover = check_cover(curve, blinds, target, alphas, margin=1e-9, shift=shift).to_json_dict()
+        cover = check_cover(curve, blinds, target, alphas, shift=shift).to_json_dict()
         small = check_small(curve, blinds, alphas, bound=1.0, shift=shift).to_json_dict()
         assert records(cover["per_alpha"]) == cover_rows
         assert records(small["per_alpha"]) == small_rows
