@@ -3,9 +3,14 @@
 Projections of segments, blind sets and fiber arcs land on the vertical
 lines {alpha} x R, each image a finite union of closed intervals.  An
 IntervalUnion holds the images of a batch of alphas, one row per alpha, as
-flat arrays of canonical groups with each group's row.  _canonical_groups
-canonicalizes the projection kernel's (rows x n) interval arrays in any
-order, in its own buffers: chains of neighbours collapse to their hulls,
+flat arrays of canonical groups with each group's row.  The projection
+kernel, project_blinds_grid, first replaces each run of overlapping
+segments whose hull it certifies over the whole alpha range by one column of
+the run's two extreme endpoints (_endpoint_columns: f' being strictly
+monotone, an order of two endpoint values that holds at both ends of the
+range holds in between).  _canonical_groups then canonicalizes the kernel's
+(rows x n) interval arrays in any order, in its own buffers: chains of
+neighbours collapse to their hulls,
 a wide row pre-merges in blocks of _BLOCK intervals, and _sorted_groups
 cuts the groups of the sorted rows.  _merge_neighbours takes intervals
 sorted by row whose lo and hi rise within each row, as a union's do after a
@@ -16,7 +21,6 @@ act on whole batches.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -24,6 +28,7 @@ import numpy as np
 
 from .curve import DOMAIN_TOL, CurveProfile
 from .geometry import Point
+from .projline import _count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .blinds import BlindSet
@@ -300,8 +305,8 @@ class AlphaSet:
     def from_intervals(
         cls, components: Iterable[Sequence[float]], points_per_component: int = 200
     ) -> "AlphaSet":
-        n = points_per_component
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        n = _count(points_per_component, "points per component")
+        if n < 2:
             raise ValueError(f"points per component must be an integer >= 2, got {n!r}")
         comps = tuple(sorted((float(c[0]), float(c[1])) for c in components))
         width = max((hi - lo for lo, hi in comps), default=0.0)
@@ -389,8 +394,21 @@ def project_blinds_grid(
     it also clips alpha - x1 to [a, b]; the margin keeps alpha - x1 strictly
     inside [a, b], where that clip returns its input bit for bit, so the
     endpoint-only evaluation omits it and the choice changes no bit of the
-    result.  The alpha-independent segment terms are computed once, then
-    max(1, BUDGET // n) alphas at a time are projected as (rows x n) arrays;
+    result.
+
+    Before the batch buffers are sized, _endpoint_columns turns the
+    endpoint-only segments into columns: over three or more alphas, a run of
+    consecutive segments whose images overlap, and whose extremes are the
+    same two endpoints, at every alpha of the range becomes one column of
+    those two endpoints.  f' being strictly monotone, the difference of two
+    endpoint values is monotone in alpha, so each order checked at both ends
+    of the range, by _HULL_MARGIN times the magnitude scale, holds in
+    between; the column's image is the union of the run's, so no group
+    changes.  The column takes the place of the run's first segment: the
+    columns keep the segments' order, in which neighbours overlap far more
+    often than others, so that _collapse_chains finds fewer chains.  The
+    alpha-independent terms are computed once, then max(1, BUDGET // n)
+    alphas at a time are projected as (rows x n) arrays, n columns wide;
     their canonical rows are stacked into one batch while rows x widest row
     stays within BUDGET, so that consumers spend each numpy call on many
     alphas.  Every element goes through the same float operations whatever
@@ -414,21 +432,22 @@ def project_blinds_grid(
     _require_finite_coords(coords)
     if not alphas.size:
         return
-    n = len(coords)
-    rows = min(len(alphas), max(1, BUDGET // n))
     endpoint_only = _endpoint_only(curve, alphas, coords)
-    split = int(np.count_nonzero(endpoint_only))
+    ends = _endpoint_columns(curve, alphas, coords[endpoint_only])
+    split = ends.shape[-1]
+    n = split + len(coords) - int(np.count_nonzero(endpoint_only))
+    rows = min(len(alphas), max(1, BUDGET // n))
     # the batch buffers, written through out= by every batch, with room for
     # _canonical_groups' block padding; the canonical groups do not depend
     # on the column order (up to which of -0.0 and 0.0 comes first), so the
-    # endpoint-only segments take the first split columns
+    # endpoint-only columns come first
     size = rows * n + _BLOCK
     lo_buf, hi_buf, reach = np.empty((3, size))
     cuts = np.empty(size, dtype=bool)
     los, his = lo_buf[: rows * n].reshape(rows, n), hi_buf[: rows * n].reshape(rows, n)
     parts = []
     if split:
-        parts.append((_endpoint_images(curve, coords[endpoint_only], rows), slice(None, split)))
+        parts.append((_endpoint_images(curve, ends, rows), slice(None, split)))
     if split < n:
         parts.append((_general_images(curve, coords[~endpoint_only]), slice(split, None)))
     pending, stacked, widest = [], 0, 0
@@ -508,24 +527,121 @@ def _endpoint_only(curve: CurveProfile, alphas: np.ndarray, coords: np.ndarray) 
     )
 
 
-def _endpoint_images(curve: CurveProfile, coords: np.ndarray, rows: int):
-    """The endpoint-only evaluation: (al, lo, hi) writes each segment's image.
+#: Margin of the hull certificate, per unit of the largest coordinate, alpha
+#: and endpoint-value magnitude (at least 1): the least amount by which one
+#: endpoint value must lie below another, at both ends of the alpha range,
+#: for their order to be taken as holding at every alpha in between.
+_HULL_MARGIN = 1e-9
 
-    The ends x = t * dx1 + ax, y = t * dx2 + ay at t = 0.0 and 1.0 are the
-    general evaluation's own terms at those parameters, computed once and
-    laid side by side, so that each batch of up to rows alphas takes one pass
-    over both ends, in one buffer reused by every batch.
+
+def _endpoint_columns(curve: CurveProfile, alphas: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The endpoint-only columns as their ends' (x, y): an array (2, 2, k).
+
+    Column c's image at alpha is spanned by its values at its two ends,
+    y[t, c] + f(alpha - x[t, c]) for t = 0 and 1.  Each segment is a column
+    with the ends x = t * dx1 + ax, y = t * dx2 + ay at t = 0.0 and 1.0,
+    except the segments of an accepted run, whose first segment's column
+    holds the run's minimum and maximum endpoint instead, and whose other
+    segments have none.  With fewer than three alphas no run is accepted.
+
+    The certificate: over the alpha range [min, max] every x of these
+    segments stays inside [alpha - b, alpha - a] (see _endpoint_only), so
+    the difference of two endpoint values, (y_p - y_q) + f(alpha - x_p) -
+    f(alpha - x_q), has derivative f'(alpha - x_p) - f'(alpha - x_q) of
+    one sign, f' being strictly monotone: it is monotone in alpha, and an
+    order that holds at both ends of the range holds in between.  Segment i
+    links to i + 1 when one fixed end of each lies below one fixed end of
+    the other by the margin at both range ends: their images then overlap
+    at every alpha, and a run of links projects to one interval, the hull
+    of its ends' values.  A run is accepted when one fixed end is its
+    minimum and one its maximum, each by the margin at both range ends:
+    that interval is then bounded by exactly those two ends' values at
+    every alpha, so the one column in place of the run leaves the union of
+    the images, and every canonical group, unchanged bit for bit, by the
+    argument _canonical_groups gives for chains.  The hull column keeps the
+    run's place, so the columns stay in segment order for _collapse_chains.
+
+    The end values are computed with the kernel's own operations, and the
+    margin is _HULL_MARGIN times the largest magnitude of the coordinates,
+    the alpha range and these values (at least 1).  It assumes that every
+    endpoint value the kernel computes, at any alpha of the range, lies
+    within a quarter of the margin of the exact value at its computed x and
+    y: that curve.f, with the rounding of alpha - x times |f'| included,
+    errs by far less than 1e-10 times that magnitude, as elementwise numpy
+    and math functions do by a few ulps.  Each strict order above then
+    holds for the computed values too.
+    """
+    m = len(coords)
+    # ends[0 or 1, t, i]: x or y of segment i's end t
+    ends = np.empty((2, 2, m))
+    for k in (0, 1):
+        d = coords[:, k + 2] - coords[:, k]
+        for t in (0, 1):
+            np.multiply(float(t), d, out=ends[k, t])
+            ends[k, t] += coords[:, k]
+    if len(alphas) < 3 or m < 2:
+        return ends
+    x, y = ends.transpose(0, 2, 1)
+    # v[e, i, t]: the value of segment i's end t at range end e
+    v = np.subtract(np.array([alphas.min(), alphas.max()])[:, None, None], x)
+    np.add(y, curve.f(v), out=v)
+    scale = max(1.0, *(float(max(a.max(), -a.min())) for a in (coords, alphas, v)))
+    margin = _HULL_MARGIN * scale
+    up, down = np.zeros((2, m - 1), dtype=bool)
+    for p in (0, 1):
+        for q in (0, 1):
+            gap = v[:, 1:, q] - v[:, :-1, p]
+            up |= gap.min(axis=0) >= margin  # end p of i below end q of i + 1
+            down |= gap.max(axis=0) <= -margin  # and end q of i + 1 below end p of i
+    link = up & down
+    if not link.any():
+        return ends
+    first = np.flatnonzero(np.append(True, ~link))
+    length = np.diff(np.append(first, m))
+    # entry 2 i + t of a range end's row is segment i's end t: a run's ends
+    # are one slice of it
+    flat, cut, width = v.reshape(2, 2 * m), 2 * first, 2 * length
+    # ends within the margin of the run's minimum, or maximum, at each range end
+    near_lo = flat <= np.repeat(np.minimum.reduceat(flat, cut, axis=1) + margin, width, axis=1)
+    near_hi = flat >= np.repeat(np.maximum.reduceat(flat, cut, axis=1) - margin, width, axis=1)
+    # a run with one end near its minimum at either range end, and one near
+    # its maximum: each is that extreme, by the margin, at both range ends
+    hull = length > 1
+    extremes = []
+    for near in (near_lo, near_hi):
+        entry = np.flatnonzero(near[0] | near[1])
+        run = np.searchsorted(cut, entry, "right") - 1
+        hull &= np.bincount(run, minlength=len(first)) == 1
+        extremes.append((entry, run))
+    if not hull.any():
+        return ends
+    inner = np.repeat(hull, length)
+    inner[first] = False
+    # each column's two ends, as indices t * m + i into ends' rows; a hull
+    # run's column sits where its first segment's did
+    source = np.flatnonzero(~inner) + np.array([[0], [m]])
+    dropped = length[hull] - 1
+    place = first[hull] - (np.cumsum(dropped) - dropped)
+    for t, (entry, run) in enumerate(extremes):
+        entry = entry[hull[run]]
+        source[t, place] = entry % 2 * m + entry // 2
+    return ends.reshape(2, 2 * m)[:, source]
+
+
+def _endpoint_images(curve: CurveProfile, ends: np.ndarray, rows: int):
+    """The endpoint-only evaluation: (al, lo, hi) writes each column's image.
+
+    ends holds each column's two ends as _endpoint_columns gives them, the
+    general evaluation's own x and y at t = 0.0 and 1.0; they are laid side
+    by side, so that each batch of up to rows alphas takes one pass over
+    both ends, in one buffer reused by every batch.
     The general evaluation clips al - x to [a, b]; here _endpoint_only keeps
     al - x inside [a, b] by _ENDPOINT_MARGIN times the scale, far above the
     rounding of one subtraction, so that clip returns its input unchanged
     and is left out: every value keeps its bits.
     """
-    ax, ay = coords[:, 0], coords[:, 1]
-    dx1 = coords[:, 2] - ax
-    dx2 = coords[:, 3] - ay
-    x = np.concatenate([t * dx1 + ax for t in (0.0, 1.0)])
-    y = np.concatenate([t * dx2 + ay for t in (0.0, 1.0)])
-    n = len(coords)
+    x, y = ends.reshape(2, -1)
+    n = ends.shape[-1]
     buffer = np.empty((rows, 2 * n))
 
     def images(al: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:

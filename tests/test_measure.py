@@ -36,6 +36,7 @@ from scalar_projection import (
     project_segment,
     project_segments,
     rows_of,
+    scalar_exp,
     segments_of,
     union_of,
 )
@@ -299,53 +300,52 @@ def test_rows_of_one_chain_each_equal_the_argsort_reference():
 
 
 def test_cover_rows_of_the_large_constructions_collapse(monkeypatch):
-    # fine P1 (n > BUDGET / 2) runs one-row batches, fine E1 (n <= BUDGET / 2)
-    # batches of three rows.  Over A_cover the blades chain into few runs and
-    # every batch collapses; over A_small the rows fall apart into thousands
-    # of chains and no batch does.  P1's uncollapsed rows then pre-merge in
-    # blocks of _BLOCK intervals into far fewer block groups; E1's batches of
-    # several rows never do
-    chains, blocks = [], []
-    collapse, sorted_groups = measure._collapse_chains, measure._sorted_groups
+    # over A_cover the blades chain into few runs that the kernel certifies
+    # as hulls: fine P1 (26,944 segments) and fine E1 (4,352) evaluate at
+    # most 200 and 100 columns.  Over A_small far fewer runs certify: fine
+    # P1 keeps more than BUDGET / 2 columns, so it runs one-row batches, and
+    # pre-merges each row in blocks of _BLOCK intervals into far fewer
+    # block groups
+    batches, blocks = [], []
+    canonical, sorted_groups = measure._canonical_groups, measure._sorted_groups
 
-    def collapse_spy(los, his, cuts, reach):
-        got = collapse(los, his, cuts, reach)
-        chains.append((los.shape[0], got[0] is not los))
-        return got
+    def canonical_spy(lo_buf, hi_buf, rows, n, cuts, reach):
+        batches.append((rows, n))
+        return canonical(lo_buf, hi_buf, rows, n, cuts, reach)
 
     def groups_spy(los, his, cuts, reach):
         got = sorted_groups(los, his, cuts, reach)
-        if los.shape == (-(-n // _BLOCK), _BLOCK):
+        if los.shape[1] == _BLOCK and los.shape[0] > 1:
             blocks.append(len(got.lo))
         return got
 
     cases = []
-    for scene, eps, rows in (("P1", 0.015, 1), ("E1", 0.01, 3)):
+    for scene, eps, most in (("P1", 0.015, 200), ("E1", 0.01, 100)):
         spec = dataclasses.replace(load_scene(scene), epsilon=eps)
         blinds = key_construction(
             spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
             spec.epsilon, spec.delta, caps=spec.caps,
         ).blinds
-        assert max(1, BUDGET // len(blinds)) == rows
-        cases.append((spec, blinds, rows))
-    monkeypatch.setattr(measure, "_collapse_chains", collapse_spy)
+        cases.append((spec, blinds, most))
+    monkeypatch.setattr(measure, "_canonical_groups", canonical_spy)
     monkeypatch.setattr(measure, "_sorted_groups", groups_spy)
-    for spec, blinds, rows in cases:
-        n = len(blinds)
-        for grid, collapsed in ((spec.a_cover().grid(), True), (spec.a_small().grid(), False)):
-            chains.clear()
-            blocks.clear()
-            batches = list(project_blinds_grid(spec.curve(), grid, blinds))
-            assert sum(b.rows for b in batches) == len(grid)
-            # one canonicalization per batch of rows, the last one shorter
-            assert [r for r, _ in chains] == [min(rows, len(grid) - i) for i in range(0, len(grid), rows)]
-            assert {c for _, c in chains} == {collapsed}
-            if rows == 1 and not collapsed:
-                # about 500 block groups of 26,944 intervals in a typical row
-                assert len(blocks) == len(grid)
-                assert np.median(blocks) < n / 20 and max(blocks) < n / 2
-            else:
-                assert blocks == []
+    for spec, blinds, most in cases:
+        grid = spec.a_cover().grid()
+        batches.clear()
+        assert sum(b.rows for b in project_blinds_grid(spec.curve(), grid, blinds)) == len(grid)
+        assert sum(r for r, _ in batches) == len(grid)
+        assert max(n for _, n in batches) <= most < len(blinds)
+    spec, blinds, _ = cases[0]
+    grid = spec.a_small().grid()
+    batches.clear()
+    blocks.clear()
+    assert sum(b.rows for b in project_blinds_grid(spec.curve(), grid, blinds)) == len(grid)
+    (n,) = {n for _, n in batches}
+    assert BUDGET // 2 < n < len(blinds)
+    assert [r for r, _ in batches] == [1] * len(grid)
+    # hundreds of block groups of n intervals in a typical row
+    assert len(blocks) == len(grid)
+    assert np.median(blocks) < n / 20 and max(blocks) < n / 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -880,6 +880,140 @@ def test_benchmark_constructions_take_the_endpoint_only_path(scene):
             assert _endpoint_only(curve, grid, result.blinds.coords).all()
 
 
+def _assert_rows_bitwise_general(curve, alphas, blinds):
+    """The kernel's rows equal the all-general reference's, bit for bit,
+    whatever the batches (hulls change the kernel's batch sizes)."""
+    got = measure.IntervalUnion.stack(project_blinds_grid(curve, alphas, blinds))
+    want = measure.IntervalUnion.stack(general_projection_grid(curve, alphas, blinds))
+    for name in ("lo", "hi", "row"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def _hull_columns(curve, alphas, coords):
+    """(columns, segments) of the endpoint-only segments of coords."""
+    alphas = np.asarray(alphas, dtype=float)
+    endpoint_only = _endpoint_only(curve, alphas, coords)
+    ends = measure._endpoint_columns(curve, alphas, coords[endpoint_only])
+    return ends.shape[-1], int(np.count_nonzero(endpoint_only))
+
+
+_HULL_CURVES = {
+    "parabola": lambda: builtin_curve("parabola"),
+    "exp": lambda: builtin_curve("exp"),
+    "scalar_exp": scalar_exp,
+}
+
+
+@st.composite
+def _hull_scenes(draw):
+    """A curve on [0, 1], an alpha grid in [1.0, 1.5] and a blind set: chains
+    of segments along lines whose slope f' never takes (so each image is
+    spanned by the ends), consecutive ones overlapping, touching or apart,
+    some reversed or nudged, mixed with general segments (crossing a strip
+    edge, or with a critical point) and isolated ones far above."""
+    name = draw(st.sampled_from(sorted(_HULL_CURVES)))
+    a_lo = draw(st.floats(1.0, 1.2))
+    span = draw(st.sampled_from([0.0, 1e-6, 0.05, 0.3]))
+    alphas = np.linspace(a_lo, a_lo + span, draw(st.integers(1, 40)))
+    # the x range inside every strip [alpha - 1, alpha], with room to spare
+    x_lo, x_hi = a_lo + span - 1.0 + 0.01, a_lo - 0.01
+    curve = _HULL_CURVES[name]()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for chain in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(2, 12))
+        slope = draw(st.sampled_from([-1.5, -0.3, 3.5, 8.0]))
+        length = draw(st.floats(0.01, 0.05))
+        step = length * draw(st.sampled_from([0.2, 0.5, 0.9, 1.0, 1.1]))
+        x0 = x_lo + rng.uniform(0.0, x_hi - x_lo - length - step * (k - 1))
+        for i in range(k):
+            a = x0 + i * step
+            seg = [a, 2.0 * chain + slope * (a - x0), a + length, 2.0 * chain + slope * (a + length - x0)]
+            if rng.random() < 0.2:
+                seg[1] += rng.choice([1e-15, 1e-9, 1e-3]) * rng.choice([-1.0, 1.0])
+            rows.append(seg[2:] + seg[:2] if rng.random() < 0.3 else seg)
+    for _ in range(draw(st.integers(0, 6))):
+        at = int(rng.integers(0, len(rows) + 1))
+        kind = rng.integers(0, 3)
+        if kind == 0:  # crosses a strip edge
+            rows.insert(at, [x_lo - 0.05, rng.uniform(0.0, 8.0), x_lo + 0.05, rng.uniform(0.0, 8.0)])
+        elif kind == 1:  # slope 1.5, whose critical point crosses it
+            a = a_lo - curve.df_inv(1.5) - 0.2
+            rows.insert(at, [a, 0.0, a + 0.4, 0.6])
+        else:  # isolated, far above
+            a = rng.uniform(x_lo, x_hi - 0.05)
+            rows.insert(at, [a, 100.0 + at, a + 0.05, 100.0 + at - 0.05])
+    return curve, alphas, BlindSet(np.array(rows))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_hull_scenes())
+def test_certified_hulls_keep_every_row_bitwise(scene):
+    # chains collapse to hull columns over three or more alphas; whatever
+    # collapses, every row stays the general evaluation's, bit for bit
+    _assert_rows_bitwise_general(*scene)
+
+
+def _hull_case(rows, alphas=np.linspace(1.0, 1.2, 21)):
+    """The parabola (strips [alpha - 1, alpha]), the alphas and the rows as a blind set."""
+    return builtin_curve("parabola"), alphas, BlindSet(np.array(rows, dtype=float))
+
+
+def test_a_chain_collapses_to_one_column_from_three_alphas_on():
+    # consecutive pieces of a line of slope -1.5, each overlapping the next
+    # by half: one hull column over three or more alphas, none over 1 or 2
+    rows = [[0.3 + 0.02 * i, -0.03 * i, 0.34 + 0.02 * i, -0.03 * i - 0.06] for i in range(10)]
+    for points, columns in ((1, 10), (2, 10), (3, 1), (21, 1)):
+        curve, alphas, blinds = _hull_case(rows, np.linspace(1.0, 1.2, points))
+        _assert_rows_bitwise_general(curve, alphas, blinds)
+        assert _hull_columns(curve, alphas, blinds.coords) == (columns, 10)
+
+
+def test_a_run_whose_minimum_switches_ends_is_not_a_hull():
+    # ends P = (0.3, 0.0) and Q = (0.5, 0.28): v_P - v_Q = 0.4 alpha - 0.44
+    # for the parabola, so P is the run's minimum below alpha = 1.1 and Q
+    # above it; the far end of Q's piece is the maximum throughout
+    rows = [[0.3, 0.0, 0.35, 1.0], [0.5, 0.28, 0.55, 1.5]]
+    curve, alphas, blinds = _hull_case(rows)
+    values = [y + (alphas - x) ** 2 for x, y in ((0.3, 0.0), (0.5, 0.28))]
+    assert values[0][0] < values[1][0] and values[0][-1] > values[1][-1]
+    _assert_rows_bitwise_general(curve, alphas, blinds)
+    assert _hull_columns(curve, alphas, blinds.coords) == (2, 2)
+
+
+def test_a_link_at_one_range_end_only_is_not_a_hull():
+    # slope -0.5 pieces at x1 in [0.3, 0.4] and [0.6, 0.7]: the first pair
+    # overlaps below alpha = 1.05 only, the second (0.33 higher) above
+    # alpha = 1.0625 only; each pair's extremes are the same two ends at
+    # every alpha, so only the link decides
+    rows = []
+    for y, c in ((0.0, 0.17), (10.0, 10.5)):
+        rows += [[0.3, y, 0.4, y - 0.05], [0.6, c, 0.7, c - 0.05]]
+    curve, alphas, blinds = _hull_case(rows)
+    groups = [len(r) for r in rows_of(measure.IntervalUnion.stack(project_blinds_grid(curve, alphas, blinds)))]
+    assert groups[0] == groups[-1] == 3 and groups[6] == 4
+    _assert_rows_bitwise_general(curve, alphas, blinds)
+    assert _hull_columns(curve, alphas, blinds.coords) == (4, 4)
+
+
+@pytest.mark.parametrize("x_p", [0.33, 0.36])
+def test_extreme_ends_within_the_margin_are_not_a_hull(x_p):
+    # the low ends P = (x_p, 0.0) and Q, 4 ulps right of P and 28 * 2**-56
+    # above it, lie within rounding of each other: as computed, Q is above P
+    # at both range ends but below it at some alpha in between, though
+    # their exact difference is monotone.  Only the margin keeps the pair
+    # from becoming the column of P and the far end of Q's piece, whose low
+    # end would then miss Q's value there
+    curve, alphas = builtin_curve("parabola"), np.linspace(1.0, 1.2, 21)
+    x_q, y_q = x_p + 4 * np.spacing(x_p), 28 * 2.0**-56
+    p, q = curve.f(alphas - x_p), y_q + curve.f(alphas - x_q)
+    assert q[0] > p[0] and q[-1] > p[-1] and (q < p).any()
+    rows = [[x_p, 0.0, x_p + 0.05, 1.0], [x_q, y_q, x_q + 0.05, y_q + 1.1]]
+    curve, alphas, blinds = _hull_case(rows, alphas)
+    _assert_rows_bitwise_general(curve, alphas, blinds)
+    assert _hull_columns(curve, alphas, blinds.coords) == (2, 2)
+
+
 @pytest.mark.parametrize(
     "ends", [(math.nan, 0.1), (0.0, math.nan), (-math.inf, 0.1), (0.0, math.inf)]
 )
@@ -896,3 +1030,14 @@ def test_alpha_set_rejects_too_few_or_non_integer_points(points):
     with pytest.raises(ValueError, match="points per component"):
         AlphaSet.from_intervals([(0.0, 1.0)], points_per_component=points)
     assert len(AlphaSet.interval(0.0, 1.0, 2).grid()) == 2
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [(True, "an integer, got True"), (2.0, "an integer, got 2.0"), (1, "an integer >= 2, got 1")],
+)
+def test_alpha_set_point_counts_take_the_one_integer_check(points, message):
+    # a bool or a float is rejected by projline._count, the package's one
+    # integer check, in its words; a count below 2 by its own bound
+    with pytest.raises(ValueError, match=rf"^points per component must be {message}$"):
+        AlphaSet.from_intervals([(0.0, 1.0)], points_per_component=points)
