@@ -5,17 +5,18 @@ lines {alpha} x R, each image a finite union of closed intervals.  An
 IntervalUnion holds the images of a batch of alphas, one row per alpha, as
 flat arrays of canonical groups with each group's row.  The projection
 kernel, project_blinds_grid, first replaces each run of overlapping
-segments whose hull it certifies over the whole alpha range by one column of
-the run's two extreme endpoints (_endpoint_columns: f' being strictly
-monotone, an order of two endpoint values that holds at both ends of the
-range holds in between).  _canonical_groups then canonicalizes the kernel's
-(rows x n) interval arrays in any order, in its own buffers: chains of
-neighbours collapse to their hulls,
-a wide row pre-merges in blocks of _BLOCK intervals, and _sorted_groups
-cuts the groups of the sorted rows.  _merge_neighbours takes intervals
-sorted by row whose lo and hi rise within each row, as a union's do after a
-shift or a cut.  Measures, inflation, erosion, difference and containment
-act on whole batches.
+segments whose hull it certifies over an alpha range by one column of the
+run's two extreme endpoints (_endpoint_columns: f' being strictly monotone,
+an order of two endpoint values that holds at both ends of a range holds in
+between): over the whole range, then over halves of it, bisected while that
+saves columns x alphas (_column_leaves).  _canonical_groups then
+canonicalizes the kernel's (rows x n) interval arrays in any order, in its
+own buffers: chains of neighbours collapse to their hulls, a wide row
+pre-merges in blocks of _BLOCK intervals, and _sorted_groups cuts the
+groups of the sorted rows.  _merge_neighbours takes intervals sorted by row
+whose lo and hi rise within each row, as a union's do after a shift or a
+cut.  Measures, inflation, erosion, difference and containment act on whole
+batches.
 """
 
 from __future__ import annotations
@@ -406,25 +407,40 @@ def project_blinds_grid(
     between; the column's image is the union of the run's, so no group
     changes.  The column takes the place of the run's first segment: the
     columns keep the segments' order, in which neighbours overlap far more
-    often than others, so that _collapse_chains finds fewer chains.  The
+    often than others, so that _collapse_chains finds fewer chains.  Runs
+    whose extreme ends switch inside the range fail over the whole range
+    but may hold over a part of it, and the argument holds on any part: so
+    _column_leaves splits the alphas, in the given order, into contiguous
+    halves, each certified over its own [min, max] on its parent's columns,
+    and keeps a split while the halves' columns x alphas fall below 0.9
+    times the parent's.  A range of fewer than _SPLIT_ALPHAS alphas, or of
+    fewer than _SPLIT_COLUMNS columns, is not split: there one certificate
+    costs more than the columns it saves (the bundled jobs make one).
+
+    Each leaf range is projected in turn, in alpha order: the
     alpha-independent terms are computed once, then max(1, BUDGET // n)
-    alphas at a time are projected as (rows x n) arrays, n columns wide;
-    their canonical rows are stacked into one batch while rows x widest row
-    stays within BUDGET, so that consumers spend each numpy call on many
-    alphas.  Every element goes through the same float operations whatever
-    the batch size, so batching changes no bit of the result either.
+    alphas of the leaf at a time are projected as (rows x n) arrays, n its
+    columns wide; the canonical rows, of all leaves, are stacked into one
+    batch while rows x widest row stays within BUDGET, so that consumers
+    spend each numpy call on many alphas.  Every element goes through the
+    same float operations whatever the batch size and the leaf, so neither
+    batching nor leaves change a bit of the result.
 
     The batch arrays (endpoint values, lo and hi, the cut mask and reach) are
-    allocated once per call and written through out=; _canonical_groups
-    canonicalizes each batch's rows in them.  Up to a few thousand segments,
-    per-batch numpy call overhead, not element work, bounds the kernel, hence
-    the large BUDGET; reuse keeps it from costing page faults (see BUDGET).
-    The yielded batches own their arrays: none is a view of a buffer.  A NaN
-    or infinite alpha or blind coordinate is rejected with ValueError naming
-    the first one.
+    allocated once per call, sized for the largest batch of any leaf, and
+    written through out=; _canonical_groups canonicalizes each batch's rows
+    in them.  Up to a few thousand segments, per-batch numpy call overhead,
+    not element work, bounds the kernel, hence the large BUDGET; reuse keeps
+    it from costing page faults (see BUDGET).
+    The yielded batches own their arrays: none is a view of a buffer.
+    Alphas that are not a 1-D sequence, and a NaN or infinite alpha or blind
+    coordinate, are rejected with ValueError naming the shape or the first
+    one.
     """
     coords = blinds.coords
     alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1:
+        raise ValueError(f"alphas must be a 1-D sequence, got shape {alphas.shape}")
     finite = np.isfinite(alphas)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -433,36 +449,43 @@ def project_blinds_grid(
     if not alphas.size:
         return
     endpoint_only = _endpoint_only(curve, alphas, coords)
-    ends = _endpoint_columns(curve, alphas, coords[endpoint_only])
-    split = ends.shape[-1]
-    n = split + len(coords) - int(np.count_nonzero(endpoint_only))
-    rows = min(len(alphas), max(1, BUDGET // n))
-    # the batch buffers, written through out= by every batch, with room for
-    # _canonical_groups' block padding; the canonical groups do not depend
-    # on the column order (up to which of -0.0 and 0.0 comes first), so the
-    # endpoint-only columns come first
-    size = rows * n + _BLOCK
+    general = len(coords) - int(np.count_nonzero(endpoint_only))
+    columns = _endpoint_columns(curve, alphas, _segment_ends(coords[endpoint_only]))
+    # (start, stop, ends, n, rows) of each leaf range, in alpha order
+    leaves = []
+    for start, stop, ends in _column_leaves(curve, alphas, 0, len(alphas), columns):
+        n = ends.shape[-1] + general
+        leaves.append((start, stop, ends, n, min(stop - start, max(1, BUDGET // n))))
+    # the batch buffers, sized for the largest leaf batch and written through
+    # out= by every batch, with room for _canonical_groups' block padding;
+    # the canonical groups do not depend on the column order (up to which of
+    # -0.0 and 0.0 comes first), so the endpoint-only columns come first
+    size = max(rows * n for *_, n, rows in leaves) + _BLOCK
     lo_buf, hi_buf, reach = np.empty((3, size))
     cuts = np.empty(size, dtype=bool)
-    los, his = lo_buf[: rows * n].reshape(rows, n), hi_buf[: rows * n].reshape(rows, n)
-    parts = []
-    if split:
-        parts.append((_endpoint_images(curve, ends, rows), slice(None, split)))
-    if split < n:
-        parts.append((_general_images(curve, coords[~endpoint_only]), slice(split, None)))
+    values = np.empty(max(rows * 2 * ends.shape[-1] for _, _, ends, _, rows in leaves))
+    general_images = _general_images(curve, coords[~endpoint_only]) if general else None
     pending, stacked, widest = [], 0, 0
-    for first in range(0, len(alphas), rows):
-        al = alphas[first : first + rows, None]
-        for images, cols in parts:
-            images(al, los[: len(al), cols], his[: len(al), cols])
-        batch = _canonical_groups(lo_buf, hi_buf, len(al), n, cuts, reach)
-        count = int(np.bincount(batch.row, minlength=1).max())
-        if pending and (stacked + batch.rows) * max(widest, count) > BUDGET:
-            yield IntervalUnion.stack(pending)
-            pending, stacked, widest = [], 0, 0
-        pending.append(batch)
-        stacked += batch.rows
-        widest = max(widest, count)
+    for start, stop, ends, n, rows in leaves:
+        split = n - general
+        los, his = lo_buf[: rows * n].reshape(rows, n), hi_buf[: rows * n].reshape(rows, n)
+        parts = []
+        if split:
+            parts.append((_endpoint_images(curve, ends, values), slice(None, split)))
+        if general:
+            parts.append((general_images, slice(split, None)))
+        for first in range(start, stop, rows):
+            al = alphas[first : min(first + rows, stop), None]
+            for images, cols in parts:
+                images(al, los[: len(al), cols], his[: len(al), cols])
+            batch = _canonical_groups(lo_buf, hi_buf, len(al), n, cuts, reach)
+            count = int(np.bincount(batch.row, minlength=1).max())
+            if pending and (stacked + batch.rows) * max(widest, count) > BUDGET:
+                yield IntervalUnion.stack(pending)
+                pending, stacked, widest = [], 0, 0
+            pending.append(batch)
+            stacked += batch.rows
+            widest = max(widest, count)
     if pending:
         yield IntervalUnion.stack(pending)
 
@@ -534,36 +557,53 @@ def _endpoint_only(curve: CurveProfile, alphas: np.ndarray, coords: np.ndarray) 
 _HULL_MARGIN = 1e-9
 
 
-def _endpoint_columns(curve: CurveProfile, alphas: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The endpoint-only columns as their ends' (x, y): an array (2, 2, k).
+def _segment_ends(coords: np.ndarray) -> np.ndarray:
+    """Each segment as a column of its two ends' (x, y): an array (2, 2, m).
 
-    Column c's image at alpha is spanned by its values at its two ends,
-    y[t, c] + f(alpha - x[t, c]) for t = 0 and 1.  Each segment is a column
-    with the ends x = t * dx1 + ax, y = t * dx2 + ay at t = 0.0 and 1.0,
-    except the segments of an accepted run, whose first segment's column
-    holds the run's minimum and maximum endpoint instead, and whose other
-    segments have none.  With fewer than three alphas no run is accepted.
+    ends[0 or 1, t, i] is the x or y of segment i's end t, the general
+    evaluation's own x = t * dx1 + ax and y = t * dx2 + ay at t = 0.0 and 1.0.
+    """
+    ends = np.empty((2, 2, len(coords)))
+    for k in (0, 1):
+        d = coords[:, k + 2] - coords[:, k]
+        for t in (0, 1):
+            np.multiply(float(t), d, out=ends[k, t])
+            ends[k, t] += coords[:, k]
+    return ends
 
-    The certificate: over the alpha range [min, max] every x of these
-    segments stays inside [alpha - b, alpha - a] (see _endpoint_only), so
-    the difference of two endpoint values, (y_p - y_q) + f(alpha - x_p) -
-    f(alpha - x_q), has derivative f'(alpha - x_p) - f'(alpha - x_q) of
-    one sign, f' being strictly monotone: it is monotone in alpha, and an
-    order that holds at both ends of the range holds in between.  Segment i
-    links to i + 1 when one fixed end of each lies below one fixed end of
-    the other by the margin at both range ends: their images then overlap
-    at every alpha, and a run of links projects to one interval, the hull
-    of its ends' values.  A run is accepted when one fixed end is its
-    minimum and one its maximum, each by the margin at both range ends:
-    that interval is then bounded by exactly those two ends' values at
-    every alpha, so the one column in place of the run leaves the union of
-    the images, and every canonical group, unchanged bit for bit, by the
-    argument _canonical_groups gives for chains.  The hull column keeps the
-    run's place, so the columns stay in segment order for _collapse_chains.
+
+def _endpoint_columns(curve: CurveProfile, alphas: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The columns ends (2, 2, m), as _segment_ends lays them out, with every
+    run it certifies over the alphas' range [min, max] merged into one column.
+
+    Column c's image at alpha is the interval spanned by its values at its
+    two ends, y[t, c] + f(alpha - x[t, c]) for t = 0 and 1: a segment's
+    image, and that of a column this function returned for a range holding
+    [min, max].  The columns of a run of links become one, holding the run's
+    minimum and maximum end; the other columns are kept.  With fewer than
+    three alphas or two columns nothing is merged.
+
+    The certificate: over the alpha range [min, max] every x of these ends
+    stays inside [alpha - b, alpha - a] (see _endpoint_only, which decides
+    over a range holding this one), so the difference of two endpoint
+    values, (y_p - y_q) + f(alpha - x_p) - f(alpha - x_q), has derivative
+    f'(alpha - x_p) - f'(alpha - x_q) of one sign, f' being strictly
+    monotone: it is monotone in alpha, and an order that holds at both ends
+    of the range holds in between.  Column i links to i + 1 when one fixed
+    end of each lies below one fixed end of the other by the margin at both
+    range ends: their images then overlap at every alpha, and a run of links
+    projects to one interval, the hull of its ends' values.  A run is
+    accepted when one fixed end is its minimum and one its maximum, each by
+    the margin at both range ends: that interval is then bounded by exactly
+    those two ends' values at every alpha, so the one column in place of
+    the run leaves the union of the images, and every canonical group,
+    unchanged bit for bit, by the argument _canonical_groups gives for
+    chains.  The hull column keeps the run's place, so the columns stay in
+    segment order for _collapse_chains.
 
     The end values are computed with the kernel's own operations, and the
-    margin is _HULL_MARGIN times the largest magnitude of the coordinates,
-    the alpha range and these values (at least 1).  It assumes that every
+    margin is _HULL_MARGIN times the largest magnitude of the ends, the
+    alpha range and these values (at least 1).  It assumes that every
     endpoint value the kernel computes, at any alpha of the range, lies
     within a quarter of the margin of the exact value at its computed x and
     y: that curve.f, with the rounding of alpha - x times |f'| included,
@@ -571,70 +611,103 @@ def _endpoint_columns(curve: CurveProfile, alphas: np.ndarray, coords: np.ndarra
     and math functions do by a few ulps.  Each strict order above then
     holds for the computed values too.
     """
-    m = len(coords)
-    # ends[0 or 1, t, i]: x or y of segment i's end t
-    ends = np.empty((2, 2, m))
-    for k in (0, 1):
-        d = coords[:, k + 2] - coords[:, k]
-        for t in (0, 1):
-            np.multiply(float(t), d, out=ends[k, t])
-            ends[k, t] += coords[:, k]
+    m = ends.shape[-1]
     if len(alphas) < 3 or m < 2:
         return ends
-    x, y = ends.transpose(0, 2, 1)
-    # v[e, i, t]: the value of segment i's end t at range end e
+    x, y = ends
+    # v[e, t, i]: the value of column i's end t at range end e
     v = np.subtract(np.array([alphas.min(), alphas.max()])[:, None, None], x)
     np.add(y, curve.f(v), out=v)
-    scale = max(1.0, *(float(max(a.max(), -a.min())) for a in (coords, alphas, v)))
+    scale = max(1.0, *(float(max(a.max(), -a.min())) for a in (ends, alphas, v)))
     margin = _HULL_MARGIN * scale
     up, down = np.zeros((2, m - 1), dtype=bool)
     for p in (0, 1):
         for q in (0, 1):
-            gap = v[:, 1:, q] - v[:, :-1, p]
-            up |= gap.min(axis=0) >= margin  # end p of i below end q of i + 1
-            down |= gap.max(axis=0) <= -margin  # and end q of i + 1 below end p of i
+            gap = v[:, q, 1:] - v[:, p, :-1]
+            up |= np.minimum(gap[0], gap[1]) >= margin  # end p of i below end q of i + 1
+            down |= np.maximum(gap[0], gap[1]) <= -margin  # and end q of i + 1 below end p of i
     link = up & down
     if not link.any():
         return ends
-    first = np.flatnonzero(np.append(True, ~link))
-    length = np.diff(np.append(first, m))
-    # entry 2 i + t of a range end's row is segment i's end t: a run's ends
-    # are one slice of it
-    flat, cut, width = v.reshape(2, 2 * m), 2 * first, 2 * length
-    # ends within the margin of the run's minimum, or maximum, at each range end
-    near_lo = flat <= np.repeat(np.minimum.reduceat(flat, cut, axis=1) + margin, width, axis=1)
-    near_hi = flat >= np.repeat(np.maximum.reduceat(flat, cut, axis=1) - margin, width, axis=1)
+    # the columns of runs of two or more, the first of each run, and each
+    # one's run
+    member = np.append(link, False) | np.append(False, link)
+    starts = np.append(True, ~link)[member]
+    run = np.cumsum(starts) - 1
+    cut = np.flatnonzero(starts)
+    w = np.compress(member, v, axis=2)
+    # ends within the margin of their run's minimum, or maximum, at each range end
+    low = np.minimum.reduceat(np.minimum(w[:, 0], w[:, 1]), cut, axis=1) + margin
+    high = np.maximum.reduceat(np.maximum(w[:, 0], w[:, 1]), cut, axis=1) - margin
+    near_lo = w <= np.take(low, run, axis=1)[:, None]
+    near_hi = w >= np.take(high, run, axis=1)[:, None]
     # a run with one end near its minimum at either range end, and one near
     # its maximum: each is that extreme, by the margin, at both range ends
-    hull = length > 1
+    hull = np.ones(len(cut), dtype=bool)
     extremes = []
     for near in (near_lo, near_hi):
-        entry = np.flatnonzero(near[0] | near[1])
-        run = np.searchsorted(cut, entry, "right") - 1
-        hull &= np.bincount(run, minlength=len(first)) == 1
-        extremes.append((entry, run))
+        t, i = np.nonzero(near[0] | near[1])
+        hull &= np.bincount(run[i], minlength=len(cut)) == 1
+        extremes.append((t, i))
     if not hull.any():
         return ends
-    inner = np.repeat(hull, length)
-    inner[first] = False
+    column = np.flatnonzero(member)
+    keep = np.ones(m, dtype=bool)
+    keep[column[hull[run] & ~starts]] = False
+    kept = np.flatnonzero(keep)
     # each column's two ends, as indices t * m + i into ends' rows; a hull
-    # run's column sits where its first segment's did
-    source = np.flatnonzero(~inner) + np.array([[0], [m]])
-    dropped = length[hull] - 1
-    place = first[hull] - (np.cumsum(dropped) - dropped)
-    for t, (entry, run) in enumerate(extremes):
-        entry = entry[hull[run]]
-        source[t, place] = entry % 2 * m + entry // 2
-    return ends.reshape(2, 2 * m)[:, source]
+    # run's column sits where its first column did
+    source = kept + np.array([[0], [m]])
+    place = np.searchsorted(kept, column[cut[hull]])
+    for row, (t, i) in zip(source, extremes):
+        pick = np.empty(len(cut), dtype=np.intp)
+        pick[run[i]] = t * m + column[i]
+        row[place] = pick[hull]
+    return np.take(ends.reshape(2, 2 * m), source, axis=1)
 
 
-def _endpoint_images(curve: CurveProfile, ends: np.ndarray, rows: int):
+#: Bisection of the alpha range for hull columns: a range of at least
+#: _SPLIT_ALPHAS alphas whose columns number at least _SPLIT_COLUMNS is
+#: split in halves, kept while the halves' columns x alphas stay below 0.9
+#: times the range's.  A certificate costs about as much as projecting its
+#: columns at ten alphas, plus some fifty numpy calls, so on shorter ranges
+#: or fewer columns the two halves' certificates cost more than they save.
+_SPLIT_ALPHAS = 100
+_SPLIT_COLUMNS = BUDGET // 8
+
+
+def _column_leaves(
+    curve: CurveProfile, alphas: np.ndarray, start: int, stop: int, columns: np.ndarray
+) -> list[tuple[int, int, np.ndarray]]:
+    """The leaf ranges (start, stop, columns) of alphas[start:stop], in order.
+
+    columns are certified over the range's own [min, max] (_endpoint_columns).
+    Each half of the range is certified on them, not on the segments: over
+    the half, a column's image is still the interval spanned by its two
+    ends, so it links and merges as a segment does, and the half's columns
+    hold, over it, the union of the range's.  The halves replace the range
+    while their columns x alphas fall below 0.9 times its own.
+    """
+    if stop - start < _SPLIT_ALPHAS or columns.shape[-1] < _SPLIT_COLUMNS:
+        return [(start, stop, columns)]
+    mid = (start + stop) // 2
+    halves = [
+        (a, b, _endpoint_columns(curve, alphas[a:b], columns)) for a, b in ((start, mid), (mid, stop))
+    ]
+    work = sum((b - a) * c.shape[-1] for a, b, c in halves)
+    if 10 * work >= 9 * (stop - start) * columns.shape[-1]:
+        return [(start, stop, columns)]
+    return [leaf for half in halves for leaf in _column_leaves(curve, alphas, *half)]
+
+
+def _endpoint_images(curve: CurveProfile, ends: np.ndarray, buffer: np.ndarray):
     """The endpoint-only evaluation: (al, lo, hi) writes each column's image.
 
     ends holds each column's two ends as _endpoint_columns gives them, the
     general evaluation's own x and y at t = 0.0 and 1.0; they are laid side
-    by side, so that each batch of up to rows alphas takes one pass over
-    both ends, in one buffer reused by every batch.
+    by side, so that each batch of alphas takes one pass over both ends, in
+    buffer, which holds at least 2 * len(al) * columns entries and is
+    reused by every batch.
     The general evaluation clips al - x to [a, b]; here _endpoint_only keeps
     al - x inside [a, b] by _ENDPOINT_MARGIN times the scale, far above the
     rounding of one subtraction, so that clip returns its input unchanged
@@ -642,11 +715,10 @@ def _endpoint_images(curve: CurveProfile, ends: np.ndarray, rows: int):
     """
     x, y = ends.reshape(2, -1)
     n = ends.shape[-1]
-    buffer = np.empty((rows, 2 * n))
 
     def images(al: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         # y + f(al - x) for both ends
-        v = buffer[: len(al)]
+        v = buffer[: len(al) * 2 * n].reshape(len(al), 2 * n)
         np.subtract(al, x, out=v)
         np.add(y, curve.f(v), out=v)
         np.minimum(v[:, :n], v[:, n:], out=lo)

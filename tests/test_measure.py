@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -302,8 +303,11 @@ def test_rows_of_one_chain_each_equal_the_argsort_reference():
 def test_cover_rows_of_the_large_constructions_collapse(monkeypatch):
     # over A_cover the blades chain into few runs that the kernel certifies
     # as hulls: fine P1 (26,944 segments) and fine E1 (4,352) evaluate at
-    # most 200 and 100 columns.  Over A_small far fewer runs certify: fine
-    # P1 keeps more than BUDGET / 2 columns, so it runs one-row batches, and
+    # most 200 and 100 columns.  Over the whole of A_small far fewer runs
+    # certify (fine P1 keeps 18,026 columns, E1 all 4,352), but over halves
+    # and quarters of it many more do: columns x alpha fall from 3,605,200
+    # to at most 1.6 M and from 870,400 to at most 0.55 M.  A leaf that
+    # keeps more than BUDGET / 2 columns runs one-row batches, and
     # pre-merges each row in blocks of _BLOCK intervals into far fewer
     # block groups
     batches, blocks = [], []
@@ -335,17 +339,26 @@ def test_cover_rows_of_the_large_constructions_collapse(monkeypatch):
         assert sum(b.rows for b in project_blinds_grid(spec.curve(), grid, blinds)) == len(grid)
         assert sum(r for r, _ in batches) == len(grid)
         assert max(n for _, n in batches) <= most < len(blinds)
-    spec, blinds, _ = cases[0]
-    grid = spec.a_small().grid()
-    batches.clear()
-    blocks.clear()
-    assert sum(b.rows for b in project_blinds_grid(spec.curve(), grid, blinds)) == len(grid)
-    (n,) = {n for _, n in batches}
-    assert BUDGET // 2 < n < len(blinds)
-    assert [r for r, _ in batches] == [1] * len(grid)
-    # hundreds of block groups of n intervals in a typical row
-    assert len(blocks) == len(grid)
-    assert np.median(blocks) < n / 20 and max(blocks) < n / 2
+    # E1, then P1, whose batches the block checks below read
+    for (spec, blinds, _), most in zip(cases[::-1], (550_000, 1_600_000)):
+        grid = spec.a_small().grid()
+        ends = measure._segment_ends(blinds.coords)
+        whole = measure._endpoint_columns(spec.curve(), grid, ends).shape[-1]
+        batches.clear()
+        blocks.clear()
+        assert sum(b.rows for b in project_blinds_grid(spec.curve(), grid, blinds)) == len(grid)
+        assert sum(r for r, _ in batches) == len(grid)
+        assert sum(r * n for r, n in batches) <= most < whole * len(grid)
+        # at least half the alphas evaluate under half the whole range's columns
+        assert 2 * sum(r for r, n in batches if 2 * n < whole) >= len(grid)
+    assert BUDGET // 2 < whole < len(blinds)
+    wide = [(r, n) for r, n in batches if n > BUDGET // 2]
+    assert wide and {r for r, _ in wide} == {1}
+    # the wide rows are those whose neighbours link least, yet the blocks
+    # still merge a typical one to under a third of its n intervals
+    n = min(n for _, n in wide)
+    assert len(blocks) == len(wide)
+    assert np.median(blocks) < n / 3 and max(blocks) < 3 * n / 4
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -360,6 +373,16 @@ def test_projection_names_a_non_finite_alpha_or_coordinate(bad):
     coords = np.array([[0.3, 0.0, 0.5, 0.1], [0.3, 0.0, 0.5, bad], [bad, 0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match=rf"blind coordinates must be finite: row 1 is \[0.3, 0.0, 0.5, {bad!r}\]"):
         project_blinds(curve, 0.8, BlindSet(coords))
+
+
+@pytest.mark.parametrize("alphas", [0.5, np.float64(0.5), [[0.5, 0.6]], np.zeros((2, 3))])
+def test_projection_rejects_alphas_that_are_not_one_dimensional(alphas):
+    # a scalar raised TypeError (len() of unsized object), a 2-D grid numpy's
+    # broadcast errors
+    blinds = BlindSet(np.array([[0.0, 0.0, 1.0, 0.3]]))
+    shape = re.escape(str(np.shape(alphas)))
+    with pytest.raises(ValueError, match=rf"alphas must be a 1-D sequence, got shape {shape}$"):
+        next(project_blinds_grid(builtin_curve("parabola"), alphas, blinds))
 
 
 def test_inflate_and_erode():
@@ -893,7 +916,7 @@ def _hull_columns(curve, alphas, coords):
     """(columns, segments) of the endpoint-only segments of coords."""
     alphas = np.asarray(alphas, dtype=float)
     endpoint_only = _endpoint_only(curve, alphas, coords)
-    ends = measure._endpoint_columns(curve, alphas, coords[endpoint_only])
+    ends = measure._endpoint_columns(curve, alphas, measure._segment_ends(coords[endpoint_only]))
     return ends.shape[-1], int(np.count_nonzero(endpoint_only))
 
 
@@ -1012,6 +1035,153 @@ def test_extreme_ends_within_the_margin_are_not_a_hull(x_p):
     curve, alphas, blinds = _hull_case(rows, alphas)
     _assert_rows_bitwise_general(curve, alphas, blinds)
     assert _hull_columns(curve, alphas, blinds.coords) == (2, 2)
+
+
+def _switching_runs(curve, x, switches):
+    """One run of two pieces per entry of switches, the runs 4 apart:
+    P = (x, 0) to (x + 0.05, 1) and Q = (x + 0.1, y_Q) to (x + 0.15, y_Q + 1.5).
+    On a convex curve v_P - v_Q rises with alpha, and y_Q makes it 0 at the
+    switch: P is the run's minimum below it and Q above it, while the far
+    end of Q's piece is its maximum throughout (slopes 20 and 30, which f'
+    never takes here, so both ends span each image)."""
+    rows = []
+    for i, s in enumerate(switches):
+        y_p, y_q = 4.0 * i, 4.0 * i + float(curve.f(s - x) - curve.f(s - x - 0.1))
+        rows += [[x, y_p, x + 0.05, y_p + 1.0], [x + 0.1, y_q, x + 0.15, y_q + 1.5]]
+    return BlindSet(np.array(rows))
+
+
+def _assert_rows_bitwise_per_alpha(curve, alphas, blinds):
+    """Each row of the kernel's equals the one-alpha projection's, bit for bit."""
+    got = measure.IntervalUnion.stack(project_blinds_grid(curve, alphas, blinds))
+    assert got.rows == len(alphas)
+    for i, alpha in enumerate(alphas):
+        row, want = got.row_slice(i, i + 1), project_blinds(curve, alpha, blinds)
+        for name in ("lo", "hi", "row"):
+            assert getattr(row, name).tobytes() == getattr(want, name).tobytes(), (i, name)
+
+
+def test_a_run_switching_at_mid_range_is_one_column_per_half():
+    # the runs' minimum switches from P to Q between the halves' ranges
+    # (alphas[99] and alphas[100]) in the first k runs, and inside the
+    # second half in the last k: no run is a hull over the whole range, each
+    # is one column over the first half, and only the first k over the
+    # second, whose minimum there is Q
+    curve, alphas = builtin_curve("parabola"), np.linspace(1.0, 1.2, 200)
+    k = measure._SPLIT_COLUMNS // 4
+    mid, late = ((alphas[i] + alphas[i + 1]) / 2.0 for i in (99, 159))
+    blinds = _switching_runs(curve, 0.3, [mid] * k + [late] * k)
+    assert _endpoint_only(curve, alphas, blinds.coords).all()
+    ends = measure._segment_ends(blinds.coords)
+    whole = measure._endpoint_columns(curve, alphas, ends)
+    assert np.array_equal(whole, ends)
+    leaves = measure._column_leaves(curve, alphas, 0, len(alphas), whole)
+    assert [(a, b, c.shape[-1]) for a, b, c in leaves] == [(0, 100, 2 * k), (100, 200, 3 * k)]
+    (_, _, first), (_, _, second) = leaves
+    p, q, far = ends[:, 0, 0::2], ends[:, 0, 1::2], ends[:, 1, 1::2]
+    assert np.array_equal(first, np.stack([p, far], axis=1))
+    assert np.array_equal(second[..., :k], np.stack([q[:, :k], far[:, :k]], axis=1))
+    assert np.array_equal(second[..., k:], ends[..., 2 * k :])
+    _assert_rows_bitwise_general(curve, alphas, blinds)
+    _assert_rows_bitwise_per_alpha(curve, alphas, blinds)
+
+
+def test_the_bisection_certifies_once_below_its_floors(monkeypatch):
+    # below the column floor or the split length the kernel makes the one
+    # certificate over the whole range, as the bundled jobs do on both grids
+    bundled = []
+    for scene in ("Q1", "P1", "E1"):
+        spec = load_scene(scene)
+        result = key_construction(
+            spec.curve(), spec.y, spec.subrange, spec.a_small(), spec.a_cover(),
+            spec.epsilon, spec.delta, caps=spec.caps,
+        )
+        for grid in (spec.a_cover().grid(), spec.a_small().grid()):
+            bundled.append((spec.curve(), grid, result.blinds))
+    calls = []
+    certify = measure._endpoint_columns
+
+    def spy(curve, alphas, ends):
+        calls.append(len(alphas))
+        return certify(curve, alphas, ends)
+
+    monkeypatch.setattr(measure, "_endpoint_columns", spy)
+    curve, k = builtin_curve("parabola"), measure._SPLIT_COLUMNS // 4
+    for points, runs, certificates in (
+        (200, 2 * k, 3),  # at both floors: the whole range and its halves
+        (200, 2 * k - 1, 1),  # one column below the floor
+        (measure._SPLIT_ALPHAS, 2 * k, 3),
+        (measure._SPLIT_ALPHAS - 1, 2 * k, 1),  # one alpha below the split length
+    ):
+        alphas = np.linspace(1.0, 1.2, points)
+        mid = (alphas[points // 2 - 1] + alphas[points // 2]) / 2.0
+        blinds = _switching_runs(curve, 0.3, [mid] * runs)
+        calls.clear()
+        assert sum(b.rows for b in project_blinds_grid(curve, alphas, blinds)) == points
+        assert len(calls) == certificates, (points, runs)
+    for curve, grid, blinds in bundled:
+        calls.clear()
+        assert sum(b.rows for b in project_blinds_grid(curve, grid, blinds)) == len(grid)
+        assert calls == [len(grid)]
+
+
+@st.composite
+def _split_scenes(draw):
+    """A convex curve, an alpha grid long enough to split, ascending,
+    descending or shuffled, and a blind set above the column floor: runs of
+    two pieces whose minimum switches at an alpha inside the range (one in
+    ten outside it), shifted, some reversed, mixed with general segments
+    (crossing a strip edge) and isolated ones."""
+    name = draw(st.sampled_from(["parabola", "exp"]))
+    curve = builtin_curve(name)
+    a_lo = draw(st.floats(1.0, 1.2))
+    span = draw(st.sampled_from([0.05, 0.3]))
+    ascending = np.linspace(a_lo, a_lo + span, draw(st.integers(measure._SPLIT_ALPHAS, 240)))
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphas = {
+        "ascending": ascending, "descending": ascending[::-1], "shuffled": rng.permutation(ascending),
+    }[order]
+    x_lo, x_hi = a_lo + span - 1.0 + 0.01, a_lo - 0.01 - 0.15
+    # nine runs in ten switch inside the range, the others outside it
+    runs = measure._SPLIT_COLUMNS * 3 // 5 + draw(st.integers(0, 300))
+    inside = rng.uniform(a_lo + 0.05 * span, a_lo + 0.95 * span, runs)
+    outside = rng.choice([-1.0, 1.0], runs) * rng.uniform(0.55, 1.0, runs) * span + a_lo + 0.5 * span
+    switches = np.where(np.arange(runs) % 10, inside, outside)
+    rows = []
+    for i, s in enumerate(switches):
+        x = rng.uniform(x_lo, x_hi)
+        run = _switching_runs(curve, x, [s]).coords + [0.0, 4.0 * i, 0.0, 4.0 * i]
+        for seg in run.tolist():
+            rows.append(seg[2:] + seg[:2] if rng.random() < 0.3 else seg)
+    for _ in range(draw(st.integers(0, 20))):
+        at = int(rng.integers(0, len(rows) + 1))
+        if rng.random() < 0.5:  # crosses a strip edge
+            rows.insert(at, [x_lo - 0.05, rng.uniform(0.0, 8.0), x_lo + 0.05, rng.uniform(0.0, 8.0)])
+        else:  # isolated, between two runs
+            a = rng.uniform(x_lo, x_hi)
+            rows.insert(at, [a, 4.0 * at + 3.0, a + 0.05, 4.0 * at + 2.9])
+    return curve, alphas, BlindSet(np.array(rows)), order
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(_split_scenes())
+def test_bisected_hull_columns_keep_every_row_bitwise(scene):
+    # whatever the leaves, every row is the general evaluation's and the
+    # one-alpha projection's, bit for bit; a grid in alpha order splits
+    curve, alphas, blinds, order = scene
+    leaves = []
+    split = measure._column_leaves
+
+    def spy(*args):
+        got = split(*args)
+        leaves.extend(got)
+        return got
+
+    with mock.patch.object(measure, "_column_leaves", spy):
+        _assert_rows_bitwise_general(curve, alphas, blinds)
+    assert len(leaves) > 1 or order == "shuffled"
+    _assert_rows_bitwise_per_alpha(curve, alphas, blinds)
 
 
 @pytest.mark.parametrize(
