@@ -11,12 +11,11 @@ an order of two endpoint values that holds at both ends of a range holds in
 between): over the whole range, then over halves of it, bisected while that
 saves columns x alphas (_column_leaves).  _canonical_groups then
 canonicalizes the kernel's (rows x n) interval arrays in any order, in its
-own buffers: chains of neighbours collapse to their hulls, a wide row
-pre-merges in blocks of _BLOCK intervals, and _sorted_groups cuts the
-groups of the sorted rows.  _merge_neighbours takes intervals sorted by row
-whose lo and hi rise within each row, as a union's do after a shift or a
-cut.  Measures, inflation, erosion, difference and containment act on whole
-batches.
+own buffers: a wide row pre-merges in blocks of _BLOCK intervals, and
+_sorted_groups cuts the groups of the sorted rows.  _merge_neighbours takes
+intervals sorted by row whose lo and hi rise within each row, as a union's
+do after a shift or a cut.  Measures, inflation, erosion, difference and
+containment act on whole batches.
 """
 
 from __future__ import annotations
@@ -146,15 +145,6 @@ def _keys(row: np.ndarray, values: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _layout(row: np.ndarray, rows: int, values: np.ndarray, fill: float) -> np.ndarray:
-    """values (the last axis, one entry per group) as (rows x width) arrays:
-    each row's groups in order, then fill."""
-    col = np.arange(len(row)) - np.searchsorted(row, row)
-    out = np.full(values.shape[:-1] + (rows, int(col.max(initial=0)) + 1), fill)
-    out[..., row, col] = values
-    return out
-
-
 def _merge_neighbours(lo: np.ndarray, hi: np.ndarray, row: np.ndarray, rows: int) -> IntervalUnion:
     """Canonicalize intervals sorted by row whose lo and hi both rise within
     each row, as a canonical union's do after a shift or a cut.
@@ -183,27 +173,23 @@ def _canonical_groups(
     The intervals are the first rows * n entries of the flat buffers, row by
     row, in any order; a gap has lo = hi = +inf, and no entry is NaN.  The
     buffers and the scratch arrays cuts (bool) and reach (float) hold at
-    least rows * n + _BLOCK entries and are overwritten.  Three steps:
+    least rows * n + _BLOCK entries and are overwritten.  Two steps:
 
-    1. _collapse_chains replaces each chain of neighbours by its hull, in
-       every row of the batch, when the batch has few enough chains.
-    2. A one-row batch of more than BUDGET // 2 intervals that did not
-       collapse is cut into blocks of _BLOCK intervals, the last padded with
-       gaps; each block's lo and hi are sorted in one 2-D sort, and the
-       block groups (see _sorted_groups) replace the intervals.  Such a
-       row holds an interval: a row of gaps only is one chain.
-    3. Each row's lo and hi are sorted, and _sorted_groups cuts the groups.
+    1. A one-row batch of more than BUDGET // 2 intervals is cut into
+       blocks of _BLOCK intervals, the last padded with gaps; each block's
+       lo and hi are sorted in one 2-D sort, and the block groups (see
+       _sorted_groups) replace the intervals.  A row of gaps only has no
+       block group and comes back as one empty row.
+    2. Each row's lo and hi are sorted, and _sorted_groups cuts the groups.
 
     The canonical groups of a row are the components of the union of its
-    [lo, fl(hi + MERGE_TOL)], each with its min lo and max hi.  A chain and
-    a block group are connected, and their hull has exactly their min lo
-    and max hi, so that replacing them by it leaves that union, and so every
-    group, unchanged bit for bit.  The result owns its arrays.
+    [lo, fl(hi + MERGE_TOL)], each with its min lo and max hi.  A block
+    group is connected, and its hull has exactly its min lo and max hi, so
+    that replacing it by the hull leaves that union, and so every group,
+    unchanged bit for bit.  The result owns its arrays.
     """
     los, his = lo_buf[: rows * n].reshape(rows, n), hi_buf[: rows * n].reshape(rows, n)
-    given = los
-    los, his = _collapse_chains(los, his, cuts, reach)
-    if rows == 1 and n > BUDGET // 2 and los is given:
+    if rows == 1 and n > BUDGET // 2:
         blocks = -(-n // _BLOCK)
         lo_buf[n : blocks * _BLOCK] = np.inf
         hi_buf[n : blocks * _BLOCK] = np.inf
@@ -212,6 +198,8 @@ def _canonical_groups(
         block_los.sort(axis=1)
         block_his.sort(axis=1)
         merged = _sorted_groups(block_los, block_his, cuts, reach)
+        if not len(merged.lo):
+            return IntervalUnion(merged.lo, merged.hi, merged.row, 1)
         los, his = merged.lo[None], merged.hi[None]
     los.sort(axis=1)
     his.sort(axis=1)
@@ -242,41 +230,6 @@ def _sorted_groups(
     # a group ends just before the next group or row starts
     ends = np.append(starts, size)[1:][kept] - 1
     return IntervalUnion(los[starts[kept]], his[ends], starts[kept] // n, rows)
-
-
-def _collapse_chains(
-    los: np.ndarray, his: np.ndarray, cuts: np.ndarray, reach: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rows x n) intervals with each chain of neighbours replaced by (min lo, max hi).
-
-    Neighbours in a row whose closures, widened by MERGE_TOL, meet join a
-    chain; a join never crosses a row boundary.  The union of a chain lies
-    in one canonical group with exactly its min lo and max hi, whatever else
-    joins that group.  A gap (lo = +inf) joins only a gap or an interval
-    reaching +inf.  The collapsed rows are laid out as _layout does, each
-    row's chains in order, then gaps.  A batch of more than rows * n / 16
-    chains comes back as given, the same arrays: the reduction costs more
-    per chain than the sorts save per entry.  The first rows * n / 16
-    entries, row by row, are tested first, and a batch whose prefix holds
-    more than that share of chains comes back as given too, without the
-    full test; either way gives the same canonical rows.  cuts and reach,
-    of at least rows * n entries, are scratch buffers.
-    """
-    rows, n = los.shape
-    lo, hi = los.ravel(), his.ravel()
-    for m in (lo.size // 16, lo.size):
-        # cuts[i]: entry i starts a chain
-        near = np.add(hi[:m], MERGE_TOL, out=reach[:m])
-        np.greater(lo[1:m], near[:-1], out=cuts[1:m])
-        cuts[1:m] |= lo[:m][:-1] > near[1:]
-        cuts[:m:n] = True  # a row starts a chain: no join crosses rows
-        if 16 * np.count_nonzero(cuts[:m]) > m:
-            return los, his
-    starts = np.flatnonzero(cuts[:m])
-    lo, hi = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
-    if rows == 1 or len(lo) == rows:  # one row, or one chain a row: laid out
-        return lo.reshape(rows, -1), hi.reshape(rows, -1)
-    return tuple(_layout(starts // n, rows, np.stack([lo, hi]), np.inf))
 
 
 # -- alpha parameter sets ---------------------------------------------------
@@ -407,7 +360,9 @@ def project_blinds_grid(
     between; the column's image is the union of the run's, so no group
     changes.  The column takes the place of the run's first segment: the
     columns keep the segments' order, in which neighbours overlap far more
-    often than others, so that _collapse_chains finds fewer chains.  Runs
+    often than others, so that the block pre-merge of a wide row (see
+    _canonical_groups) leaves fewer block groups, and ties of -0.0 and 0.0
+    meet the sorts in the order the segments give them.  Runs
     whose extreme ends switch inside the range fail over the whole range
     but may hold over a part of it, and the argument holds on any part: so
     _column_leaves splits the alphas, in the given order, into contiguous
@@ -598,8 +553,9 @@ def _endpoint_columns(curve: CurveProfile, alphas: np.ndarray, ends: np.ndarray)
     those two ends' values at every alpha, so the one column in place of
     the run leaves the union of the images, and every canonical group,
     unchanged bit for bit, by the argument _canonical_groups gives for
-    chains.  The hull column keeps the run's place, so the columns stay in
-    segment order for _collapse_chains.
+    block groups.  The hull column keeps the run's place, so the columns
+    stay in segment order, for the block pre-merge and for the order of
+    ties of -0.0 and 0.0 (see project_blinds_grid).
 
     The end values are computed with the kernel's own operations, and the
     margin is _HULL_MARGIN times the largest magnitude of the ends, the

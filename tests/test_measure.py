@@ -20,7 +20,6 @@ from curveblinds.measure import (
     MERGE_TOL,
     AlphaSet,
     FiberArc,
-    _collapse_chains,
     _BLOCK,
     _endpoint_only,
     project_blinds,
@@ -96,9 +95,9 @@ def _random_rows(rng):
 
 def _gap_rows(rng):
     # gaps carry finite hi values: in rows 0-1 above every interval of their
-    # row, in rows 2-3 below every one (as _layout's fill and the kernel's
-    # out-of-strip segments may be); a canonicalizer that sorts hi without
-    # masking the gaps fails on the latter
+    # row, in rows 2-3 below every one (as the kernel's out-of-strip
+    # segments may); a canonicalizer that sorts hi without masking the gaps
+    # fails on the latter
     los = rng.uniform(-1.0, 1.0, (6, 300))
     his = los + rng.exponential(0.01, los.shape)
     gaps = rng.random(los.shape) < 0.3
@@ -119,12 +118,6 @@ def _tie_and_touch_rows(rng):
     los[:, 1::2] = his[:, 0::2] + rng.choice([0.0, 0.5, 1.0, 2.0], (4, 1000)) * MERGE_TOL
     his[:, 1::2] = np.maximum(his[:, 1::2], los[:, 1::2])
     return los, his
-
-
-def _collapses(los, his):
-    # whether _collapse_chains collapses the batch, given scratch of its size
-    cuts, reach = np.empty(los.size, dtype=bool), np.empty(los.size)
-    return _collapse_chains(los, his, cuts, reach)[0] is not los
 
 
 def _chain_runs(rng, chains, length, top):
@@ -154,39 +147,35 @@ def _chain_runs(rng, chains, length, top):
 
 
 def _chained_row(rng):
-    # one row few enough chains to be collapsed, with zeros of either sign
+    # one row of few chains, with zeros of either sign
     los, his = (a[None] for a in _chain_runs(rng, 60, 512, 4.0))
     los[0, 200:204], his[0, 200:204] = [-0.0, 0.0, 0.0, -0.0], [0.0, -0.0, 1e-6, 2e-6]
-    assert _collapses(los, his)
     return los, his
 
 
 def _chained_rows(rng):
-    # a batch of rows in blade order that collapses, rows of unequal chain
-    # counts; each row starts with a copy of the previous row's last
-    # interval, which a join across the row boundary would merge
+    # a batch of rows in blade order, rows of unequal chain counts; each row
+    # starts with a copy of the previous row's last interval, which a merge
+    # across the row boundary would join
     runs = [_chain_runs(rng, chains, 3072 // chains, 4.0 - r) for r, chains in enumerate((2, 3, 6, 4))]
     los, his = np.array([lo for lo, _ in runs]), np.array([hi for _, hi in runs])
     for r in range(1, len(los)):
         last = np.flatnonzero(los[r - 1] < np.inf)[-1]
         los[r, 0], his[r, 0] = los[r - 1, last], his[r - 1, last]
-    assert _collapses(los, his)
     return los, his
 
 
 def _many_runs_row(rng):
-    # one row of mostly disjoint intervals: too many chains to be collapsed
+    # one row of mostly disjoint intervals
     los = rng.uniform(-5.0, 5.0, (1, 4000))
     his = los + rng.exponential(0.0003, los.shape)
-    assert not _collapses(los, his)
     return los, his
 
 
 def _wide(los, his):
-    # a row the blocks pre-merge: one row of over BUDGET / 2 intervals that
-    # does not collapse, its last block short of _BLOCK intervals
+    # a row the blocks pre-merge: one row of over BUDGET / 2 intervals, its
+    # last block short of _BLOCK intervals
     assert los.shape[0] == 1 and los.shape[1] > BUDGET // 2 and los.shape[1] % _BLOCK
-    assert not _collapses(los, his)
     return los, his
 
 
@@ -286,14 +275,14 @@ def test_canonical_rows_equal_the_argsort_reference(make):
 
 
 def test_rows_of_one_chain_each_equal_the_argsort_reference():
-    # every row is one chain, which needs no layout; the rows continue one
-    # another, so a join across a row boundary would merge them
+    # every row is one chain; the rows continue one another, so a merge
+    # across a row boundary would join them
     steps = np.random.default_rng(7).uniform(0.0, 4e-4, 3000)
     los = np.cumsum(steps).reshape(5, 600)
     his = los + 5e-4
     # neighbours that touch at exactly MERGE_TOL
     los[:, 100::100] = his[:, 99:-1:100] + MERGE_TOL
-    assert (his >= los).all() and _collapses(los, his)
+    assert (his >= los).all()
     got, want = canonical_rows(los, his), argsort_canonical_rows(los, his)
     for name in ("lo", "hi", "row"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -481,8 +470,12 @@ _RADII = (
 
 
 def _resorted(lo, hi, row, rows):
-    """The canonical union of intervals given in row order, by sorting."""
-    return canonical_rows(measure._layout(row, rows, lo, np.inf), measure._layout(row, rows, hi, 0.0))
+    """The canonical union of intervals given in row order, by sorting:
+    each row's intervals in order, then gaps."""
+    col = np.arange(len(row)) - np.searchsorted(row, row)
+    los, his = np.full((2, rows, int(col.max(initial=0)) + 1), np.inf)
+    los[row, col], his[row, col] = lo, hi
+    return canonical_rows(los, his)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -670,6 +663,23 @@ def test_project_blinds_drops_segments_outside_the_strip():
     expected = project_segment(curve, 0.5, segments_of(blinds.coords)[0])
     (batch,) = project_blinds_grid(curve, [0.5, 0.5], blinds)
     assert rows_of(batch) == [expected.intervals] * 2
+
+
+def test_a_wide_row_outside_every_strip_is_one_empty_row():
+    # over BUDGET // 2 segments in x1 in [5, 6], which no strip [alpha - 1,
+    # alpha] of these alphas meets: each one-row batch is gaps only, which
+    # the block pre-merge must leave as one empty row
+    rng = np.random.default_rng(5)
+    n = 9000
+    assert n > BUDGET // 2
+    x1, x2 = rng.uniform(5.0, 6.0, (2, n)), rng.uniform(-1.0, 1.0, (2, n))
+    blinds = BlindSet(np.column_stack([x1[0], x2[0], x1[1], x2[1]]))
+    curve = builtin_curve("parabola")
+    u = project_blinds(curve, 0.5, blinds)
+    assert u.rows == 1 and rows_of(u) == [()] and u.measures().tolist() == [0.0]
+    batches = list(project_blinds_grid(curve, np.linspace(-1.0, 3.0, 50), blinds))
+    assert [row for b in batches for row in rows_of(b)] == [()] * 50
+    assert np.concatenate([b.measures() for b in batches]).tolist() == [0.0] * 50
 
 
 def _random_blinds(rng, n):
