@@ -307,7 +307,11 @@ def _decade(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 def run_construct(
     spec: SceneSpec, out_dir: Path, rigorous: bool = False
 ) -> tuple[dict, dict]:
-    """Run the key construction for a scene; write blindset.json, report.json."""
+    """Run the key construction for a scene; write blindset.json, report.json.
+
+    Next to blindset.json goes blindset.f64, a copy of its segments that
+    render reads instead of parsing them (_write_sidecar).
+    """
     start = time.perf_counter()
     result = key_construction(
         spec.curve(),
@@ -343,6 +347,7 @@ def run_construct(
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(blind_json, out_dir / "blindset.json")
+    _write_sidecar(out_dir / "blindset.json", result.blinds.coords)
     _dump_json(report, out_dir / "report.json")
     report["elapsed_seconds"] = round(elapsed, 3)
     return blind_json, report
@@ -365,35 +370,102 @@ def run_render(spec: SceneSpec, blindset_path: Path, out_path: Path) -> str:
 
 #: The scene fields the figure draws; a blind set's scene block must match them.
 _DRAWN_FIELDS = ("scene_id", "curve", "y", "subrange", "A_cover")
+#: Bytes of the SHA-256 digest that opens a sidecar, and of one segment row.
+_DIGEST_BYTES = 32
+_ROW_BYTES = 32
+#: Where _dump_json's text of a blind set opens and closes its segments.
+_SEGMENTS_OPEN = b'\n  "segments": [\n'
+_SEGMENTS_CLOSE = b"\n  ]"
+
+
+def _write_sidecar(path: Path, coords: np.ndarray) -> None:
+    """Write path's sidecar: a SHA-256 digest, then coords.
+
+    The sidecar sits at path.with_suffix(".f64") and holds coords as
+    little-endian float64 rows after the digest of path's bytes followed by
+    those rows.  It is a cache keyed by the bytes of path, whose digest
+    also covers its own rows: one that was left by another blind set, or
+    cut short at a row boundary, is never read, and deleting it only costs
+    render the parse.
+    """
+    rows = np.ascontiguousarray(coords, dtype="<f8")
+    with path.with_suffix(".f64").open("wb") as fh:
+        fh.write(_digest(path.read_bytes(), rows))
+        fh.write(rows)
+
+
+def _digest(raw: bytes, rows: memoryview | np.ndarray) -> bytes:
+    """The SHA-256 digest of raw followed by the bytes of rows."""
+    import hashlib  # here, not at module level: the import slows every start-up
+
+    digest = hashlib.sha256(raw)
+    digest.update(rows)
+    return digest.digest()
+
+
+def _sidecar_segments(path: Path, raw: bytes) -> tuple[np.ndarray, str] | None:
+    """The segments of path's sidecar, and raw's text without them.
+
+    raw holds path's bytes.  The segments come from the sidecar, and the
+    text is raw's with its segments list replaced by null.  None if the
+    sidecar is missing or unreadable, is not 32 + 32·n bytes for some
+    n >= 1, carries another digest than that of raw and its rows, or raw
+    has no segments list where _dump_json writes one.
+    """
+    try:
+        cache = path.with_suffix(".f64").read_bytes()
+    except OSError:
+        return None
+    n, extra = divmod(len(cache) - _DIGEST_BYTES, _ROW_BYTES)
+    rows = memoryview(cache)[_DIGEST_BYTES:]
+    if n < 1 or extra or cache[:_DIGEST_BYTES] != _digest(raw, rows):
+        return None
+    start = raw.find(_SEGMENTS_OPEN)
+    end = raw.find(_SEGMENTS_CLOSE, start + 1)
+    if start < 0 or end < 0:
+        return None
+    text = raw[:start] + b'\n  "segments": null' + raw[end + len(_SEGMENTS_CLOSE) :]
+    return np.frombuffer(rows, "<f8").reshape(n, 4), text.decode("utf-8")
 
 
 def _read_blindset(spec: SceneSpec, path: Path) -> BlindSet:
     """The blind set written at path, if it was built for spec.
 
-    A missing segments field, segments that are not a nonempty (n, 4) array
-    of finite numbers (a JSON boolean is not a number), a non-object meta,
-    a provenance that is not a list of lists, or a scene block that differs
-    from spec in a field the figure draws is rejected with a SceneError
-    naming the field; a blind set without a scene block is accepted.  The
-    parsed JSON tree is dropped on return, before rendering.
+    Where path's sidecar (_write_sidecar) carries the digest of path's
+    bytes and its own rows, the segments are read from it and only the rest
+    of the document is parsed; otherwise the whole document is.  The checks
+    are the same either way: a missing segments field, segments that are
+    not a nonempty (n, 4) array of finite numbers, a non-object meta, a
+    provenance that is not a list of lists with one entry per segment, or a
+    scene block that differs from spec in a field the figure draws is
+    rejected with a SceneError naming the field; a blind set without a
+    scene block is accepted.  Parsed segments holding a JSON boolean are
+    rejected too; a sidecar's segments hold none, as construct writes only
+    floats.  The parsed JSON tree is dropped on return, before rendering.
     """
-    data = json.loads(path.read_text(encoding="utf-8"))
+    raw = path.read_bytes()
+    cached = _sidecar_segments(path, raw)
+    data = json.loads(raw.decode("utf-8") if cached is None else cached[1])
     if not isinstance(data, dict):
         raise SceneError(f"{path}: expected a JSON object")
     if "segments" not in data:
         raise SceneError(f"{path}: segments: missing field")
-    try:
-        segments = np.array(data["segments"])
-    except ValueError:  # ragged rows
-        segments = np.empty(0)
-    shaped = segments.ndim == 2 and segments.shape[1] == 4 and len(segments) > 0
-    numeric = shaped and segments.dtype.kind in "iuf" and np.isfinite(segments).all()
-    if numeric:
-        # numpy reads JSON true and false as 1 and 0, so only rows holding a
-        # 0 or a 1 can hide one; their element types are scanned in C
-        suspects = np.flatnonzero(((segments == 0) | (segments == 1)).any(axis=1))
-        rows = map(data["segments"].__getitem__, suspects.tolist())
-        numeric = {int, float}.issuperset(map(type, itertools.chain.from_iterable(rows)))
+    if cached is not None:
+        segments = cached[0]
+        numeric = bool(np.isfinite(segments).all())
+    else:
+        try:
+            segments = np.array(data["segments"])
+        except ValueError:  # ragged rows
+            segments = np.empty(0)
+        shaped = segments.ndim == 2 and segments.shape[1] == 4 and len(segments) > 0
+        numeric = shaped and segments.dtype.kind in "iuf" and np.isfinite(segments).all()
+        if numeric:
+            # numpy reads JSON true and false as 1 and 0, so only rows holding
+            # a 0 or a 1 can hide one; their element types are scanned in C
+            suspects = np.flatnonzero(((segments == 0) | (segments == 1)).any(axis=1))
+            rows = map(data["segments"].__getitem__, suspects.tolist())
+            numeric = {int, float}.issuperset(map(type, itertools.chain.from_iterable(rows)))
     if not numeric:
         raise SceneError(
             f"{path}: segments: expected a nonempty list of [ax, ay, bx, by] rows of finite numbers"
@@ -405,6 +477,10 @@ def _read_blindset(spec: SceneSpec, path: Path) -> BlindSet:
         isinstance(prov, list) and all(isinstance(idx, list) for idx in prov)
     ):
         raise SceneError(f"{path}: provenance: expected a list of lists")
+    if prov is not None and len(prov) != len(segments):
+        raise SceneError(
+            f"{path}: provenance: expected one entry per segment ({len(segments)}), got {len(prov)}"
+        )
     built_for = data.get("scene")
     if built_for is not None:
         expected = spec.to_json_dict()

@@ -1,6 +1,7 @@
 """Command-line interface: construct, render, checks, duality, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -266,6 +267,10 @@ def test_render_rejects_a_blindset_that_is_not_an_object(tmp_path, capsys):
         ({}, "segments: missing field"),
         ({"segments": [[0, 0, 1, 1]], "meta": [1]}, "meta: expected a JSON object"),
         ({"segments": [[0, 0, 1, 1]], "provenance": [1]}, "provenance: expected a list"),
+        (
+            {"segments": [[0, 0, 1, 1]], "provenance": [[0], [1]]},
+            "provenance: expected one entry per segment (1), got 2",
+        ),
         ({"segments": [[0, 0, 1, 1], [0, 0, 1, math.nan]]}, "segments: expected a nonempty"),
         ({"segments": [[0, 0, 1, 1], [0, -math.inf, 1, 1]]}, "segments: expected a nonempty"),
         ({"segments": []}, "segments: expected a nonempty"),
@@ -281,15 +286,16 @@ def test_render_rejects_a_blindset_that_is_not_an_object(tmp_path, capsys):
         ({"segments": [[0.0, 0.5, 1.0, 1.0], [False, 0.5, 1.0, 1.0]]}, "segments: expected a nonempty"),
     ],
     ids=[
-        "no_segments", "meta_list", "provenance_ints", "nan", "inf", "empty", "ragged", "flat",
-        "text", "numeric_text", "null", "int_bool", "float_bool", "lone_bool", "float_false",
+        "no_segments", "meta_list", "provenance_ints", "provenance_length", "nan", "inf", "empty",
+        "ragged", "flat", "text", "numeric_text", "null", "int_bool", "float_bool", "lone_bool",
+        "float_false",
     ],
 )
 def test_render_rejects_a_malformed_blindset(data, field, tmp_path, capsys):
     path, out = tmp_path / "blindset.json", tmp_path / "f.svg"
     path.write_text(json.dumps(data))
     assert _render("Q1", path, out) == 2
-    assert field in capsys.readouterr().err
+    assert f"error: {path}: {field}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -356,6 +362,118 @@ def test_render_empty_blindset_exit_2(tmp_path, capsys):
     code = main(["render", "--scene", "Q1", "--blindset", str(path), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def _spec(scene: str, eps: float | None = None) -> SceneSpec:
+    """The bundled scene, at eps if one is given."""
+    data = load_scene(scene).to_json_dict()
+    if eps is not None:
+        data["epsilon"] = eps
+    return SceneSpec.from_json_dict(data)
+
+
+@pytest.mark.parametrize("scene, eps", [("Q1", None), ("P1", None), ("E1", None), ("P1", 0.015)])
+def test_render_draws_the_sidecar_as_the_parsed_segments(scene, eps, tmp_path):
+    spec = _spec(scene, eps)
+    blindset = tmp_path / "blindset.json"
+    run_construct(spec, tmp_path)
+    raw = blindset.read_bytes()
+    cached = cli._sidecar_segments(blindset, raw)
+    assert cached is not None
+    assert cached[0].tobytes() == np.array(json.loads(raw)["segments"]).tobytes()
+    cli.run_render(spec, blindset, tmp_path / "hit.svg")
+    (tmp_path / "blindset.f64").unlink()
+    cli.run_render(spec, blindset, tmp_path / "miss.svg")
+    assert (tmp_path / "hit.svg").read_bytes() == (tmp_path / "miss.svg").read_bytes()
+
+
+def test_construct_writes_the_digest_then_the_rows(tmp_path):
+    assert main(["construct", "--scene", "Q1", "--out", str(tmp_path)]) == 0
+    raw = (tmp_path / "blindset.json").read_bytes()
+    rows = np.array(json.loads(raw)["segments"], dtype="<f8").tobytes()
+    expected = hashlib.sha256(raw + rows).digest() + rows
+    assert (tmp_path / "blindset.f64").read_bytes() == expected
+
+
+def _assert_sidecar_ignored(spec: SceneSpec, out_dir: Path, sidecar: bytes | None) -> None:
+    """With sidecar in place (a directory if None), render draws out_dir's blind set as without."""
+    blindset, path = out_dir / "blindset.json", out_dir / "blindset.f64"
+    path.unlink()
+    cli.run_render(spec, blindset, out_dir / "parsed.svg")
+    if sidecar is None:
+        path.mkdir()
+    else:
+        path.write_bytes(sidecar)
+    assert cli._sidecar_segments(blindset, blindset.read_bytes()) is None
+    cli.run_render(spec, blindset, out_dir / "figure.svg")
+    assert (out_dir / "figure.svg").read_bytes() == (out_dir / "parsed.svg").read_bytes()
+
+
+def test_render_ignores_a_sidecar_left_by_another_construction(tmp_path):
+    stale = []
+    for scene, eps in [("Q1", None), ("P1", None)]:
+        run_construct(_spec(scene, eps), tmp_path)
+        stale.append((tmp_path / "blindset.f64").read_bytes())
+    spec = _spec("P1", 0.03)
+    run_construct(spec, tmp_path)
+    current = (tmp_path / "blindset.f64").read_bytes()
+    assert len(current) != len(stale[1])
+    # one of the right length whose digest is that of another file
+    stale.append(bytes([current[0] ^ 1]) + current[1:])
+    for sidecar in stale:
+        _assert_sidecar_ignored(spec, tmp_path, sidecar)
+
+
+@pytest.mark.parametrize(
+    "cut",
+    ["row", "half_row", "digest_only", "short", "empty", "garbage", "edited_row", "directory"],
+)
+def test_render_ignores_a_truncated_garbage_or_unreadable_sidecar(cut, tmp_path):
+    spec = _spec("Q1")
+    run_construct(spec, tmp_path)
+    current = (tmp_path / "blindset.f64").read_bytes()
+    sidecar = {
+        "row": current[:-32],  # 32 + 32 n bytes still, its digest unchanged
+        "half_row": current[:-16],
+        "digest_only": current[:32],
+        "short": current[:31],
+        "empty": b"",
+        "garbage": np.random.default_rng(0).bytes(len(current)),
+        "edited_row": current[:-1] + bytes([current[-1] ^ 1]),
+        "directory": None,
+    }[cut]
+    _assert_sidecar_ignored(spec, tmp_path, sidecar)
+
+
+def _first_coordinate(text: str) -> slice:
+    """Where the text of a blind set's first segment coordinate lies in text."""
+    start = text.index('"segments": [\n    [\n      ') + len('"segments": [\n    [\n      ')
+    return slice(start, text.index(",", start))
+
+
+def test_render_reads_an_edited_blindset_past_its_sidecar(tmp_path):
+    spec = _spec("Q1")
+    run_construct(spec, tmp_path)
+    blindset = tmp_path / "blindset.json"
+    text = blindset.read_text()
+    where = _first_coordinate(text)
+    value = text[where]
+    edited = value[:-1] + str((int(value[-1]) + 1) % 10)
+    blindset.write_text(text[: where.start] + edited + text[where.stop :])
+    assert (tmp_path / "blindset.f64").exists()
+    assert cli._read_blindset(spec, blindset).coords[0, 0] == float(edited) != float(value)
+
+
+def test_render_rejects_a_boolean_in_the_segments_past_a_sidecar(tmp_path, capsys):
+    run_construct(_spec("Q1"), tmp_path)
+    blindset, out = tmp_path / "blindset.json", tmp_path / "f.svg"
+    text = blindset.read_text()
+    where = _first_coordinate(text)
+    blindset.write_text(text[: where.start] + "true" + text[where.stop :])
+    assert (tmp_path / "blindset.f64").exists()
+    assert _render("Q1", blindset, out) == 2
+    assert "segments: expected a nonempty" in capsys.readouterr().err
     assert not out.exists()
 
 
